@@ -1,6 +1,7 @@
 """Exhaustive satisfiability search over all models up to a size bound.
 
-This is the package's independent oracle: it evaluates the truth definition
+This is the package's one bounded search for the full language (behind
+`lhs sat --full`) and its independent oracle: it evaluates the truth definition
 directly over every model (frame x valuation x evaluation pair) within the
 bound, with no normalization, tableau, or other cleverness. The inner loop is
 vectorized with numpy: frames are processed in batches and the valuation axis
@@ -39,6 +40,11 @@ from .syntax import (
 
 DEFAULT_ORACLE_CEILING = 10**11
 
+# The search builds a table of all 2^(n*n) frames and one of all 2^(n*k)
+# valuations (k variables). Past 2^24 rows they no longer fit in memory:
+# the frame bits for n = 5 alone take 6.7 GB.
+_MAX_TABLE_BITS = 24
+
 # Target byte size for one fully materialized truth array; frames are chunked
 # so that (chunk, n, n, packed-valuations) stays near this.
 _CHUNK_BYTES = 1 << 25
@@ -64,14 +70,6 @@ def _frame_ids(n: int, mod_iso: bool) -> tuple[int, ...]:
         image = (bits[:, src] << shifts).sum(axis=1, dtype=np.uint64)
         np.minimum(minimal, image, out=minimal)
     return tuple(int(i) for i in ids[minimal == ids])
-
-
-def _frame_matrix(frame_id: int, n: int) -> np.ndarray:
-    mat = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = (frame_id >> (i * n + j)) & 1
-    return mat
 
 
 def _atom_patterns(n: int, k: int) -> np.ndarray:
@@ -194,13 +192,15 @@ def find_model(phi: Formula, max_states: int, props=None,
         props = sorted(prop_names(phi), key=str)
     else:
         props = sorted(set(props), key=str)
-    total = enumeration_count(max_states, len(props))
-    if total > ceiling and not force:
+    k = len(props)
+    total = enumeration_count(max_states, k)
+    table_bits = max_states * max(max_states, k)
+    if (total > ceiling or table_bits > _MAX_TABLE_BITS) and not force:
         raise ResourceGuard(
-            f"search over {total} models exceeds the ceiling of {ceiling}; "
+            f"search over {total} models with tables of 2^{table_bits} rows "
+            f"exceeds the ceiling of {ceiling} models or 2^{_MAX_TABLE_BITS} rows; "
             "pass force=True to run anyway"
         )
-    k = len(props)
     for n in range(1, max_states + 1):
         nbits = 1 << (n * k)
         nbytes = max(1, nbits // 8)

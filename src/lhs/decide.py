@@ -1,5 +1,5 @@
 """Satisfiability and validity: K tableau, the I-free decision procedure,
-bounded search for the full language, and the brute-force oracle wrapper."""
+and bounded search for the full language."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 
 from . import bruteforce
 from .errors import ContainsI, LhsError, MixedFormula
-from .model import (
-    DEFAULT_ENUMERATION_CEILING,
-    Model,
-    disjoint_union,
-    enumerate_models,
-)
+from .model import Model, disjoint_union
 from .normal import CleanCNF, companion
 from .semantics import check
 from .syntax import (
@@ -22,16 +17,13 @@ from .syntax import (
     BDia,
     Bot,
     Formula,
-    Iff,
-    Implies,
     Not,
     Or,
     RESERVED_PREFIX,
-    Top,
     WBox,
     WDia,
     classify,
-    prop_names,
+    nnf,
 )
 
 
@@ -64,54 +56,27 @@ class BoundedVerdict:
 # K tableau
 
 
-def _nnf(phi: Formula, positive: bool = True) -> Formula:
-    if isinstance(phi, Atom):
-        return phi if positive else Not(phi)
-    if isinstance(phi, Top):
-        return Top() if positive else Bot()
-    if isinstance(phi, Bot):
-        return Bot() if positive else Top()
-    if isinstance(phi, Not):
-        return _nnf(phi.child, not positive)
-    if isinstance(phi, And):
-        ctor = And if positive else Or
-        return ctor(_nnf(phi.left, positive), _nnf(phi.right, positive))
-    if isinstance(phi, Or):
-        ctor = Or if positive else And
-        return ctor(_nnf(phi.left, positive), _nnf(phi.right, positive))
-    if isinstance(phi, Implies):
-        return _nnf(Or(Not(phi.left), phi.right), positive)
-    if isinstance(phi, Iff):
-        both = And(Implies(phi.left, phi.right), Implies(phi.right, phi.left))
-        return _nnf(both, positive)
-    if isinstance(phi, (WBox, BBox)):
-        box, dia = (WBox, WDia) if isinstance(phi, WBox) else (BBox, BDia)
-        return box(_nnf(phi.child, True)) if positive else dia(_nnf(phi.child, False))
-    if isinstance(phi, (WDia, BDia)):
-        box, dia = (WBox, WDia) if isinstance(phi, WDia) else (BBox, BDia)
-        return dia(_nnf(phi.child, True)) if positive else box(_nnf(phi.child, False))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 @dataclass
 class _TreeNode:
     atoms: frozenset
     children: list = field(default_factory=list)
 
 
-def _tableau(goals: frozenset) -> _TreeNode | None:
+def _tableau(goals: dict) -> _TreeNode | None:
     """Satisfiability of a set of NNF formulas in basic modal logic K.
 
-    Returns a tree witness (nodes carry their positive atoms) or None.
-    Depth is bounded by modal depth, so no loop check is needed.
+    `goals` holds the formulas as keys. Dicts keep insertion order, so the
+    expansion order, and with it the witness, does not depend on string
+    hashing. Returns a tree witness (nodes carry their positive atoms) or
+    None. Depth is bounded by modal depth, so no loop check is needed.
     """
     for f in goals:
-        if isinstance(f, And):
-            rest = (goals - {f}) | {f.left, f.right}
-            return _tableau(rest)
-        if isinstance(f, Or):
-            rest = goals - {f}
-            return _tableau(rest | {f.left}) or _tableau(rest | {f.right})
+        if isinstance(f, (And, Or)):
+            rest = dict(goals)
+            del rest[f]
+            if isinstance(f, And):
+                return _tableau({**rest, f.left: None, f.right: None})
+            return _tableau({**rest, f.left: None}) or _tableau({**rest, f.right: None})
     # Only literals, constants, boxes and diamonds remain.
     if any(isinstance(f, Bot) for f in goals):
         return None
@@ -119,11 +84,11 @@ def _tableau(goals: frozenset) -> _TreeNode | None:
     negative = {f.child.prop for f in goals if isinstance(f, Not)}
     if positive & negative:
         return None
-    box_contents = frozenset(f.child for f in goals if isinstance(f, (WBox, BBox)))
+    box_contents = {f.child: None for f in goals if isinstance(f, (WBox, BBox))}
     node = _TreeNode(frozenset(positive))
     for f in goals:
         if isinstance(f, (WDia, BDia)):
-            child = _tableau(box_contents | {f.child})
+            child = _tableau({**box_contents, f.child: None})
             if child is None:
                 return None
             node.children.append(child)
@@ -160,7 +125,7 @@ def k_sat(phi: Formula) -> KVerdict:
     sc = classify(phi)
     if not (sc.white_only or sc.black_only):
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
-    tree = _tableau(frozenset({_nnf(phi)}))
+    tree = _tableau({nnf(phi): None})
     if tree is None:
         return KVerdict("UNSAT")
     model, root = _tree_to_model(tree)
@@ -235,39 +200,23 @@ def lhs_minus_sat(phi: Formula) -> LHSVerdict:
 # Bounded search for the full language
 
 
-def lhs_bounded_sat(phi: Formula, max_states: int,
-                    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-                    force: bool = False) -> BoundedVerdict:
-    """Enumerate models over phi's variables up to the bound.
+def lhs_bounded_sat(phi: Formula, max_states: int, force: bool = False) -> BoundedVerdict:
+    """Search every model with at most `max_states` states for a pair satisfying `phi`.
 
     Exhaustion means "no model up to the bound", never "unsatisfiable":
     satisfiability of the full language is undecidable, so only this
-    semi-procedure is offered.
+    semi-procedure is offered. The search is the numpy kernel
+    `bruteforce.find_model`, which shares nothing with the tableau or the
+    companion; its witness is re-verified through the reference truth
+    definition before it is returned.
     """
-    props = sorted(prop_names(phi), key=str)
-    for model in enumerate_models(max_states, props, ceiling=ceiling, force=force):
-        memo: dict = {}
-        for s in model.states:
-            for t in model.states:
-                if check(model, s, t, phi, _memo=memo):
-                    return BoundedVerdict("SAT", max_states, model, (s, t))
-    return BoundedVerdict("NO-MODEL-UP-TO-BOUND", max_states)
-
-
-def brute_force_sat_oracle(phi: Formula, max_states: int,
-                           ceiling: int = bruteforce.DEFAULT_ORACLE_CEILING,
-                           force: bool = False,
-                           mod_iso: bool = True) -> BoundedVerdict:
-    """Independent oracle with the same contract as `lhs_bounded_sat`.
-
-    Shares nothing with the tableau or the companion; witnesses are
-    re-verified through the reference truth definition before returning.
-    """
-    found = bruteforce.find_model(phi, max_states, ceiling=ceiling, force=force,
-                                  mod_iso=mod_iso)
+    found = bruteforce.find_model(phi, max_states, force=force)
     if found is None:
         return BoundedVerdict("NO-MODEL-UP-TO-BOUND", max_states)
     model, s, t = found
     if not check(model, s, t, phi):
-        raise LhsError("internal error: oracle witness failed re-verification")
+        raise LhsError("internal error: bounded-search witness failed re-verification")
     return BoundedVerdict("SAT", max_states, model, (s, t))
+
+
+brute_force_sat_oracle = lhs_bounded_sat

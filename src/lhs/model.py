@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ModelFormatError, ResourceGuard, UnknownState
 from .syntax import PropName, Side
@@ -57,6 +58,14 @@ class Model:
     def truth_set(self, prop: PropName) -> frozenset[State]:
         return self.valuation.get(prop, frozenset())
 
+    @cached_property
+    def successor_map(self) -> dict[State, tuple[State, ...]]:
+        """Successors of every state, built once per model (`edges` is frozen)."""
+        succ: dict[State, list[State]] = {w: [] for w in self.states}
+        for a, b in self.edges:
+            succ[a].append(b)
+        return {w: tuple(ws) for w, ws in succ.items()}
+
 
 def make_model(states, edges, valuation=None) -> Model:
     """Convenience constructor; valuation keys may be 'l:name' strings."""
@@ -69,7 +78,7 @@ def make_model(states, edges, valuation=None) -> Model:
 
 def successors(model: Model, w: State) -> frozenset[State]:
     model.require_state(w)
-    return frozenset(b for a, b in model.edges if a == w)
+    return frozenset(model.successor_map[w])
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +143,9 @@ def generated_submodel(model: Model, seeds) -> Model:
         model.require_state(w)
     reached = set(seeds)
     frontier = list(seeds)
-    succ: dict[State, list[State]] = {}
-    for a, b in model.edges:
-        succ.setdefault(a, []).append(b)
     while frontier:
         w = frontier.pop()
-        for v in succ.get(w, ()):
+        for v in model.successor_map[w]:
             if v not in reached:
                 reached.add(v)
                 frontier.append(v)

@@ -31,11 +31,12 @@ from .syntax import (
     Top,
     WBox,
     WDia,
-    children,
     classify,
     conjoin,
     disjoin,
+    nnf,
     prop_names,
+    subformulas,
     substitute,
 )
 
@@ -86,41 +87,10 @@ def prop_cnf(alpha: Formula, clause_ceiling: int = DEFAULT_CLAUSE_CEILING) -> Fo
     Duplicate literals inside a clause and tautological clauses are dropped;
     nothing else is simplified.
     """
-    for sub in [alpha, *_all_nodes(alpha)]:
-        if isinstance(sub, MODAL_NODES) or isinstance(sub, EqConst):
-            raise ModalInput("CNF conversion expects a purely propositional formula")
-    clauses = _cnf_clauses(_nnf_prop(alpha, positive=True), clause_ceiling)
+    if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subformulas(alpha)):
+        raise ModalInput("CNF conversion expects a purely propositional formula")
+    clauses = _cnf_clauses(nnf(alpha), clause_ceiling)
     return _clauses_to_formula(clauses, alpha)
-
-
-def _all_nodes(phi: Formula):
-    out = [phi]
-    for c in children(phi):
-        out.extend(_all_nodes(c))
-    return out
-
-
-def _nnf_prop(phi: Formula, positive: bool) -> Formula:
-    if isinstance(phi, Atom):
-        return phi if positive else Not(phi)
-    if isinstance(phi, Top):
-        return Top() if positive else Bot()
-    if isinstance(phi, Bot):
-        return Bot() if positive else Top()
-    if isinstance(phi, Not):
-        return _nnf_prop(phi.child, not positive)
-    if isinstance(phi, And):
-        ctor = And if positive else Or
-        return ctor(_nnf_prop(phi.left, positive), _nnf_prop(phi.right, positive))
-    if isinstance(phi, Or):
-        ctor = Or if positive else And
-        return ctor(_nnf_prop(phi.left, positive), _nnf_prop(phi.right, positive))
-    if isinstance(phi, Implies):
-        return _nnf_prop(Or(Not(phi.left), phi.right), positive)
-    if isinstance(phi, Iff):
-        both = And(Implies(phi.left, phi.right), Implies(phi.right, phi.left))
-        return _nnf_prop(both, positive)
-    raise ModalInput(f"not a propositional formula: {phi!r}")
 
 
 _TRUE = object()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LhsError, MixedFormula
-from .model import Model, State, successors
+from .model import Model, State
 from .syntax import (
     Atom,
     BBox,
@@ -38,9 +38,7 @@ def check(model: Model, s: State, t: State, phi: Formula,
     model.require_state(s)
     model.require_state(t)
     memo = _memo if _memo is not None else {}
-    succ: dict[State, tuple[State, ...]] = {}
-    for a, b in model.edges:
-        succ.setdefault(a, []).append(b)
+    succ = model.successor_map
 
     def sat(f: Formula, a: State, b: State) -> bool:
         key = (f, a, b)
@@ -67,19 +65,25 @@ def check(model: Model, s: State, t: State, phi: Formula,
         elif isinstance(f, Iff):
             value = sat(f.left, a, b) == sat(f.right, a, b)
         elif isinstance(f, WBox):
-            value = all(sat(f.child, a2, b) for a2 in succ.get(a, ()))
+            value = all(sat(f.child, a2, b) for a2 in succ[a])
         elif isinstance(f, WDia):
-            value = any(sat(f.child, a2, b) for a2 in succ.get(a, ()))
+            value = any(sat(f.child, a2, b) for a2 in succ[a])
         elif isinstance(f, BBox):
-            value = all(sat(f.child, a, b2) for b2 in succ.get(b, ()))
+            value = all(sat(f.child, a, b2) for b2 in succ[b])
         elif isinstance(f, BDia):
-            value = any(sat(f.child, a, b2) for b2 in succ.get(b, ()))
+            value = any(sat(f.child, a, b2) for b2 in succ[b])
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[key] = value
         return value
 
-    return sat(phi, s, t)
+    try:
+        return sat(phi, s, t)
+    finally:
+        # `sat` reaches itself through its closure; clearing the name breaks
+        # that cycle, so the memo is freed on return and not at the next
+        # cyclic garbage collection.
+        del sat
 
 
 def check_all(model: Model, phi: Formula) -> set[tuple[State, State]]:
@@ -103,9 +107,7 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
     if not (sc.white_only or sc.black_only):
         raise MixedFormula("one-sided evaluation requires a white-only or black-only formula")
     model.require_state(w)
-    succ: dict[State, list[State]] = {}
-    for a, b in model.edges:
-        succ.setdefault(a, []).append(b)
+    succ = model.successor_map
 
     def sat(f: Formula, a: State) -> bool:
         if isinstance(f, Atom):
@@ -125,9 +127,9 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
         if isinstance(f, Iff):
             return sat(f.left, a) == sat(f.right, a)
         if isinstance(f, (WBox, BBox)):
-            return all(sat(f.child, a2) for a2 in succ.get(a, ()))
+            return all(sat(f.child, a2) for a2 in succ[a])
         if isinstance(f, (WDia, BDia)):
-            return any(sat(f.child, a2) for a2 in succ.get(a, ()))
+            return any(sat(f.child, a2) for a2 in succ[a])
         raise TypeError(f"not a one-sided formula: {f!r}")
 
     return sat(phi, w)

@@ -196,6 +196,45 @@ def modal_depth(phi: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Negation normal form
+
+
+def nnf(phi: Formula, positive: bool = True) -> Formula:
+    """Equivalent formula over literals, constants, &, | and the modalities.
+
+    `->` and `<->` are eliminated and negations pushed to atoms and `I`;
+    a negated box becomes the diamond of the negation and vice versa. With
+    `positive=False` the result is equivalent to `~phi`.
+    """
+    if isinstance(phi, (Atom, EqConst)):
+        return phi if positive else Not(phi)
+    if isinstance(phi, Top):
+        return Top() if positive else Bot()
+    if isinstance(phi, Bot):
+        return Bot() if positive else Top()
+    if isinstance(phi, Not):
+        return nnf(phi.child, not positive)
+    if isinstance(phi, And):
+        ctor = And if positive else Or
+        return ctor(nnf(phi.left, positive), nnf(phi.right, positive))
+    if isinstance(phi, Or):
+        ctor = Or if positive else And
+        return ctor(nnf(phi.left, positive), nnf(phi.right, positive))
+    if isinstance(phi, Implies):
+        return nnf(Or(Not(phi.left), phi.right), positive)
+    if isinstance(phi, Iff):
+        both = And(Implies(phi.left, phi.right), Implies(phi.right, phi.left))
+        return nnf(both, positive)
+    if isinstance(phi, (WBox, BBox)):
+        box, dia = (WBox, WDia) if isinstance(phi, WBox) else (BBox, BDia)
+        return box(nnf(phi.child, True)) if positive else dia(nnf(phi.child, False))
+    if isinstance(phi, (WDia, BDia)):
+        box, dia = (WBox, WDia) if isinstance(phi, WDia) else (BBox, BDia)
+        return dia(nnf(phi.child, True)) if positive else box(nnf(phi.child, False))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+# ---------------------------------------------------------------------------
 # Classification
 
 

@@ -1,14 +1,29 @@
 """Command-line interface: exit codes, JSON output, witness round-trips."""
 
+import argparse
 import json
+import os
+import random
+import re
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from lhs import check, load_model, parse
-from lhs.cli import main
+from lhs import BDia, Not, WDia, check, load_model, parse, render
+from lhs.cli import build_parser, main
+from lhs.syntax import conjoin
+
+from conftest import random_i_free
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+
+# Needs four distinct left valuations over p, q, hence four states.
+FOUR_STATE_FORMULA = "l:p & l:q & <W>(l:p & ~l:q) & <W>(~l:p & l:q) & <W>(~l:p & ~l:q)"
 
 
 def run(capsys, *argv):
@@ -18,6 +33,18 @@ def run(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(args, env=None, **kwargs):
+    """A fresh interpreter with the package from this checkout on its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300, **kwargs)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestExitCodes:
@@ -71,6 +98,116 @@ class TestExitCodes:
         code, _, _ = run(capsys, "sat", "--full", "--max-size", "6",
                          "-f", "l:p & l:q & r:p & r:q & l:a & r:b")
         assert code == 70
+
+    @pytest.mark.parametrize("bound", ["5", "6"])
+    def test_unbuildable_bound_refused_before_allocating(self, bound):
+        # The frame table for 5 states takes 6.7 GB. Under a 1 GiB cap a
+        # missing guard ends in MemoryError (exit 1), not in host exhaustion.
+        proc = run_python(["-m", "lhs.cli", "sat", "--full", "--max-size", bound,
+                           "-f", "I & ~I"],
+                          env={"OPENBLAS_NUM_THREADS": "1"},
+                          preexec_fn=_cap_address_space)
+        assert proc.returncode == 70, proc.stderr
+
+    @pytest.mark.parametrize("bound, code, verdict",
+                             [(4, 0, "SAT"), (3, 2, "NO-MODEL-UP-TO-BOUND")])
+    def test_bounded_sat_four_states(self, capsys, bound, code, verdict):
+        start = time.perf_counter()
+        got, out, _ = run(capsys, "sat", "--full", "--max-size", str(bound),
+                          "--json", "-f", FOUR_STATE_FORMULA)
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out)
+        assert (got, payload["verdict"]) == (code, verdict)
+        assert elapsed < 1.0
+        if verdict == "SAT":
+            model = load_model(json.dumps(payload["witness"]["model"]))
+            s, t = payload["witness"]["pair"]
+            assert check(model, s, t, parse(FOUR_STATE_FORMULA))
+
+
+class TestDeepInput:
+    DEEP = "~" * 3000 + "l:p"
+
+    def test_check(self, capsys, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["w"], "edges": [], "valuation": {}}')
+        code, _, err = run(capsys, "check", "-m", str(model), "--at", "w,w",
+                           "-f", self.DEEP)
+        assert code == 70
+        assert "nested too deeply" in err
+
+    def test_sat(self, capsys):
+        code, _, err = run(capsys, "sat", "-f", self.DEEP)
+        assert code == 70
+        assert "nested too deeply" in err
+
+
+_DETERMINISM_SCRIPT = """
+import contextlib, io, json, sys
+from lhs.cli import main
+
+answers = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    del payload["time_s"]
+    answers.append([code, payload])
+print(json.dumps(answers))
+"""
+
+
+def test_witnesses_do_not_depend_on_hash_seed():
+    # Several diamonds at one node give the K tableau a choice of order; the
+    # witness must not follow the hashing of its goals.
+    rng = random.Random(7)
+    argvs = []
+    for _ in range(20):
+        parts = [rng.choice([WDia, BDia])(random_i_free(rng, depth=2)) for _ in range(3)]
+        phi = conjoin(parts)
+        argvs += [["sat", "--json", "-f", render(phi)],
+                  ["valid", "--json", "-f", render(Not(phi))]]
+    outputs = []
+    for seed in ("0", "1"):
+        proc = run_python(["-c", _DETERMINISM_SCRIPT], env={"PYTHONHASHSEED": seed},
+                          input=json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
+class TestReadme:
+    @staticmethod
+    def synopsis():
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        return [line for line in block.splitlines() if line.startswith("lhs ")]
+
+    @staticmethod
+    def expand(line):
+        """Every argv a synopsis line shows: optional [parts] included, each
+        {A | B} alternative taken in turn, N as a number."""
+        line = line.replace("[", "").replace("]", "")
+        choice = re.search(r"\{([^}]*)\}", line)
+        if choice is None:
+            return [["3" if tok == "N" else tok for tok in line.split()[1:]]]
+        return [argv for alt in choice.group(1).split(" | ")
+                for argv in TestReadme.expand(line[:choice.start()] + alt
+                                              + line[choice.end():])]
+
+    def test_synopsis_parses(self):
+        for line in self.synopsis():
+            for argv in self.expand(line):
+                try:
+                    build_parser().parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"README synopsis does not parse: {' '.join(argv)}")
+
+    def test_synopsis_covers_every_verb(self):
+        verbs = next(a.choices for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert {line.split()[1] for line in self.synopsis()} == set(verbs)
 
 
 class TestCheck:
