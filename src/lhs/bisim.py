@@ -42,13 +42,6 @@ class ClauseViolation:
         return f"clause {self.clause} fails at {self.quad}"
 
 
-def _succ_map(model: Model) -> dict[State, tuple[State, ...]]:
-    succ: dict[State, list[State]] = {w: [] for w in model.states}
-    for a, b in model.edges:
-        succ[a].append(b)
-    return {w: tuple(vs) for w, vs in succ.items()}
-
-
 def _atoms_agree(m: Model, s: State, t: State, n: Model, s2: State, t2: State,
                  props) -> bool:
     for p in props:
@@ -73,8 +66,7 @@ def largest_bisimulation(m: Model, n: Model,
             f"{size} candidate quadruples exceed the ceiling of {ceiling}"
         )
     props = sorted(set(m.valuation) | set(n.valuation), key=str)
-    succ_m = _succ_map(m)
-    succ_n = _succ_map(n)
+    succ_m, succ_n = m.successor_map, n.successor_map
     current = {
         ((s, t), (s2, t2))
         for s in m.states
@@ -120,8 +112,7 @@ def check_bisimulation_witness(relation: PairRelation) -> ClauseViolation | None
     """None when every quadruple satisfies all six clauses, else the first failure."""
     m, n = relation.left, relation.right
     props = sorted(set(m.valuation) | set(n.valuation), key=str)
-    succ_m = _succ_map(m)
-    succ_n = _succ_map(n)
+    succ_m, succ_n = m.successor_map, n.successor_map
     for quad in sorted(relation.pairs):
         (s, t), (s2, t2) = quad
         if not _atoms_agree(m, s, t, n, s2, t2, props):

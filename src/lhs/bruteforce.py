@@ -199,7 +199,7 @@ def find_model(phi: Formula, max_states: int, props=None,
         raise ResourceGuard(
             f"search over {total} models with tables of 2^{table_bits} rows "
             f"exceeds the ceiling of {ceiling} models or 2^{_MAX_TABLE_BITS} rows; "
-            "pass force=True to run anyway"
+            "pass --force (force=True) to run anyway"
         )
     for n in range(1, max_states + 1):
         nbits = 1 << (n * k)

@@ -43,6 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_formula_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("-f", "--formula", help="formula given inline")
@@ -102,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_args(p)
     p.add_argument("--full", action="store_true",
                    help="bounded search over full-language models (allows I)")
-    p.add_argument("--max-size", type=int, metavar="N", default=3,
+    p.add_argument("--max-size", type=_positive_int, metavar="N", default=3,
                    help="state bound for --full (default 3)")
     p.add_argument("--force", action="store_true",
                    help="override the bounded-search resource guard")

@@ -5,6 +5,16 @@ conjunction of disjunctions psi_i | gamma_i, with psi_i built from left atoms
 and white modalities only and gamma_i from right atoms and black modalities
 only. This splitting is what reduces validity in the I-free logic to plain
 K validity of the one-sided parts.
+
+The companion is built in one bottom-up pass over the negation normal form,
+so no negation is ever pushed through a CNF: maximal one-sided subformulas
+stay whole, `&` concatenates, `|` distributes, boxes move onto their own side
+(the R axiom), and a diamond over conjuncts (psi_i, gamma_i) becomes the
+conjunction over sets S of conjuncts of <W>(&_S psi_i) | (|_S gamma_i),
+because the black parts gamma_i do not change along white moves (mirrored
+for <B>); only the sets S that no larger set implies are built.
+`clean_to_cnf` is the separate route for formulas that are already clean: it
+abstracts the one-sided blocks and runs the propositional `prop_cnf`.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from .syntax import (
     Atom,
     BBox,
     BDia,
+    BLACK_MODAL,
     Bot,
     EqConst,
     Formula,
@@ -31,13 +42,15 @@ from .syntax import (
     Top,
     WBox,
     WDia,
+    WHITE_MODAL,
+    children,
     classify,
     conjoin,
     disjoin,
+    fresh_var,
     nnf,
     prop_names,
     subformulas,
-    substitute,
 )
 
 DEFAULT_CLAUSE_CEILING = 100_000
@@ -176,24 +189,31 @@ def _clauses_to_formula(clauses, original: Formula) -> Formula:
     return conjoin(disjoin(clause) for clause in clauses)
 
 
-def is_cnf(phi: Formula) -> bool:
-    """Shape check: a conjunction of disjunctions of literals."""
-
-    def clause(f: Formula) -> bool:
-        if isinstance(f, Or):
-            return clause(f.left) and clause(f.right)
-        return _is_literal(f)
-
-    def conj(f: Formula) -> bool:
-        if isinstance(f, And):
-            return conj(f.left) and conj(f.right)
-        return clause(f)
-
-    return conj(phi)
-
-
 # ---------------------------------------------------------------------------
 # Clean decomposition
+
+
+def _one_sided(phi: Formula) -> dict[Formula, tuple[bool, bool]]:
+    """(white_only, black_only) of every subformula, in one bottom-up pass.
+
+    Agrees with `classify` node by node, but visits each distinct node once
+    instead of walking the whole subtree again at every node.
+    """
+    sides: dict[Formula, tuple[bool, bool]] = {}
+    for f in subformulas(phi):
+        if isinstance(f, Atom):
+            white = f.prop.side is Side.LEFT
+            sides[f] = (white, not white)
+        elif isinstance(f, EqConst):
+            sides[f] = (False, False)
+        elif isinstance(f, WHITE_MODAL):
+            sides[f] = (sides[f.child][0], False)
+        elif isinstance(f, BLACK_MODAL):
+            sides[f] = (False, sides[f.child][1])
+        else:
+            kids = [sides[c] for c in children(f)]
+            sides[f] = (all(w for w, _ in kids), all(b for _, b in kids))
+    return sides
 
 
 def clean_decompose(phi: Formula):
@@ -207,35 +227,28 @@ def clean_decompose(phi: Formula):
     if not classify(phi).clean:
         raise NotClean(f"not a clean formula: {phi!r}")
     supply = _FreshSupply(prop_names(phi))
+    sides = _one_sided(phi)
     block_to_prop: dict[Formula, PropName] = {}
     blocks: list[Formula] = []
 
-    def placeholder(block: Formula, side: Side) -> Formula:
-        if block not in block_to_prop:
-            block_to_prop[block] = supply.single(side)
-            blocks.append(block)
-        return Atom(block_to_prop[block])
-
     def go(f: Formula) -> Formula:
-        sc = classify(f)
-        if sc.white_only:
-            return placeholder(f, Side.LEFT)
-        if sc.black_only:
-            return placeholder(f, Side.RIGHT)
+        white, black = sides[f]
+        if white or black:
+            if f not in block_to_prop:
+                block_to_prop[f] = supply.single(Side.LEFT if white else Side.RIGHT)
+                blocks.append(f)
+            return Atom(block_to_prop[f])
         if isinstance(f, Not):
             return Not(go(f.child))
         if isinstance(f, (And, Or, Implies, Iff)):
             return type(f)(go(f.left), go(f.right))
         raise NotClean(f"not a clean formula: {phi!r}")
 
-    skeleton = go(phi)
-    return skeleton, blocks, block_to_prop
-
-
-def recompose(skeleton: Formula, block_to_prop: dict[Formula, PropName]) -> Formula:
-    left = {p: b for b, p in block_to_prop.items() if p.side is Side.LEFT}
-    right = {p: b for b, p in block_to_prop.items() if p.side is Side.RIGHT}
-    return substitute(skeleton, left, right)
+    try:
+        return go(phi), blocks, block_to_prop
+    finally:
+        # `go` reaches itself through its closure; see `semantics.check`.
+        del go
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +274,7 @@ class CleanCNF:
         return conjoin(Or(psi, gamma) for psi, gamma in self.conjuncts)
 
 
-def is_clean_cnf_formula(phi: Formula) -> bool:
-    """Shape check: clean with a CNF propositional skeleton."""
-    if not classify(phi).clean:
-        return False
-    skeleton, _, _ = clean_decompose(phi)
-    return is_cnf(skeleton)
-
-
-def clean_to_cnf(phi: Formula, _supply: _FreshSupply | None = None) -> CleanCNF:
+def clean_to_cnf(phi: Formula) -> CleanCNF:
     """Equivalent clean CNF of a clean formula.
 
     Decomposes, converts the propositional skeleton to CNF, substitutes the
@@ -277,91 +282,26 @@ def clean_to_cnf(phi: Formula, _supply: _FreshSupply | None = None) -> CleanCNF:
     every conjunct carry a contradictory pad (p & ~p over one fresh variable
     pair per call), so the output shape is uniform.
     """
-    supply = _supply if _supply is not None else _FreshSupply(prop_names(phi))
+    pad_left, pad_right = _FreshSupply(prop_names(phi)).pair()
     skeleton, _, block_to_prop = clean_decompose(phi)
-    skeleton = _fold_constant_blocks(skeleton, block_to_prop)
     cnf_skeleton = prop_cnf(skeleton)
     prop_to_block = {p: b for b, p in block_to_prop.items()}
-    pad_left, pad_right = supply.pair()
-    supply.avoid.add(pad_left)
-    supply.avoid.add(pad_right)
 
     conjuncts = []
     for clause in _iter_and(cnf_skeleton):
         white: list[Formula] = []
         black: list[Formula] = []
         for lit in _iter_or(clause):
+            # Every skeleton variable is a placeholder, and a placeholder's
+            # side is the side of its block.
             prop = lit.child.prop if isinstance(lit, Not) else lit.prop
-            block = prop_to_block.get(prop)
-            if block is None:
-                # Constant fallback literal from prop_cnf; it is one-sided.
-                instantiated = lit
-            else:
-                instantiated = Not(block) if isinstance(lit, Not) else block
-            side_class = classify(instantiated)
-            if side_class.white_only:
-                white.append(instantiated)
-            else:
-                black.append(instantiated)
+            block = prop_to_block[prop]
+            instantiated = Not(block) if isinstance(lit, Not) else block
+            (white if prop.side is Side.LEFT else black).append(instantiated)
         psi = disjoin([_contradiction(pad_left), *white])
         gamma = disjoin([_contradiction(pad_right), *black])
         conjuncts.append((psi, gamma))
     return CleanCNF(tuple(conjuncts))
-
-
-def _block_constant(f: Formula):
-    """True/False when the (modal-free fragment of the) block is constant.
-
-    Recognizes the contradiction pads this module generates (a & ~a and their
-    Boolean combinations) so repeated conversion rounds do not let dead pads
-    snowball the clause count. Returns None when no constant is detected.
-    """
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Not):
-        c = _block_constant(f.child)
-        return None if c is None else not c
-    if isinstance(f, (And, Or)):
-        lits = {g for g in _iter_node(f, type(f)) if isinstance(g, Atom)}
-        negs = {g.child for g in _iter_node(f, type(f))
-                if isinstance(g, Not) and isinstance(g.child, Atom)}
-        clashing = bool(lits & negs)
-        cl, cr = _block_constant(f.left), _block_constant(f.right)
-        if isinstance(f, And):
-            if clashing or cl is False or cr is False:
-                return False
-            if cl is True and cr is True:
-                return True
-        else:
-            if clashing or cl is True or cr is True:
-                return True
-            if cl is False and cr is False:
-                return False
-    return None
-
-
-def _fold_constant_blocks(skeleton: Formula,
-                          block_to_prop: dict[Formula, PropName]) -> Formula:
-    constant = {}
-    for block, prop in block_to_prop.items():
-        value = _block_constant(block)
-        if value is not None:
-            constant[prop] = Top() if value else Bot()
-    if not constant:
-        return skeleton
-
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return constant.get(f.prop, f)
-        if isinstance(f, Not):
-            return Not(go(f.child))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(go(f.left), go(f.right))
-        return f
-
-    return go(skeleton)
 
 
 def _iter_node(phi: Formula, node):
@@ -385,145 +325,132 @@ def _iter_or(phi: Formula):
 
 # ---------------------------------------------------------------------------
 # Clean CNF companion
+#
+# A conjunct is a pair (white, black) of disjunct tuples; an empty tuple is
+# false. A list of conjuncts is their conjunction; the empty list is true.
 
 
-def _complementary_pair(a: Formula, b: Formula) -> bool:
-    return (isinstance(a, Not) and a.child == b) or (isinstance(b, Not) and b.child == a)
+def _prune(conjuncts) -> list:
+    """Drop conjuncts with a valid side and repeated conjuncts; keep order.
 
-
-def _simplify(phi: Formula) -> Formula:
-    """Constant folding for formulas fed back into the CNF conversion.
-
-    The companion recursion repeatedly negates its own padded output; without
-    folding the dead padding, every contradiction introduced earlier survives
-    as a pair of live literals and the clause count squares on each round.
-    Folding is purely equivalence-preserving (constants, double negation,
-    complementary operands) and is never applied to final results, so padded
-    output shapes are unaffected.
+    A side is valid when it holds `true` or a complementary pair of literals.
+    A conjunct with two empty sides is false, and so is the whole list.
     """
-    if isinstance(phi, Not):
-        child = _simplify(phi.child)
-        if isinstance(child, Top):
-            return Bot()
-        if isinstance(child, Bot):
-            return Top()
-        if isinstance(child, Not):
-            return child.child
-        return Not(child)
-    if isinstance(phi, And):
-        left, right = _simplify(phi.left), _simplify(phi.right)
-        if isinstance(left, Bot) or isinstance(right, Bot):
-            return Bot()
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        if _complementary_pair(left, right):
-            return Bot()
-        return And(left, right)
-    if isinstance(phi, Or):
-        left, right = _simplify(phi.left), _simplify(phi.right)
-        if isinstance(left, Top) or isinstance(right, Top):
-            return Top()
-        if isinstance(left, Bot):
-            return right
-        if isinstance(right, Bot):
-            return left
-        if _complementary_pair(left, right):
-            return Top()
-        return Or(left, right)
-    if isinstance(phi, Implies):
-        left, right = _simplify(phi.left), _simplify(phi.right)
-        if isinstance(left, Bot) or isinstance(right, Top):
-            return Top()
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Bot):
-            return _simplify(Not(left))
-        return Implies(left, right)
-    if isinstance(phi, Iff):
-        left, right = _simplify(phi.left), _simplify(phi.right)
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        if isinstance(left, Bot):
-            return _simplify(Not(right))
-        if isinstance(right, Bot):
-            return _simplify(Not(left))
-        if left == right:
-            return Top()
-        return Iff(left, right)
-    if isinstance(phi, WBox):
-        child = _simplify(phi.child)
-        return Top() if isinstance(child, Top) else WBox(child)
-    if isinstance(phi, BBox):
-        child = _simplify(phi.child)
-        return Top() if isinstance(child, Top) else BBox(child)
-    if isinstance(phi, WDia):
-        child = _simplify(phi.child)
-        return Bot() if isinstance(child, Bot) else WDia(child)
-    if isinstance(phi, BDia):
-        child = _simplify(phi.child)
-        return Bot() if isinstance(child, Bot) else BDia(child)
-    return phi
+    out = {}
+    for white, black in conjuncts:
+        if not (white or black):
+            return [((), ())]
+        if not any(_valid_side(side) for side in (white, black)):
+            out[white, black] = None
+    return list(out)
+
+
+def _valid_side(side: tuple) -> bool:
+    return any(
+        isinstance(d, Top) or (isinstance(d, Not) and d.child in side) for d in side
+    )
+
+
+def _guard(count: int) -> None:
+    if count > DEFAULT_CLAUSE_CEILING:
+        raise ResourceGuard(
+            f"companion would build {count} conjuncts, over the ceiling of "
+            f"{DEFAULT_CLAUSE_CEILING}"
+        )
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    return tuple(dict.fromkeys(a + b))
+
+
+def _diamond(conjuncts: list, dia, white: bool) -> list:
+    """`dia`, a diamond of the colour `white` names, over a conjunct list.
+
+    Write each conjunct as (own_i, other_i), `own` on the diamond's side.
+    Every other_i is constant along the diamond's moves (dual of the R axiom),
+    so dia(&_i (own_i | other_i)) is the conjunction over all sets S of
+    (dia(&_S own_i) | |_S other_i). The conjunct of S is implied by that of
+    S + {j} whenever other_j adds no disjunct to |_S other_i (as when other_j
+    is empty), so only sets closed under this are built: one per distinct
+    union U of other sides, with S the conjuncts whose other side lies in U.
+    """
+    pairs = [(w, b) if white else (b, w) for w, b in conjuncts]
+    unions = {frozenset(): ()}
+    for _, other in pairs:
+        for union, ordered in list(unions.items()):
+            unions.setdefault(union.union(other), _merge(ordered, other))
+        _guard(len(unions))
+    out = []
+    for union, other in unions.items():
+        owns = [own for own, o in pairs if union.issuperset(o)]
+        if not all(owns):
+            own = ()
+        elif owns:
+            own = (dia(conjoin(dict.fromkeys(map(disjoin, owns)))),)
+        else:
+            own = (dia(Top()),)
+        out.append((own, other) if white else (other, own))
+    return _prune(out)
+
+
+def _companion_step(f: Formula, side: tuple[bool, bool], parts: dict,
+                    pads: tuple[Formula, Formula]) -> list:
+    """Conjunct list of the NNF node `f` from the lists of its children."""
+    if isinstance(f, Top):
+        return []
+    if isinstance(f, Bot):
+        return [((), ())]
+    if side[0]:
+        return [((f,), ())]
+    if side[1]:
+        return [((), (f,))]
+    if isinstance(f, And):
+        left, right = parts[f.left], parts[f.right]
+        _guard(len(left) + len(right))
+        return _prune(left + right)
+    if isinstance(f, Or):
+        left, right = parts[f.left], parts[f.right]
+        _guard(len(left) * len(right))
+        return _prune((_merge(w1, w2), _merge(b1, b2))
+                      for w1, b1 in left for w2, b2 in right)
+    if isinstance(f, WBox):
+        return _prune(((WBox(disjoin(w, pads[0])),), b) for w, b in parts[f.child])
+    if isinstance(f, BBox):
+        return _prune((w, (BBox(disjoin(b, pads[1])),)) for w, b in parts[f.child])
+    if isinstance(f, WDia):
+        return _diamond(parts[f.child], WDia, white=True)
+    if isinstance(f, BDia):
+        return _diamond(parts[f.child], BDia, white=False)
+    raise TypeError(f"unexpected node in NNF: {f!r}")
 
 
 def companion(phi: Formula) -> CleanCNF:
     """Clean CNF companion of an I-free formula.
 
-    Atoms pad with a fresh contradiction on the opposite side, negation routes
-    through the clean-to-CNF conversion, conjunction concatenates, and a box
-    of either color distributes onto its own side of every conjunct. The other
-    connectives combine the companions of their operands through the same
-    clean-to-CNF conversion (the result of the recursion is always clean, so
-    Boolean combinations of results are clean too). The output is equivalent
-    to the input on every model.
+    Built bottom-up over the NNF of `phi`, so negation never has to be pushed
+    through a CNF. A maximal white-only or black-only subformula stays whole
+    on its side. Conjunction concatenates the conjunct lists, disjunction
+    takes their product, and a box of either colour distributes onto its own
+    side of every conjunct (the R axiom). A diamond over conjuncts
+    (psi_i, gamma_i) gives one conjunct (<W>(&_S psi_i), |_S gamma_i) for
+    every set S of conjuncts, because each gamma_i is constant along white
+    moves; `<B>` is the mirror case, and sets implied by a larger set are
+    skipped (see `_diamond`). Conjuncts with a valid side are dropped
+    and repeats removed. An empty side prints as one fresh contradiction per
+    side (`l:_fresh0 & ~l:_fresh0`, `r:_fresh0 & ~r:_fresh0`). The output is
+    equivalent to the input on every model; building more than
+    `DEFAULT_CLAUSE_CEILING` conjuncts at any node raises `ResourceGuard`.
     """
     if not classify(phi).i_free:
         raise ContainsI("the companion is defined on the I-free fragment only")
-    supply = _FreshSupply(prop_names(phi))
-
-    def via_f(f: Formula) -> CleanCNF:
-        return clean_to_cnf(f, _supply=supply)
-
-    def go(f: Formula) -> CleanCNF:
-        if isinstance(f, Atom):
-            if f.prop.side is Side.LEFT:
-                pad = supply.single(Side.RIGHT)
-                return CleanCNF(((f, _contradiction(pad)),))
-            pad = supply.single(Side.LEFT)
-            return CleanCNF(((_contradiction(pad), f),))
-        if isinstance(f, Top):
-            return CleanCNF(
-                ((Not(_contradiction(supply.single(Side.LEFT))),
-                  _contradiction(supply.single(Side.RIGHT))),)
-            )
-        if isinstance(f, Bot):
-            return CleanCNF(
-                ((_contradiction(supply.single(Side.LEFT)),
-                  _contradiction(supply.single(Side.RIGHT))),)
-            )
-        if isinstance(f, Not):
-            return via_f(_simplify(Not(go(f.child).to_formula())))
-        if isinstance(f, And):
-            return CleanCNF(go(f.left).conjuncts + go(f.right).conjuncts)
-        if isinstance(f, Or):
-            return via_f(_simplify(Or(go(f.left).to_formula(), go(f.right).to_formula())))
-        if isinstance(f, Implies):
-            return via_f(_simplify(Implies(go(f.left).to_formula(), go(f.right).to_formula())))
-        if isinstance(f, Iff):
-            return via_f(_simplify(Iff(go(f.left).to_formula(), go(f.right).to_formula())))
-        if isinstance(f, WBox):
-            inner = go(f.child)
-            return CleanCNF(tuple((WBox(psi), gamma) for psi, gamma in inner.conjuncts))
-        if isinstance(f, BBox):
-            inner = go(f.child)
-            return CleanCNF(tuple((psi, BBox(gamma)) for psi, gamma in inner.conjuncts))
-        if isinstance(f, WDia):
-            return go(Not(WBox(Not(f.child))))
-        if isinstance(f, BDia):
-            return go(Not(BBox(Not(f.child))))
-        raise TypeError(f"unexpected node: {f!r}")
-
-    return go(phi)
+    names = prop_names(phi)
+    pads = (_contradiction(fresh_var(Side.LEFT, names)),
+            _contradiction(fresh_var(Side.RIGHT, names)))
+    f = nnf(phi)
+    sides = _one_sided(f)
+    parts: dict[Formula, list] = {}
+    for g in subformulas(f):
+        parts[g] = _companion_step(g, sides[g], parts, pads)
+    conjuncts = parts[f] or [((Top(),), ())]
+    return CleanCNF(tuple((disjoin(w, pads[0]), disjoin(b, pads[1]))
+                          for w, b in conjuncts))

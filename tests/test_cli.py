@@ -99,6 +99,17 @@ class TestExitCodes:
                          "-f", "l:p & l:q & r:p & r:q & l:a & r:b")
         assert code == 70
 
+    @pytest.mark.parametrize("bound", ["0", "-2", "x"])
+    def test_bound_below_one_is_usage_error(self, capsys, bound):
+        code, _, err = run(capsys, "sat", "--full", "--max-size", bound, "-f", "I")
+        assert code == 64
+        assert "--max-size" in err
+
+    def test_guard_names_cli_flag(self, capsys):
+        code, _, err = run(capsys, "sat", "--full", "--max-size", "5", "-f", "I & ~I")
+        assert code == 70
+        assert "--force" in err
+
     @pytest.mark.parametrize("bound", ["5", "6"])
     def test_unbuildable_bound_refused_before_allocating(self, bound):
         # The frame table for 5 states takes 6.7 GB. Under a 1 GiB cap a

@@ -1,5 +1,8 @@
 """K satisfiability, the full decision procedure, and bounded search."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from lhs import (
@@ -16,6 +19,7 @@ from lhs import (
     one_sided_eval,
     parse,
 )
+from lhs.bruteforce import find_model
 from lhs.model import enumerate_models
 from lhs.syntax import Side, prop_names
 
@@ -32,6 +36,21 @@ def enumerated_sat(phi, bound):
                for s in model.states for t in model.states):
             return True
     return False
+
+
+@contextmanager
+def time_budget(seconds):
+    """Fail the test with TimeoutError rather than hang past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no verdict within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestKSat:
@@ -169,3 +188,55 @@ class TestBoundedSat:
             v = lhs_bounded_sat(phi, 3)
             if v.status == "SAT":
                 assert check(v.model, *v.pair, phi)
+
+
+# Formulas whose companion blew up (or was refused) when negation and every
+# diamond were pushed back through the propositional CNF at each level.
+BAD_CASES = [
+    "<B> <W> ([B] l:p -> <W> <B> true)",
+    "((((l:p0 <-> [B]r:p1) <-> [W]l:p2) <-> [B]r:p3) <-> [W]l:p4)",
+    "<B> <W> ((l:p | r:q) & (r:q & true))",
+    "<B> [B] ((r:q <-> l:p) & (r:q & l:q))",
+    "<B> ([B] l:q -> (r:q <-> l:q))",
+    "<B> <W> [B] (<W> r:p & (false & false))",
+    # Its negation puts a <W> over 16 conjuncts whose black sides share
+    # disjuncts: one conjunct per subset would be 2^15 of them.
+    "<B> (([W] true <-> r:p) <-> false) & ([W] (<B> <W> r:p <-> (<W> r:p | l:q)"
+    " & (true & r:p -> l:p)) & ((<W> r:p | [B] <W> true | ~[W] l:q"
+    " & ([B] l:p & (r:p | true))) & r:q))",
+]
+
+
+class TestBadCases:
+    @pytest.mark.parametrize("text", BAD_CASES)
+    def test_sat(self, text):
+        phi = parse(text)
+        with time_budget(5):
+            v = lhs_minus_sat(phi)
+        assert v.status == "SAT"
+        assert check(v.model, *v.pair, phi)
+        if len(prop_names(phi)) <= 3:
+            assert find_model(phi, 3) is not None
+
+    @pytest.mark.parametrize("text", BAD_CASES)
+    def test_valid(self, text):
+        phi = parse(text)
+        with time_budget(5):
+            v = lhs_minus_valid(phi)
+        assert v.status == "INVALID"
+        assert not check(v.model, *v.pair, phi)
+        if len(prop_names(phi)) <= 3:
+            assert find_model(Not(phi), 3) is not None
+
+
+def test_deep_formulas_agree_with_oracle(rng):
+    # The acceptance gate samples depth 2 only; the companion's diamond and
+    # disjunction rules compound from depth 3 on.
+    for _ in range(200):
+        phi = random_i_free(rng, depth=rng.randint(3, 5))
+        with time_budget(5):
+            v = lhs_minus_sat(phi)
+        if v.status == "SAT":
+            assert check(v.model, *v.pair, phi)
+        else:
+            assert find_model(phi, 2) is None
