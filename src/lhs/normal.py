@@ -7,12 +7,14 @@ only. This splitting is what reduces validity in the I-free logic to plain
 K validity of the one-sided parts.
 
 The companion is built in one bottom-up pass over the negation normal form,
-so no negation is ever pushed through a CNF: maximal one-sided subformulas
-stay whole, `&` concatenates, `|` distributes, boxes move onto their own side
-(the R axiom), and a diamond over conjuncts (psi_i, gamma_i) becomes the
-conjunction over sets S of conjuncts of <W>(&_S psi_i) | (|_S gamma_i),
-because the black parts gamma_i do not change along white moves (mirrored
-for <B>); only the sets S that no larger set implies are built.
+read off each (subformula, polarity) pair of the input rather than written
+out, so no negation is ever pushed through a CNF and `<->` does not double
+the input. Maximal one-sided subformulas stay whole, `&` concatenates, `|`
+distributes, boxes move onto their own side (the R axiom), and a diamond
+over conjuncts (psi_i, gamma_i) becomes the conjunction over sets S of
+conjuncts of <W>(&_S psi_i) | (|_S gamma_i), because the black parts gamma_i
+do not change along white moves (mirrored for <B>); only the sets S that no
+larger set implies are built.
 `clean_to_cnf` is the separate route for formulas that are already clean: it
 abstracts the one-sided blocks and runs the propositional `prop_cnf`.
 """
@@ -27,7 +29,6 @@ from .syntax import (
     Atom,
     BBox,
     BDia,
-    BLACK_MODAL,
     Bot,
     EqConst,
     Formula,
@@ -50,6 +51,7 @@ from .syntax import (
     fresh_var,
     nnf,
     prop_names,
+    side_map,
     subformulas,
 )
 
@@ -63,20 +65,10 @@ class _FreshSupply:
         self.avoid = set(avoid)
         self.next = 0
 
-    def _take(self, k: int, sides) -> int:
-        while any(PropName(side, f"{RESERVED_PREFIX}{k}") in self.avoid for side in sides):
-            k += 1
-        return k
-
-    def pair(self) -> tuple[PropName, PropName]:
-        k = self._take(self.next, (Side.LEFT, Side.RIGHT))
-        self.next = k + 1
-        return PropName(Side.LEFT, f"{RESERVED_PREFIX}{k}"), PropName(
-            Side.RIGHT, f"{RESERVED_PREFIX}{k}"
-        )
-
     def single(self, side: Side) -> PropName:
-        k = self._take(self.next, (side,))
+        k = self.next
+        while PropName(side, f"{RESERVED_PREFIX}{k}") in self.avoid:
+            k += 1
         self.next = k + 1
         return PropName(side, f"{RESERVED_PREFIX}{k}")
 
@@ -193,29 +185,6 @@ def _clauses_to_formula(clauses, original: Formula) -> Formula:
 # Clean decomposition
 
 
-def _one_sided(phi: Formula) -> dict[Formula, tuple[bool, bool]]:
-    """(white_only, black_only) of every subformula, in one bottom-up pass.
-
-    Agrees with `classify` node by node, but visits each distinct node once
-    instead of walking the whole subtree again at every node.
-    """
-    sides: dict[Formula, tuple[bool, bool]] = {}
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            white = f.prop.side is Side.LEFT
-            sides[f] = (white, not white)
-        elif isinstance(f, EqConst):
-            sides[f] = (False, False)
-        elif isinstance(f, WHITE_MODAL):
-            sides[f] = (sides[f.child][0], False)
-        elif isinstance(f, BLACK_MODAL):
-            sides[f] = (False, sides[f.child][1])
-        else:
-            kids = [sides[c] for c in children(f)]
-            sides[f] = (all(w for w, _ in kids), all(b for _, b in kids))
-    return sides
-
-
 def clean_decompose(phi: Formula):
     """Abstract maximal one-sided subformulas into placeholder atoms.
 
@@ -224,10 +193,8 @@ def clean_decompose(phi: Formula):
     and substituting `blocks` back reproduces `phi` syntactically. Identical
     blocks share one placeholder.
     """
-    if not classify(phi).clean:
-        raise NotClean(f"not a clean formula: {phi!r}")
     supply = _FreshSupply(prop_names(phi))
-    sides = _one_sided(phi)
+    sides = side_map(phi)
     block_to_prop: dict[Formula, PropName] = {}
     blocks: list[Formula] = []
 
@@ -282,7 +249,8 @@ def clean_to_cnf(phi: Formula) -> CleanCNF:
     every conjunct carry a contradictory pad (p & ~p over one fresh variable
     pair per call), so the output shape is uniform.
     """
-    pad_left, pad_right = _FreshSupply(prop_names(phi)).pair()
+    names = prop_names(phi)
+    pad_left, pad_right = fresh_var(Side.LEFT, names), fresh_var(Side.RIGHT, names)
     skeleton, _, block_to_prop = clean_decompose(phi)
     cnf_skeleton = prop_cnf(skeleton)
     prop_to_block = {p: b for b, p in block_to_prop.items()}
@@ -363,8 +331,25 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(dict.fromkeys(a + b))
 
 
-def _diamond(conjuncts: list, dia, white: bool) -> list:
-    """`dia`, a diamond of the colour `white` names, over a conjunct list.
+def _and(left: list, right: list) -> list:
+    _guard(len(left) + len(right))
+    return _prune(left + right)
+
+
+def _or(left: list, right: list) -> list:
+    _guard(len(left) * len(right))
+    return _prune((_merge(w1, w2), _merge(b1, b2))
+                  for w1, b1 in left for w2, b2 in right)
+
+
+def _box(conjuncts: list, white: bool, pads: tuple[Formula, Formula]) -> list:
+    if white:
+        return _prune(((WBox(disjoin(w, pads[0])),), b) for w, b in conjuncts)
+    return _prune((w, (BBox(disjoin(b, pads[1])),)) for w, b in conjuncts)
+
+
+def _diamond(conjuncts: list, white: bool) -> list:
+    """The diamond of the colour `white` names over a conjunct list.
 
     Write each conjunct as (own_i, other_i), `own` on the diamond's side.
     Every other_i is constant along the diamond's moves (dual of the R axiom),
@@ -374,83 +359,125 @@ def _diamond(conjuncts: list, dia, white: bool) -> list:
     is empty), so only sets closed under this are built: one per distinct
     union U of other sides, with S the conjuncts whose other side lies in U.
     """
+    dia = WDia if white else BDia
     pairs = [(w, b) if white else (b, w) for w, b in conjuncts]
+    # Disjuncts become small ints, so that each formula is hashed once.
+    index: dict[Formula, int] = {}
+    others = [tuple(index.setdefault(d, len(index)) for d in other)
+              for _, other in pairs]
+    keys = [frozenset(other) for other in others]
     unions = {frozenset(): ()}
-    for _, other in pairs:
+    for other, key in zip(others, keys):
         for union, ordered in list(unions.items()):
-            unions.setdefault(union.union(other), _merge(ordered, other))
-        _guard(len(unions))
+            grown = union | key
+            if grown not in unions:
+                _guard(len(unions) + 1)
+                unions[grown] = ordered + tuple(i for i in other if i not in union)
+    disjuncts = list(index)
     out = []
-    for union, other in unions.items():
-        owns = [own for own, o in pairs if union.issuperset(o)]
+    for union, ordered in unions.items():
+        owns = [own for (own, _), key in zip(pairs, keys) if union >= key]
         if not all(owns):
             own = ()
         elif owns:
             own = (dia(conjoin(dict.fromkeys(map(disjoin, owns)))),)
         else:
             own = (dia(Top()),)
+        other = tuple(disjuncts[i] for i in ordered)
         out.append((own, other) if white else (other, own))
     return _prune(out)
 
 
-def _companion_step(f: Formula, side: tuple[bool, bool], parts: dict,
+def _polar_children(f: Formula, positive: bool, sides: dict) -> tuple:
+    """The (subformula, polarity) pairs whose lists `_companion_step` reads."""
+    if isinstance(f, Not):
+        return ((f.child, not positive),)
+    if isinstance(f, (Top, Bot)) or any(sides[f]):
+        return ()
+    if isinstance(f, Implies):
+        return ((f.left, not positive), (f.right, positive))
+    if isinstance(f, Iff):
+        return ((f.left, True), (f.right, True), (f.left, False), (f.right, False))
+    return tuple((c, positive) for c in children(f))
+
+
+def _companion_step(f: Formula, positive: bool, sides: dict, parts: dict,
                     pads: tuple[Formula, Formula]) -> list:
-    """Conjunct list of the NNF node `f` from the lists of its children."""
+    """Conjunct list of `f` (of `~f` if not `positive`) from its children's.
+
+    Each case is the one of the NNF node `nnf(f, positive)`.
+    """
     if isinstance(f, Top):
-        return []
+        return [] if positive else [((), ())]
     if isinstance(f, Bot):
-        return [((), ())]
-    if side[0]:
-        return [((f,), ())]
-    if side[1]:
-        return [((), (f,))]
-    if isinstance(f, And):
-        left, right = parts[f.left], parts[f.right]
-        _guard(len(left) + len(right))
-        return _prune(left + right)
-    if isinstance(f, Or):
-        left, right = parts[f.left], parts[f.right]
-        _guard(len(left) * len(right))
-        return _prune((_merge(w1, w2), _merge(b1, b2))
-                      for w1, b1 in left for w2, b2 in right)
-    if isinstance(f, WBox):
-        return _prune(((WBox(disjoin(w, pads[0])),), b) for w, b in parts[f.child])
-    if isinstance(f, BBox):
-        return _prune((w, (BBox(disjoin(b, pads[1])),)) for w, b in parts[f.child])
-    if isinstance(f, WDia):
-        return _diamond(parts[f.child], WDia, white=True)
-    if isinstance(f, BDia):
-        return _diamond(parts[f.child], BDia, white=False)
-    raise TypeError(f"unexpected node in NNF: {f!r}")
+        return [((), ())] if positive else []
+    if isinstance(f, Not):
+        return parts[f.child, not positive]
+    white, black = sides[f]
+    if white or black:
+        leaf = (f if positive else Not(f),)
+        return [(leaf, ())] if white else [((), leaf)]
+    if isinstance(f, MODAL_NODES):
+        white = isinstance(f, WHITE_MODAL)
+        child = parts[f.child, positive]
+        if isinstance(f, (WBox, BBox)) == positive:
+            return _box(child, white, pads)
+        return _diamond(child, white)
+    left, right = f.left, f.right
+    if isinstance(f, Iff):
+        if positive:
+            return _and(_or(parts[left, False], parts[right, True]),
+                        _or(parts[right, False], parts[left, True]))
+        return _or(_and(parts[left, True], parts[right, False]),
+                   _and(parts[right, True], parts[left, False]))
+    if isinstance(f, Implies):
+        if positive:
+            return _or(parts[left, False], parts[right, True])
+        return _and(parts[left, True], parts[right, False])
+    combine = _and if isinstance(f, And) == positive else _or
+    return combine(parts[left, positive], parts[right, positive])
 
 
 def companion(phi: Formula) -> CleanCNF:
     """Clean CNF companion of an I-free formula.
 
-    Built bottom-up over the NNF of `phi`, so negation never has to be pushed
-    through a CNF. A maximal white-only or black-only subformula stays whole
-    on its side. Conjunction concatenates the conjunct lists, disjunction
-    takes their product, and a box of either colour distributes onto its own
-    side of every conjunct (the R axiom). A diamond over conjuncts
-    (psi_i, gamma_i) gives one conjunct (<W>(&_S psi_i), |_S gamma_i) for
-    every set S of conjuncts, because each gamma_i is constant along white
-    moves; `<B>` is the mirror case, and sets implied by a larger set are
-    skipped (see `_diamond`). Conjuncts with a valid side are dropped
-    and repeats removed. An empty side prints as one fresh contradiction per
-    side (`l:_fresh0 & ~l:_fresh0`, `r:_fresh0 & ~r:_fresh0`). The output is
-    equivalent to the input on every model; building more than
-    `DEFAULT_CLAUSE_CEILING` conjuncts at any node raises `ResourceGuard`.
+    Built bottom-up over the negation normal form of `phi`, so negation never
+    has to be pushed through a CNF. The NNF is never written out: each
+    subformula is visited at most once per polarity, `->` and `<->` are
+    expanded from the lists of their operands, and the input stays linear.
+    A maximal white-only or black-only subformula stays whole on its side
+    (negated when it occurs negatively). Conjunction concatenates the conjunct
+    lists, disjunction takes their product, and a box of either colour
+    distributes onto its own side of every conjunct (the R axiom). A diamond
+    over conjuncts (psi_i, gamma_i) gives one conjunct
+    (<W>(&_S psi_i), |_S gamma_i) for every set S of conjuncts, because each
+    gamma_i is constant along white moves; `<B>` is the mirror case, and sets
+    implied by a larger set are skipped (see `_diamond`). Conjuncts with a
+    valid side are dropped and repeats removed. An empty side prints as one
+    fresh contradiction per side (`l:_fresh0 & ~l:_fresh0`,
+    `r:_fresh0 & ~r:_fresh0`). The output is equivalent to the input on every
+    model; building more than `DEFAULT_CLAUSE_CEILING` conjuncts at any node
+    raises `ResourceGuard` before they are built.
     """
-    if not classify(phi).i_free:
+    sides = side_map(phi)
+    if any(isinstance(f, EqConst) for f in sides):
         raise ContainsI("the companion is defined on the I-free fragment only")
-    names = prop_names(phi)
+    names = {f.prop for f in sides if isinstance(f, Atom)}
     pads = (_contradiction(fresh_var(Side.LEFT, names)),
             _contradiction(fresh_var(Side.RIGHT, names)))
-    f = nnf(phi)
-    sides = _one_sided(f)
-    parts: dict[Formula, list] = {}
-    for g in subformulas(f):
-        parts[g] = _companion_step(g, sides[g], parts, pads)
-    conjuncts = parts[f] or [((Top(),), ())]
+    parts: dict[tuple[Formula, bool], list] = {}
+    stack = [(phi, True)]
+    while stack:
+        key = stack[-1]
+        if key in parts:
+            stack.pop()
+            continue
+        todo = [k for k in _polar_children(*key, sides) if k not in parts]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            parts[key] = _companion_step(*key, sides, parts, pads)
+    conjuncts = parts[phi, True] or [((Top(),), ())]
     return CleanCNF(tuple((disjoin(w, pads[0]), disjoin(b, pads[1]))
                           for w, b in conjuncts))

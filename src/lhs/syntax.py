@@ -246,44 +246,44 @@ class SyntaxClass:
     clean: bool
 
 
-def _side_flags(phi: Formula) -> tuple[bool, bool, bool]:
-    """(i_free, white_only, black_only) without the clean check."""
-    subs = subformulas(phi)
-    i_free = not any(isinstance(f, EqConst) for f in subs)
-    atoms = [f.prop for f in subs if isinstance(f, Atom)]
-    has_white = any(isinstance(f, WHITE_MODAL) for f in subs)
-    has_black = any(isinstance(f, BLACK_MODAL) for f in subs)
-    white_only = (
-        i_free
-        and not has_black
-        and all(p.side is Side.LEFT for p in atoms)
-    )
-    black_only = (
-        i_free
-        and not has_white
-        and all(p.side is Side.RIGHT for p in atoms)
-    )
-    return i_free, white_only, black_only
+def side_map(phi: Formula) -> dict[Formula, tuple[bool, bool]]:
+    """(white_only, black_only) of every subformula, in one bottom-up pass.
+
+    A formula is white-only when it is I-free and has left atoms and white
+    modalities only; black-only is the mirror. Constants are both.
+    """
+    sides: dict[Formula, tuple[bool, bool]] = {}
+    for f in subformulas(phi):
+        if isinstance(f, Atom):
+            white = f.prop.side is Side.LEFT
+            sides[f] = (white, not white)
+        elif isinstance(f, EqConst):
+            sides[f] = (False, False)
+        elif isinstance(f, WHITE_MODAL):
+            sides[f] = (sides[f.child][0], False)
+        elif isinstance(f, BLACK_MODAL):
+            sides[f] = (False, sides[f.child][1])
+        else:
+            kids = [sides[c] for c in children(f)]
+            sides[f] = (all(w for w, _ in kids), all(b for _, b in kids))
+    return sides
 
 
 def classify(phi: Formula) -> SyntaxClass:
-    i_free, white_only, black_only = _side_flags(phi)
-    clean = i_free and _clean_boolean_level(phi)
+    sides = side_map(phi)
+    i_free = not any(isinstance(f, EqConst) for f in sides)
+    white_only, black_only = sides[phi]
+    clean = i_free and _clean_boolean_level(phi, sides)
     return SyntaxClass(i_free, white_only, black_only, clean)
 
 
-def is_one_sided(phi: Formula) -> bool:
-    _, white_only, black_only = _side_flags(phi)
-    return white_only or black_only
-
-
-def _clean_boolean_level(phi: Formula) -> bool:
+def _clean_boolean_level(phi: Formula, sides) -> bool:
     # Clean = at the Boolean level every maximal modal block is side-pure.
     if isinstance(phi, MODAL_NODES):
-        return is_one_sided(phi)
+        return any(sides[phi])
     if isinstance(phi, EqConst):
         return False
-    return all(_clean_boolean_level(c) for c in children(phi))
+    return all(_clean_boolean_level(c, sides) for c in children(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from lhs import (
     ContainsI,
     MixedFormula,
     Not,
+    ResourceGuard,
     brute_force_sat_oracle,
     check,
     k_sat,
@@ -204,6 +205,9 @@ BAD_CASES = [
     "<B> (([W] true <-> r:p) <-> false) & ([W] (<B> <W> r:p <-> (<W> r:p | l:q)"
     " & (true & r:p -> l:p)) & ((<W> r:p | [B] <W> true | ~[W] l:q"
     " & ([B] l:p & (r:p | true))) & r:q))",
+    # The mixed <-> chain at length 8: its written-out NNF holds 2^8 l:q.
+    "(((((((l:q <-> [W] l:p0) <-> [B] r:p1) <-> [W] l:p2) <-> [B] r:p3)"
+    " <-> [W] l:p4) <-> [B] r:p5) <-> [W] l:p6) <-> [B] r:p7",
 ]
 
 
@@ -240,3 +244,39 @@ def test_deep_formulas_agree_with_oracle(rng):
             assert check(v.model, *v.pair, phi)
         else:
             assert find_model(phi, 2) is None
+
+
+def mixed_iff_chain(length):
+    """`((l:q <-> [W]l:p0) <-> [B]r:p1) <-> ...`: every level is mixed."""
+    text = "l:q"
+    for i in range(length):
+        text = f"({text} <-> {'[B]r' if i % 2 else '[W]l'}:p{i})"
+    return parse(text)
+
+
+class TestCompanionGuard:
+    # A written-out NNF doubles at every <->, so a 30-deep chain would take
+    # 2^30 nodes before any guard; read once per polarity it stays linear,
+    # and only the guarded conjunct products grow.
+    @pytest.mark.parametrize("decide", [lhs_minus_sat, lhs_minus_valid])
+    def test_long_iff_chain_ends(self, decide):
+        phi = mixed_iff_chain(30)
+        with time_budget(20):
+            try:
+                v = decide(phi)
+            except ResourceGuard:
+                return
+        assert check(v.model, *v.pair, phi) == (v.status == "SAT")
+
+    def test_wide_diamond_refused_at_ceiling(self):
+        # The negation puts a <W> over 56 conjuncts with pairwise different
+        # black sides; their distinct unions pass the ceiling, and the
+        # refusal comes at the first one past it.
+        phi = parse("[W] <B> ([W] [B] [B] (r:q & l:q) <-> <B> [W] [B] [W] r:q)")
+        with time_budget(2):
+            with pytest.raises(ResourceGuard, match="would build 100001 conjuncts"):
+                lhs_minus_sat(phi)
+        with time_budget(2):
+            v = lhs_minus_valid(phi)
+        assert v.status == "INVALID"
+        assert not check(v.model, *v.pair, phi)
