@@ -3,11 +3,12 @@
 This is the package's one bounded search for the full language (behind
 `lhs sat --full`) and its independent oracle: it evaluates the truth definition
 directly over every model (frame x valuation x evaluation pair) within the
-bound, with no normalization, tableau, or other cleverness. The inner loop is
-vectorized with numpy: frames are processed in batches and the valuation axis
-is bit-packed, so every connective is a handful of byte-wise array operations.
-Frames can optionally be pruned to one representative per isomorphism class,
-which preserves both SAT and exhaustion verdicts.
+bound. It shares nothing with the companion or the K tableau: the truth
+definition comes from `semantics.truth_table`, the same kernel that
+`check_all` runs on a single model. Frames are processed in batches and the
+valuation axis is bit-packed, so every connective is a handful of byte-wise
+array operations. Frames can optionally be pruned to one representative per
+isomorphism class, which preserves both SAT and exhaustion verdicts.
 """
 
 from __future__ import annotations
@@ -19,24 +20,8 @@ import numpy as np
 
 from .errors import ResourceGuard
 from .model import Model, enumeration_count
-from .syntax import (
-    And,
-    Atom,
-    BBox,
-    BDia,
-    Bot,
-    EqConst,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Side,
-    Top,
-    WBox,
-    WDia,
-    prop_names,
-)
+from .semantics import truth_table
+from .syntax import Formula, prop_names
 
 DEFAULT_ORACLE_CEILING = 10**11
 
@@ -72,96 +57,19 @@ def _frame_ids(n: int, mod_iso: bool) -> tuple[int, ...]:
     return tuple(int(i) for i in ids[minimal == ids])
 
 
-def _atom_patterns(n: int, k: int) -> np.ndarray:
-    """Packed truth pattern of each (prop index, state) over the valuation axis.
+def _atom_patterns(n: int, props: list) -> dict:
+    """Packed truth pattern of each prop at each state over the valuation axis.
 
     Valuation v assigns prop j the extension whose bit w is bit n*j+w of v.
-    Returns shape (k, n, B) uint8 with B = packed length of 2^(n*k) bits.
+    Maps each prop to shape (n, B) uint8, B = packed length of 2^(n*k) bits.
+    Fewer than 8 valuations are repeated to fill one byte, so that every bit
+    of the truth table stands for a real valuation.
     """
-    v = np.arange(1 << (n * k), dtype=np.uint64)
-    out = []
-    for j in range(k):
-        rows = []
-        for w in range(n):
-            bit = ((v >> np.uint64(n * j + w)) & np.uint64(1)).astype(np.uint8)
-            rows.append(np.packbits(bit, bitorder="little"))
-        out.append(rows)
-    return np.array(out, dtype=np.uint8)
-
-
-def _truth_packed(phi: Formula, adj: np.ndarray, patterns: np.ndarray,
-                  props: list, n: int, nbytes: int, memo: dict) -> np.ndarray:
-    """Packed truth array, broadcastable to (frames, s, t, packed valuations).
-
-    Bits beyond the real valuation count in the last byte are garbage; callers
-    mask them off before inspecting results.
-    """
-    cached = memo.get(phi)
-    if cached is not None:
-        return cached
-
-    def rec(f):
-        return _truth_packed(f, adj, patterns, props, n, nbytes, memo)
-
-    if isinstance(phi, Atom):
-        if phi.prop in props:
-            j = props.index(phi.prop)
-            if phi.prop.side is Side.LEFT:
-                arr = patterns[j][None, :, None, :]
-            else:
-                arr = patterns[j][None, None, :, :]
-        else:
-            arr = np.zeros((1, 1, 1, nbytes), dtype=np.uint8)
-    elif isinstance(phi, EqConst):
-        arr = np.where(np.eye(n, dtype=bool)[None, :, :, None], 255, 0).astype(np.uint8)
-    elif isinstance(phi, Top):
-        arr = np.full((1, 1, 1, nbytes), 255, dtype=np.uint8)
-    elif isinstance(phi, Bot):
-        arr = np.zeros((1, 1, 1, nbytes), dtype=np.uint8)
-    elif isinstance(phi, Not):
-        arr = ~rec(phi.child)
-    elif isinstance(phi, And):
-        arr = rec(phi.left) & rec(phi.right)
-    elif isinstance(phi, Or):
-        arr = rec(phi.left) | rec(phi.right)
-    elif isinstance(phi, Implies):
-        arr = ~rec(phi.left) | rec(phi.right)
-    elif isinstance(phi, Iff):
-        arr = ~(rec(phi.left) ^ rec(phi.right))
-    elif isinstance(phi, (WBox, WDia, BBox, BDia)):
-        child = np.broadcast_to(
-            rec(phi.child), (adj.shape[0], n, n, nbytes)
-        )
-        universal = isinstance(phi, (WBox, BBox))
-        on_s = isinstance(phi, (WBox, WDia))
-        fill = 255 if universal else 0
-        arr = np.empty((adj.shape[0], n, n, nbytes), dtype=np.uint8)
-        for w in range(n):
-            acc = np.full((adj.shape[0], n, nbytes), fill, dtype=np.uint8)
-            for w2 in range(n):
-                edge = adj[:, w, w2, None, None]
-                term = child[:, w2, :, :] if on_s else child[:, :, w2, :]
-                if universal:
-                    acc &= np.where(edge, term, 255)
-                else:
-                    acc |= np.where(edge, term, 0)
-            if on_s:
-                arr[:, w, :, :] = acc
-            else:
-                arr[:, :, w, :] = acc
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-
-    memo[phi] = arr
-    return arr
-
-
-def _tail_mask(nbits: int, nbytes: int) -> np.ndarray:
-    mask = np.full(nbytes, 255, dtype=np.uint8)
-    spare = nbytes * 8 - nbits
-    if spare:
-        mask[-1] = (1 << (8 - spare)) - 1
-    return mask
+    nbits = 1 << (n * len(props))
+    v = np.arange(max(8, nbits), dtype=np.uint64) % np.uint64(nbits)
+    rows = [np.packbits(((v >> np.uint64(i)) & np.uint64(1)).astype(np.uint8), bitorder="little")
+            for i in range(n * len(props))]
+    return {prop: np.array(rows[n * j:n * j + n]) for j, prop in enumerate(props)}
 
 
 def _witness_model(frame_id: int, n: int, props: list, v: int) -> Model:
@@ -204,8 +112,7 @@ def find_model(phi: Formula, max_states: int, props=None,
     for n in range(1, max_states + 1):
         nbits = 1 << (n * k)
         nbytes = max(1, nbits // 8)
-        patterns = _atom_patterns(n, k)
-        mask = _tail_mask(nbits, nbytes)
+        atoms = _atom_patterns(n, props)
         frames = np.array(_frame_ids(n, mod_iso), dtype=np.uint64)
         shifts = np.arange(n * n, dtype=np.uint64)
         adj_all = (((frames[:, None] >> shifts) & np.uint64(1))
@@ -213,11 +120,8 @@ def find_model(phi: Formula, max_states: int, props=None,
         chunk = max(1, _CHUNK_BYTES // (n * n * nbytes))
         for lo in range(0, len(frames), chunk):
             adj = adj_all[lo:lo + chunk]
-            memo: dict = {}
-            truth = _truth_packed(phi, adj, patterns, props, n, nbytes, memo)
-            truth = np.broadcast_to(truth, (adj.shape[0], n, n, nbytes)) & mask
-            per_frame = truth.reshape(adj.shape[0], -1).any(axis=1)
-            hits = np.nonzero(per_frame)[0]
+            truth = truth_table(phi, adj, atoms, nbytes)
+            hits = np.nonzero(truth.any(axis=(1, 2, 3)))[0]
             if hits.size == 0:
                 continue
             f = int(hits[0])

@@ -29,7 +29,7 @@ from .errors import (
     UnknownState,
 )
 from .model import Model, load_model, save_model
-from .syntax import parse, render
+from .syntax import classify, parse, render
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("selftest", help="quick randomized self-checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_positive_int, default=25)
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -180,8 +180,6 @@ def _parse_pair(text: str, model: Model):
 def _cmd_parse(args):
     phi = _read_formula(args)
     text = render(phi, full_parens=args.full)
-    from .syntax import classify
-
     info = classify(phi)
     _emit(args, {
         "formula": text,
@@ -308,7 +306,7 @@ def _cmd_tiling(args):
     lines = [f"torus model: {len(model.states)} states, spy {spy}"]
     code = 0
     if args.check:
-        holds = semantics.check(model, spy, spy, tiling_mod.generate_phi(ts))
+        holds = (spy, spy) in semantics.check_all(model, tiling_mod.generate_phi(ts))
         payload["phi_T"] = holds
         lines.append(f"phi_T {'holds' if holds else 'fails'} at ({spy},{spy})")
         code = 0 if holds else 1
@@ -376,10 +374,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (FormulaSyntaxError, ReservedNameError, ModelFormatError, UnknownState,
-            ContainsI, MixedFormula, ModalInput, NotClean) as exc:
-        print(f"lhs: input error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except FileNotFoundError as exc:
+            ContainsI, MixedFormula, ModalInput, NotClean,
+            OSError, UnicodeDecodeError) as exc:  # unreadable file, or not UTF-8
         print(f"lhs: input error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except ResourceGuard as exc:

@@ -205,10 +205,10 @@ def lhs_bounded_sat(phi: Formula, max_states: int, force: bool = False) -> Bound
 
     Exhaustion means "no model up to the bound", never "unsatisfiable":
     satisfiability of the full language is undecidable, so only this
-    semi-procedure is offered. The search is the numpy kernel
-    `bruteforce.find_model`, which shares nothing with the tableau or the
-    companion; its witness is re-verified through the reference truth
-    definition before it is returned.
+    semi-procedure is offered. The search is `bruteforce.find_model` on the
+    numpy kernel `semantics.truth_table`, which shares nothing with the
+    tableau or the companion; its witness is re-verified through the
+    reference truth definition before it is returned.
     """
     found = bruteforce.find_model(phi, max_states, force=force)
     if found is None:

@@ -37,76 +37,105 @@ class PropName:
 
 
 class Formula:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class; all nodes are immutable and hashable.
+
+    A node stores its hash, the one a frozen dataclass computes, when it is
+    built: no hash or equality test recurses into a deep tree.
+    """
 
     __slots__ = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(vars(a).values(), vars(b).values()):
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+# Equality and hashing come from `Formula`, not from the dataclass.
+_node = dataclass(frozen=True, eq=False)
+
+
+@_node
 class Atom(Formula):
     prop: PropName
 
 
-@dataclass(frozen=True)
+@_node
 class EqConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class WBox(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class WDia(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class BBox(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class BDia(Formula):
     child: Formula
 
@@ -172,16 +201,17 @@ def subformulas(phi: Formula) -> list[Formula]:
     """Deduplicated subformulas in post-order; `phi` is the last element."""
     out: list[Formula] = []
     seen: set[Formula] = set()
-
-    def walk(f: Formula):
+    stack = [(phi, False)]
+    while stack:
+        f, expanded = stack.pop()
         if f in seen:
-            return
-        for c in children(f):
-            walk(c)
-        seen.add(f)
-        out.append(f)
-
-    walk(phi)
+            continue
+        if expanded:
+            seen.add(f)
+            out.append(f)
+        else:
+            stack.append((f, True))
+            stack.extend((c, False) for c in reversed(children(f)))
     return out
 
 

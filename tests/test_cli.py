@@ -99,11 +99,15 @@ class TestExitCodes:
                          "-f", "l:p & l:q & r:p & r:q & l:a & r:b")
         assert code == 70
 
-    @pytest.mark.parametrize("bound", ["0", "-2", "x"])
-    def test_bound_below_one_is_usage_error(self, capsys, bound):
-        code, _, err = run(capsys, "sat", "--full", "--max-size", bound, "-f", "I")
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["sat", "--full", "-f", "I", "--max-size", bound], id=bound)
+          for bound in ("0", "-2", "x")),
+        pytest.param(["selftest", "--count", "-3"], id="count-3"),
+    ])
+    def test_bound_below_one_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
         assert code == 64
-        assert "--max-size" in err
+        assert argv[-2] in err
 
     def test_guard_names_cli_flag(self, capsys):
         code, _, err = run(capsys, "sat", "--full", "--max-size", "5", "-f", "I & ~I")
@@ -239,6 +243,27 @@ class TestCheck:
     def test_missing_model_file(self, capsys, tmp_path):
         assert run(capsys, "check", "-m", str(tmp_path / "nope.json"),
                    "-f", "I", "--at", "w,w")[0] == 65
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["parse", "-F", "{dir}"], id="parse-dir"),
+        pytest.param(["parse", "-F", "{binary}"], id="parse-binary"),
+        pytest.param(["check", "-m", "{binary}", "-f", "I", "--at", "w,w"], id="check-binary"),
+        pytest.param(["check", "-m", "{dir}", "-f", "I", "--at", "w,w"], id="check-dir"),
+        pytest.param(["bisim", "-m", "{binary}", "-n", "{binary}"], id="bisim-binary"),
+        pytest.param(["proof", "-p", "{dir}"], id="proof-dir"),
+        pytest.param(["tiling", "gen", "-t", "{binary}"], id="tiling-binary"),
+        pytest.param(["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a", "{dir}"],
+                     id="tiling-model-dir"),
+    ])
+    def test_unreadable_input_is_input_error(self, capsys, tmp_path, argv):
+        # A directory or a file that is not UTF-8 is malformed input (65),
+        # not a traceback with exit 1 ("no").
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00\x80")
+        argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 65
+        assert "input error" in err
 
 
 class TestWitnessRoundTrip:

@@ -32,8 +32,7 @@ def enumerated_sat(phi, bound):
     satisfies phi at some pair, by `check` on every model and pair."""
     props = sorted(prop_names(phi), key=str)
     for model in enumerate_models(bound, props):
-        memo: dict = {}
-        if any(check(model, s, t, phi, _memo=memo)
+        if any(check(model, s, t, phi)
                for s in model.states for t in model.states):
             return True
     return False

@@ -3,6 +3,7 @@
 import pytest
 
 from lhs import (
+    And,
     BBox,
     BDia,
     EqConst,
@@ -16,9 +17,12 @@ from lhs import (
     fo_eval,
     fo_render,
     fo_translate,
+    left_atom,
     make_model,
     one_sided_eval,
     parse,
+    right_atom,
+    subformulas,
 )
 from lhs.syntax import Side
 
@@ -72,12 +76,35 @@ class TestCheckAll:
         assert check_all(m, parse("true")) == set(all_pairs(m))
 
     def test_agrees_with_pointwise(self, rng):
-        for _ in range(30):
-            m = random_model(rng)
-            phi = random_formula(rng, depth=2)
+        cases = [(random_model(rng), random_formula(rng, depth=2)) for _ in range(30)]
+        while len(cases) < 70:
+            phi = random_formula(rng, depth=rng.randint(4, 5))
+            if EqConst() in subformulas(phi):
+                cases.append((random_model(rng, max_states=8), phi))
+        for m, phi in cases:
             got = check_all(m, phi)
             want = {(s, t) for s, t in all_pairs(m) if check(m, s, t, phi)}
             assert got == want
+
+    def test_deep_chain(self):
+        # ~[W]~[W]... 3000 nodes deep; the expected truth set is computed
+        # alongside, one layer at a time.
+        m = make_model(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "c")],
+                       {"l:p": ["a", "c"]})
+        phi, holds = left_atom("p"), {"a", "c"}
+        for _ in range(1500):
+            phi = Not(WBox(phi))
+            holds = {s for s in m.states
+                     if not all(w in holds for w in m.successor_map[s])}
+        assert check_all(m, phi) == {(s, t) for s in holds for t in m.states}
+
+    def test_wide_conjunction(self):
+        # A left-deep 3000-way &, as the parser builds it.
+        m = make_model(["a", "b", "c"], [("a", "b")], {"l:p": ["a", "b"], "r:q": ["b", "c"]})
+        phi = left_atom("p")
+        for i in range(2999):
+            phi = And(phi, right_atom("q") if i % 2 == 0 else left_atom("p"))
+        assert check_all(m, phi) == {(s, t) for s in "ab" for t in "bc"}
 
 
 class TestOneSidedEval:

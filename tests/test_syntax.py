@@ -111,6 +111,21 @@ class TestSubformulas:
         subs = subformulas(phi)
         assert subs == [lp(), phi]
 
+    def test_deep_equal_copies(self):
+        # Two separately built 3000-deep chains: hashing, comparing and
+        # walking them must not recurse.
+        def chain():
+            phi = lp()
+            for _ in range(1500):
+                phi = WBox(Not(phi))
+            return phi
+
+        a, b = chain(), chain()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != WBox(Not(lp()))
+        subs = subformulas(And(a, b))
+        assert len(subs) == 3002 and subs[0] == lp() and subs[-2] == a
+
     def test_modal_depth_and_prop_names(self):
         phi = parse("[W](l:p -> <B> r:q)")
         assert modal_depth(phi) == 2
