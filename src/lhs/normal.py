@@ -15,8 +15,10 @@ over conjuncts (psi_i, gamma_i) becomes the conjunction over sets S of
 conjuncts of <W>(&_S psi_i) | (|_S gamma_i), because the black parts gamma_i
 do not change along white moves (mirrored for <B>); only the sets S that no
 larger set implies are built.
-`clean_to_cnf` is the separate route for formulas that are already clean: it
-abstracts the one-sided blocks and runs the propositional `prop_cnf`.
+
+`clean_to_cnf` and the propositional `prop_cnf` run the same pass. In a clean
+formula every modality lies inside a one-sided block, and `prop_cnf` makes
+every atom a block of its own side, so for them only the Boolean steps apply.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .syntax import (
     Not,
     Or,
     PropName,
-    RESERVED_PREFIX,
     Side,
     Top,
     WBox,
@@ -49,28 +50,12 @@ from .syntax import (
     conjoin,
     disjoin,
     fresh_var,
-    nnf,
-    prop_names,
+    fresh_vars,
     side_map,
     subformulas,
 )
 
 DEFAULT_CLAUSE_CEILING = 100_000
-
-
-class _FreshSupply:
-    """Deterministic fresh-name source: one counter per top-level call."""
-
-    def __init__(self, avoid: set[PropName]):
-        self.avoid = set(avoid)
-        self.next = 0
-
-    def single(self, side: Side) -> PropName:
-        k = self.next
-        while PropName(side, f"{RESERVED_PREFIX}{k}") in self.avoid:
-            k += 1
-        self.next = k + 1
-        return PropName(side, f"{RESERVED_PREFIX}{k}")
 
 
 def _contradiction(prop: PropName) -> Formula:
@@ -81,104 +66,29 @@ def _contradiction(prop: PropName) -> Formula:
 # Propositional CNF
 
 
-def _is_literal(phi: Formula) -> bool:
-    return isinstance(phi, Atom) or (isinstance(phi, Not) and isinstance(phi.child, Atom))
-
-
-def prop_cnf(alpha: Formula, clause_ceiling: int = DEFAULT_CLAUSE_CEILING) -> Formula:
+def prop_cnf(alpha: Formula) -> Formula:
     """Classically equivalent CNF of a propositional (modal-free, I-free) formula.
 
-    Eliminates -> and <->, pushes negations to literals, distributes | over &.
-    Duplicate literals inside a clause and tautological clauses are dropped;
-    nothing else is simplified.
+    Runs the companion's pass with every atom a block of its own side, so
+    `->` and `<->` are expanded, negations pushed to literals and | distributed
+    over &. Each clause lists its left literals before its right ones. Constants,
+    repeated literals, repeated clauses and clauses with a complementary pair
+    are dropped; a constant result is written `p | ~p` or `p & ~p` over the
+    first variable of `alpha` (a reserved one when it has none). More than
+    `DEFAULT_CLAUSE_CEILING` clauses at any node raises `ResourceGuard`.
     """
-    if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subformulas(alpha)):
+    subs = subformulas(alpha)
+    if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subs):
         raise ModalInput("CNF conversion expects a purely propositional formula")
-    clauses = _cnf_clauses(nnf(alpha), clause_ceiling)
-    return _clauses_to_formula(clauses, alpha)
-
-
-_TRUE = object()
-_FALSE = object()
-
-
-def _cnf_clauses(nnf: Formula, ceiling: int) -> list[list[Formula]]:
-    """Clauses as lists of literals; constants are propagated away."""
-
-    def go(f: Formula):
-        if _is_literal(f):
-            return [[f]]
-        if isinstance(f, Top):
-            return _TRUE
-        if isinstance(f, Bot):
-            return _FALSE
-        if isinstance(f, And):
-            left, right = go(f.left), go(f.right)
-            if left is _FALSE or right is _FALSE:
-                return _FALSE
-            if left is _TRUE:
-                return right
-            if right is _TRUE:
-                return left
-            return left + right
-        if isinstance(f, Or):
-            left, right = go(f.left), go(f.right)
-            if left is _TRUE or right is _TRUE:
-                return _TRUE
-            if left is _FALSE:
-                return right
-            if right is _FALSE:
-                return left
-            if len(left) * len(right) > ceiling:
-                raise ResourceGuard(
-                    f"CNF distribution would exceed {ceiling} clauses"
-                )
-            out = []
-            for c1 in left:
-                for c2 in right:
-                    merged = list(c1)
-                    for lit in c2:
-                        if lit not in merged:
-                            merged.append(lit)
-                    if not _tautological(merged):
-                        out.append(merged)
-            return out if out else _TRUE
-        raise ModalInput(f"unexpected node in NNF: {f!r}")
-
-    result = go(nnf)
-    if result is _TRUE:
-        return _TRUE
-    if result is _FALSE:
-        return _FALSE
-    deduped = []
-    for clause in result:
-        out = []
-        for lit in clause:
-            if lit not in out:
-                out.append(lit)
-        if not _tautological(out):
-            deduped.append(out)
-    return deduped if deduped else _TRUE
-
-
-def _tautological(clause) -> bool:
-    positives = {lit.prop for lit in clause if isinstance(lit, Atom)}
-    return any(
-        isinstance(lit, Not) and lit.child.prop in positives for lit in clause
-    )
-
-
-def _clauses_to_formula(clauses, original: Formula) -> Formula:
-    # A constant outcome has no CNF shape under the n,m >= 1 definition; fall
-    # back to a tautological / contradictory clause over a variable of the
-    # input (or a reserved one when the input mentions none).
-    if clauses is _TRUE or clauses is _FALSE:
-        names = sorted(prop_names(original), key=str)
-        prop = names[0] if names else PropName(Side.LEFT, f"{RESERVED_PREFIX}0")
-        if clauses is _TRUE:
-            return Or(Atom(prop), Not(Atom(prop)))
-        return And(Atom(prop), Not(Atom(prop)))
-    return conjoin(disjoin(clause) for clause in clauses)
+    sides = {f: (isinstance(f, Atom) and f.prop.side is Side.LEFT,
+                 isinstance(f, Atom) and f.prop.side is Side.RIGHT) for f in subs}
+    # With no modality in `alpha`, no box ever reads the pads.
+    clauses = _conjuncts(alpha, sides, None)
+    if not clauses or clauses == [((), ())]:
+        names = sorted((f.prop for f in subs if isinstance(f, Atom)), key=str)
+        prop = names[0] if names else fresh_var(Side.LEFT, set())
+        return (And if clauses else Or)(Atom(prop), Not(Atom(prop)))
+    return conjoin(disjoin(white + black) for white, black in clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +103,9 @@ def clean_decompose(phi: Formula):
     and substituting `blocks` back reproduces `phi` syntactically. Identical
     blocks share one placeholder.
     """
-    supply = _FreshSupply(prop_names(phi))
     sides = side_map(phi)
+    names = {f.prop for f in sides if isinstance(f, Atom)}
+    supply = {side: fresh_vars(side, names) for side in Side}
     block_to_prop: dict[Formula, PropName] = {}
     blocks: list[Formula] = []
 
@@ -202,7 +113,7 @@ def clean_decompose(phi: Formula):
         white, black = sides[f]
         if white or black:
             if f not in block_to_prop:
-                block_to_prop[f] = supply.single(Side.LEFT if white else Side.RIGHT)
+                block_to_prop[f] = next(supply[Side.LEFT if white else Side.RIGHT])
                 blocks.append(f)
             return Atom(block_to_prop[f])
         if isinstance(f, Not):
@@ -244,55 +155,25 @@ class CleanCNF:
 def clean_to_cnf(phi: Formula) -> CleanCNF:
     """Equivalent clean CNF of a clean formula.
 
-    Decomposes, converts the propositional skeleton to CNF, substitutes the
-    one-sided blocks back, and splits every clause by side. Both sides of
-    every conjunct carry a contradictory pad (p & ~p over one fresh variable
-    pair per call), so the output shape is uniform.
+    Runs the companion's pass: as `phi` is clean, every modality lies inside
+    a maximal one-sided block, so the pass only pushes negations down to the
+    blocks and distributes | over &. Both sides of every conjunct carry a
+    contradictory pad first (`l:_fresh0 & ~l:_fresh0` and its right mirror,
+    over names `phi` does not use), so the output shape is uniform; when the
+    pass folds `phi` to true, the one conjunct is (pad | true, pad). The same
+    `DEFAULT_CLAUSE_CEILING` guard applies.
     """
-    names = prop_names(phi)
-    pad_left, pad_right = fresh_var(Side.LEFT, names), fresh_var(Side.RIGHT, names)
-    skeleton, _, block_to_prop = clean_decompose(phi)
-    cnf_skeleton = prop_cnf(skeleton)
-    prop_to_block = {p: b for b, p in block_to_prop.items()}
-
-    conjuncts = []
-    for clause in _iter_and(cnf_skeleton):
-        white: list[Formula] = []
-        black: list[Formula] = []
-        for lit in _iter_or(clause):
-            # Every skeleton variable is a placeholder, and a placeholder's
-            # side is the side of its block.
-            prop = lit.child.prop if isinstance(lit, Not) else lit.prop
-            block = prop_to_block[prop]
-            instantiated = Not(block) if isinstance(lit, Not) else block
-            (white if prop.side is Side.LEFT else black).append(instantiated)
-        psi = disjoin([_contradiction(pad_left), *white])
-        gamma = disjoin([_contradiction(pad_right), *black])
-        conjuncts.append((psi, gamma))
-    return CleanCNF(tuple(conjuncts))
-
-
-def _iter_node(phi: Formula, node):
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, node):
-            stack.append(f.right)
-            stack.append(f.left)
-        else:
-            yield f
-
-
-def _iter_and(phi: Formula):
-    return _iter_node(phi, And)
-
-
-def _iter_or(phi: Formula):
-    return _iter_node(phi, Or)
+    if not classify(phi).clean:
+        raise NotClean(f"not a clean formula: {phi!r}")
+    sides = side_map(phi)
+    pads = _pads(sides)
+    conjuncts = _conjuncts(phi, sides, pads) or [((Top(),), ())]
+    return CleanCNF(tuple((disjoin([pads[0], *w]), disjoin([pads[1], *b]))
+                          for w, b in conjuncts))
 
 
 # ---------------------------------------------------------------------------
-# Clean CNF companion
+# The CNF pass, shared by the companion, `clean_to_cnf` and `prop_cnf`
 #
 # A conjunct is a pair (white, black) of disjunct tuples; an empty tuple is
 # false. A list of conjuncts is their conjunction; the empty list is true.
@@ -322,7 +203,7 @@ def _valid_side(side: tuple) -> bool:
 def _guard(count: int) -> None:
     if count > DEFAULT_CLAUSE_CEILING:
         raise ResourceGuard(
-            f"companion would build {count} conjuncts, over the ceiling of "
+            f"CNF would build {count} conjuncts, over the ceiling of "
             f"{DEFAULT_CLAUSE_CEILING}"
         )
 
@@ -332,8 +213,11 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 def _and(left: list, right: list) -> list:
+    # Both operands are pruned already, so only repeats can be new.
     _guard(len(left) + len(right))
-    return _prune(left + right)
+    if [((), ())] in (left, right):
+        return [((), ())]
+    return list(dict.fromkeys(left + right))
 
 
 def _or(left: list, right: list) -> list:
@@ -389,7 +273,7 @@ def _diamond(conjuncts: list, white: bool) -> list:
 
 
 def _polar_children(f: Formula, positive: bool, sides: dict) -> tuple:
-    """The (subformula, polarity) pairs whose lists `_companion_step` reads."""
+    """The (subformula, polarity) pairs whose lists `_step` reads."""
     if isinstance(f, Not):
         return ((f.child, not positive),)
     if isinstance(f, (Top, Bot)) or any(sides[f]):
@@ -401,7 +285,7 @@ def _polar_children(f: Formula, positive: bool, sides: dict) -> tuple:
     return tuple((c, positive) for c in children(f))
 
 
-def _companion_step(f: Formula, positive: bool, sides: dict, parts: dict,
+def _step(f: Formula, positive: bool, sides: dict, parts: dict,
                     pads: tuple[Formula, Formula]) -> list:
     """Conjunct list of `f` (of `~f` if not `positive`) from its children's.
 
@@ -438,6 +322,37 @@ def _companion_step(f: Formula, positive: bool, sides: dict, parts: dict,
     return combine(parts[left, positive], parts[right, positive])
 
 
+def _conjuncts(phi: Formula, sides: dict, pads) -> list:
+    """Conjunct list of `phi`, built bottom-up over its negation normal form.
+
+    The NNF is never written out: an explicit stack visits each (subformula,
+    polarity) pair once, children first. A subformula that `sides` marks
+    white-only or black-only is a block that stays whole on its side. `pads`
+    are the contradictions that stand for an empty side under a box.
+    """
+    parts: dict[tuple[Formula, bool], list] = {}
+    stack = [(phi, True)]
+    while stack:
+        key = stack[-1]
+        if key in parts:
+            stack.pop()
+            continue
+        todo = [k for k in _polar_children(*key, sides) if k not in parts]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            parts[key] = _step(*key, sides, parts, pads)
+    return parts[phi, True]
+
+
+def _pads(sides: dict) -> tuple[Formula, Formula]:
+    """One contradiction per side over a name that no atom in `sides` uses."""
+    names = {f.prop for f in sides if isinstance(f, Atom)}
+    return (_contradiction(fresh_var(Side.LEFT, names)),
+            _contradiction(fresh_var(Side.RIGHT, names)))
+
+
 def companion(phi: Formula) -> CleanCNF:
     """Clean CNF companion of an I-free formula.
 
@@ -462,22 +377,7 @@ def companion(phi: Formula) -> CleanCNF:
     sides = side_map(phi)
     if any(isinstance(f, EqConst) for f in sides):
         raise ContainsI("the companion is defined on the I-free fragment only")
-    names = {f.prop for f in sides if isinstance(f, Atom)}
-    pads = (_contradiction(fresh_var(Side.LEFT, names)),
-            _contradiction(fresh_var(Side.RIGHT, names)))
-    parts: dict[tuple[Formula, bool], list] = {}
-    stack = [(phi, True)]
-    while stack:
-        key = stack[-1]
-        if key in parts:
-            stack.pop()
-            continue
-        todo = [k for k in _polar_children(*key, sides) if k not in parts]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            parts[key] = _companion_step(*key, sides, parts, pads)
-    conjuncts = parts[phi, True] or [((Top(),), ())]
+    pads = _pads(sides)
+    conjuncts = _conjuncts(phi, sides, pads) or [((Top(),), ())]
     return CleanCNF(tuple((disjoin(w, pads[0]), disjoin(b, pads[1]))
                           for w, b in conjuncts))

@@ -25,6 +25,7 @@ from .syntax import (
     Top,
     WBox,
     WDia,
+    children,
     classify,
     subformulas,
 )
@@ -114,8 +115,14 @@ def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.n
     n = adj.shape[1]
     unreachable = np.where(adj, np.uint8(0), np.uint8(255))
     false = np.zeros((1, 1, 1, 1), dtype=np.uint8)
-    table: dict[Formula, np.ndarray] = {}
-    for f in subformulas(phi):
+    order = subformulas(phi)
+    index = {f: i for i, f in enumerate(order)}
+    kids = [[index[c] for c in children(f)] for f in order]
+    # A subformula's array is freed once its last parent is built.
+    last_parent = {k: i for i, ks in enumerate(kids) for k in ks}
+    arrays: list = [None] * len(order)
+    for i, f in enumerate(order):
+        args = [arrays[k] for k in kids[i]]
         if isinstance(f, Atom):
             pattern = atoms.get(f.prop)
             if pattern is None:
@@ -131,28 +138,31 @@ def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.n
         elif isinstance(f, Bot):
             arr = false
         elif isinstance(f, Not):
-            arr = ~table[f.child]
+            arr = ~args[0]
         elif isinstance(f, And):
-            arr = table[f.left] & table[f.right]
+            arr = args[0] & args[1]
         elif isinstance(f, Or):
-            arr = table[f.left] | table[f.right]
+            arr = args[0] | args[1]
         elif isinstance(f, Implies):
-            arr = ~table[f.left] | table[f.right]
+            arr = ~args[0] | args[1]
         elif isinstance(f, Iff):
-            arr = ~(table[f.left] ^ table[f.right])
+            arr = ~(args[0] ^ args[1])
         elif isinstance(f, WBox):
-            arr = _box(table[f.child], unreachable)
+            arr = _box(args[0], unreachable)
         elif isinstance(f, WDia):
-            arr = ~_box(~table[f.child], unreachable)
+            arr = ~_box(~args[0], unreachable)
         # A black modality is the white one with the two coordinates swapped.
         elif isinstance(f, BBox):
-            arr = _box(table[f.child].swapaxes(1, 2), unreachable).swapaxes(1, 2)
+            arr = _box(args[0].swapaxes(1, 2), unreachable).swapaxes(1, 2)
         elif isinstance(f, BDia):
-            arr = ~_box(~table[f.child].swapaxes(1, 2), unreachable).swapaxes(1, 2)
+            arr = ~_box(~args[0].swapaxes(1, 2), unreachable).swapaxes(1, 2)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        table[f] = arr
-    return np.broadcast_to(table[phi], adj.shape + (nbytes,))
+        arrays[i] = arr
+        for k in kids[i]:
+            if last_parent[k] == i:
+                arrays[k] = None
+    return np.broadcast_to(arrays[-1], adj.shape + (nbytes,))
 
 
 def check_all(model: Model, phi: Formula) -> set[tuple[State, State]]:

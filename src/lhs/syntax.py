@@ -8,6 +8,7 @@ ones ``[W]``/``<W>`` move the first evaluation point, the black ones
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -220,9 +221,11 @@ def prop_names(phi: Formula) -> set[PropName]:
 
 
 def modal_depth(phi: Formula) -> int:
-    kids = children(phi)
-    inner = max((modal_depth(c) for c in kids), default=0)
-    return inner + 1 if isinstance(phi, MODAL_NODES) else inner
+    depth: dict[Formula, int] = {}
+    for f in subformulas(phi):
+        inner = max((depth[c] for c in children(f)), default=0)
+        depth[f] = inner + isinstance(f, MODAL_NODES)
+    return depth[phi]
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +306,10 @@ def classify(phi: Formula) -> SyntaxClass:
     sides = side_map(phi)
     i_free = not any(isinstance(f, EqConst) for f in sides)
     white_only, black_only = sides[phi]
-    clean = i_free and _clean_boolean_level(phi, sides)
+    # Clean: every modal subformula is one-sided, which holds exactly when
+    # the maximal ones (those at the Boolean level) are.
+    clean = i_free and all(any(sides[f]) for f in sides if isinstance(f, MODAL_NODES))
     return SyntaxClass(i_free, white_only, black_only, clean)
-
-
-def _clean_boolean_level(phi: Formula, sides) -> bool:
-    # Clean = at the Boolean level every maximal modal block is side-pure.
-    if isinstance(phi, MODAL_NODES):
-        return any(sides[phi])
-    if isinstance(phi, EqConst):
-        return False
-    return all(_clean_boolean_level(c, sides) for c in children(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +358,17 @@ def substitute(
     return go(phi)
 
 
+def fresh_vars(side: Side, avoid: set[PropName]):
+    """The `_fresh<k>` names of the given side not in `avoid`, smallest first."""
+    for k in itertools.count():
+        prop = PropName(side, f"{RESERVED_PREFIX}{k}")
+        if prop not in avoid:
+            yield prop
+
+
 def fresh_var(side: Side, avoid: set[PropName]) -> PropName:
     """Smallest `_fresh<k>` name of the given side not in `avoid`."""
-    k = 0
-    while PropName(side, f"{RESERVED_PREFIX}{k}") in avoid:
-        k += 1
-    return PropName(side, f"{RESERVED_PREFIX}{k}")
+    return next(fresh_vars(side, avoid))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ Everything here is seeded explicitly by the caller so test runs are
 reproducible; no module-level RNG state.
 """
 
+import os
 import random
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +36,35 @@ from lhs import (
 )
 from lhs.syntax import Formula, PropName, Side
 
+SRC = Path(__file__).parent.parent / "src"
 LEFT_VARS = ("p", "q")
 RIGHT_VARS = ("p", "q")
 
 _UNARY = (Not, WBox, WDia, BBox, BDia)
 _BINARY = (And, Or, Implies, Iff)
+
+
+def run_python(args, env=None, **kwargs):
+    """A fresh interpreter with the package from this checkout on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300, **kwargs)
+
+
+@contextmanager
+def time_budget(seconds):
+    """Fail the test with TimeoutError rather than hang past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no verdict within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -2,12 +2,9 @@
 
 import argparse
 import json
-import os
 import random
 import re
 import resource
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -17,7 +14,7 @@ from lhs import BDia, Not, WDia, check, load_model, parse, render
 from lhs.cli import build_parser, main
 from lhs.syntax import conjoin
 
-from conftest import random_i_free
+from conftest import random_i_free, run_python
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -33,14 +30,6 @@ def run(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def run_python(args, env=None, **kwargs):
-    """A fresh interpreter with the package from this checkout on its path."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=300, **kwargs)
 
 
 def _cap_address_space():

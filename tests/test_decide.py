@@ -1,8 +1,5 @@
 """K satisfiability, the full decision procedure, and bounded search."""
 
-import signal
-from contextlib import contextmanager
-
 import pytest
 
 from lhs import (
@@ -24,7 +21,7 @@ from lhs.bruteforce import find_model
 from lhs.model import enumerate_models
 from lhs.syntax import Side, prop_names
 
-from conftest import random_i_free, random_one_sided
+from conftest import random_i_free, random_one_sided, time_budget
 
 
 def enumerated_sat(phi, bound):
@@ -36,21 +33,6 @@ def enumerated_sat(phi, bound):
                for s in model.states for t in model.states):
             return True
     return False
-
-
-@contextmanager
-def time_budget(seconds):
-    """Fail the test with TimeoutError rather than hang past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no verdict within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestKSat:

@@ -15,6 +15,7 @@ from lhs import (
     Not,
     NotClean,
     Or,
+    ResourceGuard,
     Top,
     WBox,
     check,
@@ -32,9 +33,18 @@ from lhs import (
     substitute,
 )
 from lhs.bruteforce import find_model
-from lhs.syntax import Formula, Side
+from lhs.syntax import Formula, Side, conjoin, disjoin
 
-from conftest import equivalent_on, random_clean, random_i_free, random_model
+from conftest import (
+    equivalent_on,
+    random_clean,
+    random_i_free,
+    random_model,
+    time_budget,
+)
+
+PAD_LEFT = parse("l:_fresh0 & ~l:_fresh0", allow_reserved=True)
+PAD_RIGHT = parse("r:_fresh0 & ~r:_fresh0", allow_reserved=True)
 
 
 def truth_table_equal(f1, f2):
@@ -98,6 +108,21 @@ def random_prop_formula(rng, depth=3):
     return op(random_prop_formula(rng, depth - 1), random_prop_formula(rng, depth - 1))
 
 
+def mixed_chain(width):
+    """Left-deep `l:p0 & r:p1 & l:p2 & ...`, as the parser builds it, and its atoms."""
+    atoms = [(left_atom if i % 2 == 0 else right_atom)(f"p{i}") for i in range(width)]
+    phi = atoms[0]
+    for a in atoms[1:]:
+        phi = And(phi, a)
+    return phi, atoms
+
+
+def negations(phi, depth):
+    for _ in range(depth):
+        phi = Not(phi)
+    return phi
+
+
 def companion_formula(phi):
     return companion(phi).to_formula()
 
@@ -136,6 +161,23 @@ class TestPropCNF:
             out = prop_cnf(alpha)
             assert is_cnf(out)
             assert truth_table_equal(alpha, out)
+
+    def test_deep_negation_chain(self):
+        iff = parse("l:p <-> r:q")
+        assert prop_cnf(negations(iff, 3000)) == prop_cnf(iff)
+        assert prop_cnf(negations(iff, 3001)) == prop_cnf(Not(iff))
+
+    def test_wide_mixed_chain(self):
+        phi, atoms = mixed_chain(3000)
+        with time_budget(5):
+            out = prop_cnf(phi)
+        assert out == conjoin(atoms)
+
+    def test_resource_guard(self):
+        # 2^17 clauses of one literal per pair, refused before they are built.
+        pairs = [And(left_atom(f"a{i}"), right_atom(f"b{i}")) for i in range(17)]
+        with pytest.raises(ResourceGuard, match="would build 131072 conjuncts"):
+            prop_cnf(disjoin(pairs))
 
 
 class TestCleanDecompose:
@@ -199,6 +241,25 @@ class TestCleanToCNF:
             phi = random_clean(rng)
             assert equivalent_everywhere(phi, clean_to_cnf(phi).to_formula())
 
+    def test_deep_negation_chain(self):
+        cnf = clean_to_cnf(negations(parse("[W]l:p | [B]r:q"), 3000))
+        assert cnf.conjuncts == ((Or(PAD_LEFT, parse("[W]l:p")),
+                                  Or(PAD_RIGHT, parse("[B]r:q"))),)
+
+    def test_wide_mixed_chain(self):
+        phi, atoms = mixed_chain(3000)
+        with time_budget(5):
+            cnf = clean_to_cnf(phi)
+        assert cnf.conjuncts == tuple(
+            (Or(PAD_LEFT, a), PAD_RIGHT) if a.prop.side is Side.LEFT
+            else (PAD_LEFT, Or(PAD_RIGHT, a)) for a in atoms)
+
+    def test_same_conjunct_count_as_companion(self, rng):
+        # On clean input both run the same pass; only the pads differ.
+        for _ in range(200):
+            phi = random_clean(rng)
+            assert len(clean_to_cnf(phi).conjuncts) == len(companion(phi).conjuncts)
+
 
 class TestCompanion:
     def test_black_box_atom_identity(self):
@@ -247,3 +308,10 @@ class TestCompanion:
         for _ in range(100):
             phi = random_i_free(rng)
             assert equivalent_everywhere(phi, companion_formula(phi))
+
+    def test_wide_mixed_chain(self):
+        phi, atoms = mixed_chain(3000)
+        with time_budget(5):
+            cnf = companion(phi)
+        assert cnf.conjuncts == tuple(
+            (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)

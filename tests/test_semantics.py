@@ -1,5 +1,7 @@
 """Truth definition, one-sided evaluation, and the first-order translation."""
 
+import sys
+
 import pytest
 
 from lhs import (
@@ -26,7 +28,15 @@ from lhs import (
 )
 from lhs.syntax import Side
 
-from conftest import all_pairs, random_formula, random_model, random_one_sided
+from conftest import all_pairs, random_formula, random_model, random_one_sided, run_python
+
+_PEAK_SCRIPT = """
+import resource, sys
+from lhs import parse
+from lhs.bruteforce import find_model
+found = find_model(parse(sys.argv[1]), 4)
+print(found is None, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 class TestCheck:
@@ -105,6 +115,21 @@ class TestCheckAll:
         for i in range(2999):
             phi = And(phi, right_atom("q") if i % 2 == 0 else left_atom("p"))
         assert check_all(m, phi) == {(s, t) for s in "ab" for t in "bc"}
+
+
+class TestTruthTable:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+    def test_frees_arrays_early(self):
+        # Nine conjuncts, unsatisfiable through `I & ~I`, searched at bound 4.
+        # Holding every subformula's array to the end peaked at 435 MiB.
+        phi = ("[W](l:a -> <W> l:b) & [B](r:a -> <B> r:a) & <W>(l:a & ~l:b) & "
+               "<B>(r:a | ~I) & [W][B](l:b -> r:a) & <W><B>(l:b & r:a) & "
+               "([W]~l:a | [B] r:a) & ~(l:a <-> <W> l:a) & (I & ~I)")
+        proc = run_python(["-c", _PEAK_SCRIPT, phi])
+        assert proc.returncode == 0, proc.stderr
+        unsat, peak_kib = proc.stdout.split()
+        assert unsat == "True"
+        assert int(peak_kib) < 300 * 1024
 
 
 class TestOneSidedEval:

@@ -148,6 +148,15 @@ class TestClassify:
     def test_clean_boolean_combination(self):
         assert classify(parse("[W]l:p | [B]r:q")).clean
 
+    def test_deep_negation_chain(self):
+        clean, mixed = parse("[W]l:p | [B][B]r:q"), parse("[W](l:p | r:q)")
+        for _ in range(3000):
+            clean, mixed = Not(clean), Not(mixed)
+        c = classify(clean)
+        assert c.i_free and c.clean and not c.white_only and not c.black_only
+        assert not classify(mixed).clean
+        assert modal_depth(clean) == 2
+
     def test_subformulas_of_one_sided_stay_one_sided(self, rng):
         from conftest import random_one_sided
         for _ in range(100):
