@@ -104,8 +104,10 @@ def find_model(phi: Formula, max_states: int, props=None,
     total = enumeration_count(max_states, k)
     table_bits = max_states * max(max_states, k)
     if (total > ceiling or table_bits > _MAX_TABLE_BITS) and not force:
+        # Python will not print an integer of more than 4,300 digits.
+        count = total if total < 1 << 64 else f"about 2^{total.bit_length() - 1}"
         raise ResourceGuard(
-            f"search over {total} models with tables of 2^{table_bits} rows "
+            f"search over {count} models with tables of 2^{table_bits} rows "
             f"exceeds the ceiling of {ceiling} models or 2^{_MAX_TABLE_BITS} rows; "
             "pass --force (force=True) to run anyway"
         )

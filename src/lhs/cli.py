@@ -3,7 +3,7 @@
 Exit codes: 0 for positive verdicts (SAT, VALID, true, related, proof ok),
 1 for negative verdicts, 2 when a bounded search exhausts its bound, 64 for
 usage errors, 65 for malformed input files or formulas, 70 when a resource
-guard refuses the job or the input is nested too deeply to traverse.
+guard refuses the job.
 """
 
 from __future__ import annotations
@@ -384,11 +384,6 @@ def main(argv=None) -> int:
     except LhsError as exc:
         print(f"lhs: error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except RecursionError:
-        print("lhs: refused: input nested too deeply (the recursive traversals "
-              f"stop at Python's recursion limit of {sys.getrecursionlimit()} frames)",
-              file=sys.stderr)
-        return EX_RESOURCE
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ and bounded search for the full language."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import bruteforce
@@ -23,6 +24,7 @@ from .syntax import (
     WBox,
     WDia,
     classify,
+    drive,
     nnf,
 )
 
@@ -62,21 +64,29 @@ class _TreeNode:
     children: list = field(default_factory=list)
 
 
-def _tableau(goals: dict) -> _TreeNode | None:
+def _tableau(goals: dict):
     """Satisfiability of a set of NNF formulas in basic modal logic K.
 
-    `goals` holds the formulas as keys. Dicts keep insertion order, so the
-    expansion order, and with it the witness, does not depend on string
-    hashing. Returns a tree witness (nodes carry their positive atoms) or
-    None. Depth is bounded by modal depth, so no loop check is needed.
+    `goals` holds the formulas as keys; the walk consumes it. Dicts keep
+    insertion order, so the expansion order, and with it the witness, does
+    not depend on string hashing: the first `&` or `|` is expanded first,
+    `&` in this frame and each branch of `|` as a sub-walk. Returns a tree
+    witness (nodes carry their positive atoms) or None. Depth is bounded by
+    modal depth, so no loop check is needed.
     """
-    for f in goals:
-        if isinstance(f, (And, Or)):
-            rest = dict(goals)
-            del rest[f]
-            if isinstance(f, And):
-                return _tableau({**rest, f.left: None, f.right: None})
-            return _tableau({**rest, f.left: None}) or _tableau({**rest, f.right: None})
+    todo = deque(goals)  # the keys not yet looked at, in order
+    while todo:
+        f = todo.popleft()
+        if isinstance(f, And):
+            del goals[f]
+            for g in (f.left, f.right):
+                if g not in goals:
+                    goals[g] = None
+                    todo.append(g)
+        elif isinstance(f, Or):
+            del goals[f]
+            return ((yield _tableau({**goals, f.left: None}))
+                    or (yield _tableau({**goals, f.right: None})))
     # Only literals, constants, boxes and diamonds remain.
     if any(isinstance(f, Bot) for f in goals):
         return None
@@ -88,28 +98,29 @@ def _tableau(goals: dict) -> _TreeNode | None:
     node = _TreeNode(frozenset(positive))
     for f in goals:
         if isinstance(f, (WDia, BDia)):
-            child = _tableau({**box_contents, f.child: None})
+            child = yield _tableau({**box_contents, f.child: None})
             if child is None:
                 return None
             node.children.append(child)
     return node
 
 
+def _emit(node: _TreeNode, states: list, edges: set, valuation: dict):
+    """The walk of `_tree_to_model`: names states n0, n1, ... in pre-order."""
+    name = f"n{len(states)}"
+    states.append(name)
+    for prop in node.atoms:
+        valuation.setdefault(prop, set()).add(name)
+    for child in node.children:
+        edges.add((name, (yield _emit(child, states, edges, valuation))))
+    return name
+
+
 def _tree_to_model(root: _TreeNode) -> tuple[Model, str]:
     states: list[str] = []
     edges = set()
     valuation: dict = {}
-
-    def emit(node: _TreeNode) -> str:
-        name = f"n{len(states)}"
-        states.append(name)
-        for prop in node.atoms:
-            valuation.setdefault(prop, set()).add(name)
-        for child in node.children:
-            edges.add((name, emit(child)))
-        return name
-
-    root_name = emit(root)
+    root_name = drive(_emit(root, states, edges, valuation))
     return (
         Model(tuple(states), frozenset(edges), {p: frozenset(ws) for p, ws in valuation.items()}),
         root_name,
@@ -125,7 +136,7 @@ def k_sat(phi: Formula) -> KVerdict:
     sc = classify(phi)
     if not (sc.white_only or sc.black_only):
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
-    tree = _tableau({nnf(phi): None})
+    tree = drive(_tableau({nnf(phi): None}))
     if tree is None:
         return KVerdict("UNSAT")
     model, root = _tree_to_model(tree)

@@ -108,25 +108,21 @@ def clean_decompose(phi: Formula):
     supply = {side: fresh_vars(side, names) for side in Side}
     block_to_prop: dict[Formula, PropName] = {}
     blocks: list[Formula] = []
-
-    def go(f: Formula) -> Formula:
-        white, black = sides[f]
+    # The maximal blocks: phi itself or an operand of a formula that is not one.
+    tops = {c for f, side in sides.items() if not any(side)
+            for c in children(f) if any(sides[c])}
+    skeleton: dict[Formula, Formula] = {}
+    for f, (white, black) in sides.items():  # in post-order
         if white or black:
-            if f not in block_to_prop:
+            if f in tops or f is phi:
                 block_to_prop[f] = next(supply[Side.LEFT if white else Side.RIGHT])
                 blocks.append(f)
-            return Atom(block_to_prop[f])
-        if isinstance(f, Not):
-            return Not(go(f.child))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(go(f.left), go(f.right))
-        raise NotClean(f"not a clean formula: {phi!r}")
-
-    try:
-        return go(phi), blocks, block_to_prop
-    finally:
-        # `go` reaches itself through its closure; see `semantics.check`.
-        del go
+                skeleton[f] = Atom(block_to_prop[f])
+        elif isinstance(f, (Not, And, Or, Implies, Iff)):
+            skeleton[f] = type(f)(*(skeleton[c] for c in children(f)))
+        else:
+            raise NotClean(f"not a clean formula: {phi!r}")
+    return skeleton[phi], blocks, block_to_prop
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,9 @@ def _prune(conjuncts) -> list:
 
 
 def _valid_side(side: tuple) -> bool:
+    members = set(side)  # a scan of the tuple per literal made wide sides cubic
     return any(
-        isinstance(d, Top) or (isinstance(d, Not) and d.child in side) for d in side
+        isinstance(d, Top) or (isinstance(d, Not) and d.child in members) for d in side
     )
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LhsError, MixedFormula
+from .errors import LhsError, MixedFormula, ResourceGuard
 from .model import Model, State
 from .syntax import (
     Atom,
@@ -18,6 +19,7 @@ from .syntax import (
     And,
     Iff,
     Implies,
+    MODAL_NODES,
     Not,
     Or,
     PropName,
@@ -25,8 +27,10 @@ from .syntax import (
     Top,
     WBox,
     WDia,
+    WHITE_MODAL,
     children,
     classify,
+    drive,
     subformulas,
 )
 
@@ -41,53 +45,47 @@ def check(model: Model, s: State, t: State, phi: Formula) -> bool:
     """
     model.require_state(s)
     model.require_state(t)
-    memo: dict = {}
-    succ = model.successor_map
+    return drive(_sat(phi, s, t, model, {}))
 
-    def sat(f: Formula, a: State, b: State) -> bool:
-        key = (f, a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, Atom):
-            members = model.truth_set(f.prop)
-            value = (a if f.prop.side is Side.LEFT else b) in members
-        elif isinstance(f, EqConst):
-            value = a == b
-        elif isinstance(f, Top):
-            value = True
-        elif isinstance(f, Bot):
-            value = False
-        elif isinstance(f, Not):
-            value = not sat(f.child, a, b)
-        elif isinstance(f, And):
-            value = sat(f.left, a, b) and sat(f.right, a, b)
-        elif isinstance(f, Or):
-            value = sat(f.left, a, b) or sat(f.right, a, b)
-        elif isinstance(f, Implies):
-            value = (not sat(f.left, a, b)) or sat(f.right, a, b)
-        elif isinstance(f, Iff):
-            value = sat(f.left, a, b) == sat(f.right, a, b)
-        elif isinstance(f, WBox):
-            value = all(sat(f.child, a2, b) for a2 in succ[a])
-        elif isinstance(f, WDia):
-            value = any(sat(f.child, a2, b) for a2 in succ[a])
-        elif isinstance(f, BBox):
-            value = all(sat(f.child, a, b2) for b2 in succ[b])
-        elif isinstance(f, BDia):
-            value = any(sat(f.child, a, b2) for b2 in succ[b])
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[key] = value
+
+def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
+    """The walk of `check` at (a, b): yields the walk of each subformula it reads."""
+    key = (f, a, b)
+    value = memo.get(key)
+    if value is not None:
         return value
-
-    try:
-        return sat(phi, s, t)
-    finally:
-        # `sat` reaches itself through its closure; clearing the name breaks
-        # that cycle, so the memo is freed on return and not at the next
-        # cyclic garbage collection.
-        del sat
+    if isinstance(f, Atom):
+        value = (a if f.prop.side is Side.LEFT else b) in model.truth_set(f.prop)
+    elif isinstance(f, EqConst):
+        value = a == b
+    elif isinstance(f, Top):
+        value = True
+    elif isinstance(f, Bot):
+        value = False
+    elif isinstance(f, Not):
+        value = not (yield _sat(f.child, a, b, model, memo))
+    elif isinstance(f, And):
+        value = (yield _sat(f.left, a, b, model, memo)) and (yield _sat(f.right, a, b, model, memo))
+    elif isinstance(f, Or):
+        value = (yield _sat(f.left, a, b, model, memo)) or (yield _sat(f.right, a, b, model, memo))
+    elif isinstance(f, Implies):
+        value = (not (yield _sat(f.left, a, b, model, memo))) or (yield _sat(f.right, a, b, model, memo))
+    elif isinstance(f, Iff):
+        value = (yield _sat(f.left, a, b, model, memo)) == (yield _sat(f.right, a, b, model, memo))
+    elif isinstance(f, MODAL_NODES):
+        # A box holds unless some successor fails the child; a diamond fails
+        # unless some successor satisfies it. Stop at the first that decides.
+        white = isinstance(f, WHITE_MODAL)
+        value = isinstance(f, (WBox, BBox))
+        for w in model.successor_map[a if white else b]:
+            pair = (w, b) if white else (a, w)
+            if (yield _sat(f.child, *pair, model, memo)) != value:
+                value = not value
+                break
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[key] = value
+    return value
 
 
 def _box(child: np.ndarray, unreachable: np.ndarray) -> np.ndarray:
@@ -185,32 +183,34 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
     if not (sc.white_only or sc.black_only):
         raise MixedFormula("one-sided evaluation requires a white-only or black-only formula")
     model.require_state(w)
+    states = frozenset(model.states)
     succ = model.successor_map
-
-    def sat(f: Formula, a: State) -> bool:
+    holds: dict[Formula, frozenset] = {}  # the states where each subformula holds
+    for f in subformulas(phi):
         if isinstance(f, Atom):
-            return a in model.truth_set(f.prop)
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Not):
-            return not sat(f.child, a)
-        if isinstance(f, And):
-            return sat(f.left, a) and sat(f.right, a)
-        if isinstance(f, Or):
-            return sat(f.left, a) or sat(f.right, a)
-        if isinstance(f, Implies):
-            return (not sat(f.left, a)) or sat(f.right, a)
-        if isinstance(f, Iff):
-            return sat(f.left, a) == sat(f.right, a)
-        if isinstance(f, (WBox, BBox)):
-            return all(sat(f.child, a2) for a2 in succ[a])
-        if isinstance(f, (WDia, BDia)):
-            return any(sat(f.child, a2) for a2 in succ[a])
-        raise TypeError(f"not a one-sided formula: {f!r}")
-
-    return sat(phi, w)
+            value = model.truth_set(f.prop)
+        elif isinstance(f, Top):
+            value = states
+        elif isinstance(f, Bot):
+            value = frozenset()
+        elif isinstance(f, Not):
+            value = states - holds[f.child]
+        elif isinstance(f, And):
+            value = holds[f.left] & holds[f.right]
+        elif isinstance(f, Or):
+            value = holds[f.left] | holds[f.right]
+        elif isinstance(f, Implies):
+            value = (states - holds[f.left]) | holds[f.right]
+        elif isinstance(f, Iff):
+            value = states - (holds[f.left] ^ holds[f.right])
+        elif isinstance(f, MODAL_NODES):
+            child = holds[f.child]
+            test = all if isinstance(f, (WBox, BBox)) else any
+            value = frozenset(a for a in states if test(v in child for v in succ[a]))
+        else:
+            raise TypeError(f"not a one-sided formula: {f!r}")
+        holds[f] = value
+    return w in holds[phi]
 
 
 # ---------------------------------------------------------------------------
@@ -274,105 +274,112 @@ class FOExists(FOFormula):
     child: FOFormula
 
 
+# Each `<->` is translated twice, so nested ones grow exponentially.
+FO_NODE_CEILING = 1_000_000
+
+
 def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
     """Standard translation into first-order logic over R, Pl_*/Pr_* and equality.
 
     Bound variables are drawn fresh (z0, z1, ...) left to right, so the output
-    is rectified: no variable is bound twice along any path.
+    is rectified: no variable is bound twice along any path. A translation
+    of more than `FO_NODE_CEILING` nodes raises `ResourceGuard` before any
+    of it is built.
     """
-    counter = [0]
-
-    def fresh() -> str:
-        z = f"z{counter[0]}"
-        counter[0] += 1
-        return z
-
-    def go(f: Formula, a: str, b: str) -> FOFormula:
-        if isinstance(f, Atom):
-            return FOPred(f.prop, a if f.prop.side is Side.LEFT else b)
-        if isinstance(f, EqConst):
-            return FOEq(a, b)
-        if isinstance(f, Top):
-            return FOEq(a, a)
-        if isinstance(f, Bot):
-            return FONot(FOEq(a, a))
-        if isinstance(f, Not):
-            return FONot(go(f.child, a, b))
-        if isinstance(f, And):
-            return FOAnd(go(f.left, a, b), go(f.right, a, b))
-        if isinstance(f, Or):
-            return FOOr(go(f.left, a, b), go(f.right, a, b))
-        if isinstance(f, Implies):
-            return FOImplies(go(f.left, a, b), go(f.right, a, b))
+    size: dict[Formula, int] = {}
+    for f in subformulas(phi):
+        inner = sum(size[c] for c in children(f))
         if isinstance(f, Iff):
-            left = go(f.left, a, b)
-            right = go(f.right, a, b)
-            # No biconditional in the FO fragment; expand into two implications.
-            left2 = go(f.left, a, b)
-            right2 = go(f.right, a, b)
-            return FOAnd(FOImplies(left, right), FOImplies(right2, left2))
-        if isinstance(f, WBox):
-            z = fresh()
-            return FOForall(z, FOImplies(FORel(a, z), go(f.child, z, b)))
-        if isinstance(f, WDia):
-            z = fresh()
-            return FOExists(z, FOAnd(FORel(a, z), go(f.child, z, b)))
-        if isinstance(f, BBox):
-            z = fresh()
-            return FOForall(z, FOImplies(FORel(b, z), go(f.child, a, z)))
-        if isinstance(f, BDia):
-            z = fresh()
-            return FOExists(z, FOAnd(FORel(b, z), go(f.child, a, z)))
-        raise TypeError(f"not a formula: {f!r}")
+            size[f] = 3 + 2 * inner
+        elif isinstance(f, MODAL_NODES):
+            size[f] = 3 + inner
+        else:
+            size[f] = 1 + inner + isinstance(f, Bot)
+    if size[phi] > FO_NODE_CEILING:
+        raise ResourceGuard(f"FO translation would build {size[phi]} nodes, over the "
+                            f"ceiling of {FO_NODE_CEILING}")
+    return drive(_fo(phi, x, y, itertools.count()))
 
-    return go(phi, x, y)
+
+def _fo(f: Formula, a: str, b: str, counter):
+    """The walk of `fo_translate` with free variables a and b."""
+    if isinstance(f, Atom):
+        return FOPred(f.prop, a if f.prop.side is Side.LEFT else b)
+    if isinstance(f, EqConst):
+        return FOEq(a, b)
+    if isinstance(f, Top):
+        return FOEq(a, a)
+    if isinstance(f, Bot):
+        return FONot(FOEq(a, a))
+    if isinstance(f, Not):
+        return FONot((yield _fo(f.child, a, b, counter)))
+    if isinstance(f, (And, Or, Implies)):
+        node = {And: FOAnd, Or: FOOr, Implies: FOImplies}[type(f)]
+        left = yield _fo(f.left, a, b, counter)
+        return node(left, (yield _fo(f.right, a, b, counter)))
+    if isinstance(f, Iff):
+        # No biconditional in the FO fragment; expand into two implications.
+        left = yield _fo(f.left, a, b, counter)
+        right = yield _fo(f.right, a, b, counter)
+        left2 = yield _fo(f.left, a, b, counter)
+        right2 = yield _fo(f.right, a, b, counter)
+        return FOAnd(FOImplies(left, right), FOImplies(right2, left2))
+    if isinstance(f, MODAL_NODES):
+        z = f"z{next(counter)}"
+        white = isinstance(f, WHITE_MODAL)
+        child = yield (_fo(f.child, z, b, counter) if white else _fo(f.child, a, z, counter))
+        edge = FORel(a if white else b, z)
+        if isinstance(f, (WBox, BBox)):
+            return FOForall(z, FOImplies(edge, child))
+        return FOExists(z, FOAnd(edge, child))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def fo_eval(model: Model, alpha: FOFormula, env: dict[str, State]) -> bool:
     """Classical Tarskian satisfaction over the finite domain of `model`."""
+    try:
+        return drive(_fo_sat(alpha, model, dict(env)))
+    except KeyError as exc:
+        raise LhsError(f"unbound variable {exc.args[0]!r}") from None
 
-    def lookup(var: str) -> State:
-        try:
-            return env_stack[var]
-        except KeyError:
-            raise LhsError(f"unbound variable {var!r}") from None
 
-    env_stack = dict(env)
-
-    def sat(f: FOFormula) -> bool:
-        if isinstance(f, FOPred):
-            return lookup(f.var) in model.truth_set(f.prop)
-        if isinstance(f, FORel):
-            return (lookup(f.left), lookup(f.right)) in model.edges
-        if isinstance(f, FOEq):
-            return lookup(f.left) == lookup(f.right)
-        if isinstance(f, FONot):
-            return not sat(f.child)
-        if isinstance(f, FOAnd):
-            return sat(f.left) and sat(f.right)
-        if isinstance(f, FOOr):
-            return sat(f.left) or sat(f.right)
-        if isinstance(f, FOImplies):
-            return (not sat(f.left)) or sat(f.right)
-        if isinstance(f, (FOForall, FOExists)):
-            outer = env_stack.get(f.var)
-            had = f.var in env_stack
-            results = []
-            for w in model.states:
-                env_stack[f.var] = w
-                results.append(sat(f.child))
-            if had:
-                env_stack[f.var] = outer
-            else:
-                del env_stack[f.var]
-            return all(results) if isinstance(f, FOForall) else any(results)
-        raise TypeError(f"not an FO formula: {f!r}")
-
-    return sat(alpha)
+def _fo_sat(f: FOFormula, model: Model, env: dict[str, State]):
+    """The walk of `fo_eval` under the assignment `env`, which it updates in place."""
+    if isinstance(f, FOPred):
+        return env[f.var] in model.truth_set(f.prop)
+    if isinstance(f, FORel):
+        return (env[f.left], env[f.right]) in model.edges
+    if isinstance(f, FOEq):
+        return env[f.left] == env[f.right]
+    if isinstance(f, FONot):
+        return not (yield _fo_sat(f.child, model, env))
+    if isinstance(f, FOAnd):
+        return (yield _fo_sat(f.left, model, env)) and (yield _fo_sat(f.right, model, env))
+    if isinstance(f, FOOr):
+        return (yield _fo_sat(f.left, model, env)) or (yield _fo_sat(f.right, model, env))
+    if isinstance(f, FOImplies):
+        return (not (yield _fo_sat(f.left, model, env))) or (yield _fo_sat(f.right, model, env))
+    if isinstance(f, (FOForall, FOExists)):
+        outer = env.get(f.var)
+        had = f.var in env
+        results = []
+        for w in model.states:
+            env[f.var] = w
+            results.append((yield _fo_sat(f.child, model, env)))
+        if had:
+            env[f.var] = outer
+        else:
+            del env[f.var]
+        return all(results) if isinstance(f, FOForall) else any(results)
+    raise TypeError(f"not an FO formula: {f!r}")
 
 
 def fo_render(alpha: FOFormula) -> str:
     """Plain-text form, e.g. `forall z0. (R(x,z0) -> Pl_p(z0))`."""
+    return drive(_fo_render(alpha))
+
+
+def _fo_render(alpha: FOFormula):
     if isinstance(alpha, FOPred):
         prefix = "Pl_" if alpha.prop.side is Side.LEFT else "Pr_"
         return f"{prefix}{alpha.prop.name}({alpha.var})"
@@ -381,22 +388,17 @@ def fo_render(alpha: FOFormula) -> str:
     if isinstance(alpha, FOEq):
         return f"{alpha.left} = {alpha.right}"
     if isinstance(alpha, FONot):
-        return f"~{fo_render_atomic(alpha.child)}"
-    if isinstance(alpha, FOAnd):
-        return f"({fo_render(alpha.left)} & {fo_render(alpha.right)})"
-    if isinstance(alpha, FOOr):
-        return f"({fo_render(alpha.left)} | {fo_render(alpha.right)})"
-    if isinstance(alpha, FOImplies):
-        return f"({fo_render(alpha.left)} -> {fo_render(alpha.right)})"
-    if isinstance(alpha, FOForall):
-        return f"forall {alpha.var}. ({fo_render(alpha.child)})"
-    if isinstance(alpha, FOExists):
-        return f"exists {alpha.var}. ({fo_render(alpha.child)})"
+        text = yield _fo_render(alpha.child)
+        if isinstance(alpha.child, (FOPred, FORel)) or text.startswith("("):
+            return f"~{text}"
+        return f"~({text})"
+    if isinstance(alpha, (FOAnd, FOOr, FOImplies)):
+        op = {FOAnd: "&", FOOr: "|", FOImplies: "->"}[type(alpha)]
+        left = yield _fo_render(alpha.left)
+        right = yield _fo_render(alpha.right)
+        return f"({left} {op} {right})"
+    if isinstance(alpha, (FOForall, FOExists)):
+        quantifier = "forall" if isinstance(alpha, FOForall) else "exists"
+        child = yield _fo_render(alpha.child)
+        return f"{quantifier} {alpha.var}. ({child})"
     raise TypeError(f"not an FO formula: {alpha!r}")
-
-
-def fo_render_atomic(alpha: FOFormula) -> str:
-    text = fo_render(alpha)
-    if isinstance(alpha, (FOPred, FORel)) or text.startswith("("):
-        return text
-    return f"({text})"

@@ -52,6 +52,9 @@ class Formula:
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return render(self)
+
     def __eq__(self, other):
         stack = [(self, other)]
         while stack:
@@ -68,8 +71,8 @@ class Formula:
         return True
 
 
-# Equality and hashing come from `Formula`, not from the dataclass.
-_node = dataclass(frozen=True, eq=False)
+# Equality, hashing and repr come from `Formula`, not from the dataclass.
+_node = dataclass(frozen=True, eq=False, repr=False)
 
 
 @_node
@@ -216,6 +219,27 @@ def subformulas(phi: Formula) -> list[Formula]:
     return out
 
 
+def drive(walk):
+    """Run `walk`, a generator that yields each sub-walk and receives its result.
+
+    Walks that carry context down the formula (an evaluation pair, a variable
+    counter, the parser's position) are written this way: the suspended walks
+    wait on a list here, so nesting depth costs heap, never Python stack.
+    """
+    stack = [walk]
+    value = None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
+
+
 def prop_names(phi: Formula) -> set[PropName]:
     return {f.prop for f in subformulas(phi) if isinstance(f, Atom)}
 
@@ -237,34 +261,36 @@ def nnf(phi: Formula, positive: bool = True) -> Formula:
 
     `->` and `<->` are eliminated and negations pushed to atoms and `I`;
     a negated box becomes the diamond of the negation and vice versa. With
-    `positive=False` the result is equivalent to `~phi`.
+    `positive=False` the result is equivalent to `~phi`. Each subformula is
+    rewritten once per polarity, so an operand that `<->` reads twice is
+    shared, not copied: the result is a DAG linear in the size of `phi`.
     """
-    if isinstance(phi, (Atom, EqConst)):
-        return phi if positive else Not(phi)
-    if isinstance(phi, Top):
-        return Top() if positive else Bot()
-    if isinstance(phi, Bot):
-        return Bot() if positive else Top()
-    if isinstance(phi, Not):
-        return nnf(phi.child, not positive)
-    if isinstance(phi, And):
-        ctor = And if positive else Or
-        return ctor(nnf(phi.left, positive), nnf(phi.right, positive))
-    if isinstance(phi, Or):
-        ctor = Or if positive else And
-        return ctor(nnf(phi.left, positive), nnf(phi.right, positive))
-    if isinstance(phi, Implies):
-        return nnf(Or(Not(phi.left), phi.right), positive)
-    if isinstance(phi, Iff):
-        both = And(Implies(phi.left, phi.right), Implies(phi.right, phi.left))
-        return nnf(both, positive)
-    if isinstance(phi, (WBox, BBox)):
-        box, dia = (WBox, WDia) if isinstance(phi, WBox) else (BBox, BDia)
-        return box(nnf(phi.child, True)) if positive else dia(nnf(phi.child, False))
-    if isinstance(phi, (WDia, BDia)):
-        box, dia = (WBox, WDia) if isinstance(phi, WDia) else (BBox, BDia)
-        return dia(nnf(phi.child, True)) if positive else box(nnf(phi.child, False))
-    raise TypeError(f"not a formula: {phi!r}")
+    table: dict[tuple[Formula, bool], Formula] = {}
+    for f in subformulas(phi):
+        for pos in (True, False):
+            if isinstance(f, (Atom, EqConst)):
+                g = f if pos else Not(f)
+            elif isinstance(f, (Top, Bot)):
+                g = Top() if isinstance(f, Top) == pos else Bot()
+            elif isinstance(f, Not):
+                g = table[f.child, not pos]
+            elif isinstance(f, (And, Or, Implies)):
+                # l -> r is ~l | r.
+                node = And if isinstance(f, And) == pos else Or
+                g = node(table[f.left, pos != isinstance(f, Implies)], table[f.right, pos])
+            elif isinstance(f, Iff):
+                # (l -> r) & (r -> l), or its negation (l & ~r) | (r & ~l).
+                outer, inner = (And, Or) if pos else (Or, And)
+                left, right = f.left, f.right
+                g = outer(inner(table[left, not pos], table[right, pos]),
+                          inner(table[right, not pos], table[left, pos]))
+            elif isinstance(f, MODAL_NODES):
+                box, dia = (WBox, WDia) if isinstance(f, WHITE_MODAL) else (BBox, BDia)
+                g = (box if isinstance(f, (WBox, BBox)) == pos else dia)(table[f.child, pos])
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            table[f, pos] = g
+    return table[phi, positive]
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +369,15 @@ def substitute(
         if not classify(value).black_only:
             raise SideViolation(f"right map value for {key} is not black-only")
     mapping = {**left_map, **right_map}
-
-    def go(f: Formula) -> Formula:
+    out: dict[Formula, Formula] = {}
+    for f in subformulas(phi):
         if isinstance(f, Atom):
-            return mapping.get(f.prop, f)
-        if isinstance(f, Not):
-            return Not(go(f.child))
-        if isinstance(f, BINARY_NODES):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, MODAL_NODES):
-            return type(f)(go(f.child))
-        return f
-
-    return go(phi)
+            out[f] = mapping.get(f.prop, f)
+        elif children(f):
+            out[f] = type(f)(*(out[c] for c in children(f)))
+        else:
+            out[f] = f
+    return out[phi]
 
 
 def fresh_vars(side: Side, avoid: set[PropName]):
@@ -422,42 +444,49 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
         return self.advance()
 
-    def formula(self) -> Formula:
-        left = self.imp()
+    # Each rule is a walk for `drive`: it yields the rules it descends into.
+
+    def formula(self):
+        left = yield self.imp()
         if self.peek()[1] == "<->":
             self.advance()
-            return Iff(left, self.formula())
+            return Iff(left, (yield self.formula()))
         return left
 
-    def imp(self) -> Formula:
-        left = self.disj()
+    def imp(self):
+        left = yield self.disj()
         if self.peek()[1] == "->":
             self.advance()
-            return Implies(left, self.imp())
+            return Implies(left, (yield self.imp()))
         return left
 
-    def disj(self) -> Formula:
-        acc = self.conj()
+    def disj(self):
+        acc = yield self.conj()
         while self.peek()[1] == "|":
             self.advance()
-            acc = Or(acc, self.conj())
+            acc = Or(acc, (yield self.conj()))
         return acc
 
-    def conj(self) -> Formula:
-        acc = self.unary()
+    def conj(self):
+        acc = yield self.unary()
         while self.peek()[1] == "&":
             self.advance()
-            acc = And(acc, self.unary())
+            acc = And(acc, (yield self.unary()))
         return acc
 
-    def unary(self) -> Formula:
+    def unary(self):
         kind, text, pos = self.peek()
         if text == "~":
             self.advance()
-            return Not(self.unary())
+            return Not((yield self.unary()))
         if kind == "mod":
             self.advance()
-            return _MOD_NODE[text](self.unary())
+            return _MOD_NODE[text]((yield self.unary()))
+        if text == "(":
+            self.advance()
+            inner = yield self.formula()
+            self.expect(")")
+            return inner
         return self.atom()
 
     def atom(self) -> Formula:
@@ -478,10 +507,6 @@ class _Parser:
             if text == "false":
                 return Bot()
             raise FormulaSyntaxError(f"unknown identifier {text!r}", pos)
-        if text == "(":
-            inner = self.formula()
-            self.expect(")")
-            return inner
         raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
 
@@ -492,7 +517,7 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
     for re-reading output this package produced itself.
     """
     parser = _Parser(_tokenize(text), allow_reserved)
-    phi = parser.formula()
+    phi = drive(parser.formula())
     kind, tok_text, pos = parser.peek()
     if kind != "eof":
         raise FormulaSyntaxError(f"trailing input {tok_text!r}", pos)
@@ -509,65 +534,60 @@ _PREC_AND = 4
 _PREC_UNARY = 5
 _PREC_ATOM = 6
 
-_MOD_TOKEN = {WBox: "[W]", WDia: "<W>", BBox: "[B]", BDia: "<B>"}
+_PREFIX = {Not: "~", WBox: "[W] ", WDia: "<W> ", BBox: "[B] ", BDia: "<B> "}
+_CONSTANT = {EqConst: "I", Top: "true", Bot: "false"}
+_PREC = {Iff: _PREC_IFF, Implies: _PREC_IMP, Or: _PREC_OR, And: _PREC_AND,
+         **dict.fromkeys(_PREFIX, _PREC_UNARY)}  # the rest bind like atoms
+# node: (operator, least precedence of a left and of a right operand that
+# needs no parentheses)
+_BINARY_TOKEN = {
+    And: (" & ", _PREC_AND, _PREC_AND + 1),
+    Or: (" | ", _PREC_OR, _PREC_OR + 1),
+    Implies: (" -> ", _PREC_IMP + 1, _PREC_IMP),
+    Iff: (" <-> ", _PREC_IFF + 1, _PREC_IFF),
+}
 
 
 def _prec(phi: Formula) -> int:
-    if isinstance(phi, Iff):
-        return _PREC_IFF
-    if isinstance(phi, Implies):
-        return _PREC_IMP
-    if isinstance(phi, Or):
-        return _PREC_OR
-    if isinstance(phi, And):
-        return _PREC_AND
-    if isinstance(phi, Not) or isinstance(phi, MODAL_NODES):
-        return _PREC_UNARY
-    return _PREC_ATOM
+    return _PREC.get(type(phi), _PREC_ATOM)
 
 
 def render(phi: Formula, full_parens: bool = False) -> str:
-    """Concrete syntax; reparses to an identical AST."""
-    if full_parens:
-        return _render_full(phi)
-    return _render(phi, 0)
+    """Concrete syntax; reparses to an identical AST.
 
-
-def _render(phi: Formula, min_prec: int) -> str:
-    p = _prec(phi)
-    if isinstance(phi, Atom):
-        s = str(phi.prop)
-    elif isinstance(phi, EqConst):
-        s = "I"
-    elif isinstance(phi, Top):
-        s = "true"
-    elif isinstance(phi, Bot):
-        s = "false"
-    elif isinstance(phi, Not):
-        s = "~" + _render(phi.child, _PREC_UNARY)
-    elif isinstance(phi, MODAL_NODES):
-        s = _MOD_TOKEN[type(phi)] + " " + _render(phi.child, _PREC_UNARY)
-    elif isinstance(phi, And):
-        s = _render(phi.left, _PREC_AND) + " & " + _render(phi.right, _PREC_AND + 1)
-    elif isinstance(phi, Or):
-        s = _render(phi.left, _PREC_OR) + " | " + _render(phi.right, _PREC_OR + 1)
-    elif isinstance(phi, Implies):
-        s = _render(phi.left, _PREC_IMP + 1) + " -> " + _render(phi.right, _PREC_IMP)
-    elif isinstance(phi, Iff):
-        s = _render(phi.left, _PREC_IFF + 1) + " <-> " + _render(phi.right, _PREC_IFF)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    if p < min_prec:
-        return "(" + s + ")"
-    return s
-
-
-def _render_full(phi: Formula) -> str:
-    if isinstance(phi, (Atom, EqConst, Top, Bot)):
-        return _render(phi, 0)
-    if isinstance(phi, Not):
-        return "~(" + _render_full(phi.child) + ")"
-    if isinstance(phi, MODAL_NODES):
-        return _MOD_TOKEN[type(phi)] + " (" + _render_full(phi.child) + ")"
-    op = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[type(phi)]
-    return "(" + _render_full(phi.left) + " " + op + " " + _render_full(phi.right) + ")"
+    A parent puts parentheses around an operand whose precedence is below
+    what the operand's position needs. With `full_parens`, every binary
+    formula is parenthesised and so is the operand of every unary operator.
+    """
+    order = subformulas(phi)
+    # A subformula's text is dropped once its last parent is built.
+    last_parent = {c: f for f in order for c in children(f)}
+    text: dict[Formula, str] = {}
+    for f in order:
+        if isinstance(f, Atom):
+            s = str(f.prop)
+        elif type(f) in _CONSTANT:
+            s = _CONSTANT[type(f)]
+        elif type(f) in _PREFIX:
+            child = text[f.child]
+            if full_parens or _prec(f.child) < _PREC_UNARY:
+                child = f"({child})"
+            s = _PREFIX[type(f)] + child
+        elif type(f) in _BINARY_TOKEN:
+            op, left_prec, right_prec = _BINARY_TOKEN[type(f)]
+            left, right = text[f.left], text[f.right]
+            if full_parens:
+                s = f"({left}{op}{right})"
+            else:
+                if _prec(f.left) < left_prec:
+                    left = f"({left})"
+                if _prec(f.right) < right_prec:
+                    right = f"({right})"
+                s = left + op + right
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        text[f] = s
+        for c in children(f):
+            if last_parent[c] is f:
+                text.pop(c, None)
+    return text[phi]

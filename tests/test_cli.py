@@ -135,15 +135,110 @@ class TestDeepInput:
     def test_check(self, capsys, tmp_path):
         model = tmp_path / "m.json"
         model.write_text('{"states": ["w"], "edges": [], "valuation": {}}')
-        code, _, err = run(capsys, "check", "-m", str(model), "--at", "w,w",
+        code, out, _ = run(capsys, "check", "-m", str(model), "--at", "w,w",
                            "-f", self.DEEP)
-        assert code == 70
-        assert "nested too deeply" in err
+        assert (code, out.strip()) == (1, "false")
 
     def test_sat(self, capsys):
-        code, _, err = run(capsys, "sat", "-f", self.DEEP)
-        assert code == 70
-        assert "nested too deeply" in err
+        code, out, _ = run(capsys, "sat", "--json", "-f", self.DEEP)
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        model = load_model(json.dumps(witness["model"]))
+        assert check(model, *witness["pair"], parse(self.DEEP))
+
+
+_STACK_SCRIPT = """
+import contextlib, io, json, sys
+from lhs.cli import main
+
+argvs = json.load(sys.stdin)
+# Far below any input's nesting: a traversal that recursed on the input
+# would raise RecursionError.
+sys.setrecursionlimit(200)
+answers = []
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    answers.append([code, out.getvalue()])
+json.dump(answers, sys.stdout)
+"""
+
+_N = 10_000
+# name: (formula, whether it is white-only, its truth at (w, w) in a
+# one-state model with no edges and no true atoms, whether it is valid, the
+# exit code of `sat --full --max-size 2`, which refuses thousands of
+# variables). All are satisfiable.
+_HOSTILE = {
+    "deep_not": ("~" * _N + "l:p", True, False, False, 0),
+    "deep_not_box": ("~[W]" * (_N // 2) + "l:p", True, False, False, 0),
+    "parens": ("(" * _N + "l:p" + ")" * _N, True, False, False, 0),
+    "implies": (" -> ".join("l:p" if i % 2 == 0 else "r:q" for i in range(_N)),
+                False, True, True, 0),
+    "wide_one_sided": (" & ".join(f"l:p{i}" for i in range(_N)), True, False, False, 70),
+    "wide_mixed": (" & ".join(f"{'lr'[i % 2]}:p{i}" for i in range(3000)),
+                   False, False, False, 70),
+}
+
+
+def _witness_holds(out, phi):
+    witness = json.loads(out)["witness"]
+    return check(load_model(json.dumps(witness["model"])), *witness["pair"], phi)
+
+
+class TestStackSafety:
+    """Every verb that reads a formula answers on inputs 10^4 deep or wide
+    with Python's recursion limit at 200."""
+
+    @pytest.mark.parametrize("name", sorted(_HOSTILE))
+    def test_verdicts(self, name, tmp_path):
+        text, white_only, holds, valid, full_sat_code = _HOSTILE[name]
+        phi = parse(text)
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["w"], "edges": [], "valuation": {}}')
+        proof = tmp_path / "proof.json"
+        # A1, then l:q := phi: a proof when phi is white-only, otherwise
+        # rejected for side purity.
+        proof.write_text(json.dumps([
+            {"formula": "l:p -> (l:q -> l:p)", "rule": "A1"},
+            {"formula": f"l:p -> (({text}) -> l:p)", "rule": "Sub", "premises": [1],
+             "subst": {"left": {"l:q": text}}},
+        ]))
+        verbs = {
+            "parse": ["parse"],
+            "parse_full": ["parse", "--full"],
+            "check": ["check", "-m", str(model), "--at", "w,w"],
+            "sat": ["sat", "--json"],
+            "sat_full": ["sat", "--full", "--max-size", "2", "--json"],
+            "valid": ["valid", "--json"],
+            "cnf": ["cnf"],
+            "cnf_clean": ["cnf", "--clean-only"],
+            "translate": ["translate"],
+        }
+        argvs = [argv + ["-f", text] for argv in verbs.values()] + [["proof", "-p", str(proof)]]
+        proc = run_python(["-c", _STACK_SCRIPT], input=json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        answers = dict(zip([*verbs, "proof"], json.loads(proc.stdout)))
+
+        for verb in ("parse", "parse_full"):
+            code, out = answers[verb]
+            assert code == 0 and parse(out) == phi
+        assert answers["check"] == [0 if holds else 1, "true\n" if holds else "false\n"]
+        code, out = answers["sat"]
+        assert code == 0 and _witness_holds(out, phi)
+        code, out = answers["sat_full"]
+        assert code == full_sat_code
+        assert code == 70 or _witness_holds(out, phi)
+        code, out = answers["valid"]
+        if valid:
+            assert (code, json.loads(out)["verdict"]) == (0, "VALID")
+        else:
+            assert code == 1 and not _witness_holds(out, phi)
+        for verb in ("cnf", "cnf_clean", "translate"):
+            code, out = answers[verb]
+            assert code == 0 and out.strip()
+        code, out = answers["proof"]
+        assert (code, out.startswith("ok: 2 lines")) == ((0, True) if white_only else (1, False))
 
 
 _DETERMINISM_SCRIPT = """

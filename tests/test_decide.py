@@ -261,3 +261,16 @@ class TestCompanionGuard:
             v = lhs_minus_valid(phi)
         assert v.status == "INVALID"
         assert not check(v.model, *v.pair, phi)
+
+
+def test_one_sided_iff_chain():
+    # The K tableau reads the NNF of ((l:q <-> l:p0) <-> l:p1) ...; written
+    # out as a tree it doubled at every <->, 2^30 nodes here.
+    text = "l:q"
+    for i in range(30):
+        text = f"({text} <-> l:p{i})"
+    phi = parse(f"{text} | r:q")
+    with time_budget(1):
+        v = lhs_minus_valid(phi)
+    assert v.status == "INVALID"
+    assert not check(v.model, *v.pair, phi)

@@ -246,6 +246,11 @@ class TestCleanToCNF:
         assert cnf.conjuncts == ((Or(PAD_LEFT, parse("[W]l:p")),
                                   Or(PAD_RIGHT, parse("[B]r:q"))),)
 
+    def test_deep_negation_over_mixed_box(self):
+        # The message shows the formula, whose repr recursed.
+        with pytest.raises(NotClean):
+            clean_to_cnf(negations(parse("[W](l:p | r:q)"), 3000))
+
     def test_wide_mixed_chain(self):
         phi, atoms = mixed_chain(3000)
         with time_budget(5):

@@ -1,5 +1,6 @@
 """Truth definition, one-sided evaluation, and the first-order translation."""
 
+import gc
 import sys
 
 import pytest
@@ -12,6 +13,8 @@ from lhs import (
     MixedFormula,
     Not,
     Or,
+    PropName,
+    ResourceGuard,
     WBox,
     WDia,
     check,
@@ -19,16 +22,27 @@ from lhs import (
     fo_eval,
     fo_render,
     fo_translate,
+    k_sat,
     left_atom,
+    lhs_minus_sat,
     make_model,
     one_sided_eval,
     parse,
     right_atom,
     subformulas,
+    substitute,
 )
+from lhs.cli import main
 from lhs.syntax import Side
 
-from conftest import all_pairs, random_formula, random_model, random_one_sided, run_python
+from conftest import (
+    all_pairs,
+    random_formula,
+    random_model,
+    random_one_sided,
+    run_python,
+    time_budget,
+)
 
 _PEAK_SCRIPT = """
 import resource, sys
@@ -212,3 +226,43 @@ class TestTranslation:
             s, t = rng.choice(all_pairs(m))
             assert (check(m, s, t, phi)
                     == fo_eval(m, fo_translate(phi), {"x": s, "y": t}))
+
+    def test_nested_iff_refused(self):
+        # Each <-> translates both operands twice: 30 nested ones would build
+        # about 1.6e10 nodes.
+        text = "[W]l:p0"
+        for i in range(1, 31):
+            text = f"({text} <-> [W]l:p{i})"
+        with time_budget(1):
+            with pytest.raises(ResourceGuard, match="over the ceiling of 1000000"):
+                fo_translate(parse(text))
+            assert main(["translate", "-f", text]) == 70
+
+
+_MODEL = make_model(["a", "b"], [("a", "b"), ("b", "b")], {"l:p": ["b"], "r:q": ["a"]})
+_PHI = parse("[W](l:p -> <B> r:q) & ~(l:p <-> <W> I) | [B][W]l:p")
+_WHITE = parse("[W](l:p -> <W> l:q) & ~<W>l:p")
+_ALPHA = fo_translate(_PHI)
+_CALLS = {
+    "check": lambda: check(_MODEL, "a", "b", _PHI),
+    "one_sided_eval": lambda: one_sided_eval(_MODEL, "a", _WHITE),
+    "fo_translate": lambda: fo_translate(_PHI),
+    "fo_eval": lambda: fo_eval(_MODEL, _ALPHA, {"x": "a", "y": "b"}),
+    "fo_render": lambda: fo_render(_ALPHA),
+    "substitute": lambda: substitute(_WHITE, {PropName(Side.LEFT, "p"): _WHITE}),
+    "k_sat": lambda: k_sat(_WHITE),
+    "lhs_minus_sat": lambda: lhs_minus_sat(parse("<W>(l:p & r:q) & [B](~r:q | <W>l:p)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_leaves_no_cyclic_garbage(name):
+    # Reference cycles are freed only by the cyclic collector, so what a
+    # call leaves in them stays allocated until its next run.
+    gc.collect()
+    gc.disable()
+    try:
+        _CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
