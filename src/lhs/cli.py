@@ -254,18 +254,17 @@ def _cmd_translate(args):
 def _cmd_bisim(args):
     m = _read_model(args.model)
     n = _read_model(args.other)
-    relation = bisim_mod.largest_bisimulation(m, n)
     if args.pairs:
         halves = args.pairs.split("=")
         if len(halves) != 2:
             raise ModelFormatError(f"expected S,T=S2,T2 but got {args.pairs!r}")
         left = _parse_pair(halves[0], m)
         right = _parse_pair(halves[1], n)
-        related = (left, right) in relation.pairs
+        related = bisim_mod.are_bisimilar(m, *left, n, *right)
         _emit(args, {"related": related, "pair": [list(left), list(right)]},
               "related" if related else "not related")
         return 0 if related else 1
-    quads = sorted(relation.pairs)
+    quads = sorted(bisim_mod.largest_bisimulation(m, n).pairs)
     human = "\n".join(f"({s},{t}) ~ ({s2},{t2})" for (s, t), (s2, t2) in quads)
     _emit(args, {"size": len(quads),
                  "pairs": [[list(a), list(b)] for a, b in quads]},

@@ -14,7 +14,9 @@ distributes, boxes move onto their own side (the R axiom), and a diamond
 over conjuncts (psi_i, gamma_i) becomes the conjunction over sets S of
 conjuncts of <W>(&_S psi_i) | (|_S gamma_i), because the black parts gamma_i
 do not change along white moves (mirrored for <B>); only the sets S that no
-larger set implies are built.
+larger set implies are built. A chain of one junction (`a & b & c ...`, read
+at its polarity) is one step, so each operand is read once, not once per
+level of the chain.
 
 `clean_to_cnf` and the propositional `prop_cnf` run the same pass. In a clean
 formula every modality lies inside a one-sided block, and `prop_cnf` makes
@@ -24,6 +26,7 @@ every atom a block of its own side, so for them only the Boolean steps apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ContainsI, ModalInput, NotClean, ResourceGuard
 from .syntax import (
@@ -209,18 +212,39 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(dict.fromkeys(a + b))
 
 
-def _and(left: list, right: list) -> list:
-    # Both operands are pruned already, so only repeats can be new.
-    _guard(len(left) + len(right))
-    if [((), ())] in (left, right):
-        return [((), ())]
-    return list(dict.fromkeys(left + right))
+def _and(lists: list) -> list:
+    """Conjunction of conjunct lists, folded from the left."""
+    out = dict.fromkeys(lists[0])
+    for part in lists[1:]:
+        _guard(len(out) + len(part))
+        # Every list is pruned already, so only repeats can be new.
+        if ((), ()) in out or part == [((), ())]:
+            out = {((), ()): None}
+        else:
+            out.update(dict.fromkeys(part))
+    return list(out)
 
 
-def _or(left: list, right: list) -> list:
-    _guard(len(left) * len(right))
-    return _prune((_merge(w1, w2), _merge(b1, b2))
-                  for w1, b1 in left for w2, b2 in right)
+def _or(lists: list) -> list:
+    """Disjunction of conjunct lists: their product, folded from the left.
+
+    A run of one-conjunct lists adds the same disjuncts to every conjunct.
+    `_merge` is associative, and a conjunct that is dropped or repeated stays
+    so as it grows, so the run is merged into one conjunct first and the fold
+    reads each disjunct once.
+    """
+    out, i = lists[0], 1
+    while i < len(lists):
+        part, i = lists[i], i + 1
+        if len(part) == 1:
+            run = [part[0]]
+            while i < len(lists) and len(lists[i]) == 1:
+                run.append(lists[i][0])
+                i += 1
+            part = [tuple(tuple(chain.from_iterable(side)) for side in zip(*run))]
+        _guard(len(out) * len(part))
+        out = _prune((_merge(w1, w2), _merge(b1, b2)) for w1, b1 in out for w2, b2 in part)
+    return out
 
 
 def _box(conjuncts: list, white: bool, pads: tuple[Formula, Formula]) -> list:
@@ -269,22 +293,47 @@ def _diamond(conjuncts: list, white: bool) -> list:
     return _prune(out)
 
 
+def _junction(f: Formula, positive: bool, sides: dict) -> bool | None:
+    """True when `nnf(f, positive)` is a conjunction, False when a disjunction,
+    None when it is neither or `f` is a block."""
+    if not isinstance(f, (And, Or, Implies)) or any(sides[f]):
+        return None
+    return positive if isinstance(f, And) else not positive
+
+
 def _polar_children(f: Formula, positive: bool, sides: dict) -> tuple:
-    """The (subformula, polarity) pairs whose lists `_step` reads."""
+    """The (subformula, polarity) pairs whose lists `_step` reads.
+
+    For `&`, `|` and `->` these are the operands of the maximal spine of one
+    junction, left to right, so a chain of any width is one step. A spine
+    node met twice (a shared node, or an equal copy) is an operand the second
+    time, so a formula built as a DAG is not unfolded.
+    """
     if isinstance(f, Not):
         return ((f.child, not positive),)
     if isinstance(f, (Top, Bot)) or any(sides[f]):
         return ()
-    if isinstance(f, Implies):
-        return ((f.left, not positive), (f.right, positive))
     if isinstance(f, Iff):
         return ((f.left, True), (f.right, True), (f.left, False), (f.right, False))
-    return tuple((c, positive) for c in children(f))
+    junction = _junction(f, positive, sides)
+    if junction is None:
+        return tuple((c, positive) for c in children(f))
+    operands, stack, expanded = [], [(f, positive)], set()
+    while stack:
+        g, polarity = key = stack.pop()
+        if key in expanded or _junction(g, polarity, sides) is not junction:
+            operands.append(key)
+        else:
+            expanded.add(key)
+            stack.append((g.right, polarity))
+            stack.append((g.left, polarity != isinstance(g, Implies)))
+    return tuple(operands)
 
 
-def _step(f: Formula, positive: bool, sides: dict, parts: dict,
-                    pads: tuple[Formula, Formula]) -> list:
-    """Conjunct list of `f` (of `~f` if not `positive`) from its children's.
+def _step(f: Formula, positive: bool, lists: list, sides: dict,
+          pads: tuple[Formula, Formula]) -> list:
+    """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
+    `_polar_children(f, positive)`.
 
     Each case is the one of the NNF node `nnf(f, positive)`.
     """
@@ -293,30 +342,22 @@ def _step(f: Formula, positive: bool, sides: dict, parts: dict,
     if isinstance(f, Bot):
         return [((), ())] if positive else []
     if isinstance(f, Not):
-        return parts[f.child, not positive]
+        return lists[0]
     white, black = sides[f]
     if white or black:
         leaf = (f if positive else Not(f),)
         return [(leaf, ())] if white else [((), leaf)]
     if isinstance(f, MODAL_NODES):
         white = isinstance(f, WHITE_MODAL)
-        child = parts[f.child, positive]
         if isinstance(f, (WBox, BBox)) == positive:
-            return _box(child, white, pads)
-        return _diamond(child, white)
-    left, right = f.left, f.right
+            return _box(lists[0], white, pads)
+        return _diamond(lists[0], white)
     if isinstance(f, Iff):
+        left, right, not_left, not_right = lists
         if positive:
-            return _and(_or(parts[left, False], parts[right, True]),
-                        _or(parts[right, False], parts[left, True]))
-        return _or(_and(parts[left, True], parts[right, False]),
-                   _and(parts[right, True], parts[left, False]))
-    if isinstance(f, Implies):
-        if positive:
-            return _or(parts[left, False], parts[right, True])
-        return _and(parts[left, True], parts[right, False])
-    combine = _and if isinstance(f, And) == positive else _or
-    return combine(parts[left, positive], parts[right, positive])
+            return _and([_or([not_left, right]), _or([not_right, left])])
+        return _or([_and([left, not_right]), _and([right, not_left])])
+    return (_and if _junction(f, positive, sides) else _or)(lists)
 
 
 def _conjuncts(phi: Formula, sides: dict, pads) -> list:
@@ -334,12 +375,13 @@ def _conjuncts(phi: Formula, sides: dict, pads) -> list:
         if key in parts:
             stack.pop()
             continue
-        todo = [k for k in _polar_children(*key, sides) if k not in parts]
+        kids = _polar_children(*key, sides)
+        todo = [k for k in kids if k not in parts]
         if todo:
             stack.extend(todo)
         else:
             stack.pop()
-            parts[key] = _step(*key, sides, parts, pads)
+            parts[key] = _step(*key, [parts[k] for k in kids], sides, pads)
     return parts[phi, True]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .syntax import (
     Iff,
     Implies,
     MODAL_NODES,
+    Node,
     Not,
     Or,
     PropName,
@@ -28,6 +28,7 @@ from .syntax import (
     WBox,
     WDia,
     WHITE_MODAL,
+    _node,
     children,
     classify,
     drive,
@@ -217,58 +218,63 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
 # First-order translation
 
 
-class FOFormula:
+class FOFormula(Node):
+    """Base class of first-order formulas; `repr` is `fo_render`."""
+
     __slots__ = ()
 
+    def __repr__(self):
+        return fo_render(self)
 
-@dataclass(frozen=True)
+
+@_node
 class FOPred(FOFormula):
     prop: PropName
     var: str
 
 
-@dataclass(frozen=True)
+@_node
 class FORel(FOFormula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class FOEq(FOFormula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class FONot(FOFormula):
     child: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOAnd(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOOr(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOImplies(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOForall(FOFormula):
     var: str
     child: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOExists(FOFormula):
     var: str
     child: FOFormula

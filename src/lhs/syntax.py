@@ -33,15 +33,23 @@ class PropName:
     side: Side
     name: str
 
+    def __post_init__(self):
+        # Leaf sets of the tableau hash props by the hundred thousand.
+        object.__setattr__(self, "_hash", hash((self.side, self.name)))
+
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         return f"{self.side.value}:{self.name}"
 
 
-class Formula:
-    """Base class; all nodes are immutable and hashable.
+class Node:
+    """Base class of immutable, hashable syntax trees (formulas, FO formulas).
 
     A node stores its hash, the one a frozen dataclass computes, when it is
-    built: no hash or equality test recurses into a deep tree.
+    built: no hash or equality test recurses into a deep tree. Subclasses are
+    dataclasses declared with `eq=False, repr=False`.
     """
 
     __slots__ = ()
@@ -52,9 +60,6 @@ class Formula:
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return render(self)
-
     def __eq__(self, other):
         stack = [(self, other)]
         while stack:
@@ -64,14 +69,24 @@ class Formula:
             if type(a) is not type(b) or a._hash != b._hash:
                 return False
             for x, y in zip(vars(a).values(), vars(b).values()):
-                if isinstance(x, Formula):
+                if isinstance(x, Node):
                     stack.append((x, y))
                 elif x != y:
                     return False
         return True
 
 
-# Equality, hashing and repr come from `Formula`, not from the dataclass.
+class Formula(Node):
+    """Base class of formulas; `repr` is `render`."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return render(self)
+
+
+# Equality and hashing come from `Node`, repr from the base class, not from
+# the dataclass.
 _node = dataclass(frozen=True, eq=False, repr=False)
 
 

@@ -1,10 +1,13 @@
 """Bisimulation computation, witness checking, and truth invariance."""
 
+import random
+
 import pytest
 
 from lhs import (
     parse,
     ResourceGuard,
+    UnknownState,
     are_bisimilar,
     check,
     check_bisimulation_witness,
@@ -12,9 +15,52 @@ from lhs import (
     largest_bisimulation,
     make_model,
 )
-from lhs.bisim import PairRelation
+from lhs.bisim import PairRelation, _zigzag_violation
+from lhs.syntax import Side
 
-from conftest import all_pairs, random_formula, random_model, rename_copy
+from conftest import all_pairs, random_formula, random_model, rename_copy, time_budget
+
+
+def quad_fixpoint(m, n):
+    """The greatest bisimulation as a fixpoint over quadruples, the reference
+    for the partition refinement: start from atom agreement and the diagonal
+    clause, then drop quadruples that break a back-and-forth clause until
+    none does."""
+    props = sorted(set(m.valuation) | set(n.valuation), key=str)
+
+    def atoms(model, s, t):
+        return [(s if p.side is Side.LEFT else t) in model.truth_set(p) for p in props]
+
+    current = {((s, t), (s2, t2))
+               for s in m.states for t in m.states for s2 in n.states for t2 in n.states
+               if (s == t) == (s2 == t2) and atoms(m, s, t) == atoms(n, s2, t2)}
+    changed = True
+    while changed:
+        changed = False
+        for quad in list(current):
+            if _zigzag_violation(quad, current, m.successor_map, n.successor_map):
+                current.discard(quad)
+                changed = True
+    return frozenset(current)
+
+
+def corpus_pair(rng, i):
+    """Model pair number `i` of the equivalence corpus, 1 to 5 states each:
+    isomorphic copies, disjoint-union embeddings and unrelated models, every
+    fourth without valuation so that only the diagonal bit labels pairs."""
+    val_prob = 0.0 if i % 4 == 3 else 0.4
+    if i % 3 == 0:
+        m = random_model(rng, max_states=5, val_prob=val_prob)
+        return m, rename_copy(m)[0]
+    if i % 3 == 1:
+        m = random_model(rng, max_states=3, val_prob=val_prob)
+        return m, disjoint_union(m, random_model(rng, max_states=2, val_prob=val_prob))[0]
+    return (random_model(rng, max_states=5, val_prob=val_prob),
+            random_model(rng, max_states=5, val_prob=val_prob))
+
+
+def edgeless(size):
+    return make_model([f"w{i}" for i in range(size)], [])
 
 
 class TestLargestBisimulation:
@@ -69,6 +115,37 @@ class TestLargestBisimulation:
         with pytest.raises(ResourceGuard):
             largest_bisimulation(m, m, ceiling=2)
 
+    def test_guard_counts_pair_nodes_and_listed_quadruples(self):
+        # 2 * 40^2 pair nodes in two blocks (diagonal, off-diagonal), which
+        # relate 40^2 + 1560^2 quadruples
+        m = edgeless(40)
+        with pytest.raises(ResourceGuard, match="2435200 related quadruples"):
+            largest_bisimulation(m, m)
+        with pytest.raises(ResourceGuard, match="3200 pair nodes"):
+            largest_bisimulation(m, m, ceiling=3199)
+
+    def test_equals_quadruple_fixpoint(self):
+        rng = random.Random(7001)
+        for i in range(300):
+            m, n = corpus_pair(rng, i)
+            assert largest_bisimulation(m, n).pairs == quad_fixpoint(m, n), i
+
+    def test_forty_states(self):
+        rng = random.Random(7002)
+        states = [f"w{i}" for i in range(40)]
+
+        def model():
+            return make_model(states, [(a, b) for a in states for b in states
+                                       if rng.random() < 0.1],
+                              {"l:p": rng.sample(states, 20), "r:p": rng.sample(states, 20)})
+
+        m, n = model(), model()
+        with time_budget(2):
+            unrelated = largest_bisimulation(m, n)
+            copy = largest_bisimulation(m, m)
+        assert check_bisimulation_witness(unrelated) is None
+        assert {((s, t), (s, t)) for s, t in all_pairs(m)} <= copy.pairs
+
 
 class TestAreBisimilar:
     def test_same_pointed_model(self, rng):
@@ -85,6 +162,16 @@ class TestAreBisimilar:
     def test_atom_disagreement_blocks(self):
         m = make_model(["a", "b"], [], {"l:p": ["a"]})
         assert not are_bisimilar(m, "a", "a", m, "b", "b")
+
+    def test_unknown_state(self):
+        m = make_model(["a", "b"], [])
+        with pytest.raises(UnknownState):
+            are_bisimilar(m, "a", "b", m, "a", "c")
+
+    def test_answers_past_the_listing_ceiling(self):
+        m = edgeless(40)
+        assert are_bisimilar(m, "w0", "w1", m, "w2", "w3")
+        assert not are_bisimilar(m, "w0", "w0", m, "w2", "w3")
 
     def test_truth_invariance(self, rng):
         for _ in range(10):

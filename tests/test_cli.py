@@ -14,7 +14,7 @@ from lhs import BDia, Not, WDia, check, load_model, parse, render
 from lhs.cli import build_parser, main
 from lhs.syntax import conjoin
 
-from conftest import random_i_free, run_python
+from conftest import random_i_free, run_python, time_budget
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -145,6 +145,18 @@ class TestDeepInput:
         witness = json.loads(out)["witness"]
         model = load_model(json.dumps(witness["model"]))
         assert check(model, *witness["pair"], parse(self.DEEP))
+
+    @pytest.mark.parametrize("verb,code", [("valid", 1), ("sat", 0)])
+    def test_wide_mixed_conjunction(self, capsys, verb, code):
+        # One companion conjunct per atom (valid) or one conjunct of 10^4
+        # disjuncts (sat): the CNF pass must read the chain in one step. The
+        # bound is on CPU time, which other load on the machine does not
+        # inflate.
+        text = " & ".join(f"{'lr'[i % 2]}:p{i}" for i in range(10_000))
+        start = time.process_time()
+        with time_budget(30):
+            assert run(capsys, verb, "-f", text)[0] == code
+        assert time.process_time() - start < 2
 
 
 _STACK_SCRIPT = """
@@ -399,6 +411,17 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "bisim", "-m", str(m), "-n", str(m),
                          "--pairs", "w,w=w,w")
         assert code == 0
+
+    def test_bisim_listing_guard_and_pair_query(self, capsys, tmp_path):
+        # Two blocks of 40 and 1560 pairs: the listing would build
+        # 40^2 + 1560^2 quadruples, a pair query builds none.
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"states": [f"w{i}" for i in range(40)], "edges": []}))
+        code, _, err = run(capsys, "bisim", "-m", str(m), "-n", str(m))
+        assert code == 70 and "2435200 related quadruples" in err
+        code, out, _ = run(capsys, "bisim", "--json", "-m", str(m), "-n", str(m),
+                           "--pairs", "w0,w1=w2,w3")
+        assert code == 0 and json.loads(out)["related"] is True
 
     def test_tiling_gen(self, capsys):
         code, out, _ = run(capsys, "tiling", "gen", "-t",

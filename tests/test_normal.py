@@ -320,3 +320,12 @@ class TestCompanion:
             cnf = companion(phi)
         assert cnf.conjuncts == tuple(
             (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)
+
+    def test_shared_chain_is_not_unfolded(self):
+        # 60 levels of phi & phi over one shared node: 2^60 leaves as a tree.
+        phi = parse("l:p & r:q")
+        for _ in range(60):
+            phi = And(phi, phi)
+        with time_budget(5):
+            assert companion(phi) == companion(parse("l:p & r:q"))
+            assert len(companion(Not(phi)).conjuncts) == 1

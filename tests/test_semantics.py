@@ -227,6 +227,14 @@ class TestTranslation:
             assert (check(m, s, t, phi)
                     == fo_eval(m, fo_translate(phi), {"x": s, "y": t}))
 
+    def test_deep_translation_nodes(self):
+        # Hashing, comparing and printing a 3000-deep translation must not
+        # recurse.
+        a, b = (fo_translate(parse("~" * 3000 + "l:p")) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != fo_translate(parse("~" * 2998 + "l:p"))
+        assert repr(a) == fo_render(a) == "~(" * 2999 + "~Pl_p(x)" + ")" * 2999
+
     def test_nested_iff_refused(self):
         # Each <-> translates both operands twice: 30 nested ones would build
         # about 1.6e10 nodes.
