@@ -1,12 +1,10 @@
 """Bisimulations for the two-dimensional semantics.
 
-A bisimulation relates pairs of evaluation points across two models; besides
-the four back-and-forth clauses (one per coordinate and direction) it demands
-atom agreement at the respective coordinates and that diagonal pairs map to
-diagonal pairs: a two-colour bisimulation of the *pair graph*, whose nodes
-are the pairs (s, t) of a model, with edges (s, t) -> (v, t) (white) and
-(s, t) -> (s, v) (black) for every successor v, labelled by the diagonal bit
-and the atoms at their own coordinates.
+A bisimulation relates pairs of evaluation points across two models. It is a
+two-colour bisimulation of the *pair graph*: its nodes are the pairs (s, t)
+of a model, labelled by the diagonal bit and the atoms at their own
+coordinates, with edges (s, t) -> (v, t) (white) and (s, t) -> (s, v)
+(black) for every successor v.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from .syntax import Side
 
 Quad = tuple[tuple[State, State], tuple[State, State]]
 
-DEFAULT_QUAD_CEILING = 2_000_000
+DEFAULT_CEILING = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -30,10 +28,8 @@ class PairRelation:
 
     def __post_init__(self):
         for (s, t), (s2, t2) in self.pairs:
-            self.left.require_state(s)
-            self.left.require_state(t)
-            self.right.require_state(s2)
-            self.right.require_state(t2)
+            self.left.require_state(s, t)
+            self.right.require_state(s2, t2)
 
 
 @dataclass(frozen=True)
@@ -54,23 +50,27 @@ def _blocks(m: Model, n: Model, ceiling: int) -> dict[tuple[int, State, State], 
 
     Signature refinement: a node's next block is its block with the sets of
     blocks of its white and of its black successors, until the number of
-    blocks stops changing. Refuses more than `ceiling` pair nodes.
+    blocks stops changing. A round reads every pair node and edge; a round
+    that would take the total over `ceiling` is refused before it starts.
     """
-    if (size := len(m.states) ** 2 + len(n.states) ** 2) > ceiling:
-        raise ResourceGuard(f"{size} pair nodes exceed the ceiling of {ceiling}")
     models = (m, n)
-    props = sorted(set(m.valuation) | set(n.valuation), key=str)
-    keys = [(i, s, t) for i, model in enumerate(models) for s in model.states for t in model.states]
-    at = {key: i for i, key in enumerate(keys)}
-    white = [[at[side, v, t] for v in models[side].successor_map[s]] for side, s, t in keys]
-    black = [[at[side, s, v] for v in models[side].successor_map[t]] for side, s, t in keys]
-    block = _number((s == t, _atoms(models[side], s, t, props)) for side, s, t in keys)
-    while True:
-        refined = _number((b, frozenset(block[j] for j in ws), frozenset(block[j] for j in bs))
-                          for b, ws, bs in zip(block, white, black))
-        if max(refined) == max(block):  # numbered in order of first use
-            return dict(zip(keys, block))
-        block = refined
+    work = sum(len(x.states) * (len(x.states) + 2 * sum(map(len, x.successor_map.values())))
+               for x in models)
+    if rounds := ceiling // work:
+        props = sorted(set(m.valuation) | set(n.valuation), key=str)
+        keys = [(i, s, t) for i, x in enumerate(models) for s in x.states for t in x.states]
+        at = {key: i for i, key in enumerate(keys)}
+        white = [[at[i, v, t] for v in models[i].successor_map[s]] for i, s, t in keys]
+        black = [[at[i, s, v] for v in models[i].successor_map[t]] for i, s, t in keys]
+        block = _number((s == t, _atoms(models[i], s, t, props)) for i, s, t in keys)
+        for _ in range(rounds):
+            refined = _number((b, frozenset(block[j] for j in ws), frozenset(block[j] for j in bs))
+                              for b, ws, bs in zip(block, white, black))
+            if max(refined) == max(block):  # numbered in order of first use
+                return dict(zip(keys, block))
+            block = refined
+    raise ResourceGuard(f"refinement reads {work} pair-graph nodes and edges a round, so round "
+                        f"{rounds + 1} would pass the ceiling of {ceiling}")
 
 
 def _number(signatures) -> list[int]:
@@ -79,9 +79,10 @@ def _number(signatures) -> list[int]:
 
 
 def largest_bisimulation(m: Model, n: Model,
-                         ceiling: int = DEFAULT_QUAD_CEILING) -> PairRelation:
+                         ceiling: int = DEFAULT_CEILING) -> PairRelation:
     """Greatest bisimulation between two finite models: the quadruples whose
-    pairs share a block. Refuses to list more than `ceiling` of them.
+    pairs share a block. `ceiling` bounds the refinement's work (`_blocks`)
+    and the quadruples listed, each checked before the work is done.
     """
     members: dict[int, tuple[list, list]] = {}
     for (side, s, t), block in _blocks(m, n, ceiling).items():
@@ -110,10 +111,10 @@ def _zigzag_violation(quad: Quad, pairs, succ_m, succ_n) -> str | None:
 
 
 def are_bisimilar(m: Model, s: State, t: State, n: Model, s2: State, t2: State,
-                  ceiling: int = DEFAULT_QUAD_CEILING) -> bool:
-    """Whether (s, t) in `m` and (s2, t2) in `n` share a block; lists no quadruple."""
-    for model, w in ((m, s), (m, t), (n, s2), (n, t2)):
-        model.require_state(w)
+                  ceiling: int = DEFAULT_CEILING) -> bool:
+    """Whether (s, t) in `m` and (s2, t2) in `n` share a block; builds no quadruple."""
+    m.require_state(s, t)
+    n.require_state(s2, t2)
     blocks = _blocks(m, n, ceiling)
     return blocks[0, s, t] == blocks[1, s2, t2]
 
@@ -122,12 +123,11 @@ def check_bisimulation_witness(relation: PairRelation) -> ClauseViolation | None
     """None when every quadruple satisfies all six clauses, else the first failure."""
     m, n = relation.left, relation.right
     props = sorted(set(m.valuation) | set(n.valuation), key=str)
-    succ_m, succ_n = m.successor_map, n.successor_map
     for quad in sorted(relation.pairs):
         (s, t), (s2, t2) = quad
         if _atoms(m, s, t, props) != _atoms(n, s2, t2, props):
             return ClauseViolation("atom-agreement", quad)
-        clause = _zigzag_violation(quad, relation.pairs, succ_m, succ_n)
+        clause = _zigzag_violation(quad, relation.pairs, m.successor_map, n.successor_map)
         if clause is not None:
             return ClauseViolation(clause, quad)
         if (s == t) != (s2 == t2):

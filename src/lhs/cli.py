@@ -172,8 +172,7 @@ def _parse_pair(text: str, model: Model):
     if len(parts) != 2:
         raise ModelFormatError(f"expected S,T but got {text!r}")
     s, t = parts[0].strip(), parts[1].strip()
-    model.require_state(s)
-    model.require_state(t)
+    model.require_state(s, t)
     return s, t
 
 

@@ -51,9 +51,10 @@ class Model:
                 if w not in declared:
                     raise ModelFormatError(f"valuation of {prop} mentions undeclared state {w!r}")
 
-    def require_state(self, w: State):
-        if w not in self.states:
-            raise UnknownState(f"unknown state {w!r}")
+    def require_state(self, *ws: State):
+        for w in ws:
+            if w not in self.successor_map:  # keyed by the states
+                raise UnknownState(f"unknown state {w!r}")
 
     def truth_set(self, prop: PropName) -> frozenset[State]:
         return self.valuation.get(prop, frozenset())
@@ -139,8 +140,7 @@ def generated_submodel(model: Model, seeds) -> Model:
     seeds = set(seeds)
     if not seeds:
         raise ModelFormatError("generated submodel needs a nonempty seed set")
-    for w in seeds:
-        model.require_state(w)
+    model.require_state(*seeds)
     reached = set(seeds)
     frontier = list(seeds)
     while frontier:

@@ -301,13 +301,14 @@ def _junction(f: Formula, positive: bool, sides: dict) -> bool | None:
     return positive if isinstance(f, And) else not positive
 
 
-def _polar_children(f: Formula, positive: bool, sides: dict) -> tuple:
+def _polar_children(f: Formula, positive: bool, sides: dict, expanded: set) -> tuple:
     """The (subformula, polarity) pairs whose lists `_step` reads.
 
     For `&`, `|` and `->` these are the operands of the maximal spine of one
-    junction, left to right, so a chain of any width is one step. A spine
-    node met twice (a shared node, or an equal copy) is an operand the second
-    time, so a formula built as a DAG is not unfolded.
+    junction, left to right, so a chain of any width is one step. The spine
+    stops at a node in `expanded` (one that this or an earlier spine has
+    expanded, a shared node or an equal copy) and reads it as an operand, so
+    no node is expanded twice and a formula built as a DAG is not unfolded.
     """
     if isinstance(f, Not):
         return ((f.child, not positive),)
@@ -318,10 +319,10 @@ def _polar_children(f: Formula, positive: bool, sides: dict) -> tuple:
     junction = _junction(f, positive, sides)
     if junction is None:
         return tuple((c, positive) for c in children(f))
-    operands, stack, expanded = [], [(f, positive)], set()
+    operands, stack = [], [(f, positive)]
     while stack:
         g, polarity = key = stack.pop()
-        if key in expanded or _junction(g, polarity, sides) is not junction:
+        if g is not f and (key in expanded or _junction(g, polarity, sides) is not junction):
             operands.append(key)
         else:
             expanded.add(key)
@@ -369,19 +370,22 @@ def _conjuncts(phi: Formula, sides: dict, pads) -> list:
     are the contradictions that stand for an empty side under a box.
     """
     parts: dict[tuple[Formula, bool], list] = {}
+    kids: dict[tuple[Formula, bool], tuple] = {}  # read once, until `parts` has the key
+    expanded: set = set()
     stack = [(phi, True)]
     while stack:
         key = stack[-1]
         if key in parts:
             stack.pop()
             continue
-        kids = _polar_children(*key, sides)
-        todo = [k for k in kids if k not in parts]
+        if key not in kids:
+            kids[key] = _polar_children(*key, sides, expanded)
+        todo = [k for k in kids[key] if k not in parts]
         if todo:
             stack.extend(todo)
         else:
             stack.pop()
-            parts[key] = _step(*key, [parts[k] for k in kids], sides, pads)
+            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], sides, pads)
     return parts[phi, True]
 
 

@@ -44,8 +44,7 @@ def check(model: Model, s: State, t: State, phi: Formula) -> bool:
     Memoized per call on (subformula, s, t). This is the readable reference;
     `truth_table` evaluates the same definition at every pair at once.
     """
-    model.require_state(s)
-    model.require_state(t)
+    model.require_state(s, t)
     return drive(_sat(phi, s, t, model, {}))
 
 

@@ -115,14 +115,25 @@ class TestLargestBisimulation:
         with pytest.raises(ResourceGuard):
             largest_bisimulation(m, m, ceiling=2)
 
-    def test_guard_counts_pair_nodes_and_listed_quadruples(self):
-        # 2 * 40^2 pair nodes in two blocks (diagonal, off-diagonal), which
-        # relate 40^2 + 1560^2 quadruples
+    def test_guard_counts_refinement_work_and_listed_quadruples(self):
+        # 2 * 40^2 pair nodes and no edges, in two blocks (diagonal,
+        # off-diagonal) that relate 40^2 + 1560^2 quadruples
         m = edgeless(40)
         with pytest.raises(ResourceGuard, match="2435200 related quadruples"):
             largest_bisimulation(m, m)
-        with pytest.raises(ResourceGuard, match="3200 pair nodes"):
+        with pytest.raises(ResourceGuard, match="reads 3200 pair-graph nodes and edges a round, "
+                                                "so round 1 would"):
             largest_bisimulation(m, m, ceiling=3199)
+        assert not are_bisimilar(m, "w0", "w0", m, "w0", "w1", ceiling=3200)
+
+    def test_guard_charges_every_refinement_round(self):
+        # A 30-state path settles only after about 30 rounds, each reading
+        # 2 * 30 * (30 + 2 * 29) = 5280 pair nodes and edges.
+        states = [f"w{i}" for i in range(30)]
+        m = make_model(states, list(zip(states, states[1:])))
+        assert are_bisimilar(m, "w0", "w1", m, "w0", "w1")
+        with pytest.raises(ResourceGuard, match="reads 5280 .* so round 4 would pass"):
+            are_bisimilar(m, "w0", "w1", m, "w0", "w1", ceiling=3 * 5280)
 
     def test_equals_quadruple_fixpoint(self):
         rng = random.Random(7001)

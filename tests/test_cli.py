@@ -423,6 +423,21 @@ class TestOtherCommands:
                            "--pairs", "w0,w1=w2,w3")
         assert code == 0 and json.loads(out)["related"] is True
 
+    @pytest.mark.parametrize("size, edges", [
+        pytest.param(1000, lambda ws: zip(ws, ws[1:]), id="path-1000"),
+        pytest.param(200, lambda ws: ((a, b) for a in ws for b in ws), id="complete-200"),
+    ])
+    def test_bisim_refuses_large_pair_graph_at_once(self, capsys, tmp_path, size, edges):
+        # 1000 * (1000 + 2 * 999) and 200 * (200 + 2 * 200^2) pair nodes and
+        # edges per model: round 1 is refused before the pair graph is built.
+        states = [f"w{i}" for i in range(size)]
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"states": states, "edges": [list(e) for e in edges(states)]}))
+        for extra in ([], ["--pairs", "w0,w1=w0,w1"]):
+            with time_budget(5):
+                code, _, err = run(capsys, "bisim", "-m", str(m), "-n", str(m), *extra)
+            assert code == 70 and "so round 1 would pass" in err
+
     def test_tiling_gen(self, capsys):
         code, out, _ = run(capsys, "tiling", "gen", "-t",
                            str(DATA / "one_tile.json"))

@@ -322,9 +322,11 @@ class TestCompanion:
             (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)
 
     def test_shared_chain_is_not_unfolded(self):
-        # 60 levels of phi & phi over one shared node: 2^60 leaves as a tree.
+        # 10^4 levels of phi & phi over one shared node: 2^10000 leaves as a
+        # tree, and each level's spine is expanded once, not once per level
+        # above it.
         phi = parse("l:p & r:q")
-        for _ in range(60):
+        for _ in range(10_000):
             phi = And(phi, phi)
         with time_budget(5):
             assert companion(phi) == companion(parse("l:p & r:q"))
