@@ -5,27 +5,29 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from . import bruteforce
-from .errors import ContainsI, LhsError, MixedFormula
+from .errors import LhsError, MixedFormula, ResourceGuard
 from .model import Model, disjoint_union
 from .normal import CleanCNF, companion
 from .semantics import check
 from .syntax import (
+    MODAL_NODES,
     And,
     Atom,
     BBox,
-    BDia,
     Bot,
     Formula,
+    Iff,
+    Implies,
     Not,
     Or,
     RESERVED_PREFIX,
+    Top,
     WBox,
-    WDia,
     classify,
     drive,
-    nnf,
 )
 
 
@@ -57,6 +59,8 @@ class BoundedVerdict:
 # ---------------------------------------------------------------------------
 # K tableau
 
+DEFAULT_STEP_CEILING = 1_000_000
+
 
 @dataclass
 class _TreeNode:
@@ -64,44 +68,104 @@ class _TreeNode:
     children: list = field(default_factory=list)
 
 
-def _tableau(goals: dict):
-    """Satisfiability of a set of NNF formulas in basic modal logic K.
+def _goal(f: Formula, positive: bool) -> tuple[Formula, bool]:
+    """The goal (f, positive), which stands for `f` or `~f`, with its `~`s read
+    off: a goal is never a negation."""
+    while isinstance(f, Not):
+        f, positive = f.child, not positive
+    return f, positive
 
-    `goals` holds the formulas as keys; the walk consumes it. Dicts keep
-    insertion order, so the expansion order, and with it the witness, does
-    not depend on string hashing: the first `&` or `|` is expanded first,
-    `&` in this frame and each branch of `|` as a sub-walk. Returns a tree
-    witness (nodes carry their positive atoms) or None. Depth is bounded by
-    modal depth, so no loop check is needed.
+
+def _queue(goals: dict, todo: deque, keys, deps: int) -> None:
+    for key in keys:
+        if key not in goals:
+            goals[key] = deps
+            todo.append(key)
+
+
+def _tableau(goals: dict, todo: deque, depth: int, steps):
+    """Satisfiability of a set of goals in basic modal logic K.
+
+    A goal is a (subformula, polarity) pair, read the way the companion reads
+    them, so no negation normal form is written out: `->` is `|` with its left
+    operand negated, and `<->` is one branch point whose two branches each add
+    both operands, at equal polarities or, negated, at opposite ones.
+
+    `goals` maps each goal of this state on this branch to the set of branch
+    points it depends on: an int whose bit d stands for the branch point at
+    depth d of the search path, `depth` being the number of branch points
+    above this walk. `todo` holds the goals not yet expanded, in order: a
+    conjunction queues its operands and a branch point the goals of its
+    branch, so the order, and with it the witness, does not depend on string
+    hashing. The walk consumes both. Every goal taken from `todo` counts
+    against `DEFAULT_STEP_CEILING`; `steps` numbers them.
+
+    Returns a tree witness (nodes carry their positive atoms) or, on a clash,
+    the set of branch points the clash depends on. Two complementary literals
+    (or `false`) depend on their sets; a diamond whose successor clashes adds
+    its own set to the successor's, which holds only sets of the boxes that
+    took part. A branch point whose first branch fails without it in the
+    clash returns that clash and skips the second branch (backjumping,
+    Horrocks & Patel-Schneider 1999). Depth is bounded by modal depth, so no
+    loop check is needed.
     """
-    todo = deque(goals)  # the keys not yet looked at, in order
     while todo:
-        f = todo.popleft()
-        if isinstance(f, And):
-            del goals[f]
-            for g in (f.left, f.right):
-                if g not in goals:
-                    goals[g] = None
-                    todo.append(g)
-        elif isinstance(f, Or):
-            del goals[f]
-            return ((yield _tableau({**goals, f.left: None}))
-                    or (yield _tableau({**goals, f.right: None})))
-    # Only literals, constants, boxes and diamonds remain.
-    if any(isinstance(f, Bot) for f in goals):
-        return None
-    positive = {f.prop for f in goals if isinstance(f, Atom)}
-    negative = {f.child.prop for f in goals if isinstance(f, Not)}
-    if positive & negative:
-        return None
-    box_contents = {f.child: None for f in goals if isinstance(f, (WBox, BBox))}
-    node = _TreeNode(frozenset(positive))
-    for f in goals:
-        if isinstance(f, (WDia, BDia)):
-            child = yield _tableau({**box_contents, f.child: None})
-            if child is None:
-                return None
-            node.children.append(child)
+        key = todo.popleft()
+        expanded = next(steps)
+        if expanded > DEFAULT_STEP_CEILING:
+            raise ResourceGuard(f"K tableau expanded {expanded} goals, over the ceiling "
+                                f"of {DEFAULT_STEP_CEILING}")
+        f, positive = key
+        deps = goals[key]
+        if isinstance(f, Atom):
+            if (f, not positive) in goals:
+                return deps | goals[f, not positive]
+            continue
+        if isinstance(f, (Top, Bot)):
+            if isinstance(f, Top) != positive:
+                return deps
+            continue
+        if isinstance(f, Iff):
+            branches = ((_goal(f.left, True), _goal(f.right, positive)),
+                        (_goal(f.left, False), _goal(f.right, not positive)))
+        elif isinstance(f, (And, Or, Implies)):
+            operands = (_goal(f.left, positive != isinstance(f, Implies)),
+                        _goal(f.right, positive))
+            if isinstance(f, And) == positive:  # a conjunction
+                del goals[key]
+                _queue(goals, todo, operands, deps)
+                continue
+            branches = operands[:1], operands[1:]
+        else:
+            continue  # a box or a diamond, read once every goal is expanded
+        del goals[key]
+        bit = 1 << depth
+        first_goals, first_todo = dict(goals), deque(todo)
+        _queue(first_goals, first_todo, branches[0], deps | bit)
+        first = yield _tableau(first_goals, first_todo, depth + 1, steps)
+        if isinstance(first, _TreeNode) or not first & bit:
+            return first
+        _queue(goals, todo, branches[1], deps | bit)
+        second = yield _tableau(goals, todo, depth + 1, steps)
+        if isinstance(second, _TreeNode) or not second & bit:
+            return second
+        return (first | second) & ~bit
+    atoms, boxes, diamonds = set(), {}, {}
+    for (f, positive), deps in goals.items():
+        if isinstance(f, Atom):
+            if positive:
+                atoms.add(f.prop)
+        elif isinstance(f, MODAL_NODES):
+            content = _goal(f.child, positive)
+            is_box = isinstance(f, (WBox, BBox)) == positive
+            (boxes if is_box else diamonds).setdefault(content, deps)
+    node = _TreeNode(frozenset(atoms))
+    for content, deps in diamonds.items():
+        successor = {**boxes, content: deps}
+        child = yield _tableau(successor, deque(successor), depth, steps)
+        if not isinstance(child, _TreeNode):
+            return child | deps
+        node.children.append(child)
     return node
 
 
@@ -127,25 +191,30 @@ def _tree_to_model(root: _TreeNode) -> tuple[Model, str]:
     )
 
 
-def k_sat(phi: Formula) -> KVerdict:
+def k_sat(phi: Formula, *, one_sided: bool = False) -> KVerdict:
     """Sound and complete satisfiability for a one-sided formula in K.
 
     On SAT the witness is the extracted tableau tree (acyclic, in-degree one
-    except at the root).
+    except at the root). `one_sided=True` says the caller has already checked
+    that `phi` is white-only or black-only, as `CleanCNF` does for its sides,
+    and skips the check. More than `DEFAULT_STEP_CEILING` goal expansions
+    raise `ResourceGuard`.
     """
-    sc = classify(phi)
-    if not (sc.white_only or sc.black_only):
-        raise MixedFormula("K satisfiability requires a white-only or black-only formula")
-    tree = drive(_tableau({nnf(phi): None}))
-    if tree is None:
+    if not one_sided:
+        sc = classify(phi)
+        if not (sc.white_only or sc.black_only):
+            raise MixedFormula("K satisfiability requires a white-only or black-only formula")
+    root = _goal(phi, True)
+    tree = drive(_tableau({root: 0}, deque([root]), 0, count(1)))
+    if not isinstance(tree, _TreeNode):
         return KVerdict("UNSAT")
     model, root = _tree_to_model(tree)
     return KVerdict("SAT", model, root)
 
 
-def k_valid(phi: Formula) -> tuple[bool, KVerdict | None]:
+def k_valid(phi: Formula, *, one_sided: bool = False) -> tuple[bool, KVerdict | None]:
     """Validity in K; on failure also returns the countermodel verdict."""
-    verdict = k_sat(Not(phi))
+    verdict = k_sat(Not(phi), one_sided=one_sided)
     if verdict.status == "UNSAT":
         return True, None
     return False, verdict
@@ -170,18 +239,18 @@ def lhs_minus_valid(phi: Formula) -> LHSVerdict:
     The companion splits phi into conjuncts psi_i | gamma_i; the formula is
     valid iff every conjunct has a K-valid side. An invalid conjunct yields
     two K countermodels whose disjoint union falsifies phi at the paired
-    roots; the witness is re-verified before being returned.
+    roots; the witness is re-verified before being returned. The companion
+    raises `ContainsI` when phi is not I-free.
     """
-    if not classify(phi).i_free:
-        raise ContainsI("the decision procedure covers the I-free fragment only")
     comp = companion(phi)
     certificate = []
     for psi, gamma in comp.conjuncts:
-        ok_white, counter_white = k_valid(psi)
+        # `CleanCNF` has checked that psi is white-only and gamma black-only.
+        ok_white, counter_white = k_valid(psi, one_sided=True)
         if ok_white:
             certificate.append(("white", psi))
             continue
-        ok_black, counter_black = k_valid(gamma)
+        ok_black, counter_black = k_valid(gamma, one_sided=True)
         if ok_black:
             certificate.append(("black", gamma))
             continue

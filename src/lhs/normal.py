@@ -294,8 +294,9 @@ def _diamond(conjuncts: list, white: bool) -> list:
 
 
 def _junction(f: Formula, positive: bool, sides: dict) -> bool | None:
-    """True when `nnf(f, positive)` is a conjunction, False when a disjunction,
-    None when it is neither or `f` is a block."""
+    """True when `f` read at polarity `positive` is a conjunction (`a & b`,
+    `~(a | b)`, `~(a -> b)`), False when it is a disjunction, None when it is
+    neither or `f` is a block."""
     if not isinstance(f, (And, Or, Implies)) or any(sides[f]):
         return None
     return positive if isinstance(f, And) else not positive
@@ -336,7 +337,9 @@ def _step(f: Formula, positive: bool, lists: list, sides: dict,
     """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
     `_polar_children(f, positive)`.
 
-    Each case is the one of the NNF node `nnf(f, positive)`.
+    Each case is the rule of `f` read at its polarity, as the negation normal
+    form would have it: `~` flips the polarity, `->` is `|` with its left
+    operand negated, and a negated box is the diamond rule and vice versa.
     """
     if isinstance(f, Top):
         return [] if positive else [((), ())]

@@ -268,47 +268,6 @@ def modal_depth(phi: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
-
-
-def nnf(phi: Formula, positive: bool = True) -> Formula:
-    """Equivalent formula over literals, constants, &, | and the modalities.
-
-    `->` and `<->` are eliminated and negations pushed to atoms and `I`;
-    a negated box becomes the diamond of the negation and vice versa. With
-    `positive=False` the result is equivalent to `~phi`. Each subformula is
-    rewritten once per polarity, so an operand that `<->` reads twice is
-    shared, not copied: the result is a DAG linear in the size of `phi`.
-    """
-    table: dict[tuple[Formula, bool], Formula] = {}
-    for f in subformulas(phi):
-        for pos in (True, False):
-            if isinstance(f, (Atom, EqConst)):
-                g = f if pos else Not(f)
-            elif isinstance(f, (Top, Bot)):
-                g = Top() if isinstance(f, Top) == pos else Bot()
-            elif isinstance(f, Not):
-                g = table[f.child, not pos]
-            elif isinstance(f, (And, Or, Implies)):
-                # l -> r is ~l | r.
-                node = And if isinstance(f, And) == pos else Or
-                g = node(table[f.left, pos != isinstance(f, Implies)], table[f.right, pos])
-            elif isinstance(f, Iff):
-                # (l -> r) & (r -> l), or its negation (l & ~r) | (r & ~l).
-                outer, inner = (And, Or) if pos else (Or, And)
-                left, right = f.left, f.right
-                g = outer(inner(table[left, not pos], table[right, pos]),
-                          inner(table[right, not pos], table[left, pos]))
-            elif isinstance(f, MODAL_NODES):
-                box, dia = (WBox, WDia) if isinstance(f, WHITE_MODAL) else (BBox, BDia)
-                g = (box if isinstance(f, (WBox, BBox)) == pos else dia)(table[f.child, pos])
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-            table[f, pos] = g
-    return table[phi, positive]
-
-
-# ---------------------------------------------------------------------------
 # Classification
 
 

@@ -113,6 +113,29 @@ def random_one_sided(rng, side, depth=2, names=("p", "q")):
     return op(child, random_one_sided(rng, side, depth - 1, names))
 
 
+def _branches(k):
+    return " & ".join(f"(l:a{i} | l:b{i})" for i in range(1, k + 1))
+
+
+def k_branch_n(k):
+    """The K branching family in the style of LWB `k_branch_n`; unsatisfiable.
+
+    Every successor must pick one of a_i, b_i for each i and have no
+    successor, while `<W><W>true` needs one that has. The clash depends on
+    none of the k choices, so a search that branches blindly tries all 2^k.
+    This is the family that the `decide` benchmark pins.
+    """
+    return f"[W]({_branches(k)} & [W]false) & <W><W>true"
+
+
+def k_branch_p(k):
+    """A satisfiable variant: the successor must falsify every a_i, so every
+    choice must take its second branch. Each clash depends on one choice
+    only, so a search that does not track this tries 2^k leaves."""
+    negated = " & ".join(f"~l:a{i}" for i in range(1, k + 1))
+    return f"[W]({_branches(k)} & [W]false) & <W>({negated})"
+
+
 def random_clean(rng, depth=2, block_depth=2):
     """A random clean formula: a Boolean combination of one-sided blocks."""
     if depth == 0 or rng.random() < 0.4:

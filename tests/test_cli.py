@@ -5,16 +5,18 @@ import json
 import random
 import re
 import resource
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from lhs import BDia, Not, WDia, check, load_model, parse, render
+from lhs import BDia, Iff, Implies, Not, WDia, check, decide, load_model, parse, render, syntax
 from lhs.cli import build_parser, main
 from lhs.syntax import conjoin
 
-from conftest import random_i_free, run_python, time_budget
+from conftest import k_branch_n, k_branch_p, random_i_free, run_python, time_budget
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -98,6 +100,12 @@ class TestExitCodes:
         assert code == 64
         assert argv[-2] in err
 
+    def test_tableau_step_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setattr(decide, "DEFAULT_STEP_CEILING", 20)
+        code, _, err = run(capsys, "sat", "-f", k_branch_n(10))
+        assert code == 70
+        assert "K tableau expanded 21 goals, over the ceiling of 20" in err
+
     def test_guard_names_cli_flag(self, capsys):
         code, _, err = run(capsys, "sat", "--full", "--max-size", "5", "-f", "I & ~I")
         assert code == 70
@@ -157,6 +165,26 @@ class TestDeepInput:
         with time_budget(30):
             assert run(capsys, verb, "-f", text)[0] == code
         assert time.process_time() - start < 2
+
+    def test_wide_mixed_sat_walks_the_formula_few_times(self, capsys, monkeypatch):
+        # The companion's side map and `CleanCNF`'s check of each side; the
+        # K tableau trusts that check and walks nothing before it starts.
+        calls = Counter()
+        for name in ("subformulas", "side_map"):
+            original = getattr(syntax, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("lhs")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counted)
+        text = " & ".join(f"{'lr'[i % 2]}:p{i}" for i in range(10_000))
+        assert run(capsys, "sat", "-f", text)[0] == 0
+        assert calls["subformulas"] <= 4
+        assert calls["side_map"] <= 3
 
 
 _STACK_SCRIPT = """
@@ -271,12 +299,18 @@ print(json.dumps(answers))
 
 def test_witnesses_do_not_depend_on_hash_seed():
     # Several diamonds at one node give the K tableau a choice of order; the
-    # witness must not follow the hashing of its goals.
+    # witness must not follow the hashing of its goals. Under diamonds, `->`
+    # and `<->` make it branch, and the branching families make it backjump:
+    # the sets of branch points it keeps must not follow the hashing either.
     rng = random.Random(7)
+    formulas = [conjoin([rng.choice([WDia, BDia])(random_i_free(rng, depth=2))
+                         for _ in range(3)]) for _ in range(20)]
+    formulas += [conjoin([rng.choice([WDia, BDia])(rng.choice([Iff, Implies])(
+        random_i_free(rng, depth=2), random_i_free(rng, depth=2))) for _ in range(3)])
+        for _ in range(20)]
+    formulas += [parse(build(k)) for build in (k_branch_n, k_branch_p) for k in (3, 8)]
     argvs = []
-    for _ in range(20):
-        parts = [rng.choice([WDia, BDia])(random_i_free(rng, depth=2)) for _ in range(3)]
-        phi = conjoin(parts)
+    for phi in formulas:
         argvs += [["sat", "--json", "-f", render(phi)],
                   ["valid", "--json", "-f", render(Not(phi))]]
     outputs = []

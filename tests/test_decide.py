@@ -1,9 +1,19 @@
 """K satisfiability, the full decision procedure, and bounded search."""
 
+import time
+
 import pytest
 
 from lhs import (
+    And,
+    Atom,
+    BBox,
+    BDia,
+    Bot,
     ContainsI,
+    EqConst,
+    Iff,
+    Implies,
     MixedFormula,
     Not,
     ResourceGuard,
@@ -14,14 +24,20 @@ from lhs import (
     lhs_bounded_sat,
     lhs_minus_sat,
     lhs_minus_valid,
+    Or,
+    Top,
+    WBox,
+    WDia,
     one_sided_eval,
     parse,
 )
+from lhs import decide
 from lhs.bruteforce import find_model
 from lhs.model import enumerate_models
-from lhs.syntax import Side, prop_names
+from lhs.syntax import WHITE_MODAL, Side, drive, prop_names, subformulas
 
-from conftest import random_i_free, random_one_sided, time_budget
+from conftest import (k_branch_n, k_branch_p, random_i_free, random_one_sided,
+                      time_budget)
 
 
 def enumerated_sat(phi, bound):
@@ -68,6 +84,178 @@ class TestKSat:
                 assert a != b
                 indeg[b] += 1
             assert all(d <= 1 for d in indeg.values())
+
+
+# The reference K tableau: it writes out the negation normal form and
+# branches on every `|`, blind to why a branch failed, so the branching
+# families below take it 2^k leaves. It shares no code with `decide._tableau`.
+
+
+def reference_nnf(phi, positive=True):
+    """Negation normal form: literals, constants, &, | and the modalities,
+    one table entry per (subformula, polarity), so the result is a DAG."""
+    table = {}
+    for f in subformulas(phi):
+        for pos in (True, False):
+            if isinstance(f, (Atom, EqConst)):
+                g = f if pos else Not(f)
+            elif isinstance(f, (Top, Bot)):
+                g = Top() if isinstance(f, Top) == pos else Bot()
+            elif isinstance(f, Not):
+                g = table[f.child, not pos]
+            elif isinstance(f, (And, Or, Implies)):
+                node = And if isinstance(f, And) == pos else Or
+                g = node(table[f.left, pos != isinstance(f, Implies)], table[f.right, pos])
+            elif isinstance(f, Iff):
+                outer, inner = (And, Or) if pos else (Or, And)
+                g = outer(inner(table[f.left, not pos], table[f.right, pos]),
+                          inner(table[f.right, not pos], table[f.left, pos]))
+            else:
+                box, dia = (WBox, WDia) if isinstance(f, WHITE_MODAL) else (BBox, BDia)
+                g = (box if isinstance(f, (WBox, BBox)) == pos else dia)(table[f.child, pos])
+            table[f, pos] = g
+    return table[phi, positive]
+
+
+def _reference_tableau(goals):
+    todo = list(goals)
+    while todo:
+        f = todo.pop(0)
+        if isinstance(f, And):
+            del goals[f]
+            for g in (f.left, f.right):
+                if g not in goals:
+                    goals[g] = None
+                    todo.append(g)
+        elif isinstance(f, Or):
+            del goals[f]
+            return ((yield _reference_tableau({**goals, f.left: None}))
+                    or (yield _reference_tableau({**goals, f.right: None})))
+    if any(isinstance(f, Bot) for f in goals):
+        return False
+    positive = {f.prop for f in goals if isinstance(f, Atom)}
+    negative = {f.child.prop for f in goals if isinstance(f, Not)}
+    if positive & negative:
+        return False
+    boxes = {f.child: None for f in goals if isinstance(f, (WBox, BBox))}
+    for f in goals:
+        if isinstance(f, (WDia, BDia)):
+            if not (yield _reference_tableau({**boxes, f.child: None})):
+                return False
+    return True
+
+
+def reference_k_sat(phi):
+    """Whether the one-sided `phi` is satisfiable in K, by the reference."""
+    return drive(_reference_tableau({reference_nnf(phi): None}))
+
+
+def test_k_sat_agrees_with_reference(rng):
+    # Until 500 formulas with <-> have been decided, and every one drawn on
+    # the way: <-> is where the two searches differ most.
+    with_iff = 0
+    while with_iff < 500:
+        phi = random_one_sided(rng, rng.choice(list(Side)), depth=4)
+        with_iff += any(isinstance(f, Iff) for f in subformulas(phi))
+        with time_budget(5):
+            v = k_sat(phi)
+        assert (v.status == "SAT") == reference_k_sat(phi), phi
+        if v.status == "SAT":
+            assert one_sided_eval(v.model, v.state, phi), phi
+
+
+def random_cnf_k(rng, depth, clauses=10):
+    """A random CNF_K formula in the style of Giunchiglia & Sebastiani 1996:
+    up to `clauses` clauses of one to three literals over three left atoms,
+    where a literal may be a box or a diamond over a smaller such formula.
+    Many clashes depend on a few choices, which is where backjumping prunes;
+    about a quarter of them are unsatisfiable."""
+    def literal():
+        if depth and rng.random() < 0.3:
+            core = rng.choice([WBox, WDia])(random_cnf_k(rng, depth - 1, 3))
+        else:
+            core = parse(f"l:{rng.choice('pqr')}")
+        return core if rng.random() < 0.5 else Not(core)
+
+    phi = None
+    for _ in range(rng.randint(1, clauses)):
+        clause = literal()
+        for _ in range(rng.randint(0, 2)):
+            clause = Or(clause, literal())
+        phi = clause if phi is None else And(phi, clause)
+    return phi
+
+
+@pytest.mark.parametrize("text, verdict", [
+    # The diamond's successor clashes on the box alone, yet the clash
+    # depends on the branch that chose the diamond.
+    ("[W]false & (<W>true | l:p)", "SAT"),
+    # The second branch of the inner choice fails on its own, the first
+    # because of the outer choice: together they depend on the outer one.
+    ("(l:p | l:q) & (~l:p | ~l:s) & l:s", "SAT"),
+    ("(l:p | l:q) & (~l:p | ~l:s) & l:s & ~l:q", "UNSAT"),
+    ("(l:p <-> l:q) & (l:q <-> ~l:p)", "UNSAT"),
+    ("~(l:p <-> l:q) & <W>(l:p -> false) & (l:q -> [W]l:p)", "SAT"),
+])
+def test_backjumping_keeps_the_choices_a_clash_depends_on(text, verdict):
+    phi = parse(text)
+    v = k_sat(phi)
+    assert v.status == verdict
+    assert reference_k_sat(phi) == (verdict == "SAT")
+    if verdict == "SAT":
+        assert one_sided_eval(v.model, v.state, phi)
+
+
+def test_k_sat_agrees_with_reference_on_cnf_k(rng):
+    verdicts = []
+    for _ in range(400):
+        phi = random_cnf_k(rng, rng.randint(0, 2))
+        with time_budget(5):
+            v = k_sat(phi)
+            assert (v.status == "SAT") == reference_k_sat(phi), phi
+        if v.status == "SAT":
+            assert one_sided_eval(v.model, v.state, phi), phi
+        verdicts.append(v.status)
+    assert verdicts.count("UNSAT") >= 50
+
+
+BRANCH_FAMILIES = {"k_branch_n": (k_branch_n, "UNSAT"), "k_branch_p": (k_branch_p, "SAT")}
+
+
+@pytest.mark.parametrize("k", [*range(8, 21), 40])
+@pytest.mark.parametrize("family", BRANCH_FAMILIES)
+def test_branching_families(family, k):
+    build, verdict = BRANCH_FAMILIES[family]
+    phi = parse(build(k))
+    with time_budget(5):
+        v = lhs_minus_sat(phi)
+    assert v.status == verdict
+    if verdict == "SAT":
+        assert check(v.model, *v.pair, phi)
+    if k == 8:  # the reference tries 2^k leaves
+        assert reference_k_sat(phi) == (verdict == "SAT")
+
+
+def test_branching_family_is_linear():
+    # A search that branches blindly doubles its time with each k.
+    phi = parse(k_branch_n(20))
+    with time_budget(5):
+        start = time.process_time()
+        v = lhs_minus_sat(phi)
+        elapsed = time.process_time() - start
+    assert v.status == "UNSAT"
+    assert elapsed < 0.1
+
+
+def test_step_ceiling(monkeypatch):
+    phi = parse(k_branch_n(10))
+    monkeypatch.setattr(decide, "DEFAULT_STEP_CEILING", 20)
+    with pytest.raises(ResourceGuard, match="K tableau expanded 21 goals, over the ceiling of 20"):
+        k_sat(phi)
+    with pytest.raises(ResourceGuard, match="K tableau expanded"):
+        lhs_minus_sat(phi)
+    monkeypatch.setattr(decide, "DEFAULT_STEP_CEILING", 1000)
+    assert k_sat(phi).status == "UNSAT"
 
 
 class TestKValid:
@@ -236,9 +424,9 @@ def mixed_iff_chain(length):
 
 
 class TestCompanionGuard:
-    # A written-out NNF doubles at every <->, so a 30-deep chain would take
-    # 2^30 nodes before any guard; read once per polarity it stays linear,
-    # and only the guarded conjunct products grow.
+    # The companion reads each subformula once per polarity, so only the
+    # guarded conjunct products grow. A negation normal form written out as
+    # a tree would double at every <->, 2^30 nodes here before any guard.
     @pytest.mark.parametrize("decide", [lhs_minus_sat, lhs_minus_valid])
     def test_long_iff_chain_ends(self, decide):
         phi = mixed_iff_chain(30)
@@ -264,8 +452,9 @@ class TestCompanionGuard:
 
 
 def test_one_sided_iff_chain():
-    # The K tableau reads the NNF of ((l:q <-> l:p0) <-> l:p1) ...; written
-    # out as a tree it doubled at every <->, 2^30 nodes here.
+    # The K tableau reads ((l:q <-> l:p0) <-> l:p1) ... as polarity pairs,
+    # one branch point per <->. Its negation normal form written out as a
+    # tree doubled at every <->, 2^30 nodes here.
     text = "l:q"
     for i in range(30):
         text = f"({text} <-> l:p{i})"
