@@ -16,21 +16,16 @@ from .syntax import (
     Atom,
     BBox,
     Formula,
-    Iff,
     Implies,
-    Not,
-    Or,
     PropName,
     Side,
     WBox,
+    children,
     classify,
     parse,
     render,
     substitute,
 )
-
-AXIOM_NAMES = ("A1", "A2", "A3", "K_box", "K_bbox", "R_box", "R_bbox")
-RULE_NAMES = AXIOM_NAMES + ("Sub", "MP", "Nec_W", "Nec_B")
 
 
 @dataclass(frozen=True)
@@ -55,95 +50,45 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Axiom recognizers: each matches the exact schema shape over atoms.
+# Axiom schemata
 
-
-def _is_atom(f: Formula, side: Side | None = None) -> bool:
-    return isinstance(f, Atom) and (side is None or f.prop.side is side)
-
-
-def _match_a1(f: Formula) -> bool:
-    # p -> (q -> p)
-    return (
-        isinstance(f, Implies)
-        and _is_atom(f.left)
-        and isinstance(f.right, Implies)
-        and _is_atom(f.right.left)
-        and f.right.right == f.left
-    )
-
-
-def _match_a2(f: Formula) -> bool:
-    # (p -> (q -> r)) -> ((p -> q) -> (p -> r))
-    if not (isinstance(f, Implies) and isinstance(f.left, Implies)):
-        return False
-    head, tail = f.left, f.right
-    if not (isinstance(head.right, Implies) and _is_atom(head.left)):
-        return False
-    p, q, r = head.left, head.right.left, head.right.right
-    if not (_is_atom(q) and _is_atom(r)):
-        return False
-    return tail == Implies(Implies(p, q), Implies(p, r))
-
-
-def _match_a3(f: Formula) -> bool:
-    # (~q -> ~p) -> (p -> q)
-    if not (isinstance(f, Implies) and isinstance(f.left, Implies)):
-        return False
-    head, tail = f.left, f.right
-    if not (
-        isinstance(head.left, Not)
-        and isinstance(head.right, Not)
-        and _is_atom(head.left.child)
-        and _is_atom(head.right.child)
-    ):
-        return False
-    q, p = head.left.child, head.right.child
-    return tail == Implies(p, q)
-
-
-def _match_k(f: Formula, box, side: Side) -> bool:
-    # box(p -> q) -> (box p -> box q), both variables on the box's side
-    if not (isinstance(f, Implies) and isinstance(f.left, box)):
-        return False
-    inner = f.left.child
-    if not (isinstance(inner, Implies) and _is_atom(inner.left, side) and _is_atom(inner.right, side)):
-        return False
-    p, q = inner.left, inner.right
-    return f.right == Implies(box(p), box(q))
-
-
-def _match_r_box(f: Formula) -> bool:
-    # [W](pl | pr) <-> ([W]pl | pr)
-    if not (isinstance(f, Iff) and isinstance(f.left, WBox)):
-        return False
-    inner = f.left.child
-    if not (isinstance(inner, Or) and _is_atom(inner.left, Side.LEFT) and _is_atom(inner.right, Side.RIGHT)):
-        return False
-    pl, pr = inner.left, inner.right
-    return f.right == Or(WBox(pl), pr)
-
-
-def _match_r_bbox(f: Formula) -> bool:
-    # [B](pl | pr) <-> (pl | [B]pr)
-    if not (isinstance(f, Iff) and isinstance(f.left, BBox)):
-        return False
-    inner = f.left.child
-    if not (isinstance(inner, Or) and _is_atom(inner.left, Side.LEFT) and _is_atom(inner.right, Side.RIGHT)):
-        return False
-    pl, pr = inner.left, inner.right
-    return f.right == Or(pl, BBox(pr))
-
-
-_AXIOM_MATCHERS = {
-    "A1": _match_a1,
-    "A2": _match_a2,
-    "A3": _match_a3,
-    "K_box": lambda f: _match_k(f, WBox, Side.LEFT),
-    "K_bbox": lambda f: _match_k(f, BBox, Side.RIGHT),
-    "R_box": _match_r_box,
-    "R_bbox": _match_r_bbox,
+# name: (schema, whether its atoms may be filled by atoms of either side).
+# K and R take only atoms of the side that is written: the K axioms hold for
+# variables of the box's own side, the R axioms for a left and a right one.
+_SCHEMATA = {
+    "A1": (parse("l:p -> (l:q -> l:p)"), True),
+    "A2": (parse("(l:p -> (l:q -> l:r)) -> ((l:p -> l:q) -> (l:p -> l:r))"), True),
+    "A3": (parse("(~l:q -> ~l:p) -> (l:p -> l:q)"), True),
+    "K_box": (parse("[W](l:p -> l:q) -> ([W]l:p -> [W]l:q)"), False),
+    "K_bbox": (parse("[B](r:p -> r:q) -> ([B]r:p -> [B]r:q)"), False),
+    "R_box": (parse("[W](l:p | r:q) <-> ([W]l:p | r:q)"), False),
+    "R_bbox": (parse("[B](l:p | r:q) <-> (l:p | [B]r:q)"), False),
 }
+AXIOM_NAMES = tuple(_SCHEMATA)
+RULE_NAMES = AXIOM_NAMES + ("Sub", "MP", "Nec_W", "Nec_B")
+
+
+def _is_instance(f: Formula, name: str) -> bool:
+    """Whether `f` is the schema `name` with its atoms filled by atoms.
+
+    Each schema atom is bound to one atom of `f`, and its repeated uses must
+    be that atom; two schema atoms may be bound to the same one.
+    """
+    schema, any_side = _SCHEMATA[name]
+    bound: dict[PropName, PropName] = {}
+    stack = [(schema, f)]
+    while stack:
+        s, g = stack.pop()
+        if isinstance(s, Atom):
+            if not isinstance(g, Atom) or not (any_side or g.prop.side is s.prop.side):
+                return False
+            if bound.setdefault(s.prop, g.prop) != g.prop:
+                return False
+        elif type(s) is not type(g):
+            return False
+        else:
+            stack.extend(zip(children(s), children(g)))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +110,10 @@ def _check_line(lines: list[ProofLine], number: int, line: ProofLine) -> str | N
         if not (1 <= idx < number):
             return f"premise {idx} does not precede line {number}"
     rule = line.rule
-    if rule in _AXIOM_MATCHERS:
+    if rule in _SCHEMATA:
         if line.premises:
             return f"axiom {rule} takes no premises"
-        if not _AXIOM_MATCHERS[rule](line.formula):
+        if not _is_instance(line.formula, rule):
             return f"formula is not an instance of schema {rule}"
         return None
     if rule == "Sub":
@@ -217,7 +162,9 @@ def proof_conclusion_valid(lines: list[ProofLine]) -> bool:
 # File format
 
 
-def _parse_subst_map(raw: dict, expected_side: Side) -> dict[PropName, Formula]:
+def _parse_subst_map(raw, expected_side: Side) -> dict[PropName, Formula]:
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"'{expected_side.name.lower()}' of 'subst' must be an object")
     out = {}
     for key, value in raw.items():
         prop_formula = parse(key)
@@ -227,6 +174,8 @@ def _parse_subst_map(raw: dict, expected_side: Side) -> dict[PropName, Formula]:
             raise ModelFormatError(
                 f"substitution key {key!r} is on the wrong side for this map"
             )
+        if not isinstance(value, str):
+            raise ModelFormatError(f"substitution value for {key!r} must be a string")
         out[prop_formula.prop] = parse(value)
     return out
 
@@ -245,20 +194,24 @@ def load_proof(text: str) -> list[ProofLine]:
         unknown = set(entry) - {"formula", "rule", "premises", "subst", "vars"}
         if unknown:
             raise ModelFormatError(f"line {i}: unknown keys {sorted(unknown)}")
-        try:
-            formula = parse(entry["formula"])
-        except KeyError:
-            raise ModelFormatError(f"line {i}: missing 'formula'") from None
+        if "formula" not in entry:
+            raise ModelFormatError(f"line {i}: missing 'formula'")
+        if not isinstance(entry["formula"], str):
+            raise ModelFormatError(f"line {i}: 'formula' must be a string")
+        formula = parse(entry["formula"])
         rule = entry.get("rule")
         if rule not in RULE_NAMES:
             raise ModelFormatError(f"line {i}: unknown rule {rule!r}")
-        premises = tuple(entry.get("premises", []))
-        if not all(isinstance(p, int) for p in premises):
-            raise ModelFormatError(f"line {i}: premises must be integers")
+        premises = entry.get("premises", [])
+        if not (isinstance(premises, list) and all(type(p) is int for p in premises)):
+            raise ModelFormatError(f"line {i}: premises must be a list of integers")
         left_map = right_map = None
         if "subst" in entry:
             subst = entry["subst"]
+            if not (isinstance(subst, dict) and set(subst) <= {"left", "right"}):
+                raise ModelFormatError(
+                    f"line {i}: 'subst' must be an object with only 'left' and 'right' maps")
             left_map = _parse_subst_map(subst.get("left", {}), Side.LEFT)
             right_map = _parse_subst_map(subst.get("right", {}), Side.RIGHT)
-        lines.append(ProofLine(formula, rule, premises, left_map, right_map))
+        lines.append(ProofLine(formula, rule, tuple(premises), left_map, right_map))
     return lines

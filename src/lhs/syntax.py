@@ -368,6 +368,38 @@ def fresh_var(side: Side, avoid: set[PropName]) -> PropName:
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax: one precedence table for the parser and the printer
+
+_PREC_IFF = 1
+_PREC_IMP = 2
+_PREC_OR = 3
+_PREC_AND = 4
+_PREC_UNARY = 5
+_PREC_ATOM = 6
+
+_PREFIX = {Not: "~", WBox: "[W] ", WDia: "<W> ", BBox: "[B] ", BDia: "<B> "}
+_CONSTANT = {EqConst: "I", Top: "true", Bot: "false"}
+_PREC = {Iff: _PREC_IFF, Implies: _PREC_IMP, Or: _PREC_OR, And: _PREC_AND,
+         **dict.fromkeys(_PREFIX, _PREC_UNARY)}  # the rest bind like atoms
+# node: (operator, least precedence of a left and of a right operand that
+# needs no parentheses). The parser reads a right operand at that least
+# precedence, so the table also fixes associativity: `&` and `|` to the left,
+# `->` and `<->` to the right.
+_BINARY_TOKEN = {
+    And: (" & ", _PREC_AND, _PREC_AND + 1),
+    Or: (" | ", _PREC_OR, _PREC_OR + 1),
+    Implies: (" -> ", _PREC_IMP + 1, _PREC_IMP),
+    Iff: (" <-> ", _PREC_IFF + 1, _PREC_IFF),
+}
+_BINARY_NODE = {op.strip(): node for node, (op, _, _) in _BINARY_TOKEN.items()}
+_PREFIX_NODE = {op.strip(): node for node, op in _PREFIX.items()}
+
+
+def _prec(phi: Formula) -> int:
+    return _PREC.get(type(phi), _PREC_ATOM)
+
+
+# ---------------------------------------------------------------------------
 # Concrete syntax: parser
 
 _TOKEN_RE = re.compile(
@@ -380,9 +412,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_MOD_NODE = {"[W]": WBox, "<W>": WDia, "[B]": BBox, "<B>": BDia}
-
 
 def _tokenize(text: str):
     pos = 0
@@ -420,42 +449,22 @@ class _Parser:
 
     # Each rule is a walk for `drive`: it yields the rules it descends into.
 
-    def formula(self):
-        left = yield self.imp()
-        if self.peek()[1] == "<->":
+    def formula(self, least=_PREC_IFF):
+        # Precedence climbing (Pratt 1973): read operands joined by binary
+        # connectives of precedence `least` or above.
+        left = yield self.unary()
+        while True:
+            node = _BINARY_NODE.get(self.peek()[1])
+            if node is None or _PREC[node] < least:
+                return left
             self.advance()
-            return Iff(left, (yield self.formula()))
-        return left
-
-    def imp(self):
-        left = yield self.disj()
-        if self.peek()[1] == "->":
-            self.advance()
-            return Implies(left, (yield self.imp()))
-        return left
-
-    def disj(self):
-        acc = yield self.conj()
-        while self.peek()[1] == "|":
-            self.advance()
-            acc = Or(acc, (yield self.conj()))
-        return acc
-
-    def conj(self):
-        acc = yield self.unary()
-        while self.peek()[1] == "&":
-            self.advance()
-            acc = And(acc, (yield self.unary()))
-        return acc
+            left = node(left, (yield self.formula(_BINARY_TOKEN[node][2])))
 
     def unary(self):
-        kind, text, pos = self.peek()
-        if text == "~":
+        text = self.peek()[1]
+        if text in _PREFIX_NODE:
             self.advance()
-            return Not((yield self.unary()))
-        if kind == "mod":
-            self.advance()
-            return _MOD_NODE[text]((yield self.unary()))
+            return _PREFIX_NODE[text]((yield self.unary()))
         if text == "(":
             self.advance()
             inner = yield self.formula()
@@ -500,31 +509,6 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Concrete syntax: printer
-
-_PREC_IFF = 1
-_PREC_IMP = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
-
-_PREFIX = {Not: "~", WBox: "[W] ", WDia: "<W> ", BBox: "[B] ", BDia: "<B> "}
-_CONSTANT = {EqConst: "I", Top: "true", Bot: "false"}
-_PREC = {Iff: _PREC_IFF, Implies: _PREC_IMP, Or: _PREC_OR, And: _PREC_AND,
-         **dict.fromkeys(_PREFIX, _PREC_UNARY)}  # the rest bind like atoms
-# node: (operator, least precedence of a left and of a right operand that
-# needs no parentheses)
-_BINARY_TOKEN = {
-    And: (" & ", _PREC_AND, _PREC_AND + 1),
-    Or: (" | ", _PREC_OR, _PREC_OR + 1),
-    Implies: (" -> ", _PREC_IMP + 1, _PREC_IMP),
-    Iff: (" <-> ", _PREC_IFF + 1, _PREC_IFF),
-}
-
-
-def _prec(phi: Formula) -> int:
-    return _PREC.get(type(phi), _PREC_ATOM)
-
 
 def render(phi: Formula, full_parens: bool = False) -> str:
     """Concrete syntax; reparses to an identical AST.

@@ -90,8 +90,14 @@ class TilingViolation:
 
 
 def validate_tiling(ts: TileSet, pt: PeriodicTiling) -> TilingViolation | None:
-    """First wrap-around color mismatch, or None when the tiling is valid."""
+    """First wrap-around color mismatch, or None when the tiling is valid.
+
+    A cell assigned a tile the set lacks raises `ModelFormatError`.
+    """
     by_name = {t.name: t for t in ts.tiles}
+    for name in pt.assign.values():
+        if name not in by_name:
+            raise ModelFormatError(f"unknown tile {name!r}")
     p, q = pt.period
     for x in range(p):
         for y in range(q):
@@ -128,14 +134,6 @@ def _bdia_step(ts: TileSet, step_label: str, phi: Formula) -> Formula:
     return And(tr, BDia(And(right_atom(step_label), BDia(And(tr, phi)))))
 
 
-def _box_step(ts: TileSet, step_label: str, phi: Formula) -> Formula:
-    return Not(_dia_step(ts, step_label, Not(phi)))
-
-
-def _bbox_step(ts: TileSet, step_label: str, phi: Formula) -> Formula:
-    return Not(_bdia_step(ts, step_label, Not(phi)))
-
-
 def generate_phi(ts: TileSet) -> Formula:
     """The conjunction whose satisfiability encodes tilability by `ts`."""
     labels = ts.labels()
@@ -161,30 +159,22 @@ def generate_phi(ts: TileSet) -> Formula:
         )
     )
 
-    tu1 = WBox(BBox(Implies(And(tl, eq),
-                            WDia(And(left_atom(LABEL_UP), BBox(Implies(right_atom(LABEL_UP), eq)))))))
-    tu2 = WBox(BBox(Implies(And(left_atom(LABEL_UP), eq),
-                            WDia(And(tl, BBox(Implies(_t_right(ts), eq)))))))
-    tr1 = WBox(BBox(Implies(And(tl, eq),
-                            WDia(And(left_atom(LABEL_RIGHT), BBox(Implies(right_atom(LABEL_RIGHT), eq)))))))
-    tr2 = WBox(BBox(Implies(And(left_atom(LABEL_RIGHT), eq),
-                            WDia(And(tl, BBox(Implies(_t_right(ts), eq)))))))
-    urt = WBox(
-        BBox(
-            Implies(
-                And(tl, eq),
-                _box_step(
-                    ts,
-                    LABEL_UP,
-                    _bbox_step(
-                        ts,
-                        LABEL_RIGHT,
-                        _dia_step(ts, LABEL_RIGHT, _bdia_step(ts, LABEL_UP, eq)),
-                    ),
-                ),
-            )
-        )
-    )
+    # Each step is functional: a tile state has a successor with the step's
+    # label, and a step state has a tile successor, that every black move to
+    # a state of the same kind meets.
+    steps = []
+    for label in (LABEL_UP, LABEL_RIGHT):
+        into_step = WDia(And(left_atom(label), BBox(Implies(right_atom(label), eq))))
+        out_of_step = WDia(And(tl, BBox(Implies(_t_right(ts), eq))))
+        steps.append(WBox(BBox(Implies(And(tl, eq), into_step))))
+        steps.append(WBox(BBox(Implies(And(left_atom(label), eq), out_of_step))))
+    # The moves commute: after any up step of the first coordinate and any
+    # right step of the second, a right step of the first and an up step of
+    # the second meet again. A box step is a negated diamond step.
+    meet = _dia_step(ts, LABEL_RIGHT, _bdia_step(ts, LABEL_UP, eq))
+    bbox_right = Not(_bdia_step(ts, LABEL_RIGHT, Not(meet)))
+    box_up = Not(_dia_step(ts, LABEL_UP, Not(bbox_right)))
+    urt = WBox(BBox(Implies(And(tl, eq), box_up)))
 
     def tiling_group(step_label: str, matches) -> Formula:
         branches = []
@@ -205,7 +195,7 @@ def generate_phi(ts: TileSet) -> Formula:
     t1 = tiling_group(LABEL_UP, lambda a, b: a.up == b.down)
     t2 = tiling_group(LABEL_RIGHT, lambda a, b: a.right == b.left)
 
-    return conjoin([spy, same_labels, unique_label, tu1, tu2, tr1, tr2, urt, t1, t2])
+    return conjoin([spy, same_labels, unique_label, *steps, urt, t1, t2])
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +255,12 @@ def load_tileset(text: str) -> TileSet:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"tiles"}:
         raise ModelFormatError("tile file must be an object with a single 'tiles' key")
+    if not isinstance(doc["tiles"], list):
+        raise ModelFormatError("'tiles' must be a list of tile objects")
     tiles = []
     for entry in doc["tiles"]:
-        if set(entry) != {"name", "up", "down", "left", "right"}:
+        if not (isinstance(entry, dict) and set(entry) == {"name", "up", "down", "left", "right"}
+                and all(isinstance(v, str) for v in entry.values())):
             raise ModelFormatError(f"bad tile entry {entry!r}")
         tiles.append(Tile(**entry))
     return TileSet(tuple(tiles))
@@ -283,6 +276,8 @@ def load_tiling(text: str) -> PeriodicTiling:
     period = doc["period"]
     if not (isinstance(period, list) and len(period) == 2 and all(isinstance(v, int) for v in period)):
         raise ModelFormatError("'period' must be a pair of integers")
+    if not isinstance(doc["assign"], dict):
+        raise ModelFormatError("'assign' must be an object from 'x,y' cells to tile names")
     assign = {}
     for key, value in doc["assign"].items():
         parts = key.split(",")
@@ -292,5 +287,7 @@ def load_tiling(text: str) -> PeriodicTiling:
             cell = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise ModelFormatError(f"bad cell key {key!r}") from None
+        if not isinstance(value, str):
+            raise ModelFormatError(f"tile of cell {key!r} must be a tile name")
         assign[cell] = value
     return PeriodicTiling((period[0], period[1]), assign)

@@ -21,6 +21,7 @@ from conftest import k_branch_n, k_branch_p, random_i_free, run_python, time_bud
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
 
+A1 = "l:p -> (l:q -> l:p)"
 # Needs four distinct left valuations over p, q, hence four states.
 FOUR_STATE_FORMULA = "l:p & l:q & <W>(l:p & ~l:q) & <W>(~l:p & l:q) & <W>(~l:p & ~l:q)"
 
@@ -495,6 +496,45 @@ class TestOtherCommands:
                          "-t", str(DATA / "mismatched_tile.json"),
                          "-a", str(bad))
         assert code == 65
+
+    @pytest.mark.parametrize("verb, doc", [
+        pytest.param("proof", [{"formula": A1, "rule": "A1", "subst": 5}], id="proof-subst"),
+        pytest.param("proof", [{"formula": A1, "rule": "A1", "subst": {"left": 5}}],
+                     id="proof-subst-map"),
+        pytest.param("proof", [{"formula": 5, "rule": "A1"}], id="proof-formula"),
+        pytest.param("proof", [{"formula": A1, "rule": "A1", "premises": 5}], id="proof-premises"),
+        pytest.param("proof", [{"formula": A1, "rule": "A1"},
+                               {"formula": f"[W]({A1})", "rule": "Nec_W", "premises": [True]}],
+                     id="proof-premise-bool"),
+        pytest.param("proof", [{"formula": A1, "rule": "A1"},
+                               {"formula": "l:a -> (l:q -> l:a)", "rule": "Sub", "premises": [1],
+                                "subst": {"lfet": {"l:p": "l:a"}}}], id="proof-subst-key"),
+        pytest.param("proof", [{"formula": A1, "rule": "A1"},
+                               {"formula": A1, "rule": "Sub", "premises": [1],
+                                "subst": {"left": {"l:p": 5}}}], id="proof-subst-value"),
+        pytest.param("tiling gen", {"tiles": 5}, id="tiles"),
+        pytest.param("tiling gen", {"tiles": [5]}, id="tile-entry"),
+        pytest.param("tiling gen", {"tiles": [{"name": ["T1"], "up": "c", "down": "c",
+                                               "left": "c", "right": "c"}]}, id="tile-name"),
+        pytest.param("tiling model", {"period": [1, 1], "assign": 5}, id="assign"),
+        pytest.param("tiling model", {"period": [1, 1], "assign": {"0,0": ["T1"]}},
+                     id="assign-value"),
+        pytest.param("tiling model", {"period": [1, 1], "assign": {"0,0": "T2"}},
+                     id="unknown-tile"),
+    ])
+    def test_malformed_file_is_input_error(self, capsys, tmp_path, verb, doc):
+        # A file of the wrong shape is malformed input (65), not a traceback
+        # with exit 1 ("no").
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "proof": ["proof", "-p", str(path)],
+            "tiling gen": ["tiling", "gen", "-t", str(path)],
+            "tiling model": ["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a", str(path)],
+        }[verb]
+        code, _, err = run(capsys, *argv)
+        assert code == 65
+        assert err.startswith("lhs: input error: ")
 
     def test_selftest(self, capsys):
         assert run(capsys, "selftest", "--seed", "1", "--count", "5")[0] == 0

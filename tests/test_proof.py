@@ -108,6 +108,37 @@ class TestRejections:
 
 
 class TestAxiomInstance:
+    @pytest.mark.parametrize("rule, text, ok", [
+        # K takes atoms of the box's own side only.
+        ("K_box", "[W](l:p -> l:q) -> ([W]l:p -> [W]l:q)", True),
+        ("K_box", "[W](l:p -> r:q) -> ([W]l:p -> [W]r:q)", False),
+        ("K_box", "[W](r:p -> r:q) -> ([W]r:p -> [W]r:q)", False),
+        ("K_bbox", "[B](r:p -> r:q) -> ([B]r:p -> [B]r:q)", True),
+        ("K_bbox", "[B](l:p -> l:q) -> ([B]l:p -> [B]l:q)", False),
+        # R takes a left atom and a right atom, in that order.
+        ("R_box", "[W](l:p | r:q) <-> ([W]l:p | r:q)", True),
+        ("R_box", "[W](r:q | l:p) <-> ([W]r:q | l:p)", False),
+        ("R_bbox", "[B](l:p | r:q) <-> (l:p | [B]r:q)", True),
+        ("R_bbox", "[B](r:q | l:p) <-> (r:q | [B]l:p)", False),
+        # A1-A3 take atoms of either side, mixed.
+        ("A1", "r:p -> (l:q -> r:p)", True),
+        ("A2", "(l:p -> (r:q -> l:r)) -> ((l:p -> r:q) -> (l:p -> l:r))", True),
+        ("A3", "(~r:q -> ~l:p) -> (l:p -> r:q)", True),
+        # Two schema variables may be filled by the same atom ...
+        ("A1", "l:p -> (l:p -> l:p)", True),
+        ("A2", "(l:p -> (l:p -> l:q)) -> ((l:p -> l:p) -> (l:p -> l:q))", True),
+        ("K_box", "[W](l:p -> l:p) -> ([W]l:p -> [W]l:p)", True),
+        # ... but each variable by one atom throughout.
+        ("A1", "l:p -> (l:q -> l:q)", False),
+        ("A3", "(~l:q -> ~l:p) -> (l:q -> l:p)", False),
+        ("K_bbox", "[B](r:p -> r:q) -> ([B]r:q -> [B]r:q)", False),
+        ("R_box", "[W](l:p | r:q) <-> ([W]l:q | r:q)", False),
+        # Variables are filled by atoms only; Sub reaches other instances.
+        ("A1", "[W]l:p -> (l:q -> [W]l:p)", False),
+    ])
+    def test_schema_side_constraints(self, rule, text, ok):
+        assert check_proof([ProofLine(parse(text), rule)]).ok is ok
+
     def test_single_a1_line(self):
         text = json.dumps([
             {"formula": "l:p -> (r:q -> l:p)", "rule": "A1", "premises": [],

@@ -68,6 +68,31 @@ class TestParse:
     def test_iff_right_associative(self):
         assert parse("l:p <-> l:q <-> r:p") == Iff(lp(), Iff(lp("q"), rp()))
 
+    @pytest.mark.parametrize("text, tree", [
+        ("l:a & l:b & l:c", "((l:a & l:b) & l:c)"),
+        ("l:a & l:b | l:c", "((l:a & l:b) | l:c)"),
+        ("l:a & l:b -> l:c", "((l:a & l:b) -> l:c)"),
+        ("l:a & l:b <-> l:c", "((l:a & l:b) <-> l:c)"),
+        ("l:a | l:b & l:c", "(l:a | (l:b & l:c))"),
+        ("l:a | l:b | l:c", "((l:a | l:b) | l:c)"),
+        ("l:a | l:b -> l:c", "((l:a | l:b) -> l:c)"),
+        ("l:a | l:b <-> l:c", "((l:a | l:b) <-> l:c)"),
+        ("l:a -> l:b & l:c", "(l:a -> (l:b & l:c))"),
+        ("l:a -> l:b | l:c", "(l:a -> (l:b | l:c))"),
+        ("l:a -> l:b -> l:c", "(l:a -> (l:b -> l:c))"),
+        ("l:a -> l:b <-> l:c", "((l:a -> l:b) <-> l:c)"),
+        ("l:a <-> l:b & l:c", "(l:a <-> (l:b & l:c))"),
+        ("l:a <-> l:b | l:c", "(l:a <-> (l:b | l:c))"),
+        ("l:a <-> l:b -> l:c", "(l:a <-> (l:b -> l:c))"),
+        ("l:a <-> l:b <-> l:c", "(l:a <-> (l:b <-> l:c))"),
+    ])
+    def test_binary_precedence_and_associativity(self, text, tree):
+        # `&` binds tighter than `|`, `|` than `->`, `->` than `<->`; `&` and
+        # `|` associate to the left, `->` and `<->` to the right.
+        phi = parse(text)
+        assert render(phi, full_parens=True) == tree
+        assert render(phi) == text
+
     def test_unary_binds_tightest(self):
         assert parse("~l:p & <W>l:q") == And(Not(lp()), WDia(lp("q")))
 
