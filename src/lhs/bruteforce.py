@@ -1,14 +1,19 @@
-"""Exhaustive satisfiability search over all models up to a size bound.
+"""The vectorised truth definition and the exhaustive search it drives.
 
-This is the package's one bounded search for the full language (behind
-`lhs sat --full`) and its independent oracle: it evaluates the truth definition
-directly over every model (frame x valuation x evaluation pair) within the
-bound. It shares nothing with the companion or the K tableau: the truth
-definition comes from `semantics.truth_table`, the same kernel that
-`check_all` runs on a single model. Frames are processed in batches and the
-valuation axis is bit-packed, so every connective is a handful of byte-wise
-array operations. Frames can optionally be pruned to one representative per
-isomorphism class, which preserves both SAT and exhaustion verdicts.
+This is the package's one numpy module, loaded on first use: `import lhs`
+does not import it, so the I-free decision path never pays for numpy.
+
+`truth_table` evaluates the truth definition at every pair of a batch of
+frames at once, behind `semantics.check_all` and `tiling model --check`.
+
+`find_model` is the package's one bounded search for the full language
+(behind `lhs sat --full`) and its independent oracle: it evaluates the truth
+definition over every model (frame x valuation x evaluation pair) within the
+bound, and shares nothing with the companion or the K tableau. Frames are
+processed in batches and the valuation axis is bit-packed, so every
+connective is a handful of byte-wise array operations. Frames can optionally
+be pruned to one representative per isomorphism class, which preserves both
+SAT and exhaustion verdicts.
 """
 
 from __future__ import annotations
@@ -19,9 +24,121 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceGuard
-from .model import Model, enumeration_count
-from .semantics import truth_table
-from .syntax import Formula, prop_names
+from .model import Model, State, enumeration_count
+from .syntax import (
+    And,
+    Atom,
+    BBox,
+    BDia,
+    Bot,
+    EqConst,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Side,
+    Top,
+    WBox,
+    WDia,
+    children,
+    prop_names,
+    subformulas,
+)
+
+
+# ---------------------------------------------------------------------------
+# The truth-definition kernel
+
+
+def _box(child: np.ndarray, unreachable: np.ndarray) -> np.ndarray:
+    """`[W] child`: the AND, over every state w, of child at (w, t) wherever
+    (s, w) is not an edge. `unreachable` is 255 where there is no edge.
+    """
+    n = unreachable.shape[1]
+    child = np.broadcast_to(child, (child.shape[0], n) + child.shape[2:])
+    acc = child[:, :1] | unreachable[:, :, :1, None]
+    for w in range(1, n):
+        acc &= child[:, w:w + 1] | unreachable[:, :, w:w + 1, None]
+    return acc
+
+
+def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.ndarray:
+    """Truth of `phi` at every pair of every frame, as packed bytes.
+
+    `adj` is a (frames, n, n) boolean adjacency array. `atoms` maps a
+    PropName to its (n, nbytes) uint8 truth pattern: each bit of row w is the
+    prop's truth at state w under one valuation, the same bit position
+    standing for the same valuation for every prop (a single valuation is
+    one 0/255 byte per state). Names missing from `atoms` are false
+    everywhere. Returns a read-only (frames, s, t, nbytes) view.
+    """
+    n = adj.shape[1]
+    unreachable = np.where(adj, np.uint8(0), np.uint8(255))
+    false = np.zeros((1, 1, 1, 1), dtype=np.uint8)
+    order = subformulas(phi)
+    index = {f: i for i, f in enumerate(order)}
+    kids = [[index[c] for c in children(f)] for f in order]
+    # A subformula's array is freed once its last parent is built.
+    last_parent = {k: i for i, ks in enumerate(kids) for k in ks}
+    arrays: list = [None] * len(order)
+    for i, f in enumerate(order):
+        args = [arrays[k] for k in kids[i]]
+        if isinstance(f, Atom):
+            pattern = atoms.get(f.prop)
+            if pattern is None:
+                arr = false
+            elif f.prop.side is Side.LEFT:
+                arr = pattern[None, :, None, :]
+            else:
+                arr = pattern[None, None, :, :]
+        elif isinstance(f, EqConst):
+            arr = np.where(np.eye(n, dtype=bool), np.uint8(255), np.uint8(0))[None, :, :, None]
+        elif isinstance(f, Top):
+            arr = ~false
+        elif isinstance(f, Bot):
+            arr = false
+        elif isinstance(f, Not):
+            arr = ~args[0]
+        elif isinstance(f, And):
+            arr = args[0] & args[1]
+        elif isinstance(f, Or):
+            arr = args[0] | args[1]
+        elif isinstance(f, Implies):
+            arr = ~args[0] | args[1]
+        elif isinstance(f, Iff):
+            arr = ~(args[0] ^ args[1])
+        elif isinstance(f, WBox):
+            arr = _box(args[0], unreachable)
+        elif isinstance(f, WDia):
+            arr = ~_box(~args[0], unreachable)
+        # A black modality is the white one with the two coordinates swapped.
+        elif isinstance(f, BBox):
+            arr = _box(args[0].swapaxes(1, 2), unreachable).swapaxes(1, 2)
+        elif isinstance(f, BDia):
+            arr = ~_box(~args[0].swapaxes(1, 2), unreachable).swapaxes(1, 2)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        arrays[i] = arr
+        for k in kids[i]:
+            if last_parent[k] == i:
+                arrays[k] = None
+    return np.broadcast_to(arrays[-1], adj.shape + (nbytes,))
+
+
+def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
+    """All pairs (s, t) of `model` where `phi` holds, from one `truth_table`
+    pass; `semantics.check_all` is the public name."""
+    states = model.states
+    adj = np.array([[[(a, b) in model.edges for b in states] for a in states]])
+    atoms = {prop: np.array([[255 if w in members else 0] for w in states], dtype=np.uint8)
+             for prop, members in model.valuation.items()}
+    truth = truth_table(phi, adj, atoms, 1)
+    return {(states[s], states[t]) for s, t in np.argwhere(truth[0, :, :, 0])}
+
+
+# ---------------------------------------------------------------------------
+# The bounded search
 
 DEFAULT_ORACLE_CEILING = 10**11
 

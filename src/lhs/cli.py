@@ -9,6 +9,7 @@ guard refuses the job.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -165,6 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, default=25)
     p.add_argument("--json", action="store_true")
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reads every argv with, built on its first call.
+
+    A parse keeps nothing on the parser: each call fills a fresh namespace.
+    """
+    return build_parser()
 
 
 def _parse_pair(text: str, model: Model):
@@ -356,7 +366,7 @@ def _cmd_selftest(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "parse": _cmd_parse,
         "check": _cmd_check,

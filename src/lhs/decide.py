@@ -7,7 +7,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 
-from . import bruteforce
 from .errors import LhsError, MixedFormula, ResourceGuard
 from .model import Model, disjoint_union
 from .normal import CleanCNF, companion
@@ -286,10 +285,13 @@ def lhs_bounded_sat(phi: Formula, max_states: int, force: bool = False) -> Bound
     Exhaustion means "no model up to the bound", never "unsatisfiable":
     satisfiability of the full language is undecidable, so only this
     semi-procedure is offered. The search is `bruteforce.find_model` on the
-    numpy kernel `semantics.truth_table`, which shares nothing with the
+    numpy kernel `bruteforce.truth_table`, which shares nothing with the
     tableau or the companion; its witness is re-verified through the
-    reference truth definition before it is returned.
+    reference truth definition before it is returned. The first call loads
+    numpy.
     """
+    from . import bruteforce
+
     found = bruteforce.find_model(phi, max_states, force=force)
     if found is None:
         return BoundedVerdict("NO-MODEL-UP-TO-BOUND", max_states)

@@ -75,8 +75,12 @@ class PeriodicTiling:
         p, q = self.period
         if p < 1 or q < 1:
             raise ModelFormatError("period components must be positive")
-        cells = {(x, y) for x in range(p) for y in range(q)}
-        if set(self.assign) != cells:
+        # Linear in the file: a huge period with a short assignment is refused
+        # without listing its p*q cells.
+        rows, cols = range(p), range(q)
+        if len(self.assign) != p * q or not all(
+                type(c) is tuple and len(c) == 2 and c[0] in rows and c[1] in cols
+                for c in self.assign):
             raise ModelFormatError("assignment must cover exactly the period cells")
 
 
@@ -274,7 +278,8 @@ def load_tiling(text: str) -> PeriodicTiling:
     if not isinstance(doc, dict) or set(doc) != {"period", "assign"}:
         raise ModelFormatError("tiling file must have exactly 'period' and 'assign'")
     period = doc["period"]
-    if not (isinstance(period, list) and len(period) == 2 and all(isinstance(v, int) for v in period)):
+    if not (isinstance(period, list) and len(period) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in period)):
         raise ModelFormatError("'period' must be a pair of integers")
     if not isinstance(doc["assign"], dict):
         raise ModelFormatError("'assign' must be an object from 'x,y' cells to tile names")

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from lhs import BDia, Iff, Implies, Not, WDia, check, decide, load_model, parse, render, syntax
+from lhs import cli
 from lhs.cli import build_parser, main
 from lhs.syntax import conjoin
 
@@ -356,6 +357,118 @@ class TestReadme:
         assert {line.split()[1] for line in self.synopsis()} == set(verbs)
 
 
+def _without_time(out):
+    try:
+        payload = json.loads(out)
+    except ValueError:
+        return out
+    payload.pop("time_s", None)
+    return payload
+
+
+class TestParserReuse:
+    """`main` reads every argv with one parser, built once per process."""
+
+    def test_calls_in_turn_answer_as_fresh_parsers_do(self, capsys, tmp_path, monkeypatch):
+        witness = tmp_path / "w.json"
+        argvs = [
+            ["sat"],
+            ["--help"],
+            ["sat", "-f", "l:p", "-F", str(tmp_path / "f.txt")],
+            ["sat", "--full", "--max-size", "2", "--witness", str(witness), "--json",
+             "-f", "<W>l:p"],
+            # Satisfiable, but not within 2 states: a `--full --max-size 2`
+            # left over from the call before would exit 2.
+            ["sat", "--json", "-f", FOUR_STATE_FORMULA],
+        ]
+        reused = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [run(capsys, *argv) for argv in argvs]
+        assert ([(code, _without_time(out), err) for code, out, err in reused]
+                == [(code, _without_time(out), err) for code, out, err in fresh])
+        assert [code for code, _, _ in reused] == [64, 0, 64, 0, 0]
+        assert "not allowed with argument" in reused[2][2]
+        assert json.loads(reused[3][1])["witness"]["path"] == str(witness)
+        last = json.loads(reused[4][1])["witness"]
+        assert "path" not in last and len(last["model"]["states"]) >= 3
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["parse", "-f", "l:p"], ["sat"], ["valid", "-f", "l:p | ~l:p"]):
+                run(capsys, *argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+
+_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import lhs, lhs.cli
+
+light, heavy = json.load(sys.stdin)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in light:
+        codes.append(lhs.cli.main(argv))
+loaded_light = "numpy" in sys.modules
+if heavy == "check_all":
+    model = lhs.make_model(["a", "b"], [("a", "b")], {})
+    codes.append(sorted(lhs.check_all(model, lhs.parse("<W>I"))))
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(lhs.cli.main(heavy))
+print(json.dumps([codes, loaded_light, "numpy" in sys.modules]))
+"""
+
+
+class TestLazyNumpy:
+    """Numpy loads only when a call needs the vectorised kernel."""
+
+    @pytest.mark.parametrize("heavy, answer", [
+        pytest.param(["sat", "--full", "--max-size", "1", "-f", "I"], 0, id="sat-full"),
+        pytest.param("check_all", [["a", "b"]], id="check_all"),
+        pytest.param(["tiling", "model", "-t", str(DATA / "one_tile.json"),
+                      "-a", str(DATA / "unit_tiling.json"), "--check"], 0,
+                     id="tiling-model-check"),
+    ])
+    def test_only_kernel_calls_load_numpy(self, tmp_path, heavy, answer):
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["w"], "edges": [["w", "w"]], "valuation": {}}')
+        formula = ["-f", "[W](l:p | r:q) <-> ([W]l:p | r:q)"]
+        light = [
+            ["parse", *formula],
+            ["check", "-m", str(model), "--at", "w,w", *formula],
+            ["sat", *formula],
+            ["valid", *formula],
+            ["cnf", *formula],
+            ["bisim", "-m", str(model), "-n", str(model)],
+            ["proof", "-p", str(DATA / "proof_r_box_sub.json")],
+            ["tiling", "gen", "-t", str(DATA / "one_tile.json")],
+        ]
+        proc = run_python(["-c", _NUMPY_SCRIPT], input=json.dumps([light, heavy]))
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded_light, loaded_heavy = json.loads(proc.stdout)
+        assert codes == [0] * len(light) + [answer]
+        assert (loaded_light, loaded_heavy) == (False, True)
+
+    def test_import_lhs_cli_leaves_numpy_out(self):
+        proc = run_python(["-c", "import sys, lhs.cli; assert 'numpy' not in sys.modules"])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_numpy_imported_in_one_module(self):
+        importers = {path.name for path in (ROOT / "src" / "lhs").glob("*.py")
+                     if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)}
+        assert importers == {"bruteforce.py"}
+
+
 class TestCheck:
     def test_diagonal(self, capsys, tmp_path):
         model = tmp_path / "m.json"
@@ -517,6 +630,8 @@ class TestOtherCommands:
         pytest.param("tiling gen", {"tiles": [{"name": ["T1"], "up": "c", "down": "c",
                                                "left": "c", "right": "c"}]}, id="tile-name"),
         pytest.param("tiling model", {"period": [1, 1], "assign": 5}, id="assign"),
+        pytest.param("tiling model", {"period": [True, 1], "assign": {"0,0": "T1"}},
+                     id="period-bool"),
         pytest.param("tiling model", {"period": [1, 1], "assign": {"0,0": ["T1"]}},
                      id="assign-value"),
         pytest.param("tiling model", {"period": [1, 1], "assign": {"0,0": "T2"}},
@@ -535,6 +650,21 @@ class TestOtherCommands:
         code, _, err = run(capsys, *argv)
         assert code == 65
         assert err.startswith("lhs: input error: ")
+
+    @pytest.mark.parametrize("period", [[10**5, 10**5], [10**5, 1]])
+    def test_huge_period_refused_without_listing_cells(self, capsys, tmp_path, period):
+        # A few bytes that name 10^10 cells: the check must not list them.
+        # The bound is on CPU time, which other load on the machine does not
+        # inflate.
+        path = tmp_path / "tiling.json"
+        path.write_text(json.dumps({"period": period, "assign": {"0,0": "T1"}}))
+        start = time.process_time()
+        with time_budget(30):
+            code, _, err = run(capsys, "tiling", "model", "-t", str(DATA / "one_tile.json"),
+                               "-a", str(path))
+        assert time.process_time() - start < 1
+        assert code == 65
+        assert "assignment must cover exactly the period cells" in err
 
     def test_selftest(self, capsys):
         assert run(capsys, "selftest", "--seed", "1", "--count", "5")[0] == 0

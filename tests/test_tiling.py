@@ -7,6 +7,7 @@ import pytest
 
 from lhs import (
     InvalidTiling,
+    ModelFormatError,
     check,
     generate_phi,
     load_tileset,
@@ -47,6 +48,18 @@ class TestLoading:
         ]})
         with pytest.raises(Exception):
             load_tileset(text)
+
+
+class TestPeriod:
+    @pytest.mark.parametrize("assign", [
+        {(0, 0): "T1"},
+        {(0, 0): "T1", (0, 2): "T1"},
+        {(0, 0): "T1", (-1, 0): "T1"},
+        {(0, 0): "T1", "0,1": "T1"},
+    ])
+    def test_assignment_must_cover_the_period(self, assign):
+        with pytest.raises(ModelFormatError, match="cover exactly the period cells"):
+            PeriodicTiling((1, 2), assign)
 
 
 class TestValidate:
