@@ -204,8 +204,7 @@ def _witness_model(frame_id: int, n: int, props: list, v: int) -> Model:
     return Model(states, edges, valuation)
 
 
-def find_model(phi: Formula, max_states: int, props=None,
-               ceiling: int = DEFAULT_ORACLE_CEILING, force: bool = False,
+def find_model(phi: Formula, max_states: int, props=None, force: bool = False,
                mod_iso: bool = True):
     """First (Model, s, t) within the bound satisfying `phi`, or None.
 
@@ -220,12 +219,12 @@ def find_model(phi: Formula, max_states: int, props=None,
     k = len(props)
     total = enumeration_count(max_states, k)
     table_bits = max_states * max(max_states, k)
-    if (total > ceiling or table_bits > _MAX_TABLE_BITS) and not force:
+    if (total > DEFAULT_ORACLE_CEILING or table_bits > _MAX_TABLE_BITS) and not force:
         # Python will not print an integer of more than 4,300 digits.
         count = total if total < 1 << 64 else f"about 2^{total.bit_length() - 1}"
         raise ResourceGuard(
-            f"search over {count} models with tables of 2^{table_bits} rows "
-            f"exceeds the ceiling of {ceiling} models or 2^{_MAX_TABLE_BITS} rows; "
+            f"search over {count} models with tables of 2^{table_bits} rows exceeds the "
+            f"ceiling of {DEFAULT_ORACLE_CEILING} models or 2^{_MAX_TABLE_BITS} rows; "
             "pass --force (force=True) to run anyway"
         )
     for n in range(1, max_states + 1):

@@ -178,12 +178,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_pair(text: str, model: Model):
+    """The pair S,T that `text` names. A state id may hold commas (a torus
+    names its states "a,b"), so the one split at a comma whose halves are
+    both states is taken."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ModelFormatError(f"expected S,T but got {text!r}")
-    s, t = parts[0].strip(), parts[1].strip()
-    model.require_state(s, t)
-    return s, t
+    splits = [(",".join(parts[:i]).strip(), ",".join(parts[i:]).strip())
+              for i in range(1, len(parts))]
+    states = model.successor_map  # keyed by the states; `check` reads it anyway
+    pairs = [(s, t) for s, t in splits if s in states and t in states]
+    if len(pairs) > 1:
+        raise ModelFormatError(f"{text!r} names more than one pair of states: "
+                               + " or ".join(map(repr, pairs)))
+    if pairs:
+        return pairs[0]
+    if len(splits) == 1:
+        model.require_state(*splits[0])  # names the state that is not declared
+    raise ModelFormatError(f"expected S,T, two states split at a comma, but got {text!r}")
 
 
 def _cmd_parse(args):

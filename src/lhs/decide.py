@@ -190,19 +190,21 @@ def _tree_to_model(root: _TreeNode) -> tuple[Model, str]:
     )
 
 
-def k_sat(phi: Formula, *, one_sided: bool = False) -> KVerdict:
+def k_sat(phi: Formula) -> KVerdict:
     """Sound and complete satisfiability for a one-sided formula in K.
 
     On SAT the witness is the extracted tableau tree (acyclic, in-degree one
-    except at the root). `one_sided=True` says the caller has already checked
-    that `phi` is white-only or black-only, as `CleanCNF` does for its sides,
-    and skips the check. More than `DEFAULT_STEP_CEILING` goal expansions
+    except at the root). More than `DEFAULT_STEP_CEILING` goal expansions
     raise `ResourceGuard`.
     """
-    if not one_sided:
-        sc = classify(phi)
-        if not (sc.white_only or sc.black_only):
-            raise MixedFormula("K satisfiability requires a white-only or black-only formula")
+    sc = classify(phi)
+    if not (sc.white_only or sc.black_only):
+        raise MixedFormula("K satisfiability requires a white-only or black-only formula")
+    return _k_sat(phi)
+
+
+def _k_sat(phi: Formula) -> KVerdict:
+    """`k_sat` without its side check, for the sides `CleanCNF` has checked."""
     root = _goal(phi, True)
     tree = drive(_tableau({root: 0}, deque([root]), 0, count(1)))
     if not isinstance(tree, _TreeNode):
@@ -211,9 +213,9 @@ def k_sat(phi: Formula, *, one_sided: bool = False) -> KVerdict:
     return KVerdict("SAT", model, root)
 
 
-def k_valid(phi: Formula, *, one_sided: bool = False) -> tuple[bool, KVerdict | None]:
+def k_valid(phi: Formula) -> tuple[bool, KVerdict | None]:
     """Validity in K; on failure also returns the countermodel verdict."""
-    verdict = k_sat(Not(phi), one_sided=one_sided)
+    verdict = k_sat(Not(phi))
     if verdict.status == "UNSAT":
         return True, None
     return False, verdict
@@ -245,12 +247,12 @@ def lhs_minus_valid(phi: Formula) -> LHSVerdict:
     certificate = []
     for psi, gamma in comp.conjuncts:
         # `CleanCNF` has checked that psi is white-only and gamma black-only.
-        ok_white, counter_white = k_valid(psi, one_sided=True)
-        if ok_white:
+        counter_white = _k_sat(Not(psi))
+        if counter_white.status == "UNSAT":
             certificate.append(("white", psi))
             continue
-        ok_black, counter_black = k_valid(gamma, one_sided=True)
-        if ok_black:
+        counter_black = _k_sat(Not(gamma))
+        if counter_black.status == "UNSAT":
             certificate.append(("black", gamma))
             continue
         union, rename_m, rename_n = disjoint_union(counter_white.model, counter_black.model)

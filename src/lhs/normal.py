@@ -58,7 +58,7 @@ from .syntax import (
     subformulas,
 )
 
-DEFAULT_CLAUSE_CEILING = 100_000
+DEFAULT_CLAUSE_CEILING = 50_000
 
 
 def _contradiction(prop: PropName) -> Formula:
@@ -77,8 +77,8 @@ def prop_cnf(alpha: Formula) -> Formula:
     over &. Each clause lists its left literals before its right ones. Constants,
     repeated literals, repeated clauses and clauses with a complementary pair
     are dropped; a constant result is written `p | ~p` or `p & ~p` over the
-    first variable of `alpha` (a reserved one when it has none). More than
-    `DEFAULT_CLAUSE_CEILING` clauses at any node raises `ResourceGuard`.
+    first variable of `alpha` (a reserved one when it has none). The pass's
+    budget of `DEFAULT_CLAUSE_CEILING` conjuncts raises `ResourceGuard`.
     """
     subs = subformulas(alpha)
     if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subs):
@@ -141,11 +141,23 @@ class CleanCNF:
     def __post_init__(self):
         if not self.conjuncts:
             raise ValueError("a clean CNF needs at least one conjunct")
-        for psi, gamma in self.conjuncts:
-            if not classify(psi).white_only:
-                raise ValueError(f"psi component is not white-only: {psi!r}")
-            if not classify(gamma).black_only:
-                raise ValueError(f"gamma component is not black-only: {gamma!r}")
+        # A side is one-sided when every disjunct of its `|` spine is, so one
+        # side map over the distinct disjuncts of all sides checks them all.
+        first = {}  # (disjunct, 0 on a psi or 1 on a gamma) -> first side it is on
+        for pair in self.conjuncts:
+            for i, side in enumerate(pair):
+                stack = [side]
+                while stack:
+                    f = stack.pop()
+                    if isinstance(f, Or):
+                        stack += (f.right, f.left)
+                    else:
+                        first.setdefault((f, i), side)
+        sides = side_map(conjoin(dict.fromkeys(f for f, _ in first)))
+        for (f, i), side in first.items():
+            if not sides[f][i]:
+                name, colour = ("psi", "white") if i == 0 else ("gamma", "black")
+                raise ValueError(f"{name} component is not {colour}-only: {side!r}")
 
     def to_formula(self) -> Formula:
         return conjoin(Or(psi, gamma) for psi, gamma in self.conjuncts)
@@ -160,7 +172,7 @@ def clean_to_cnf(phi: Formula) -> CleanCNF:
     contradictory pad first (`l:_fresh0 & ~l:_fresh0` and its right mirror,
     over names `phi` does not use), so the output shape is uniform; when the
     pass folds `phi` to true, the one conjunct is (pad | true, pad). The same
-    `DEFAULT_CLAUSE_CEILING` guard applies.
+    budget of `DEFAULT_CLAUSE_CEILING` conjuncts for the whole pass applies.
     """
     if not classify(phi).clean:
         raise NotClean(f"not a clean formula: {phi!r}")
@@ -181,42 +193,44 @@ def clean_to_cnf(phi: Formula) -> CleanCNF:
 def _prune(conjuncts) -> list:
     """Drop conjuncts with a valid side and repeated conjuncts; keep order.
 
-    A side is valid when it holds `true` or a complementary pair of literals.
-    A conjunct with two empty sides is false, and so is the whole list.
+    A side is valid when it holds a complementary pair (`_step` reads `true`
+    off first). A conjunct with two empty sides is false, and so is the list.
     """
     out = {}
     for white, black in conjuncts:
         if not (white or black):
             return [((), ())]
-        if not any(_valid_side(side) for side in (white, black)):
+        if not (_valid_side(white) or _valid_side(black)):
             out[white, black] = None
     return list(out)
 
 
 def _valid_side(side: tuple) -> bool:
-    members = set(side)  # a scan of the tuple per literal made wide sides cubic
-    return any(
-        isinstance(d, Top) or (isinstance(d, Not) and d.child in members) for d in side
-    )
+    # A set, as a scan of the tuple per literal made wide sides cubic.
+    return not set(side).isdisjoint([d.child for d in side if isinstance(d, Not)])
 
 
-def _guard(count: int) -> None:
-    if count > DEFAULT_CLAUSE_CEILING:
+def _charge(spent: list, count: int) -> None:
+    """Count the `count` conjuncts a step is about to build into `spent[0]`,
+    or refuse past `DEFAULT_CLAUSE_CEILING`: a conjunction charges what it
+    adds, a disjunction its product and a diamond each new union."""
+    if spent[0] + count > DEFAULT_CLAUSE_CEILING:
         raise ResourceGuard(
-            f"CNF would build {count} conjuncts, over the ceiling of "
-            f"{DEFAULT_CLAUSE_CEILING}"
+            f"CNF pass built {spent[0]} conjuncts and its next step would build "
+            f"{count} more, over the ceiling of {DEFAULT_CLAUSE_CEILING}"
         )
+    spent[0] += count
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(dict.fromkeys(a + b))
 
 
-def _and(lists: list) -> list:
+def _and(lists: list, spent: list) -> list:
     """Conjunction of conjunct lists, folded from the left."""
     out = dict.fromkeys(lists[0])
     for part in lists[1:]:
-        _guard(len(out) + len(part))
+        _charge(spent, len(part))
         # Every list is pruned already, so only repeats can be new.
         if ((), ()) in out or part == [((), ())]:
             out = {((), ()): None}
@@ -225,7 +239,7 @@ def _and(lists: list) -> list:
     return list(out)
 
 
-def _or(lists: list) -> list:
+def _or(lists: list, spent: list) -> list:
     """Disjunction of conjunct lists: their product, folded from the left.
 
     A run of one-conjunct lists adds the same disjuncts to every conjunct.
@@ -242,7 +256,7 @@ def _or(lists: list) -> list:
                 run.append(lists[i][0])
                 i += 1
             part = [tuple(tuple(chain.from_iterable(side)) for side in zip(*run))]
-        _guard(len(out) * len(part))
+        _charge(spent, len(out) * len(part))
         out = _prune((_merge(w1, w2), _merge(b1, b2)) for w1, b1 in out for w2, b2 in part)
     return out
 
@@ -253,7 +267,7 @@ def _box(conjuncts: list, white: bool, pads: tuple[Formula, Formula]) -> list:
     return _prune((w, (BBox(disjoin(b, pads[1])),)) for w, b in conjuncts)
 
 
-def _diamond(conjuncts: list, white: bool) -> list:
+def _diamond(conjuncts: list, white: bool, spent: list) -> list:
     """The diamond of the colour `white` names over a conjunct list.
 
     Write each conjunct as (own_i, other_i), `own` on the diamond's side.
@@ -276,7 +290,7 @@ def _diamond(conjuncts: list, white: bool) -> list:
         for union, ordered in list(unions.items()):
             grown = union | key
             if grown not in unions:
-                _guard(len(unions) + 1)
+                _charge(spent, 1)
                 unions[grown] = ordered + tuple(i for i in other if i not in union)
     disjuncts = list(index)
     out = []
@@ -333,7 +347,7 @@ def _polar_children(f: Formula, positive: bool, sides: dict, expanded: set) -> t
 
 
 def _step(f: Formula, positive: bool, lists: list, sides: dict,
-          pads: tuple[Formula, Formula]) -> list:
+          pads: tuple[Formula, Formula], spent: list) -> list:
     """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
     `_polar_children(f, positive)`.
 
@@ -355,13 +369,13 @@ def _step(f: Formula, positive: bool, lists: list, sides: dict,
         white = isinstance(f, WHITE_MODAL)
         if isinstance(f, (WBox, BBox)) == positive:
             return _box(lists[0], white, pads)
-        return _diamond(lists[0], white)
+        return _diamond(lists[0], white, spent)
     if isinstance(f, Iff):
         left, right, not_left, not_right = lists
-        if positive:
-            return _and([_or([not_left, right]), _or([not_right, left])])
-        return _or([_and([left, not_right]), _and([right, not_left])])
-    return (_and if _junction(f, positive, sides) else _or)(lists)
+        if not positive:  # ~(a <-> b) is a <-> ~b
+            right, not_right = not_right, right
+        return _and([_or([not_left, right], spent), _or([not_right, left], spent)], spent)
+    return (_and if _junction(f, positive, sides) else _or)(lists, spent)
 
 
 def _conjuncts(phi: Formula, sides: dict, pads) -> list:
@@ -375,6 +389,7 @@ def _conjuncts(phi: Formula, sides: dict, pads) -> list:
     parts: dict[tuple[Formula, bool], list] = {}
     kids: dict[tuple[Formula, bool], tuple] = {}  # read once, until `parts` has the key
     expanded: set = set()
+    spent = [0]
     stack = [(phi, True)]
     while stack:
         key = stack[-1]
@@ -388,7 +403,7 @@ def _conjuncts(phi: Formula, sides: dict, pads) -> list:
             stack.extend(todo)
         else:
             stack.pop()
-            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], sides, pads)
+            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], sides, pads, spent)
     return parts[phi, True]
 
 
@@ -417,8 +432,8 @@ def companion(phi: Formula) -> CleanCNF:
     valid side are dropped and repeats removed. An empty side prints as one
     fresh contradiction per side (`l:_fresh0 & ~l:_fresh0`,
     `r:_fresh0 & ~r:_fresh0`). The output is equivalent to the input on every
-    model; building more than `DEFAULT_CLAUSE_CEILING` conjuncts at any node
-    raises `ResourceGuard` before they are built.
+    model; a step that would take the conjuncts the pass has built past
+    `DEFAULT_CLAUSE_CEILING` raises `ResourceGuard` before it runs.
     """
     sides = side_map(phi)
     if any(isinstance(f, EqConst) for f in sides):

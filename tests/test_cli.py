@@ -469,6 +469,16 @@ class TestLazyNumpy:
         assert importers == {"bruteforce.py"}
 
 
+@pytest.fixture
+def torus(capsys, tmp_path):
+    """A torus model file: states "s", "0,0", "0,1" and "1,0", so every grid
+    state id holds a comma."""
+    path = tmp_path / "torus.json"
+    assert run(capsys, "tiling", "model", "-t", str(DATA / "one_tile.json"),
+               "-a", str(DATA / "unit_tiling.json"), "-o", str(path))[0] == 0
+    return path
+
+
 class TestCheck:
     def test_diagonal(self, capsys, tmp_path):
         model = tmp_path / "m.json"
@@ -483,6 +493,33 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "-m", str(model), "-f", "I",
                            "--at", "a,b")
         assert code == 1 and "false" in out
+
+    @pytest.mark.parametrize("at, code, pair", [
+        ("0,0,0,0", 0, ["0,0", "0,0"]),
+        ("s,0,0", 1, ["s", "0,0"]),
+        ("0,1, s", 1, ["0,1", "s"]),
+    ])
+    def test_state_ids_with_commas(self, capsys, torus, at, code, pair):
+        got, out, _ = run(capsys, "check", "--json", "-m", str(torus), "-f", "l:t1",
+                          "--at", at)
+        assert (got, json.loads(out)["pair"]) == (code, pair)
+
+    @pytest.mark.parametrize("at, message", [
+        ("0,9", "unknown state '0'"),
+        ("0,0,0", "expected S,T"),
+        ("s,0,0,0,0", "expected S,T"),
+        ("s", "expected S,T"),
+    ])
+    def test_pair_that_names_no_states(self, capsys, torus, at, message):
+        code, _, err = run(capsys, "check", "-m", str(torus), "-f", "l:t1", "--at", at)
+        assert code == 65 and message in err
+
+    def test_ambiguous_pair(self, capsys, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["a", "b", "a,b", "b,a"], "edges": []}')
+        code, _, err = run(capsys, "check", "-m", str(model), "-f", "I", "--at", "a,b,a")
+        assert code == 65
+        assert "names more than one pair of states: ('a', 'b,a') or ('a,b', 'a')" in err
 
     def test_missing_model_file(self, capsys, tmp_path):
         assert run(capsys, "check", "-m", str(tmp_path / "nope.json"),
@@ -559,6 +596,14 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "bisim", "-m", str(m), "-n", str(m),
                          "--pairs", "w,w=w,w")
         assert code == 0
+
+    def test_bisim_pairs_with_commas(self, capsys, torus):
+        argv = ["bisim", "--json", "-m", str(torus), "-n", str(torus), "--pairs"]
+        code, out, _ = run(capsys, *argv, "0,0,s=0,0,s")
+        assert code == 0 and json.loads(out)["pair"] == [["0,0", "s"], ["0,0", "s"]]
+        code, out, _ = run(capsys, *argv, "s,0,1=0,0,0,1")
+        assert code == 1 and json.loads(out)["pair"] == [["s", "0,1"], ["0,0", "0,1"]]
+        assert run(capsys, *argv, "s,0=0,0,s")[0] == 65
 
     def test_bisim_listing_guard_and_pair_query(self, capsys, tmp_path):
         # Two blocks of 40 and 1560 pairs: the listing would build

@@ -423,14 +423,24 @@ def mixed_iff_chain(length):
     return parse(text)
 
 
+def iff_chain(length):
+    """`((l:p0 <-> [B]r:p1) <-> [W]l:p2) <-> ...` over `length` atoms: every
+    level is mixed, and the companion has 2^(length - 1) conjuncts."""
+    text = "l:p0"
+    for i in range(1, length):
+        text = f"({text} <-> {'[B]r' if i % 2 else '[W]l'}:p{i})"
+    return parse(text)
+
+
 class TestCompanionGuard:
-    # The companion reads each subformula once per polarity, so only the
-    # guarded conjunct products grow. A negation normal form written out as
-    # a tree would double at every <->, 2^30 nodes here before any guard.
+    # The companion reads each subformula once per polarity, and the CNF
+    # pass counts the conjuncts it builds against one ceiling. A negation
+    # normal form written out as a tree would double at every <->, 2^30
+    # nodes here before any guard.
     @pytest.mark.parametrize("decide", [lhs_minus_sat, lhs_minus_valid])
     def test_long_iff_chain_ends(self, decide):
         phi = mixed_iff_chain(30)
-        with time_budget(20):
+        with time_budget(2):
             try:
                 v = decide(phi)
             except ResourceGuard:
@@ -438,17 +448,49 @@ class TestCompanionGuard:
         assert check(v.model, *v.pair, phi) == (v.status == "SAT")
 
     def test_wide_diamond_refused_at_ceiling(self):
-        # The negation puts a <W> over 56 conjuncts with pairwise different
-        # black sides; their distinct unions pass the ceiling, and the
-        # refusal comes at the first one past it.
+        # A <W> over 16 conjuncts with pairwise different black sides has
+        # 2^16 distinct unions; each is charged once, and the refusal comes
+        # at the first one past the ceiling.
+        phi = parse("<W>(" + " & ".join(f"(l:a{i} | r:b{i})" for i in range(16)) + ")")
+        with time_budget(2):
+            with pytest.raises(ResourceGuard, match="built 50000 conjuncts and its next "
+                                                    "step would build 1 more"):
+                lhs_minus_valid(phi)
+
+    @pytest.mark.parametrize("decide, status", [(lhs_minus_sat, "SAT"),
+                                                (lhs_minus_valid, "INVALID")])
+    def test_wide_diamond_of_negated_iff_answered(self, decide, status):
+        # Read as a DNF product, the negated <-> put a <W> over 56 conjuncts
+        # whose unions passed the ceiling; read as a CNF it builds 4,096
+        # conjuncts in all.
         phi = parse("[W] <B> ([W] [B] [B] (r:q & l:q) <-> <B> [W] [B] [W] r:q)")
         with time_budget(2):
-            with pytest.raises(ResourceGuard, match="would build 100001 conjuncts"):
-                lhs_minus_sat(phi)
-        with time_budget(2):
+            v = decide(phi)
+        assert v.status == status
+        assert check(v.model, *v.pair, phi) == (status == "SAT")
+
+    def test_iff_chain_answered_below_the_ceiling(self):
+        # 8,192 conjuncts. The bound is on CPU time, which other load on the
+        # machine does not inflate.
+        phi = iff_chain(14)
+        start = time.process_time()
+        with time_budget(10):
             v = lhs_minus_valid(phi)
-        assert v.status == "INVALID"
+        assert time.process_time() - start < 1.5
+        assert v.status == "INVALID" and len(v.companion.conjuncts) == 2 ** 13
         assert not check(v.model, *v.pair, phi)
+
+    @pytest.mark.parametrize("length", range(15, 31))
+    def test_iff_chain_refused_in_bounded_time(self, length):
+        # Every longer chain is refused once the pass has built as much as
+        # the chain of length 14 needs and a little more.
+        phi = iff_chain(length)
+        start = time.process_time()
+        with time_budget(10):
+            with pytest.raises(ResourceGuard, match="built 49146 conjuncts and its next "
+                                                    "step would build 8192 more"):
+                lhs_minus_valid(phi)
+        assert time.process_time() - start < 1
 
 
 def test_one_sided_iff_chain():

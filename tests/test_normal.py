@@ -1,6 +1,7 @@
 """Propositional CNF, clean decomposition, clean CNF, and the companion."""
 
 import itertools
+import re
 
 import pytest
 
@@ -33,6 +34,7 @@ from lhs import (
     substitute,
 )
 from lhs.bruteforce import find_model
+from lhs.normal import CleanCNF
 from lhs.syntax import Formula, Side, conjoin, disjoin
 
 from conftest import (
@@ -174,9 +176,11 @@ class TestPropCNF:
         assert out == conjoin(atoms)
 
     def test_resource_guard(self):
-        # 2^17 clauses of one literal per pair, refused before they are built.
+        # 2^17 clauses of one literal per pair, refused before the product
+        # that doubles 2^15 clauses is built.
         pairs = [And(left_atom(f"a{i}"), right_atom(f"b{i}")) for i in range(17)]
-        with pytest.raises(ResourceGuard, match="would build 131072 conjuncts"):
+        with pytest.raises(ResourceGuard, match="built 32781 conjuncts and its next "
+                                                "step would build 32768 more"):
             prop_cnf(disjoin(pairs))
 
 
@@ -259,6 +263,14 @@ class TestCleanToCNF:
             (Or(PAD_LEFT, a), PAD_RIGHT) if a.prop.side is Side.LEFT
             else (PAD_LEFT, Or(PAD_RIGHT, a)) for a in atoms)
 
+    @pytest.mark.parametrize("psi, gamma, message", [
+        ("l:p | [B]r:q", "r:q", "psi component is not white-only: l:p | [B] r:q"),
+        ("l:p", "r:q | (r:p | ~l:q)", "gamma component is not black-only: r:q | (r:p | ~l:q)"),
+    ])
+    def test_rejects_mixed_side(self, psi, gamma, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CleanCNF(((parse("l:p"), parse("r:p")), (parse(psi), parse(gamma))))
+
     def test_same_conjunct_count_as_companion(self, rng):
         # On clean input both run the same pass; only the pads differ.
         for _ in range(200):
@@ -313,6 +325,12 @@ class TestCompanion:
         for _ in range(100):
             phi = random_i_free(rng)
             assert equivalent_everywhere(phi, companion_formula(phi))
+
+    def test_negated_iff_equivalence(self, rng):
+        # ~(a <-> b) is read as a <-> ~b, the CNF (~a | ~b) & (b | a).
+        for _ in range(200):
+            phi = Not(Iff(random_i_free(rng, depth=2), random_i_free(rng, depth=2)))
+            assert equivalent_everywhere(phi, companion_formula(phi)), phi
 
     def test_wide_mixed_chain(self):
         phi, atoms = mixed_chain(3000)
