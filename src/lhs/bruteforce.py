@@ -11,15 +11,15 @@ frames at once, behind `semantics.check_all` and `tiling model --check`.
 definition over every model (frame x valuation x evaluation pair) within the
 bound, and shares nothing with the companion or the K tableau. Frames are
 processed in batches and the valuation axis is bit-packed, so every
-connective is a handful of byte-wise array operations. Frames can optionally
-be pruned to one representative per isomorphism class, which preserves both
-SAT and exhaustion verdicts.
+connective is a handful of byte-wise array operations. By default the frames
+are generated one per isomorphism class, which keeps both SAT and exhaustion
+verdicts, rather than filtered from all 2^(n*n).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,6 +51,12 @@ from .syntax import (
 # The truth-definition kernel
 
 
+_FALSE = np.zeros((1, 1, 1, 1), dtype=np.uint8)
+# The connectives that act on packed truth values byte by byte.
+_BOOLEAN = {Top: lambda: ~_FALSE, Bot: lambda: _FALSE, Not: np.invert, And: np.bitwise_and,
+            Or: np.bitwise_or, Implies: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
+
+
 def _box(child: np.ndarray, unreachable: np.ndarray) -> np.ndarray:
     """`[W] child`: the AND, over every state w, of child at (w, t) wherever
     (s, w) is not an edge. `unreachable` is 255 where there is no edge.
@@ -75,7 +81,6 @@ def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.n
     """
     n = adj.shape[1]
     unreachable = np.where(adj, np.uint8(0), np.uint8(255))
-    false = np.zeros((1, 1, 1, 1), dtype=np.uint8)
     order = subformulas(phi)
     index = {f: i for i, f in enumerate(order)}
     kids = [[index[c] for c in children(f)] for f in order]
@@ -84,30 +89,18 @@ def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.n
     arrays: list = [None] * len(order)
     for i, f in enumerate(order):
         args = [arrays[k] for k in kids[i]]
-        if isinstance(f, Atom):
+        if type(f) in _BOOLEAN:
+            arr = _BOOLEAN[type(f)](*args)
+        elif isinstance(f, Atom):
             pattern = atoms.get(f.prop)
             if pattern is None:
-                arr = false
+                arr = _FALSE
             elif f.prop.side is Side.LEFT:
                 arr = pattern[None, :, None, :]
             else:
                 arr = pattern[None, None, :, :]
         elif isinstance(f, EqConst):
             arr = np.where(np.eye(n, dtype=bool), np.uint8(255), np.uint8(0))[None, :, :, None]
-        elif isinstance(f, Top):
-            arr = ~false
-        elif isinstance(f, Bot):
-            arr = false
-        elif isinstance(f, Not):
-            arr = ~args[0]
-        elif isinstance(f, And):
-            arr = args[0] & args[1]
-        elif isinstance(f, Or):
-            arr = args[0] | args[1]
-        elif isinstance(f, Implies):
-            arr = ~args[0] | args[1]
-        elif isinstance(f, Iff):
-            arr = ~(args[0] ^ args[1])
         elif isinstance(f, WBox):
             arr = _box(args[0], unreachable)
         elif isinstance(f, WDia):
@@ -142,9 +135,10 @@ def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
 
 DEFAULT_ORACLE_CEILING = 10**11
 
-# The search builds a table of all 2^(n*n) frames and one of all 2^(n*k)
-# valuations (k variables). Past 2^24 rows they no longer fit in memory:
-# the frame bits for n = 5 alone take 6.7 GB.
+# The search builds a table of all 2^(n*k) valuations (k variables) and, on
+# the unreduced path, of all 2^(n*n) frames; past 2^24 rows they no longer
+# fit in memory. The rule counts n*n on the reduced path too, which lists
+# only the 291,968 frame classes of 5 states, so bound 5 needs --force.
 _MAX_TABLE_BITS = 24
 
 # Target byte size for one fully materialized truth array; frames are chunked
@@ -152,26 +146,48 @@ _MAX_TABLE_BITS = 24
 _CHUNK_BYTES = 1 << 25
 
 
-@lru_cache(maxsize=None)
-def _frame_ids(n: int, mod_iso: bool) -> tuple[int, ...]:
-    """Adjacency matrices of size n encoded as bit masks (edge (i,j) = bit i*n+j).
+def _relabel(codes: np.ndarray, src: list, dst: list, perm: tuple) -> np.ndarray:
+    """Frames whose bit w is edge src[w], with each state a renamed to
+    perm[a] and recoded so that bit w is edge dst[w]."""
+    weight = {e: w for w, e in enumerate(dst)}
+    out = np.zeros_like(codes)
+    for w, (a, c) in enumerate(src):
+        out |= ((codes >> np.uint64(w)) & np.uint64(1)) << np.uint64(weight[perm[a], perm[c]])
+    return out
 
-    With `mod_iso` only the minimal encoding of each isomorphism class is kept.
+
+def _code_order(n: int) -> list:
+    """The edge at each bit of a code, lowest first; states 0..m-1 own the top m*m bits."""
+    return sorted(itertools.product(range(n), repeat=2), key=lambda e: (max(e), e), reverse=True)
+
+
+@lru_cache(maxsize=None)
+def _frames(n: int, mod_iso: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only frames on n states: increasing bit masks (edge (i, j) = bit
+    i*n+j) and their (frames, n, n) adjacency. With `mod_iso` each
+    isomorphism class appears once, as its smallest mask.
+
+    The classes come by orderly generation (Read 1978; McKay 1998). A code
+    that no renaming of states makes larger begins with such a code of one
+    state fewer, so every class is found by extending those in all ways.
     """
-    total = 1 << (n * n)
-    ids = np.arange(total, dtype=np.uint64)
-    if not mod_iso or n == 1:
-        return tuple(int(i) for i in ids)
-    shifts = np.arange(n * n, dtype=np.uint64)
-    bits = (ids[:, None] >> shifts) & np.uint64(1)
-    minimal = ids.copy()
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        src = [perm[i] * n + perm[j] for i in range(n) for j in range(n)]
-        image = (bits[:, src] << shifts).sum(axis=1, dtype=np.uint64)
-        np.minimum(minimal, image, out=minimal)
-    return tuple(int(i) for i in ids[minimal == ids])
+    if mod_iso:
+        codes = np.zeros(1, dtype=np.uint64)
+        for m in range(1, n + 1):
+            new = np.arange(1 << (2 * m - 1), dtype=np.uint64)
+            codes = ((codes[:, None] << np.uint64(2 * m - 1)) | new).ravel()
+            order = _code_order(m)
+            for perm in itertools.islice(itertools.permutations(range(m)), 1, None):
+                codes = codes[_relabel(codes, order, order, perm) <= codes]
+        edges = list(itertools.product(range(n), repeat=2))
+        masks = np.sort(reduce(np.minimum, (_relabel(codes, order, edges, p)
+                                            for p in itertools.permutations(range(n)))))
+    else:
+        masks = np.arange(1 << (n * n), dtype=np.uint64)
+    adj = (((masks[:, None] >> np.arange(n * n, dtype=np.uint64)) & np.uint64(1))
+           .astype(bool).reshape(-1, n, n))
+    masks.flags.writeable = adj.flags.writeable = False
+    return masks, adj
 
 
 def _atom_patterns(n: int, props: list) -> dict:
@@ -189,18 +205,11 @@ def _atom_patterns(n: int, props: list) -> dict:
     return {prop: np.array(rows[n * j:n * j + n]) for j, prop in enumerate(props)}
 
 
-def _witness_model(frame_id: int, n: int, props: list, v: int) -> Model:
-    states = tuple(f"w{i}" for i in range(n))
-    edges = frozenset(
-        (states[i], states[j]) for i in range(n) for j in range(n)
-        if (frame_id >> (i * n + j)) & 1
-    )
-    valuation = {
-        props[j]: frozenset(
-            states[w] for w in range(n) if (v >> (n * j + w)) & 1
-        )
-        for j in range(len(props))
-    }
+def _witness_model(adj: np.ndarray, props: list, v: int) -> Model:
+    states = tuple(f"w{i}" for i in range(len(adj)))
+    edges = frozenset((states[i], states[j]) for i, j in np.argwhere(adj))
+    valuation = {prop: frozenset(w for i, w in enumerate(states) if (v >> (len(adj) * j + i)) & 1)
+                 for j, prop in enumerate(props)}
     return Model(states, edges, valuation)
 
 
@@ -212,10 +221,7 @@ def find_model(phi: Formula, max_states: int, props=None, force: bool = False,
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    if props is None:
-        props = sorted(prop_names(phi), key=str)
-    else:
-        props = sorted(set(props), key=str)
+    props = sorted(prop_names(phi) if props is None else set(props), key=str)
     k = len(props)
     total = enumeration_count(max_states, k)
     table_bits = max_states * max(max_states, k)
@@ -231,22 +237,16 @@ def find_model(phi: Formula, max_states: int, props=None, force: bool = False,
         nbits = 1 << (n * k)
         nbytes = max(1, nbits // 8)
         atoms = _atom_patterns(n, props)
-        frames = np.array(_frame_ids(n, mod_iso), dtype=np.uint64)
-        shifts = np.arange(n * n, dtype=np.uint64)
-        adj_all = (((frames[:, None] >> shifts) & np.uint64(1))
-                   .astype(bool).reshape(-1, n, n))
+        adj_all = _frames(n, mod_iso)[1]
         chunk = max(1, _CHUNK_BYTES // (n * n * nbytes))
-        for lo in range(0, len(frames), chunk):
+        for lo in range(0, len(adj_all), chunk):
             adj = adj_all[lo:lo + chunk]
             truth = truth_table(phi, adj, atoms, nbytes)
             hits = np.nonzero(truth.any(axis=(1, 2, 3)))[0]
             if hits.size == 0:
                 continue
             f = int(hits[0])
-            bits = np.unpackbits(truth[f], axis=-1, count=nbits,
-                                 bitorder="little")
+            bits = np.unpackbits(truth[f], axis=-1, count=nbits, bitorder="little")
             s, t, v = (int(x) for x in np.argwhere(bits)[0])
-            frame_id = int(frames[lo + f])
-            model = _witness_model(frame_id, n, props, v)
-            return model, f"w{s}", f"w{t}"
+            return _witness_model(adj[f], props, v), f"w{s}", f"w{t}"
     return None

@@ -4,6 +4,7 @@ Everything here is seeded explicitly by the caller so test runs are
 reproducible; no module-level RNG state.
 """
 
+import itertools
 import os
 import random
 import signal
@@ -181,3 +182,26 @@ def rename_copy(model, prefix="c."):
         {f"{p.side.value}:{p.name}": [ren[w] for w in ws]
          for p, ws in model.valuation.items()},
     ), ren
+
+
+def reference_frame_ids(n, mod_iso):
+    """Frames on n states as bit masks (edge (i, j) = bit i*n+j), in
+    increasing order; with `mod_iso` only the masks that no permutation of
+    the states makes smaller. Maps every mask through every permutation,
+    as the bounded search once did: the reference for its frame generator.
+    """
+    import numpy as np
+
+    ids = np.arange(1 << (n * n), dtype=np.uint64)
+    if not mod_iso or n == 1:
+        return tuple(int(i) for i in ids)
+    shifts = np.arange(n * n, dtype=np.uint64)
+    bits = (ids[:, None] >> shifts) & np.uint64(1)
+    minimal = ids.copy()
+    for perm in itertools.permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        src = [perm[i] * n + perm[j] for i in range(n) for j in range(n)]
+        image = (bits[:, src] << shifts).sum(axis=1, dtype=np.uint64)
+        np.minimum(minimal, image, out=minimal)
+    return tuple(int(i) for i in ids[minimal == ids])
