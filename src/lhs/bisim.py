@@ -45,18 +45,18 @@ def _atoms(model: Model, s: State, t: State, props) -> tuple[bool, ...]:
     return tuple((s if p.side is Side.LEFT else t) in model.truth_set(p) for p in props)
 
 
-def _blocks(m: Model, n: Model, ceiling: int) -> dict[tuple[int, State, State], int]:
+def _blocks(m: Model, n: Model) -> dict[tuple[int, State, State], int]:
     """The block of each pair node (0, s, t) of `m` and (1, s, t) of `n`.
 
     Signature refinement: a node's next block is its block with the sets of
     blocks of its white and of its black successors, until the number of
     blocks stops changing. A round reads every pair node and edge; a round
-    that would take the total over `ceiling` is refused before it starts.
+    that would take the total over `DEFAULT_CEILING` is refused before it starts.
     """
     models = (m, n)
     work = sum(len(x.states) * (len(x.states) + 2 * sum(map(len, x.successor_map.values())))
                for x in models)
-    if rounds := ceiling // work:
+    if rounds := DEFAULT_CEILING // work:
         props = sorted(set(m.valuation) | set(n.valuation), key=str)
         keys = [(i, s, t) for i, x in enumerate(models) for s in x.states for t in x.states]
         at = {key: i for i, key in enumerate(keys)}
@@ -70,7 +70,7 @@ def _blocks(m: Model, n: Model, ceiling: int) -> dict[tuple[int, State, State], 
                 return dict(zip(keys, block))
             block = refined
     raise ResourceGuard(f"refinement reads {work} pair-graph nodes and edges a round, so round "
-                        f"{rounds + 1} would pass the ceiling of {ceiling}")
+                        f"{rounds + 1} would pass the ceiling of {DEFAULT_CEILING}")
 
 
 def _number(signatures) -> list[int]:
@@ -78,17 +78,16 @@ def _number(signatures) -> list[int]:
     return [ids.setdefault(sig, len(ids)) for sig in signatures]
 
 
-def largest_bisimulation(m: Model, n: Model,
-                         ceiling: int = DEFAULT_CEILING) -> PairRelation:
+def largest_bisimulation(m: Model, n: Model) -> PairRelation:
     """Greatest bisimulation between two finite models: the quadruples whose
-    pairs share a block. `ceiling` bounds the refinement's work (`_blocks`)
-    and the quadruples listed, each checked before the work is done.
+    pairs share a block. `DEFAULT_CEILING` bounds the refinement's work
+    (`_blocks`) and the quadruples listed, each checked before the work is done.
     """
     members: dict[int, tuple[list, list]] = {}
-    for (side, s, t), block in _blocks(m, n, ceiling).items():
+    for (side, s, t), block in _blocks(m, n).items():
         members.setdefault(block, ([], []))[side].append((s, t))
-    if (size := sum(len(here) * len(there) for here, there in members.values())) > ceiling:
-        raise ResourceGuard(f"{size} related quadruples exceed the ceiling of {ceiling}")
+    if (size := sum(len(a) * len(b) for a, b in members.values())) > DEFAULT_CEILING:
+        raise ResourceGuard(f"{size} related quadruples exceed the ceiling of {DEFAULT_CEILING}")
     return PairRelation(m, n, frozenset((a, b) for here, there in members.values()
                                         for a in here for b in there))
 
@@ -110,12 +109,11 @@ def _zigzag_violation(quad: Quad, pairs, succ_m, succ_n) -> str | None:
     return None
 
 
-def are_bisimilar(m: Model, s: State, t: State, n: Model, s2: State, t2: State,
-                  ceiling: int = DEFAULT_CEILING) -> bool:
+def are_bisimilar(m: Model, s: State, t: State, n: Model, s2: State, t2: State) -> bool:
     """Whether (s, t) in `m` and (s2, t2) in `n` share a block; builds no quadruple."""
     m.require_state(s, t)
     n.require_state(s2, t2)
-    blocks = _blocks(m, n, ceiling)
+    blocks = _blocks(m, n)
     return blocks[0, s, t] == blocks[1, s2, t2]
 
 

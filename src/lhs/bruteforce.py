@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ResourceGuard
-from .model import Model, State, enumeration_count
+from .model import Model, State
 from .syntax import (
     And,
     Atom,
@@ -133,13 +133,17 @@ def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
 # ---------------------------------------------------------------------------
 # The bounded search
 
-DEFAULT_ORACLE_CEILING = 10**11
-
-# The search builds a table of all 2^(n*k) valuations (k variables) and, on
-# the unreduced path, of all 2^(n*n) frames; past 2^24 rows they no longer
-# fit in memory. The rule counts n*n on the reduced path too, which lists
-# only the 291,968 frame classes of 5 states, so bound 5 needs --force.
+# Level n of the search builds a table of all 2^(n*k) valuations (k props)
+# and one of the frame codes it lists; past 2^24 rows they no longer fit.
 _MAX_TABLE_BITS = 24
+
+# Binary relations on n points up to isomorphism (OEIS A000595). Level n
+# builds _CLASSES[n-1] * 2^(2n-1) codes, so level 6 (6*10^8) is never built.
+_CLASSES = (1, 2, 10, 104, 3044, 291968)
+
+# Work: frames x valuations x pairs x subformulas, summed over the levels.
+# The kernel does 1-2*10^10 units a second on 2 CPUs: 10-20 s at the ceiling.
+WORK_CEILING = 2 * 10**11
 
 # Target byte size for one fully materialized truth array; frames are chunked
 # so that (chunk, n, n, packed-valuations) stays near this.
@@ -213,28 +217,34 @@ def _witness_model(adj: np.ndarray, props: list, v: int) -> Model:
     return Model(states, edges, valuation)
 
 
-def find_model(phi: Formula, max_states: int, props=None, force: bool = False,
-               mod_iso: bool = True):
-    """First (Model, s, t) within the bound satisfying `phi`, or None.
+def search_work(max_states: int, k: int, size: int, mod_iso: bool = True) -> int:
+    """The work of a search up to `max_states` states over k props and `size`
+    subformulas; `ResourceGuard` at the first level that passes a limit."""
+    work = 0
+    for n in range(1, max_states + 1):
+        codes = _CLASSES[n - 1] << (2 * n - 1) if mod_iso else 1 << (n * n)
+        if n * k > _MAX_TABLE_BITS or codes > 1 << _MAX_TABLE_BITS:
+            table = (f"valuation table of 2^{n * k}" if n * k > _MAX_TABLE_BITS
+                     else f"frame table of {codes}")
+            raise ResourceGuard(f"level {n} of the search needs a {table} rows, past the "
+                                f"limit of 2^{_MAX_TABLE_BITS}")
+        work += ((_CLASSES[n] if mod_iso else codes) << (n * k)) * n * n * size
+        if work > WORK_CEILING:
+            raise ResourceGuard(f"levels 1 to {n} of the search charge {work} units of work, "
+                                f"over the ceiling of {WORK_CEILING}")
+    return work
 
-    None means the bound is exhausted, not that `phi` is unsatisfiable.
-    """
+
+def find_model(phi: Formula, max_states: int, props=None, mod_iso: bool = True):
+    """First (Model, s, t) within the bound satisfying `phi`, or None: None
+    means the bound is exhausted, not that `phi` is unsatisfiable.
+    `search_work` refuses a search too large to run before it starts."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     props = sorted(prop_names(phi) if props is None else set(props), key=str)
-    k = len(props)
-    total = enumeration_count(max_states, k)
-    table_bits = max_states * max(max_states, k)
-    if (total > DEFAULT_ORACLE_CEILING or table_bits > _MAX_TABLE_BITS) and not force:
-        # Python will not print an integer of more than 4,300 digits.
-        count = total if total < 1 << 64 else f"about 2^{total.bit_length() - 1}"
-        raise ResourceGuard(
-            f"search over {count} models with tables of 2^{table_bits} rows exceeds the "
-            f"ceiling of {DEFAULT_ORACLE_CEILING} models or 2^{_MAX_TABLE_BITS} rows; "
-            "pass --force (force=True) to run anyway"
-        )
+    search_work(max_states, len(props), len(subformulas(phi)), mod_iso)
     for n in range(1, max_states + 1):
-        nbits = 1 << (n * k)
+        nbits = 1 << (n * len(props))
         nbytes = max(1, nbits // 8)
         atoms = _atom_patterns(n, props)
         adj_all = _frames(n, mod_iso)[1]

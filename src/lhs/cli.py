@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded search over full-language models (allows I)")
     p.add_argument("--max-size", type=_positive_int, metavar="N", default=3,
                    help="state bound for --full (default 3)")
-    p.add_argument("--force", action="store_true",
-                   help="override the bounded-search resource guard")
     p.add_argument("--witness", help="write the witness model to this file")
     p.add_argument("--json", action="store_true")
 
@@ -223,7 +221,7 @@ def _cmd_sat(args):
     phi = _read_formula(args)
     start = time.monotonic()
     if args.full:
-        verdict = decide.lhs_bounded_sat(phi, args.max_size, force=args.force)
+        verdict = decide.lhs_bounded_sat(phi, args.max_size)
     else:
         verdict = decide.lhs_minus_sat(phi)
     status, model, pair = verdict.status, verdict.model, verdict.pair

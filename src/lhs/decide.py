@@ -281,7 +281,7 @@ def lhs_minus_sat(phi: Formula) -> LHSVerdict:
 # Bounded search for the full language
 
 
-def lhs_bounded_sat(phi: Formula, max_states: int, force: bool = False) -> BoundedVerdict:
+def lhs_bounded_sat(phi: Formula, max_states: int) -> BoundedVerdict:
     """Search every model with at most `max_states` states for a pair satisfying `phi`.
 
     Exhaustion means "no model up to the bound", never "unsatisfiable":
@@ -294,7 +294,7 @@ def lhs_bounded_sat(phi: Formula, max_states: int, force: bool = False) -> Bound
     """
     from . import bruteforce
 
-    found = bruteforce.find_model(phi, max_states, force=force)
+    found = bruteforce.find_model(phi, max_states)
     if found is None:
         return BoundedVerdict("NO-MODEL-UP-TO-BOUND", max_states)
     model, s, t = found

@@ -192,34 +192,27 @@ def restrict_right(model: Model) -> Model:
 DEFAULT_ENUMERATION_CEILING = 5_000_000
 
 
-def enumeration_count(max_states: int, num_props: int) -> int:
-    return sum(2 ** (n * n) * 2 ** (num_props * n) for n in range(1, max_states + 1))
-
-
-def enumerate_models(max_states: int, props, ceiling: int = DEFAULT_ENUMERATION_CEILING,
-                     force: bool = False):
+def enumerate_models(max_states: int, props):
     """Yield every model with 1..max_states states over exactly `props`.
 
     State naming is the fixed canonical `w0..w{n-1}`; no isomorphism
-    reduction, so counts match 2^(n^2) * 2^(|props|*n) per size.
+    reduction, so counts match 2^(n^2) * 2^(|props|*n) per size. The first
+    size that takes the count past the ceiling raises `ResourceGuard`.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     props = sorted(set(props), key=str)
-    total = enumeration_count(max_states, len(props))
-    if total > ceiling and not force:
-        raise ResourceGuard(
-            f"enumeration of {total} models exceeds the ceiling of {ceiling}; "
-            "pass force=True to run anyway"
-        )
+    total = 0
+    for n in range(1, max_states + 1):
+        if (total := total + (1 << (n * n + len(props) * n))) > DEFAULT_ENUMERATION_CEILING:
+            raise ResourceGuard(f"enumeration up to {n} states lists {total} models, over "
+                                f"the ceiling of {DEFAULT_ENUMERATION_CEILING}")
     for n in range(1, max_states + 1):
         states = tuple(f"w{i}" for i in range(n))
         all_pairs = [(a, b) for a in states for b in states]
-        subsets_cache = [
-            [frozenset(c) for k in range(n + 1) for c in itertools.combinations(states, k)]
-        ][0]
+        subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(states, k)]
         for edge_bits in itertools.product((False, True), repeat=n * n):
             edges = frozenset(p for p, bit in zip(all_pairs, edge_bits) if bit)
-            for assignment in itertools.product(subsets_cache, repeat=len(props)):
+            for assignment in itertools.product(subsets, repeat=len(props)):
                 valuation = dict(zip(props, assignment))
                 yield Model(states, edges, valuation)

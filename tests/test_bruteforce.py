@@ -1,19 +1,21 @@
 """The bounded search's frame list: isomorph-free generation against the
-permutation filter it replaced, and the reduced search against the full one."""
+permutation filter it replaced, the reduced search against the full one, and
+the limits that size the search."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from lhs import And, parse, render
-from lhs.bruteforce import _frames, find_model
+from lhs import And, ResourceGuard, parse, render
+from lhs.bruteforce import WORK_CEILING, _CLASSES, _frames, find_model, search_work
+from lhs.syntax import prop_names, subformulas
 
-from conftest import random_formula, reference_frame_ids
+from conftest import random_formula, random_i_free, reference_frame_ids
 
 
-# Binary relations on n points up to isomorphism (OEIS A000595).
-@pytest.mark.parametrize("n, classes", [(1, 2), (2, 10), (3, 104), (4, 3044)])
+@pytest.mark.parametrize("n, classes", [(n, _CLASSES[n]) for n in range(1, 5)])
 def test_one_frame_per_isomorphism_class(n, classes):
     masks, adj = _frames(n, True)
     assert len(masks) == classes
@@ -67,3 +69,30 @@ def test_reduced_search_finds_the_same_witness():
             assert found == find_model(phi, bound, mod_iso=False), (render(phi), bound)
             sizes[found and len(found[0].states)] += 1
     assert set(sizes) == {None, 1, 2, 3}
+
+
+def test_heaviest_searches_within_the_ceiling():
+    # Bound 4 over four props at 24 subformulas, the most in the benchmark's
+    # fullsat pool (its heaviest search, oracle.b4.4, has 13).
+    assert search_work(4, 4, 24) < WORK_CEILING
+    # The README's bound-5 example, exhausted in about 20 s.
+    phi = parse("<W>(l:p & [B]~I) & <B>(r:q & ~I) & [W][W]false & <B><B><B>r:q & "
+                "[B][B][B]~r:q")
+    assert search_work(5, len(prop_names(phi)), len(subformulas(phi))) == 172_198_920_248
+    assert 172_198_920_248 < WORK_CEILING
+    # The bound-4 oracle calls of acceptance criterion 1, same seed.
+    rng = random.Random(101)
+    for i in range(300):
+        phi = random_i_free(rng, depth=2 if i % 2 else 3)
+        assert search_work(4, len(prop_names(phi)), len(subformulas(phi))) < WORK_CEILING
+
+
+@pytest.mark.parametrize("bound, k, size, mod_iso, refusal", [
+    (6, 0, 1, True, "level 6 of the search needs a frame table of 597950464 rows"),
+    (5, 0, 1, False, "level 5 of the search needs a frame table of 33554432 rows"),
+    (3, 9, 1, True, "level 3 of the search needs a valuation table of 2^27 rows"),
+    (5, 3, 1, True, "levels 1 to 5 of the search charge 239380158992 units"),
+])
+def test_refusal_names_the_level(bound, k, size, mod_iso, refusal):
+    with pytest.raises(ResourceGuard, match=re.escape(refusal)):
+        search_work(bound, k, size, mod_iso)

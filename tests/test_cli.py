@@ -108,15 +108,37 @@ class TestExitCodes:
         assert code == 70
         assert "K tableau expanded 21 goals, over the ceiling of 20" in err
 
-    def test_guard_names_cli_flag(self, capsys):
-        code, _, err = run(capsys, "sat", "--full", "--max-size", "5", "-f", "I & ~I")
+    @pytest.mark.parametrize("bound", ["6", "1000", "100000"])
+    def test_huge_bound_refused_at_once(self, capsys, bound):
+        # Level 6 would list 291,968 * 2^11 frame codes; the levels are
+        # checked from one state up, so no bound is summed past it.
+        start = time.process_time()
+        code, _, err = run(capsys, "sat", "--full", "--max-size", bound, "-f", "l:p")
+        assert time.process_time() - start < 1
         assert code == 70
-        assert "--force" in err
+        assert "level 6 of the search needs a frame table of 597950464 rows" in err
 
-    @pytest.mark.parametrize("bound", ["5", "6"])
+    def test_force_flag_is_gone(self, capsys):
+        assert run(capsys, "sat", "--full", "--force", "-f", "I")[0] == 64
+
+    def test_bound_five_searched_under_memory_cap(self):
+        # Bound 5 lists 291,968 frame classes, about 100 MiB in all, and is
+        # searched to exhaustion under a 1 GiB cap.
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_python(["-m", "lhs.cli", "sat", "--full", "--max-size", "5",
+                           "-f", "I & ~I"],
+                          env={"OPENBLAS_NUM_THREADS": "1"},
+                          preexec_fn=_cap_address_space)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 2, proc.stderr
+        assert "NO-MODEL-UP-TO-BOUND" in proc.stdout
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 40
+
+    @pytest.mark.parametrize("bound", ["6"])
     def test_unbuildable_bound_refused_before_allocating(self, bound):
-        # The frame table for 5 states takes 6.7 GB. Under a 1 GiB cap a
-        # missing guard ends in MemoryError (exit 1), not in host exhaustion.
+        # Level 6 would build about 6*10^8 frame codes (4.8 GB). Under a
+        # 1 GiB cap a missing guard ends in MemoryError (exit 1), not in
+        # host exhaustion.
         proc = run_python(["-m", "lhs.cli", "sat", "--full", "--max-size", bound,
                            "-f", "I & ~I"],
                           env={"OPENBLAS_NUM_THREADS": "1"},

@@ -1,6 +1,7 @@
 """Model construction, file round-trips, submodels, unions, enumeration."""
 
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from lhs import (
     restrict_right,
     save_model,
 )
+from lhs import model
 from lhs.model import enumerate_models, successors
 from lhs.syntax import Side
 
@@ -175,6 +177,14 @@ class TestEnumeration:
     def test_two_states_no_props(self):
         assert len(list(enumerate_models(2, []))) == 18
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_ENUMERATION_CEILING", 1000)
         with pytest.raises(ResourceGuard):
-            list(enumerate_models(6, ["l:p", "l:q", "r:p", "r:q"], ceiling=1000))
+            list(enumerate_models(6, ["l:p", "l:q", "r:p", "r:q"]))
+
+    def test_huge_bound_refused_at_once(self):
+        # Sizes are counted one by one: 5 states already pass the ceiling.
+        start = time.process_time()
+        with pytest.raises(ResourceGuard, match="up to 5 states lists 33620498 models"):
+            next(enumerate_models(10**5, []))
+        assert time.process_time() - start < 1
