@@ -39,6 +39,7 @@ from .model import (
     generated_submodel,
     load_model,
     make_model,
+    model_doc,
     restrict_left,
     restrict_right,
     save_model,

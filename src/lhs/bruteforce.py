@@ -4,7 +4,9 @@ This is the package's one numpy module, loaded on first use: `import lhs`
 does not import it, so the I-free decision path never pays for numpy.
 
 `truth_table` evaluates the truth definition at every pair of a batch of
-frames at once, behind `semantics.check_all` and `tiling model --check`.
+frames at once. A single model (`semantics.check_all`, `tiling model
+--check`) gets a boolean table and one matrix product per modality; the
+search's packed tables keep a per-state loop.
 
 `find_model` is the package's one bounded search for the full language
 (behind `lhs sat --full`) and its independent oracle: it evaluates the truth
@@ -42,7 +44,6 @@ from .syntax import (
     WBox,
     WDia,
     children,
-    prop_names,
     subformulas,
 )
 
@@ -51,37 +52,49 @@ from .syntax import (
 # The truth-definition kernel
 
 
-_FALSE = np.zeros((1, 1, 1, 1), dtype=np.uint8)
-# The connectives that act on packed truth values byte by byte.
-_BOOLEAN = {Top: lambda: ~_FALSE, Bot: lambda: _FALSE, Not: np.invert, And: np.bitwise_and,
-            Or: np.bitwise_or, Implies: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
+# The connectives that act on truth values elementwise, in either representation.
+_BOOLEAN = {Not: np.invert, And: np.bitwise_and, Or: np.bitwise_or,
+            Implies: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
 
 
-def _box(child: np.ndarray, unreachable: np.ndarray) -> np.ndarray:
+def _box(child: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """`[W] child`: the AND, over every state w, of child at (w, t) wherever
-    (s, w) is not an edge. `unreachable` is 255 where there is no edge.
+    (s, w) is an edge. On a single model's boolean table that is one matrix
+    product, ~(R . ~child), with `rel` the (n, n) adjacency in float32: BLAS
+    does it, and float32 counts up to 2^24 exactly. A packed table holds many
+    frames and valuations per byte, which a product cannot combine, so it
+    ANDs over w in n whole-array steps, with `rel` 255 where there is no edge.
     """
-    n = unreachable.shape[1]
+    n = rel.shape[-1]
+    if child.dtype == bool:
+        bad = np.broadcast_to(~child, (1, n, n, 1))[0, :, :, 0].astype(np.float32)
+        return ~(rel @ bad > 0)[None, :, :, None]
     child = np.broadcast_to(child, (child.shape[0], n) + child.shape[2:])
-    acc = child[:, :1] | unreachable[:, :, :1, None]
+    acc = child[:, :1] | rel[:, :, :1, None]
     for w in range(1, n):
-        acc &= child[:, w:w + 1] | unreachable[:, :, w:w + 1, None]
+        acc &= child[:, w:w + 1] | rel[:, :, w:w + 1, None]
     return acc
 
 
-def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.ndarray:
-    """Truth of `phi` at every pair of every frame, as packed bytes.
+def truth_table(order: list, adj: np.ndarray, props: list, patterns: np.ndarray) -> np.ndarray:
+    """Truth of a formula at every pair of every frame.
 
-    `adj` is a (frames, n, n) boolean adjacency array. `atoms` maps a
-    PropName to its (n, nbytes) uint8 truth pattern: each bit of row w is the
-    prop's truth at state w under one valuation, the same bit position
-    standing for the same valuation for every prop (a single valuation is
-    one 0/255 byte per state). Names missing from `atoms` are false
-    everywhere. Returns a read-only (frames, s, t, nbytes) view.
+    `order` is the formula's `subformulas`, the formula last. `adj` is a
+    (frames, n, n) boolean adjacency array. `patterns[j]` is the truth of
+    `props[j]` at each state, in one of two representations, which its
+    dtype selects:
+    - bool, shape (n, 1): a single model (one frame, one valuation);
+    - uint8, shape (n, nbytes): bit-packed valuations, each bit position
+      standing for the same valuation for every prop.
+    Names missing from `props` are false everywhere. Constants take the same
+    dtype: a uint8 one would upcast a boolean table, where ~1 is 254.
+    Returns a read-only (frames, s, t, width) view.
     """
     n = adj.shape[1]
-    unreachable = np.where(adj, np.uint8(0), np.uint8(255))
-    order = subformulas(phi)
+    false = np.zeros((1, 1, 1, 1), dtype=patterns.dtype)
+    rel = (adj[0].astype(np.float32) if patterns.dtype == bool
+           else np.where(adj, np.uint8(0), np.uint8(255)))
+    slot = {prop: j for j, prop in enumerate(props)}
     index = {f: i for i, f in enumerate(order)}
     kids = [[index[c] for c in children(f)] for f in order]
     # A subformula's array is freed once its last parent is built.
@@ -91,43 +104,52 @@ def truth_table(phi: Formula, adj: np.ndarray, atoms: dict, nbytes: int) -> np.n
         args = [arrays[k] for k in kids[i]]
         if type(f) in _BOOLEAN:
             arr = _BOOLEAN[type(f)](*args)
+        elif isinstance(f, Bot):
+            arr = false
+        elif isinstance(f, Top):
+            arr = ~false
         elif isinstance(f, Atom):
-            pattern = atoms.get(f.prop)
-            if pattern is None:
-                arr = _FALSE
+            j = slot.get(f.prop)
+            if j is None:
+                arr = false
             elif f.prop.side is Side.LEFT:
-                arr = pattern[None, :, None, :]
+                arr = patterns[j][None, :, None, :]
             else:
-                arr = pattern[None, None, :, :]
+                arr = patterns[j][None, None, :, :]
         elif isinstance(f, EqConst):
-            arr = np.where(np.eye(n, dtype=bool), np.uint8(255), np.uint8(0))[None, :, :, None]
+            arr = np.where(np.eye(n, dtype=bool)[None, :, :, None], ~false, false)
         elif isinstance(f, WBox):
-            arr = _box(args[0], unreachable)
+            arr = _box(args[0], rel)
         elif isinstance(f, WDia):
-            arr = ~_box(~args[0], unreachable)
+            arr = ~_box(~args[0], rel)
         # A black modality is the white one with the two coordinates swapped.
         elif isinstance(f, BBox):
-            arr = _box(args[0].swapaxes(1, 2), unreachable).swapaxes(1, 2)
+            arr = _box(args[0].swapaxes(1, 2), rel).swapaxes(1, 2)
         elif isinstance(f, BDia):
-            arr = ~_box(~args[0].swapaxes(1, 2), unreachable).swapaxes(1, 2)
+            arr = ~_box(~args[0].swapaxes(1, 2), rel).swapaxes(1, 2)
         else:
             raise TypeError(f"not a formula: {f!r}")
         arrays[i] = arr
         for k in kids[i]:
             if last_parent[k] == i:
                 arrays[k] = None
-    return np.broadcast_to(arrays[-1], adj.shape + (nbytes,))
+    return np.broadcast_to(arrays[-1], adj.shape + patterns.shape[-1:])
 
 
 def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
-    """All pairs (s, t) of `model` where `phi` holds, from one `truth_table`
-    pass; `semantics.check_all` is the public name."""
+    """All pairs (s, t) of `model` where `phi` holds, from one boolean
+    `truth_table` pass; `semantics.check_all` is the public name."""
     states = model.states
-    adj = np.array([[[(a, b) in model.edges for b in states] for a in states]])
-    atoms = {prop: np.array([[255 if w in members else 0] for w in states], dtype=np.uint8)
-             for prop, members in model.valuation.items()}
-    truth = truth_table(phi, adj, atoms, 1)
-    return {(states[s], states[t]) for s, t in np.argwhere(truth[0, :, :, 0])}
+    index = {w: i for i, w in enumerate(states)}
+    adj = np.zeros((1, len(states), len(states)), dtype=bool)
+    edges = np.array([(index[a], index[b]) for a, b in model.edges], dtype=np.intp).reshape(-1, 2)
+    adj[0, edges[:, 0], edges[:, 1]] = True
+    patterns = np.zeros((len(model.valuation), len(states), 1), dtype=bool)
+    for j, members in enumerate(model.valuation.values()):
+        patterns[j, [index[w] for w in members], 0] = True
+    truth = truth_table(subformulas(phi), adj, list(model.valuation), patterns)
+    s, t = np.nonzero(truth[0, :, :, 0])
+    return {(states[a], states[b]) for a, b in zip(s.tolist(), t.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +216,19 @@ def _frames(n: int, mod_iso: bool) -> tuple[np.ndarray, np.ndarray]:
     return masks, adj
 
 
-def _atom_patterns(n: int, props: list) -> dict:
-    """Packed truth pattern of each prop at each state over the valuation axis.
+def _atom_patterns(n: int, k: int) -> np.ndarray:
+    """Packed truth pattern of each of k props at each state over the valuation axis.
 
     Valuation v assigns prop j the extension whose bit w is bit n*j+w of v.
-    Maps each prop to shape (n, B) uint8, B = packed length of 2^(n*k) bits.
-    Fewer than 8 valuations are repeated to fill one byte, so that every bit
-    of the truth table stands for a real valuation.
+    Shape (k, n, B) uint8, B = packed length of 2^(n*k) bits. Fewer than 8
+    valuations are repeated to fill one byte, so that every bit of the truth
+    table stands for a real valuation.
     """
-    nbits = 1 << (n * len(props))
+    nbits = 1 << (n * k)
     v = np.arange(max(8, nbits), dtype=np.uint64) % np.uint64(nbits)
     rows = [np.packbits(((v >> np.uint64(i)) & np.uint64(1)).astype(np.uint8), bitorder="little")
-            for i in range(n * len(props))]
-    return {prop: np.array(rows[n * j:n * j + n]) for j, prop in enumerate(props)}
+            for i in range(n * k)]
+    return np.array(rows, dtype=np.uint8).reshape(k, n, max(1, nbits // 8))
 
 
 def _witness_model(adj: np.ndarray, props: list, v: int) -> Model:
@@ -241,17 +263,19 @@ def find_model(phi: Formula, max_states: int, props=None, mod_iso: bool = True):
     `search_work` refuses a search too large to run before it starts."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    props = sorted(prop_names(phi) if props is None else set(props), key=str)
-    search_work(max_states, len(props), len(subformulas(phi)), mod_iso)
+    order = subformulas(phi)
+    props = sorted({f.prop for f in order if isinstance(f, Atom)} if props is None else set(props),
+                   key=str)
+    search_work(max_states, len(props), len(order), mod_iso)
     for n in range(1, max_states + 1):
         nbits = 1 << (n * len(props))
-        nbytes = max(1, nbits // 8)
-        atoms = _atom_patterns(n, props)
+        patterns = _atom_patterns(n, len(props))
+        nbytes = patterns.shape[-1]
         adj_all = _frames(n, mod_iso)[1]
         chunk = max(1, _CHUNK_BYTES // (n * n * nbytes))
         for lo in range(0, len(adj_all), chunk):
             adj = adj_all[lo:lo + chunk]
-            truth = truth_table(phi, adj, atoms, nbytes)
+            truth = truth_table(order, adj, props, patterns)
             hits = np.nonzero(truth.any(axis=(1, 2, 3)))[0]
             if hits.size == 0:
                 continue

@@ -29,7 +29,7 @@ from .errors import (
     ResourceGuard,
     UnknownState,
 )
-from .model import Model, load_model, save_model
+from .model import Model, load_model, model_doc, save_model
 from .syntax import classify, parse, render
 
 EX_USAGE = 64
@@ -90,7 +90,7 @@ def _write_witness(args, model: Model, pair) -> dict | None:
             fh.write(save_model(model))
         info["path"] = args.witness
     else:
-        info["model"] = json.loads(save_model(model))
+        info["model"] = model_doc(model)
     return info
 
 
@@ -327,7 +327,7 @@ def _cmd_tiling(args):
         lines.append(f"phi_T {'holds' if holds else 'fails'} at ({spy},{spy})")
         code = 0 if holds else 1
     if not args.output:
-        payload["model"] = json.loads(save_model(model))
+        payload["model"] = model_doc(model)
     _emit(args, payload, "\n".join(lines))
     return code
 

@@ -119,8 +119,9 @@ def load_model(text: str) -> Model:
     return Model(tuple(states), frozenset(edge_set), valuation)
 
 
-def save_model(model: Model) -> str:
-    doc = {
+def model_doc(model: Model) -> dict:
+    """The JSON object of the model file format, as `save_model` writes it."""
+    return {
         "states": list(model.states),
         "edges": sorted([a, b] for a, b in model.edges),
         "valuation": {
@@ -128,7 +129,10 @@ def save_model(model: Model) -> str:
             for p, ws in sorted(model.valuation.items(), key=lambda kv: str(kv[0]))
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def save_model(model: Model) -> str:
+    return json.dumps(model_doc(model), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

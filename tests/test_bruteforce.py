@@ -1,18 +1,49 @@
 """The bounded search's frame list: isomorph-free generation against the
 permutation filter it replaced, the reduced search against the full one, and
-the limits that size the search."""
+the limits that size the search. The kernel's boolean single-model path
+against its packed path and the pointwise checker."""
 
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lhs import And, ResourceGuard, parse, render
-from lhs.bruteforce import WORK_CEILING, _CLASSES, _frames, find_model, search_work
+from lhs import (
+    And,
+    BBox,
+    BDia,
+    Bot,
+    EqConst,
+    ResourceGuard,
+    Top,
+    WBox,
+    WDia,
+    check,
+    check_all,
+    generate_phi,
+    load_tileset,
+    make_model,
+    parse,
+    render,
+    torus_model,
+)
+from lhs.bruteforce import (
+    WORK_CEILING,
+    _CLASSES,
+    _frames,
+    find_model,
+    search_work,
+    truth_table,
+)
 from lhs.syntax import prop_names, subformulas
+from lhs.tiling import PeriodicTiling
 
-from conftest import random_formula, random_i_free, reference_frame_ids
+from conftest import all_pairs, random_formula, random_i_free, reference_frame_ids
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("n, classes", [(n, _CLASSES[n]) for n in range(1, 5)])
@@ -96,3 +127,79 @@ def test_heaviest_searches_within_the_ceiling():
 def test_refusal_names_the_level(bound, k, size, mod_iso, refusal):
     with pytest.raises(ResourceGuard, match=re.escape(refusal)):
         search_work(bound, k, size, mod_iso)
+
+
+def _packed_pairs(model, phi):
+    """`check_all`'s answer from the packed path: the same frame, with each
+    prop one 0/255 byte per state."""
+    states = model.states
+    adj = np.array([[[(a, b) in model.edges for b in states] for a in states]])
+    props = list(model.valuation)
+    patterns = np.array([[[255 if w in model.valuation[p] else 0] for w in states]
+                         for p in props], dtype=np.uint8).reshape(len(props), len(states), 1)
+    truth = truth_table(subformulas(phi), adj, props, patterns)
+    assert truth.dtype == np.uint8 and set(np.unique(truth)) <= {0, 255}
+    return {(states[s], states[t]) for s, t in np.argwhere(truth[0, :, :, 0]).tolist()}
+
+
+def _hostile_model(rng, n, shape):
+    states = [f"w{i}" for i in range(n)]
+    if shape == "no edges":
+        edges = []
+    elif shape == "complete":
+        edges = [(a, b) for a in states for b in states]
+    else:
+        # Sparse enough to leave dead ends; "loops" adds every self-loop.
+        edges = [(a, b) for a in states for b in states if rng.random() < 2.5 / n]
+        if shape == "loops":
+            edges += [(a, a) for a in states]
+    if shape == "empty valuation":
+        return make_model(states, edges)
+    # The formulas also read l:z and r:z, which no valuation mentions, and
+    # l:extra is mentioned but never read.
+    valuation = {p: [w for w in states if rng.random() < 0.4]
+                 for p in ("l:p", "l:q", "r:p", "r:q", "l:extra") if rng.random() < 0.8}
+    return make_model(states, edges, valuation)
+
+
+def test_boolean_path_agrees_with_packed_path_and_pointwise():
+    rng = random.Random(1414)
+    shapes = ["sparse", "loops", "no edges", "complete", "empty valuation"]
+    node_types, dead_ends = set(), set()
+    for i in range(60):
+        n = 1 + i if i % 3 else rng.randint(1, 8)
+        m = _hostile_model(rng, n, shapes[i % len(shapes)])
+        for _ in range(3):
+            phi = random_formula(rng, depth=rng.randint(3, 5), left_vars=("p", "q", "z"),
+                                 right_vars=("p", "q", "z"))
+            node_types |= {type(f) for f in subformulas(phi)}
+            got = check_all(m, phi)
+            assert got == _packed_pairs(m, phi), (render(phi), n)
+            # Pointwise `check` on every pair where that stays quick.
+            pairs = all_pairs(m) if n <= 12 else rng.sample(all_pairs(m), 40)
+            assert {pair for pair in pairs if check(m, *pair, phi)} == got & set(pairs)
+        dead_ends.add(any(not m.successor_map[w] for w in m.states))
+    assert {WBox, WDia, BBox, BDia, EqConst, Top, Bot} <= node_types
+    assert dead_ends == {True, False}
+
+
+@pytest.mark.parametrize("period, prune, holds", [
+    ((1, 2), False, True),
+    ((1, 2), True, False),
+    ((4, 4), True, False),
+])
+def test_boolean_path_on_tiling_tori(period, prune, holds):
+    # `tiling model --check` reads (spy, spy) from `check_all`. Pruning one
+    # spy edge makes phi_T fail there.
+    ts = load_tileset((DATA / "stripe_tiles.json").read_text())
+    pt = PeriodicTiling(period, {(a, b): "AB"[b % 2] for a in range(period[0])
+                                 for b in range(period[1])})
+    model, spy = torus_model(ts, pt)
+    if prune:
+        victim = sorted(set(model.states) - {spy})[0]
+        model = make_model(model.states, model.edges - {(spy, victim)},
+                           {str(p): ws for p, ws in model.valuation.items()})
+    phi = generate_phi(ts)
+    got = check_all(model, phi)
+    assert ((spy, spy) in got) == holds == check(model, spy, spy, phi)
+    assert got == _packed_pairs(model, phi)

@@ -13,6 +13,7 @@ from lhs import (
     generated_submodel,
     load_model,
     make_model,
+    model_doc,
     one_sided_eval,
     restrict_left,
     restrict_right,
@@ -38,6 +39,8 @@ class TestLoadSave:
             assert set(again.states) == set(m.states)
             assert set(again.edges) == set(m.edges)
             assert again.valuation == m.valuation
+            # `--json` outputs embed this dict in place of the file's text.
+            assert model_doc(m) == json.loads(save_model(m))
 
     def test_golden_round_trip(self):
         text = json.dumps({
