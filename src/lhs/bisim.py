@@ -41,8 +41,15 @@ class ClauseViolation:
         return f"clause {self.clause} fails at {self.quad}"
 
 
-def _atoms(model: Model, s: State, t: State, props) -> tuple[bool, ...]:
-    return tuple((s if p.side is Side.LEFT else t) in model.truth_set(p) for p in props)
+def _labels(model: Model, props) -> tuple[dict[State, int], dict[State, int]]:
+    """Per state, the bit set of the left and of the right props of `props`
+    that hold there: a pair (s, t) reads its atoms as left[s] and right[t]."""
+    left, right = dict.fromkeys(model.states, 0), dict.fromkeys(model.states, 0)
+    for j, p in enumerate(props):
+        bits = left if p.side is Side.LEFT else right
+        for w in model.truth_set(p):
+            bits[w] |= 1 << j
+    return left, right
 
 
 def _blocks(m: Model, n: Model) -> dict[tuple[int, State, State], int]:
@@ -50,8 +57,9 @@ def _blocks(m: Model, n: Model) -> dict[tuple[int, State, State], int]:
 
     Signature refinement: a node's next block is its block with the sets of
     blocks of its white and of its black successors, until the number of
-    blocks stops changing. A round reads every pair node and edge; a round
-    that would take the total over `DEFAULT_CEILING` is refused before it starts.
+    blocks stops changing or every node has a block of its own. A round reads
+    every pair node and edge; a round that would take the total over
+    `DEFAULT_CEILING` is refused before it starts.
     """
     models = (m, n)
     work = sum(len(x.states) * (len(x.states) + 2 * sum(map(len, x.successor_map.values())))
@@ -62,12 +70,16 @@ def _blocks(m: Model, n: Model) -> dict[tuple[int, State, State], int]:
         at = {key: i for i, key in enumerate(keys)}
         white = [[at[i, v, t] for v in models[i].successor_map[s]] for i, s, t in keys]
         black = [[at[i, s, v] for v in models[i].successor_map[t]] for i, s, t in keys]
-        block = _number((s == t, _atoms(models[i], s, t, props)) for i, s, t in keys)
+        bits = [_labels(x, props) for x in models]
+        block = _number((s == t, bits[i][0][s], bits[i][1][t]) for i, s, t in keys)
         for _ in range(rounds):
-            refined = _number((b, frozenset(block[j] for j in ws), frozenset(block[j] for j in bs))
+            refined = _number((b, frozenset(map(block.__getitem__, ws)),
+                               frozenset(map(block.__getitem__, bs)))
                               for b, ws, bs in zip(block, white, black))
-            if max(refined) == max(block):  # numbered in order of first use
-                return dict(zip(keys, block))
+            # Numbered in order of first use: an unchanged count is an unchanged
+            # partition, and a discrete one cannot split further.
+            if max(refined) in (max(block), len(keys) - 1):
+                return dict(zip(keys, refined))
             block = refined
     raise ResourceGuard(f"refinement reads {work} pair-graph nodes and edges a round, so round "
                         f"{rounds + 1} would pass the ceiling of {DEFAULT_CEILING}")
@@ -121,9 +133,10 @@ def check_bisimulation_witness(relation: PairRelation) -> ClauseViolation | None
     """None when every quadruple satisfies all six clauses, else the first failure."""
     m, n = relation.left, relation.right
     props = sorted(set(m.valuation) | set(n.valuation), key=str)
+    (m_left, m_right), (n_left, n_right) = _labels(m, props), _labels(n, props)
     for quad in sorted(relation.pairs):
         (s, t), (s2, t2) = quad
-        if _atoms(m, s, t, props) != _atoms(n, s2, t2, props):
+        if (m_left[s], m_right[t]) != (n_left[s2], n_right[t2]):
             return ClauseViolation("atom-agreement", quad)
         clause = _zigzag_violation(quad, relation.pairs, m.successor_map, n.successor_map)
         if clause is not None:

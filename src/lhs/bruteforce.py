@@ -216,8 +216,9 @@ def _frames(n: int, mod_iso: bool) -> tuple[np.ndarray, np.ndarray]:
     return masks, adj
 
 
+@lru_cache(maxsize=None)
 def _atom_patterns(n: int, k: int) -> np.ndarray:
-    """Packed truth pattern of each of k props at each state over the valuation axis.
+    """Read-only packed truth pattern of each of k props at each state over the valuation axis.
 
     Valuation v assigns prop j the extension whose bit w is bit n*j+w of v.
     Shape (k, n, B) uint8, B = packed length of 2^(n*k) bits. Fewer than 8
@@ -228,7 +229,9 @@ def _atom_patterns(n: int, k: int) -> np.ndarray:
     v = np.arange(max(8, nbits), dtype=np.uint64) % np.uint64(nbits)
     rows = [np.packbits(((v >> np.uint64(i)) & np.uint64(1)).astype(np.uint8), bitorder="little")
             for i in range(n * k)]
-    return np.array(rows, dtype=np.uint8).reshape(k, n, max(1, nbits // 8))
+    patterns = np.array(rows, dtype=np.uint8).reshape(k, n, max(1, nbits // 8))
+    patterns.flags.writeable = False
+    return patterns
 
 
 def _witness_model(adj: np.ndarray, props: list, v: int) -> Model:

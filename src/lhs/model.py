@@ -104,7 +104,8 @@ def load_model(text: str) -> Model:
         raise ModelFormatError("'edges' must be a list of [source, target] pairs")
     edge_set = set()
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], str)):
             raise ModelFormatError(f"bad edge entry {e!r}")
         edge_set.add((e[0], e[1]))
     valuation = {}

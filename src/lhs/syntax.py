@@ -185,13 +185,14 @@ def children(phi: Formula):
     return ()
 
 
-def _fold_balanced(parts: list, node) -> Formula:
+def fold_balanced(parts: list, node) -> Formula:
+    """A nonempty list joined by the binary constructor `node` (`And`, `Or`)."""
     # Balanced so that huge conjunctions stay log-deep; splitting with a
     # ceiling keeps three-element folds identical to the left-associated read.
     if len(parts) == 1:
         return parts[0]
     mid = (len(parts) + 1) // 2
-    return node(_fold_balanced(parts[:mid], node), _fold_balanced(parts[mid:], node))
+    return node(fold_balanced(parts[:mid], node), fold_balanced(parts[mid:], node))
 
 
 def conjoin(parts) -> Formula:
@@ -199,7 +200,7 @@ def conjoin(parts) -> Formula:
     parts = list(parts)
     if not parts:
         raise ValueError("conjoin of empty list")
-    return _fold_balanced(parts, And)
+    return fold_balanced(parts, And)
 
 
 def disjoin(parts, empty: Formula | None = None) -> Formula:
@@ -209,7 +210,7 @@ def disjoin(parts, empty: Formula | None = None) -> Formula:
         if empty is None:
             raise ValueError("disjoin of empty list")
         return empty
-    return _fold_balanced(parts, Or)
+    return fold_balanced(parts, Or)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +239,8 @@ def drive(walk):
     """Run `walk`, a generator that yields each sub-walk and receives its result.
 
     Walks that carry context down the formula (an evaluation pair, a variable
-    counter, the parser's position) are written this way: the suspended walks
-    wait on a list here, so nesting depth costs heap, never Python stack.
+    counter) are written this way: the suspended walks wait on a list here,
+    so nesting depth costs heap, never Python stack.
     """
     stack = [walk]
     value = None
@@ -391,8 +392,8 @@ _BINARY_TOKEN = {
     Implies: (" -> ", _PREC_IMP + 1, _PREC_IMP),
     Iff: (" <-> ", _PREC_IFF + 1, _PREC_IFF),
 }
-_BINARY_NODE = {op.strip(): node for node, (op, _, _) in _BINARY_TOKEN.items()}
 _PREFIX_NODE = {op.strip(): node for node, op in _PREFIX.items()}
+_CONSTANT_NODE = {text: node for node, text in _CONSTANT.items()}
 
 
 def _prec(phi: Formula) -> int:
@@ -402,95 +403,34 @@ def _prec(phi: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Concrete syntax: parser
 
+# Whitespace starts no token, so `finditer` skips it.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<atom>[lr]:[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<mod>\[W\]|\[B\]|<W>|<B>)
-    | (?P<op><->|->|[~&|()])
+      (?P<atom>[lr]:[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><->|->|[~&|()]|\[W\]|\[B\]|<W>|<B>)
     | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+# token: (node, its precedence, least precedence of its right operand)
+_INFIX = {op.strip(): (node, _PREC[node], right) for node, (op, _, right) in _BINARY_TOKEN.items()}
+_NOT_INFIX = (None, 0, None)  # ends every pending operand down to the innermost `(`
 
 
-class _Parser:
-    def __init__(self, tokens, allow_reserved):
-        self.tokens = tokens
-        self.i = 0
-        self.allow_reserved = allow_reserved
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, text, pos = self.peek()
-        if text != value:
-            raise FormulaSyntaxError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
-        return self.advance()
-
-    # Each rule is a walk for `drive`: it yields the rules it descends into.
-
-    def formula(self, least=_PREC_IFF):
-        # Precedence climbing (Pratt 1973): read operands joined by binary
-        # connectives of precedence `least` or above.
-        left = yield self.unary()
-        while True:
-            node = _BINARY_NODE.get(self.peek()[1])
-            if node is None or _PREC[node] < least:
-                return left
-            self.advance()
-            left = node(left, (yield self.formula(_BINARY_TOKEN[node][2])))
-
-    def unary(self):
-        text = self.peek()[1]
-        if text in _PREFIX_NODE:
-            self.advance()
-            return _PREFIX_NODE[text]((yield self.unary()))
-        if text == "(":
-            self.advance()
-            inner = yield self.formula()
-            self.expect(")")
-            return inner
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.advance()
-        if kind == "atom":
-            side = Side.LEFT if text[0] == "l" else Side.RIGHT
-            name = text[2:]
-            if name.startswith(RESERVED_PREFIX) and not self.allow_reserved:
-                raise ReservedNameError(
-                    f"variable name {name!r} uses the reserved {RESERVED_PREFIX!r} prefix"
-                )
-            return Atom(PropName(side, name))
-        if kind == "word":
-            if text == "I":
-                return EqConst()
-            if text == "true":
-                return Top()
-            if text == "false":
-                return Bot()
-            raise FormulaSyntaxError(f"unknown identifier {text!r}", pos)
-        raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
+def _leaf(kind: str, text: str, pos: int, allow_reserved: bool) -> Formula:
+    if kind == "atom":
+        name = text[2:]
+        if name.startswith(RESERVED_PREFIX) and not allow_reserved:
+            raise ReservedNameError(
+                f"variable name {name!r} uses the reserved {RESERVED_PREFIX!r} prefix"
+            )
+        return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, name))
+    if kind == "word":
+        if text in _CONSTANT_NODE:
+            return _CONSTANT_NODE[text]()
+        raise FormulaSyntaxError(f"unknown identifier {text!r}", pos)
+    raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
 
 def parse(text: str, allow_reserved: bool = False) -> Formula:
@@ -498,13 +438,49 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
 
     `allow_reserved` admits the normalizer's `_fresh*` variables and is meant
     for re-reading output this package produced itself.
+
+    Operator precedence (Floyd 1963): one pass over the tokens keeps the
+    operators still waiting for their right operand on a stack, so nesting
+    costs heap, never Python stack. An operator of precedence p ends the
+    right operands of the pending operators that read theirs above p.
     """
-    parser = _Parser(_tokenize(text), allow_reserved)
-    phi = drive(parser.formula())
-    kind, tok_text, pos = parser.peek()
-    if kind != "eof":
-        raise FormulaSyntaxError(f"trailing input {tok_text!r}", pos)
-    return phi
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
+    leaves: dict[str, Formula] = {}  # each distinct atom is built once
+    # (node, left operand or None for a prefix, least precedence of the
+    # right operand) of each pending operator; None for `(`.
+    pending: list = []
+    stream = iter(tokens)
+    for kind, tok, pos in stream:  # where an operand starts
+        if tok in _PREFIX_NODE:
+            pending.append((_PREFIX_NODE[tok], None, _PREC_UNARY))
+            continue
+        if tok == "(":
+            pending.append(None)
+            continue
+        phi = leaves.get(tok)
+        if phi is None:
+            phi = leaves[tok] = _leaf(kind, tok, pos, allow_reserved)
+        for kind, tok, pos in stream:  # after the operand `phi`
+            node, prec, least = _INFIX.get(tok, _NOT_INFIX)
+            while pending and pending[-1] is not None and prec < pending[-1][2]:
+                op, left, _ = pending.pop()
+                phi = op(phi) if left is None else op(left, phi)
+            if node is not None:
+                pending.append((node, phi, least))
+                break
+            if tok == ")" and pending:
+                pending.pop()
+            elif pending:
+                raise FormulaSyntaxError(f"expected ')', found {tok or 'end of input'!r}", pos)
+            elif kind == "eof":
+                return phi
+            else:
+                raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InvalidTiling, ModelFormatError
 from .model import Model
@@ -23,10 +24,10 @@ from .syntax import (
     Iff,
     Implies,
     Not,
+    Or,
     WBox,
     WDia,
-    conjoin,
-    disjoin,
+    fold_balanced,
     left_atom,
     right_atom,
 )
@@ -119,87 +120,76 @@ def validate_tiling(ts: TileSet, pt: PeriodicTiling) -> TilingViolation | None:
 # The satisfiability formula
 
 
-def _t_left(ts: TileSet) -> Formula:
-    return disjoin(left_atom(f"t{i + 1}") for i in range(len(ts.tiles)))
-
-
-def _t_right(ts: TileSet) -> Formula:
-    return disjoin(right_atom(f"t{i + 1}") for i in range(len(ts.tiles)))
-
-
-def _dia_step(ts: TileSet, step_label: str, phi: Formula) -> Formula:
-    # White composite move: step onto a step-labelled state, then onto a tile state.
-    tl = _t_left(ts)
-    return And(tl, WDia(And(left_atom(step_label), WDia(And(tl, phi)))))
-
-
-def _bdia_step(ts: TileSet, step_label: str, phi: Formula) -> Formula:
-    tr = _t_right(ts)
-    return And(tr, BDia(And(right_atom(step_label), BDia(And(tr, phi)))))
-
-
 def generate_phi(ts: TileSet) -> Formula:
-    """The conjunction whose satisfiability encodes tilability by `ts`."""
-    labels = ts.labels()
-    tl = _t_left(ts)
-    eq = EqConst()
+    """The conjunction whose satisfiability encodes tilability by `ts`.
 
-    spy = And(And(eq, WBox(WBox(BDia(eq)))), WDia(tl))
-    same_labels = WBox(
-        BBox(
-            Implies(
-                eq,
-                conjoin(Iff(left_atom(p), right_atom(p)) for p in labels),
-            )
-        )
-    )
-    unique_label = WBox(
-        conjoin(
-            Iff(
-                left_atom(p),
-                conjoin(Not(left_atom(q)) for q in labels if q != p),
-            )
-            for p in labels
-        )
-    )
+    Each distinct subformula is built once, by `mk`, so equal subformulas are
+    one object and no later dict or set lookup compares two trees.
+    """
+    built: dict = {}
+
+    def mk(node, *parts):
+        # Each part is the one object of its subformula and stays alive
+        # while `built` does, so its id names it.
+        key = (node, *map(id, parts))
+        if key not in built:
+            built[key] = node(*parts)
+        return built[key]
+
+    def fold(node, parts):  # `conjoin` / `disjoin` through `mk`
+        return fold_balanced(parts, partial(mk, node))
+
+    labels = ts.labels()
+    la = {p: left_atom(p) for p in labels}
+    ra = {p: right_atom(p) for p in labels}
+    tiles = labels[2:]  # t1, t2, ...
+    tl = fold(Or, [la[t] for t in tiles])
+    tr = fold(Or, [ra[t] for t in tiles])
+    eq, bot = EqConst(), Bot()
+
+    def dia_step(step_label: str, phi: Formula) -> Formula:
+        # White composite move: step onto a step-labelled state, then onto a tile state.
+        return mk(And, tl, mk(WDia, mk(And, la[step_label], mk(WDia, mk(And, tl, phi)))))
+
+    def bdia_step(step_label: str, phi: Formula) -> Formula:
+        return mk(And, tr, mk(BDia, mk(And, ra[step_label], mk(BDia, mk(And, tr, phi)))))
+
+    spy = mk(And, mk(And, eq, mk(WBox, mk(WBox, mk(BDia, eq)))), mk(WDia, tl))
+    same_labels = mk(WBox, mk(BBox, mk(Implies, eq, fold(And, [mk(Iff, la[p], ra[p])
+                                                               for p in labels]))))
+    unique_label = mk(WBox, fold(And, [
+        mk(Iff, la[p], fold(And, [mk(Not, la[q]) for q in labels if q != p])) for p in labels
+    ]))
 
     # Each step is functional: a tile state has a successor with the step's
     # label, and a step state has a tile successor, that every black move to
     # a state of the same kind meets.
     steps = []
     for label in (LABEL_UP, LABEL_RIGHT):
-        into_step = WDia(And(left_atom(label), BBox(Implies(right_atom(label), eq))))
-        out_of_step = WDia(And(tl, BBox(Implies(_t_right(ts), eq))))
-        steps.append(WBox(BBox(Implies(And(tl, eq), into_step))))
-        steps.append(WBox(BBox(Implies(And(left_atom(label), eq), out_of_step))))
+        into_step = mk(WDia, mk(And, la[label], mk(BBox, mk(Implies, ra[label], eq))))
+        out_of_step = mk(WDia, mk(And, tl, mk(BBox, mk(Implies, tr, eq))))
+        steps.append(mk(WBox, mk(BBox, mk(Implies, mk(And, tl, eq), into_step))))
+        steps.append(mk(WBox, mk(BBox, mk(Implies, mk(And, la[label], eq), out_of_step))))
     # The moves commute: after any up step of the first coordinate and any
     # right step of the second, a right step of the first and an up step of
     # the second meet again. A box step is a negated diamond step.
-    meet = _dia_step(ts, LABEL_RIGHT, _bdia_step(ts, LABEL_UP, eq))
-    bbox_right = Not(_bdia_step(ts, LABEL_RIGHT, Not(meet)))
-    box_up = Not(_dia_step(ts, LABEL_UP, Not(bbox_right)))
-    urt = WBox(BBox(Implies(And(tl, eq), box_up)))
+    meet = dia_step(LABEL_RIGHT, bdia_step(LABEL_UP, eq))
+    bbox_right = mk(Not, bdia_step(LABEL_RIGHT, mk(Not, meet)))
+    box_up = mk(Not, dia_step(LABEL_UP, mk(Not, bbox_right)))
+    urt = mk(WBox, mk(BBox, mk(Implies, mk(And, tl, eq), box_up)))
 
     def tiling_group(step_label: str, matches) -> Formula:
         branches = []
-        for i, tile in enumerate(ts.tiles):
-            continuations = [
-                left_atom(f"t{j + 1}")
-                for j, other in enumerate(ts.tiles)
-                if matches(tile, other)
-            ]
-            branches.append(
-                Implies(
-                    left_atom(f"t{i + 1}"),
-                    _dia_step(ts, step_label, disjoin(continuations, empty=Bot())),
-                )
-            )
-        return WBox(Implies(tl, conjoin(branches)))
+        for here, tile in zip(tiles, ts.tiles):
+            continuations = [la[t] for t, other in zip(tiles, ts.tiles) if matches(tile, other)]
+            then = fold(Or, continuations) if continuations else bot
+            branches.append(mk(Implies, la[here], dia_step(step_label, then)))
+        return mk(WBox, mk(Implies, tl, fold(And, branches)))
 
     t1 = tiling_group(LABEL_UP, lambda a, b: a.up == b.down)
     t2 = tiling_group(LABEL_RIGHT, lambda a, b: a.right == b.left)
 
-    return conjoin([spy, same_labels, unique_label, *steps, urt, t1, t2])
+    return fold(And, [spy, same_labels, unique_label, *steps, urt, t1, t2])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ reproducible; no module-level RNG state.
 import itertools
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -35,7 +36,18 @@ from lhs import (
     make_model,
     right_atom,
 )
-from lhs.syntax import Formula, PropName, Side
+from lhs.errors import FormulaSyntaxError, ReservedNameError
+from lhs.syntax import (
+    _BINARY_TOKEN,
+    _PREC,
+    _PREC_IFF,
+    _PREFIX_NODE,
+    RESERVED_PREFIX,
+    Formula,
+    PropName,
+    Side,
+    drive,
+)
 
 SRC = Path(__file__).parent.parent / "src"
 LEFT_VARS = ("p", "q")
@@ -182,6 +194,98 @@ def rename_copy(model, prefix="c."):
         {f"{p.side.value}:{p.name}": [ren[w] for w in ws]
          for p, ws in model.valuation.items()},
     ), ren
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<atom>[lr]:[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<mod>\[W\]|\[B\]|<W>|<B>)
+    | (?P<op><->|->|[~&|()])
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_INFIX = {op.strip(): node for node, (op, _, _) in _BINARY_TOKEN.items()}
+
+
+class _ReferenceParser:
+    """Precedence climbing (Pratt 1973), one generator walk per grammar rule,
+    run on an explicit stack by `drive`: the parser `lhs.syntax.parse` once was."""
+
+    def __init__(self, text, allow_reserved):
+        pos, self.tokens = 0, []
+        while pos < len(text):
+            m = _REFERENCE_TOKEN.match(text, pos)
+            if m is None:
+                raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), pos))
+            pos = m.end()
+        self.tokens.append(("eof", "", len(text)))
+        self.i = 0
+        self.allow_reserved = allow_reserved
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def formula(self, least=_PREC_IFF):
+        left = yield self.unary()
+        while True:
+            node = _REFERENCE_INFIX.get(self.peek()[1])
+            if node is None or _PREC[node] < least:
+                return left
+            self.advance()
+            left = node(left, (yield self.formula(_BINARY_TOKEN[node][2])))
+
+    def unary(self):
+        text = self.peek()[1]
+        if text in _PREFIX_NODE:
+            self.advance()
+            return _PREFIX_NODE[text]((yield self.unary()))
+        if text == "(":
+            self.advance()
+            inner = yield self.formula()
+            kind, found, pos = self.peek()
+            if found != ")":
+                raise FormulaSyntaxError(f"expected ')', found {found or 'end of input'!r}", pos)
+            self.advance()
+            return inner
+        return self.atom()
+
+    def atom(self):
+        kind, text, pos = self.advance()
+        if kind == "atom":
+            name = text[2:]
+            if name.startswith(RESERVED_PREFIX) and not self.allow_reserved:
+                raise ReservedNameError(
+                    f"variable name {name!r} uses the reserved {RESERVED_PREFIX!r} prefix"
+                )
+            return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, name))
+        if kind == "word":
+            if text == "I":
+                return EqConst()
+            if text == "true":
+                return Top()
+            if text == "false":
+                return Bot()
+            raise FormulaSyntaxError(f"unknown identifier {text!r}", pos)
+        raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
+
+
+def reference_parse(text, allow_reserved=False):
+    """`parse` as a walk per grammar rule: the reference for the
+    operator-precedence loop, which must give the same trees and errors."""
+    parser = _ReferenceParser(text, allow_reserved)
+    phi = drive(parser.formula())
+    kind, found, pos = parser.peek()
+    if kind != "eof":
+        raise FormulaSyntaxError(f"trailing input {found!r}", pos)
+    return phi
 
 
 def reference_frame_ids(n, mod_iso):

@@ -140,6 +140,21 @@ class TestLargestBisimulation:
         with pytest.raises(ResourceGuard, match="reads 5280 .* so round 4 would pass"):
             are_bisimilar(m, "w0", "w1", m, "w0", "w1")
 
+    def test_stops_at_a_discrete_partition(self, monkeypatch):
+        # Every pair node of a 6-state path and the one of a loop is alone in
+        # its block after round 5, each round reading 6 * (6 + 2 * 5) + 3 = 99
+        # pair nodes and edges: five rounds are enough, four are not.
+        states = [f"x{i}" for i in range(6)]
+        m = make_model(states, list(zip(states, states[1:])))
+        n = make_model(["y"], [("y", "y")])
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5 * 99)
+        assert largest_bisimulation(m, n).pairs == frozenset()
+        blocks = bisim._blocks(m, n)
+        assert len(set(blocks.values())) == len(blocks) == 37
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5 * 99 - 1)
+        with pytest.raises(ResourceGuard, match="reads 99 .* so round 5 would pass"):
+            largest_bisimulation(m, n)
+
     def test_equals_quadruple_fixpoint(self):
         rng = random.Random(7001)
         for i in range(300):

@@ -33,6 +33,7 @@ from lhs import (
 from lhs.bruteforce import (
     WORK_CEILING,
     _CLASSES,
+    _atom_patterns,
     _frames,
     find_model,
     search_work,
@@ -79,6 +80,14 @@ def test_cached_arrays_are_read_only(mod_iso):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_atom_patterns_cached_and_read_only():
+    patterns = _atom_patterns(2, 3)
+    assert _atom_patterns(2, 3) is patterns
+    assert patterns.shape == (3, 2, 8) and not patterns.flags.writeable
+    with pytest.raises(ValueError):
+        patterns[0] = 0
 
 
 # Conjuncts that push the smallest model past one state: two states for

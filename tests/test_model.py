@@ -1,6 +1,7 @@
 """Model construction, file round-trips, submodels, unions, enumeration."""
 
 import json
+import re
 import time
 
 import pytest
@@ -57,6 +58,15 @@ class TestLoadSave:
     def test_unknown_key_rejected(self):
         with pytest.raises(ModelFormatError):
             load_model('{"states": ["a"], "edges": [], "valuation": {}, "x": 1}')
+
+    @pytest.mark.parametrize("entry, shown", [
+        ('"ab"', "'ab'"), ('["a"]', "['a']"), ('["a", "a", "a"]', "['a', 'a', 'a']"),
+        ('["a", 1]', "['a', 1]"), ('[null, "a"]', "[None, 'a']"), ('{"a": "a"}', "{'a': 'a'}"),
+    ])
+    def test_first_bad_edge_entry_named(self, entry, shown):
+        text = f'{{"states": ["a"], "edges": [["a", "a"], {entry}, [1]]}}'
+        with pytest.raises(ModelFormatError, match=re.escape(f"bad edge entry {shown}")):
+            load_model(text)
 
 
 class TestSuccessors:

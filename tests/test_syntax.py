@@ -1,6 +1,8 @@
 """Parser, printer, classification, substitution, and fresh-name tests."""
 
 import random
+import re
+import time
 
 import pytest
 
@@ -30,9 +32,10 @@ from lhs import (
     subformulas,
     substitute,
 )
+from lhs.errors import FormulaSyntaxError
 from lhs.syntax import PropName, Side, conjoin, disjoin, fresh_var
 
-from conftest import random_formula
+from conftest import random_formula, reference_parse, time_budget
 
 
 def lp(name="p"):
@@ -107,6 +110,79 @@ class TestParse:
 
     def test_reserved_prefix_opt_in(self):
         assert parse("l:_fresh0", allow_reserved=True) == lp("_fresh0")
+
+
+_VOCAB = ("l:p", "r:q", "l:_fresh0", "r:_fresh12", "I", "true", "false", "foo", "W", "~",
+          "[W]", "<W>", "[B]", "<B>", "&", "|", "->", "<->", "(", ")", "\t")
+# Fragments of tokens and characters that start none.
+_STRAY = ("$", "l:", "r:1", "<", "-", "[", ":", "\u00e9")
+_TOKEN = re.compile(r"[lr]:\w+|<->|->|\[[WB]\]|<[WB]>|\w+|\S")
+
+
+def _outcome(parser, text, allow_reserved):
+    try:
+        return parser(text, allow_reserved)
+    except (FormulaSyntaxError, ReservedNameError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _token(rng):
+    return rng.choice(_STRAY if rng.random() < 0.03 else _VOCAB)
+
+
+def _texts(rng, count):
+    """Random token strings, rendered random formulas (some with reserved
+    names) and rendered ones with a token inserted or deleted, in turn."""
+    for i in range(count):
+        sep = rng.choice(("", " ", "  "))
+        if i % 3 == 0:
+            yield sep.join(_token(rng) for _ in range(rng.randint(0, 10)))
+            continue
+        phi = random_formula(rng, rng.randint(0, 4), left_vars=("p", "_fresh0"))
+        text = render(phi, full_parens=rng.random() < 0.3)
+        if i % 3 == 1:
+            yield text
+            continue
+        tokens = _TOKEN.findall(text)
+        at = rng.randrange(len(tokens) + 1)
+        if tokens and rng.random() < 0.5:
+            del tokens[min(at, len(tokens) - 1)]
+        else:
+            tokens.insert(at, _token(rng))
+        yield sep.join(tokens)
+
+
+class TestAgainstReference:
+    def test_same_trees_and_errors(self):
+        # The generator-per-rule parser that preceded the operator-precedence
+        # loop is the reference: equal trees, or equal error type, message
+        # and position, under both `allow_reserved` values: 80,000 checks.
+        for text in _texts(random.Random(15), 40_000):
+            for allow_reserved in (False, True):
+                got = _outcome(parse, text, allow_reserved)
+                assert got == _outcome(reference_parse, text, allow_reserved), text
+
+    @pytest.mark.parametrize("make", [lambda k: " & ".join(["l:p"] * k),
+                                      lambda k: "~" * k + "l:p"], ids=["wide_and", "deep_not"])
+    def test_linear_time(self, make):
+        # Four times the input costs about four times the CPU time, not
+        # sixteen: 10^5 operators parse within a CPU-second bound.
+        def cpu(k):
+            text = make(k)
+            start = time.process_time()
+            parse(text)
+            return time.process_time() - start
+
+        with time_budget(20):
+            small, large = min(cpu(25_000) for _ in range(3)), cpu(100_000)
+        assert large < 10 * small + 0.05
+        assert large < 5.0
+
+    def test_each_atom_built_once(self):
+        phi = parse("l:p & l:p")
+        assert phi == And(lp(), lp()) and phi.left is phi.right
+        phi = parse("(l:q -> l:p) | ~l:p")
+        assert phi.left.right is phi.right.child
 
 
 class TestRender:

@@ -1,5 +1,6 @@
 """Tile-set compilation, torus models, and tiling validation."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,11 +15,13 @@ from lhs import (
     load_tiling,
     make_model,
     parse,
+    render,
     subformulas,
     torus_model,
     validate_tiling,
 )
 from lhs.model import successors
+from lhs.syntax import children
 from lhs.tiling import PeriodicTiling, Tile, TileSet
 
 DATA = Path(__file__).parent / "data"
@@ -112,6 +115,24 @@ class TestGeneratePhi:
         phi = generate_phi(ts)
         dia_u_false = parse("l:t1 & <W>(l:u & <W>(l:t1 & false))")
         assert dia_u_false in subformulas(phi)
+
+    # sha256 of `render(generate_phi(ts))`: building each subformula once
+    # must not change the formula's text.
+    @pytest.mark.parametrize("name, digest", [
+        ("mismatched_tile", "702a5722dbb7e0d0eb2c511315c9cab8ae4af500c05a9faedb054543333b9417"),
+        ("one_tile", "806070f084c674395092428e8b0568e119b949904174ad1d4ac937320aad1159"),
+        ("stripe_tiles", "f50e0a0864e3f531d3cee9af91f5381832fdc36f9fdeac3fac50b7b13042e9b5"),
+    ])
+    def test_one_object_per_distinct_subformula(self, name, digest):
+        phi = generate_phi(load_tileset((DATA / f"{name}.json").read_text()))
+        assert hashlib.sha256(render(phi).encode()).hexdigest() == digest
+        ids, stack = set(), [phi]
+        while stack:
+            f = stack.pop()
+            if id(f) not in ids:
+                ids.add(id(f))
+                stack.extend(children(f))
+        assert len(ids) == len(subformulas(phi))
 
     def test_subformula_count_linear(self):
         counts = [len(subformulas(generate_phi(tileset(n)))) for n in range(1, 13)]
