@@ -13,6 +13,7 @@ from .normal import CleanCNF, companion
 from .semantics import check
 from .syntax import (
     MODAL_NODES,
+    ONE_SIDED,
     And,
     Atom,
     BBox,
@@ -25,7 +26,6 @@ from .syntax import (
     RESERVED_PREFIX,
     Top,
     WBox,
-    classify,
     drive,
 )
 
@@ -197,14 +197,8 @@ def k_sat(phi: Formula) -> KVerdict:
     except at the root). More than `DEFAULT_STEP_CEILING` goal expansions
     raise `ResourceGuard`.
     """
-    sc = classify(phi)
-    if not (sc.white_only or sc.black_only):
+    if not phi.facts & ONE_SIDED:
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
-    return _k_sat(phi)
-
-
-def _k_sat(phi: Formula) -> KVerdict:
-    """`k_sat` without its side check, for the sides `CleanCNF` has checked."""
     root = _goal(phi, True)
     tree = drive(_tableau({root: 0}, deque([root]), 0, count(1)))
     if not isinstance(tree, _TreeNode):
@@ -246,12 +240,11 @@ def lhs_minus_valid(phi: Formula) -> LHSVerdict:
     comp = companion(phi)
     certificate = []
     for psi, gamma in comp.conjuncts:
-        # `CleanCNF` has checked that psi is white-only and gamma black-only.
-        counter_white = _k_sat(Not(psi))
+        counter_white = k_sat(Not(psi))
         if counter_white.status == "UNSAT":
             certificate.append(("white", psi))
             continue
-        counter_black = _k_sat(Not(gamma))
+        counter_black = k_sat(Not(gamma))
         if counter_black.status == "UNSAT":
             certificate.append(("black", gamma))
             continue

@@ -20,7 +20,9 @@ level of the chain.
 
 `clean_to_cnf` and the propositional `prop_cnf` run the same pass. In a clean
 formula every modality lies inside a one-sided block, and `prop_cnf` makes
-every atom a block of its own side, so for them only the Boolean steps apply.
+every atom, and nothing else, a block of its own side, so for them only the
+Boolean steps apply. The blocks of the others are read off the side bits that
+each formula carries from construction, so no side check walks the formula.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ from itertools import chain
 
 from .errors import ContainsI, ModalInput, NotClean, ResourceGuard
 from .syntax import (
+    BLACK_ONLY,
+    CLEAN,
+    I_FREE,
+    ONE_SIDED,
+    WHITE_ONLY,
     And,
     Atom,
     BBox,
@@ -49,12 +56,11 @@ from .syntax import (
     WDia,
     WHITE_MODAL,
     children,
-    classify,
     conjoin,
     disjoin,
     fresh_var,
     fresh_vars,
-    side_map,
+    prop_names,
     subformulas,
 )
 
@@ -83,15 +89,18 @@ def prop_cnf(alpha: Formula) -> Formula:
     subs = subformulas(alpha)
     if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subs):
         raise ModalInput("CNF conversion expects a purely propositional formula")
-    sides = {f: (isinstance(f, Atom) and f.prop.side is Side.LEFT,
-                 isinstance(f, Atom) and f.prop.side is Side.RIGHT) for f in subs}
     # With no modality in `alpha`, no box ever reads the pads.
-    clauses = _conjuncts(alpha, sides, None)
+    clauses = _conjuncts(alpha, _atom_block, None)
     if not clauses or clauses == [((), ())]:
         names = sorted((f.prop for f in subs if isinstance(f, Atom)), key=str)
         prop = names[0] if names else fresh_var(Side.LEFT, set())
         return (And if clauses else Or)(Atom(prop), Not(Atom(prop)))
     return conjoin(disjoin(white + black) for white, black in clauses)
+
+
+def _atom_block(f: Formula) -> int:
+    """`prop_cnf`'s blocks: each atom is one, of its own side."""
+    return f.facts & ONE_SIDED if isinstance(f, Atom) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +115,24 @@ def clean_decompose(phi: Formula):
     and substituting `blocks` back reproduces `phi` syntactically. Identical
     blocks share one placeholder.
     """
-    sides = side_map(phi)
-    names = {f.prop for f in sides if isinstance(f, Atom)}
+    if not phi.facts & CLEAN:
+        raise NotClean(f"not a clean formula: {phi!r}")
+    subs = subformulas(phi)
+    names = {f.prop for f in subs if isinstance(f, Atom)}
     supply = {side: fresh_vars(side, names) for side in Side}
     block_to_prop: dict[Formula, PropName] = {}
     blocks: list[Formula] = []
     # The maximal blocks: phi itself or an operand of a formula that is not one.
-    tops = {c for f, side in sides.items() if not any(side)
-            for c in children(f) if any(sides[c])}
+    tops = {c for f in subs if not f.facts & ONE_SIDED
+            for c in children(f) if c.facts & ONE_SIDED}
     skeleton: dict[Formula, Formula] = {}
-    for f, (white, black) in sides.items():  # in post-order
-        if white or black:
-            if f in tops or f is phi:
-                block_to_prop[f] = next(supply[Side.LEFT if white else Side.RIGHT])
-                blocks.append(f)
-                skeleton[f] = Atom(block_to_prop[f])
-        elif isinstance(f, (Not, And, Or, Implies, Iff)):
+    for f in subs:  # in post-order
+        if not f.facts & ONE_SIDED:  # in a clean formula, a Boolean connective
             skeleton[f] = type(f)(*(skeleton[c] for c in children(f)))
-        else:
-            raise NotClean(f"not a clean formula: {phi!r}")
+        elif f in tops or f is phi:
+            block_to_prop[f] = next(supply[Side.LEFT if f.facts & WHITE_ONLY else Side.RIGHT])
+            blocks.append(f)
+            skeleton[f] = Atom(block_to_prop[f])
     return skeleton[phi], blocks, block_to_prop
 
 
@@ -141,23 +149,11 @@ class CleanCNF:
     def __post_init__(self):
         if not self.conjuncts:
             raise ValueError("a clean CNF needs at least one conjunct")
-        # A side is one-sided when every disjunct of its `|` spine is, so one
-        # side map over the distinct disjuncts of all sides checks them all.
-        first = {}  # (disjunct, 0 on a psi or 1 on a gamma) -> first side it is on
-        for pair in self.conjuncts:
-            for i, side in enumerate(pair):
-                stack = [side]
-                while stack:
-                    f = stack.pop()
-                    if isinstance(f, Or):
-                        stack += (f.right, f.left)
-                    else:
-                        first.setdefault((f, i), side)
-        sides = side_map(conjoin(dict.fromkeys(f for f, _ in first)))
-        for (f, i), side in first.items():
-            if not sides[f][i]:
-                name, colour = ("psi", "white") if i == 0 else ("gamma", "black")
-                raise ValueError(f"{name} component is not {colour}-only: {side!r}")
+        for psi, gamma in self.conjuncts:
+            if not psi.facts & WHITE_ONLY:
+                raise ValueError(f"psi component is not white-only: {psi!r}")
+            if not gamma.facts & BLACK_ONLY:
+                raise ValueError(f"gamma component is not black-only: {gamma!r}")
 
     def to_formula(self) -> Formula:
         return conjoin(Or(psi, gamma) for psi, gamma in self.conjuncts)
@@ -174,11 +170,10 @@ def clean_to_cnf(phi: Formula) -> CleanCNF:
     pass folds `phi` to true, the one conjunct is (pad | true, pad). The same
     budget of `DEFAULT_CLAUSE_CEILING` conjuncts for the whole pass applies.
     """
-    if not classify(phi).clean:
+    if not phi.facts & CLEAN:
         raise NotClean(f"not a clean formula: {phi!r}")
-    sides = side_map(phi)
-    pads = _pads(sides)
-    conjuncts = _conjuncts(phi, sides, pads) or [((Top(),), ())]
+    pads = _pads(prop_names(phi))
+    conjuncts = _conjuncts(phi, _one_sided, pads) or [((Top(),), ())]
     return CleanCNF(tuple((disjoin([pads[0], *w]), disjoin([pads[1], *b]))
                           for w, b in conjuncts))
 
@@ -307,16 +302,21 @@ def _diamond(conjuncts: list, white: bool, spent: list) -> list:
     return _prune(out)
 
 
-def _junction(f: Formula, positive: bool, sides: dict) -> bool | None:
+def _one_sided(f: Formula) -> int:
+    """The companion's blocks: each one-sided formula is one, of its side."""
+    return f.facts & ONE_SIDED
+
+
+def _junction(f: Formula, positive: bool, block) -> bool | None:
     """True when `f` read at polarity `positive` is a conjunction (`a & b`,
     `~(a | b)`, `~(a -> b)`), False when it is a disjunction, None when it is
     neither or `f` is a block."""
-    if not isinstance(f, (And, Or, Implies)) or any(sides[f]):
+    if not isinstance(f, (And, Or, Implies)) or block(f):
         return None
     return positive if isinstance(f, And) else not positive
 
 
-def _polar_children(f: Formula, positive: bool, sides: dict, expanded: set) -> tuple:
+def _polar_children(f: Formula, positive: bool, block, expanded: set) -> tuple:
     """The (subformula, polarity) pairs whose lists `_step` reads.
 
     For `&`, `|` and `->` these are the operands of the maximal spine of one
@@ -327,17 +327,17 @@ def _polar_children(f: Formula, positive: bool, sides: dict, expanded: set) -> t
     """
     if isinstance(f, Not):
         return ((f.child, not positive),)
-    if isinstance(f, (Top, Bot)) or any(sides[f]):
+    if isinstance(f, (Top, Bot)) or block(f):
         return ()
     if isinstance(f, Iff):
         return ((f.left, True), (f.right, True), (f.left, False), (f.right, False))
-    junction = _junction(f, positive, sides)
+    junction = _junction(f, positive, block)
     if junction is None:
         return tuple((c, positive) for c in children(f))
     operands, stack = [], [(f, positive)]
     while stack:
         g, polarity = key = stack.pop()
-        if g is not f and (key in expanded or _junction(g, polarity, sides) is not junction):
+        if g is not f and (key in expanded or _junction(g, polarity, block) is not junction):
             operands.append(key)
         else:
             expanded.add(key)
@@ -346,7 +346,7 @@ def _polar_children(f: Formula, positive: bool, sides: dict, expanded: set) -> t
     return tuple(operands)
 
 
-def _step(f: Formula, positive: bool, lists: list, sides: dict,
+def _step(f: Formula, positive: bool, lists: list, block,
           pads: tuple[Formula, Formula], spent: list) -> list:
     """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
     `_polar_children(f, positive)`.
@@ -361,10 +361,10 @@ def _step(f: Formula, positive: bool, lists: list, sides: dict,
         return [((), ())] if positive else []
     if isinstance(f, Not):
         return lists[0]
-    white, black = sides[f]
-    if white or black:
+    side = block(f)
+    if side:
         leaf = (f if positive else Not(f),)
-        return [(leaf, ())] if white else [((), leaf)]
+        return [(leaf, ())] if side & WHITE_ONLY else [((), leaf)]
     if isinstance(f, MODAL_NODES):
         white = isinstance(f, WHITE_MODAL)
         if isinstance(f, (WBox, BBox)) == positive:
@@ -375,16 +375,17 @@ def _step(f: Formula, positive: bool, lists: list, sides: dict,
         if not positive:  # ~(a <-> b) is a <-> ~b
             right, not_right = not_right, right
         return _and([_or([not_left, right], spent), _or([not_right, left], spent)], spent)
-    return (_and if _junction(f, positive, sides) else _or)(lists, spent)
+    return (_and if _junction(f, positive, block) else _or)(lists, spent)
 
 
-def _conjuncts(phi: Formula, sides: dict, pads) -> list:
+def _conjuncts(phi: Formula, block, pads) -> list:
     """Conjunct list of `phi`, built bottom-up over its negation normal form.
 
     The NNF is never written out: an explicit stack visits each (subformula,
-    polarity) pair once, children first. A subformula that `sides` marks
-    white-only or black-only is a block that stays whole on its side. `pads`
-    are the contradictions that stand for an empty side under a box.
+    polarity) pair once, children first. A subformula whose `block` bits are
+    `WHITE_ONLY` or `BLACK_ONLY` is a block that stays whole on that side (on
+    the white one when it is both, as a constant is). `pads` are the
+    contradictions that stand for an empty side under a box.
     """
     parts: dict[tuple[Formula, bool], list] = {}
     kids: dict[tuple[Formula, bool], tuple] = {}  # read once, until `parts` has the key
@@ -397,19 +398,18 @@ def _conjuncts(phi: Formula, sides: dict, pads) -> list:
             stack.pop()
             continue
         if key not in kids:
-            kids[key] = _polar_children(*key, sides, expanded)
+            kids[key] = _polar_children(*key, block, expanded)
         todo = [k for k in kids[key] if k not in parts]
         if todo:
             stack.extend(todo)
         else:
             stack.pop()
-            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], sides, pads, spent)
+            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], block, pads, spent)
     return parts[phi, True]
 
 
-def _pads(sides: dict) -> tuple[Formula, Formula]:
-    """One contradiction per side over a name that no atom in `sides` uses."""
-    names = {f.prop for f in sides if isinstance(f, Atom)}
+def _pads(names: set[PropName]) -> tuple[Formula, Formula]:
+    """One contradiction per side over a name not in `names`."""
     return (_contradiction(fresh_var(Side.LEFT, names)),
             _contradiction(fresh_var(Side.RIGHT, names)))
 
@@ -435,10 +435,9 @@ def companion(phi: Formula) -> CleanCNF:
     model; a step that would take the conjuncts the pass has built past
     `DEFAULT_CLAUSE_CEILING` raises `ResourceGuard` before it runs.
     """
-    sides = side_map(phi)
-    if any(isinstance(f, EqConst) for f in sides):
+    if not phi.facts & I_FREE:
         raise ContainsI("the companion is defined on the I-free fragment only")
-    pads = _pads(sides)
-    conjuncts = _conjuncts(phi, sides, pads) or [((Top(),), ())]
+    pads = _pads(prop_names(phi))
+    conjuncts = _conjuncts(phi, _one_sided, pads) or [((Top(),), ())]
     return CleanCNF(tuple((disjoin(w, pads[0]), disjoin(b, pads[1]))
                           for w, b in conjuncts))

@@ -76,10 +76,24 @@ class Node:
         return True
 
 
+# The syntax class of a formula, as bits of `Formula.facts`: white-only (I-free,
+# left atoms and white modalities only), black-only (the mirror; constants are
+# both), I-free, and clean (I-free, every modal subformula one-sided).
+WHITE_ONLY, BLACK_ONLY, I_FREE, CLEAN = 1, 2, 4, 8
+ONE_SIDED = WHITE_ONLY | BLACK_ONLY
+
+
 class Formula(Node):
-    """Base class of formulas; `repr` is `render`."""
+    """Base class of formulas; `repr` is `render`. A formula stores its syntax
+    class in `facts` when it is built, from its children's (`_FACTS`)."""
 
     __slots__ = ()
+
+    def __post_init__(self):
+        fields = self.__dict__
+        values = tuple(fields.values())
+        fields["_hash"] = hash(values)
+        fields["facts"] = _FACTS[type(self)](*values)
 
     def __repr__(self):
         return render(self)
@@ -163,6 +177,25 @@ MODAL_NODES = (WBox, WDia, BBox, BDia)
 WHITE_MODAL = (WBox, WDia)
 BLACK_MODAL = (BBox, BDia)
 BINARY_NODES = (And, Or, Implies, Iff)
+
+
+def _modal(facts: int, side: int) -> int:
+    """A modality of colour `side` keeps its child's bits of that side and of
+    I-freeness, and is clean when it is one-sided."""
+    facts &= side | I_FREE
+    return facts | CLEAN if facts & side else facts
+
+
+# node type: its facts from its field values
+_FACTS = {
+    Atom: lambda prop: (WHITE_ONLY if prop.side is Side.LEFT else BLACK_ONLY) | I_FREE | CLEAN,
+    EqConst: lambda: 0,
+    **dict.fromkeys((Top, Bot), lambda: ONE_SIDED | I_FREE | CLEAN),
+    Not: lambda child: child.facts,
+    **dict.fromkeys(BINARY_NODES, lambda left, right: left.facts & right.facts),
+    **dict.fromkeys(WHITE_MODAL, lambda child: _modal(child.facts, WHITE_ONLY)),
+    **dict.fromkeys(BLACK_MODAL, lambda child: _modal(child.facts, BLACK_ONLY)),
+}
 
 
 def atom(side: Side, name: str) -> Atom:
@@ -280,37 +313,10 @@ class SyntaxClass:
     clean: bool
 
 
-def side_map(phi: Formula) -> dict[Formula, tuple[bool, bool]]:
-    """(white_only, black_only) of every subformula, in one bottom-up pass.
-
-    A formula is white-only when it is I-free and has left atoms and white
-    modalities only; black-only is the mirror. Constants are both.
-    """
-    sides: dict[Formula, tuple[bool, bool]] = {}
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            white = f.prop.side is Side.LEFT
-            sides[f] = (white, not white)
-        elif isinstance(f, EqConst):
-            sides[f] = (False, False)
-        elif isinstance(f, WHITE_MODAL):
-            sides[f] = (sides[f.child][0], False)
-        elif isinstance(f, BLACK_MODAL):
-            sides[f] = (False, sides[f.child][1])
-        else:
-            kids = [sides[c] for c in children(f)]
-            sides[f] = (all(w for w, _ in kids), all(b for _, b in kids))
-    return sides
-
-
 def classify(phi: Formula) -> SyntaxClass:
-    sides = side_map(phi)
-    i_free = not any(isinstance(f, EqConst) for f in sides)
-    white_only, black_only = sides[phi]
-    # Clean: every modal subformula is one-sided, which holds exactly when
-    # the maximal ones (those at the Boolean level) are.
-    clean = i_free and all(any(sides[f]) for f in sides if isinstance(f, MODAL_NODES))
-    return SyntaxClass(i_free, white_only, black_only, clean)
+    facts = phi.facts
+    return SyntaxClass(bool(facts & I_FREE), bool(facts & WHITE_ONLY),
+                       bool(facts & BLACK_ONLY), bool(facts & CLEAN))
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,17 @@ from lhs.syntax import (
     _PREC,
     _PREC_IFF,
     _PREFIX_NODE,
+    BLACK_MODAL,
+    MODAL_NODES,
     RESERVED_PREFIX,
+    WHITE_MODAL,
     Formula,
     PropName,
     Side,
+    SyntaxClass,
+    children,
     drive,
+    subformulas,
 )
 
 SRC = Path(__file__).parent.parent / "src"
@@ -309,3 +315,32 @@ def reference_frame_ids(n, mod_iso):
         image = (bits[:, src] << shifts).sum(axis=1, dtype=np.uint64)
         np.minimum(minimal, image, out=minimal)
     return tuple(int(i) for i in ids[minimal == ids])
+
+
+def reference_classify(phi):
+    """`classify` as one bottom-up walk over the formula, as it once was: the
+    reference for the syntax class each formula computes when it is built.
+
+    A formula is white-only when it is I-free and has left atoms and white
+    modalities only; black-only is the mirror. Constants are both.
+    """
+    sides = {}  # (white_only, black_only) of every subformula
+    for f in subformulas(phi):
+        if isinstance(f, Atom):
+            white = f.prop.side is Side.LEFT
+            sides[f] = (white, not white)
+        elif isinstance(f, EqConst):
+            sides[f] = (False, False)
+        elif isinstance(f, WHITE_MODAL):
+            sides[f] = (sides[f.child][0], False)
+        elif isinstance(f, BLACK_MODAL):
+            sides[f] = (False, sides[f.child][1])
+        else:
+            kids = [sides[c] for c in children(f)]
+            sides[f] = (all(w for w, _ in kids), all(b for _, b in kids))
+    i_free = not any(isinstance(f, EqConst) for f in sides)
+    white_only, black_only = sides[phi]
+    # Clean: every modal subformula is one-sided, which holds exactly when
+    # the maximal ones (those at the Boolean level) are.
+    clean = i_free and all(any(sides[f]) for f in sides if isinstance(f, MODAL_NODES))
+    return SyntaxClass(i_free, white_only, black_only, clean)

@@ -23,6 +23,7 @@ from lhs import (
     WBox,
     WDia,
     classify,
+    companion,
     left_atom,
     modal_depth,
     parse,
@@ -35,7 +36,14 @@ from lhs import (
 from lhs.errors import FormulaSyntaxError
 from lhs.syntax import PropName, Side, conjoin, disjoin, fresh_var
 
-from conftest import random_formula, reference_parse, time_budget
+from conftest import (
+    random_formula,
+    random_i_free,
+    random_one_sided,
+    reference_classify,
+    reference_parse,
+    time_budget,
+)
 
 
 def lp(name="p"):
@@ -259,10 +267,41 @@ class TestClassify:
         assert modal_depth(clean) == 2
 
     def test_subformulas_of_one_sided_stay_one_sided(self, rng):
-        from conftest import random_one_sided
         for _ in range(100):
             phi = random_one_sided(rng, Side.LEFT, depth=3)
             assert all(classify(sub).white_only for sub in subformulas(phi))
+
+
+class TestClassifyAgainstReference:
+    """The syntax class each node computes when it is built, against the walk
+    `reference_classify`, on every subformula."""
+
+    @staticmethod
+    def assert_agrees(phi):
+        for sub in subformulas(phi):
+            assert classify(sub) == reference_classify(sub), sub
+
+    def test_random_formulas(self, rng):
+        seen = set()
+        for _ in range(400):
+            phi = random_formula(rng, depth=rng.choice([3, 4, 5]))
+            self.assert_agrees(phi)
+            seen.update(type(sub) for sub in subformulas(phi))
+        assert {Atom, EqConst, Top, Bot, WBox, BDia, Iff} <= seen
+
+    def test_companion_outputs(self, rng):
+        for _ in range(100):
+            comp = companion(random_i_free(rng, depth=3))
+            self.assert_agrees(comp.to_formula())
+
+    def test_substitution_results(self, rng):
+        for _ in range(200):
+            phi = random_i_free(rng, depth=3)
+            left = {PropName(Side.LEFT, v): random_one_sided(rng, Side.LEFT, depth=2)
+                    for v in ("p", "q") if rng.random() < 0.7}
+            right = {PropName(Side.RIGHT, v): random_one_sided(rng, Side.RIGHT, depth=2)
+                     for v in ("p", "q") if rng.random() < 0.7}
+            self.assert_agrees(substitute(phi, left, right))
 
 
 class TestSubstitute:
@@ -284,7 +323,6 @@ class TestSubstitute:
             substitute(parse("r:p"), {}, {PropName(Side.RIGHT, "p"): parse("[W]l:a")})
 
     def test_commutes_with_render_parse(self, rng):
-        from conftest import random_i_free
         for _ in range(50):
             phi = random_i_free(rng, depth=2)
             out = substitute(phi, {PropName(Side.LEFT, "p"): parse("[W]l:q")}, {})
