@@ -81,11 +81,9 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
-def _write_witness(args, model: Model, pair) -> dict | None:
-    if model is None:
-        return None
+def _write_witness(args, model: Model, pair) -> dict:
     info = {"pair": list(pair)}
-    if getattr(args, "witness", None):
+    if args.witness:
         with open(args.witness, "w") as fh:
             fh.write(save_model(model))
         info["path"] = args.witness
@@ -217,35 +215,32 @@ def _cmd_check(args):
     return 0 if verdict else 1
 
 
+# The exit code of each `sat` and `valid` verdict.
+_VERDICT_CODES = {"SAT": 0, "VALID": 0, "UNSAT": 1, "INVALID": 1, "NO-MODEL-UP-TO-BOUND": 2}
+
+
+def _answer(args, verdict, start: float) -> int:
+    """Print a `sat` or `valid` verdict reached since `start`, with its
+    witness if it has one, and return its exit code."""
+    payload = {"verdict": verdict.status, "time_s": round(time.monotonic() - start, 4)}
+    if verdict.model is not None:
+        payload["witness"] = _write_witness(args, verdict.model, verdict.pair)
+    _emit(args, payload, verdict.status)
+    return _VERDICT_CODES[verdict.status]
+
+
 def _cmd_sat(args):
     phi = _read_formula(args)
     start = time.monotonic()
     if args.full:
-        verdict = decide.lhs_bounded_sat(phi, args.max_size)
-    else:
-        verdict = decide.lhs_minus_sat(phi)
-    status, model, pair = verdict.status, verdict.model, verdict.pair
-    elapsed = time.monotonic() - start
-    payload = {"verdict": status, "time_s": round(elapsed, 4)}
-    witness = _write_witness(args, model, pair) if model is not None else None
-    if witness:
-        payload["witness"] = witness
-    _emit(args, payload, status)
-    return {"SAT": 0, "UNSAT": 1, "NO-MODEL-UP-TO-BOUND": 2}[status]
+        return _answer(args, decide.lhs_bounded_sat(phi, args.max_size), start)
+    return _answer(args, decide.lhs_minus_sat(phi), start)
 
 
 def _cmd_valid(args):
     phi = _read_formula(args)
     start = time.monotonic()
-    verdict = decide.lhs_minus_valid(phi)
-    elapsed = time.monotonic() - start
-    payload = {"verdict": verdict.status, "time_s": round(elapsed, 4)}
-    if verdict.model is not None:
-        witness = _write_witness(args, verdict.model, verdict.pair)
-        if witness:
-            payload["witness"] = witness
-    _emit(args, payload, verdict.status)
-    return 0 if verdict.status == "VALID" else 1
+    return _answer(args, decide.lhs_minus_valid(phi), start)
 
 
 def _cmd_cnf(args):

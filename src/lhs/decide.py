@@ -23,7 +23,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    RESERVED_PREFIX,
     Top,
     WBox,
     drive,
@@ -219,23 +218,16 @@ def k_valid(phi: Formula) -> tuple[bool, KVerdict | None]:
 # Decision procedure for the I-free fragment
 
 
-def _strip_fresh(model: Model) -> Model:
-    val = {
-        p: ws
-        for p, ws in model.valuation.items()
-        if not p.name.startswith(RESERVED_PREFIX)
-    }
-    return Model(model.states, model.edges, val)
-
-
 def lhs_minus_valid(phi: Formula) -> LHSVerdict:
     """Validity of an I-free formula.
 
     The companion splits phi into conjuncts psi_i | gamma_i; the formula is
     valid iff every conjunct has a K-valid side. An invalid conjunct yields
-    two K countermodels whose disjoint union falsifies phi at the paired
-    roots; the witness is re-verified before being returned. The companion
-    raises `ContainsI` when phi is not I-free.
+    two K countermodels; their disjoint union falsifies phi at the paired
+    roots, and that union, once `check` has confirmed it, is the countermodel
+    returned. The companion's padding names never hold in it: a pad is a
+    contradiction, and the tableau tries a negated atom false first. The
+    companion raises `ContainsI` when phi is not I-free.
     """
     comp = companion(phi)
     certificate = []
@@ -255,17 +247,18 @@ def lhs_minus_valid(phi: Formula) -> LHSVerdict:
             raise LhsError(
                 "internal error: countermodel failed to falsify the input"
             )
-        return LHSVerdict("INVALID", _strip_fresh(union), (s, t), companion=comp)
+        return LHSVerdict("INVALID", union, (s, t), companion=comp)
     return LHSVerdict("VALID", certificate=tuple(certificate), companion=comp)
 
 
 def lhs_minus_sat(phi: Formula) -> LHSVerdict:
-    """Satisfiability of an I-free formula, with a finite witness on SAT."""
+    """Satisfiability of an I-free formula, with a finite witness on SAT.
+
+    The witness is the countermodel of ~phi from `lhs_minus_valid`: `check`
+    has already found ~phi false there, so phi holds at its pair.
+    """
     verdict = lhs_minus_valid(Not(phi))
     if verdict.status == "INVALID":
-        s, t = verdict.pair
-        if not check(verdict.model, s, t, phi):
-            raise LhsError("internal error: witness failed to satisfy the input")
         return LHSVerdict("SAT", verdict.model, verdict.pair)
     return LHSVerdict("UNSAT")
 

@@ -86,11 +86,19 @@ def successors(model: Model, w: State) -> frozenset[State]:
 # File format
 
 
-def load_model(text: str) -> Model:
+def read_json(text: str):
+    """The JSON document in `text`, for every file loader: malformed text, or
+    nesting too deep for the decoder, raises `ModelFormatError`."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply to read") from None
+
+
+def load_model(text: str) -> Model:
+    doc = read_json(text)
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must be a JSON object")
     unknown = set(doc) - {"states", "edges", "valuation"}

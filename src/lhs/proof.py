@@ -8,10 +8,10 @@ keeps the one-sided axioms sound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ModelFormatError, SideViolation
+from .model import read_json
 from .syntax import (
     Atom,
     BBox,
@@ -181,10 +181,7 @@ def _parse_subst_map(raw, expected_side: Side) -> dict[PropName, Formula]:
 
 
 def load_proof(text: str) -> list[ProofLine]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    doc = read_json(text)
     if not isinstance(doc, list):
         raise ModelFormatError("a proof file is a JSON list of line objects")
     lines = []

@@ -206,10 +206,10 @@ FO_NODE_CEILING = 1_000_000
 def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
     """Standard translation into first-order logic over R, Pl_*/Pr_* and equality.
 
-    Bound variables are drawn fresh (z0, z1, ...) left to right, so the output
-    is rectified: no variable is bound twice along any path. A translation
-    of more than `FO_NODE_CEILING` nodes raises `ResourceGuard` before any
-    of it is built.
+    Bound variables are drawn fresh (z0, z1, ..., skipping `x` and `y`) left
+    to right, so the output is rectified: no variable is bound twice along
+    any path, and none captures a free one. A translation of more than
+    `FO_NODE_CEILING` nodes raises `ResourceGuard` before any of it is built.
     """
     size: dict[Formula, int] = {}
     for f in subformulas(phi):
@@ -223,11 +223,13 @@ def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
     if size[phi] > FO_NODE_CEILING:
         raise ResourceGuard(f"FO translation would build {size[phi]} nodes, over the "
                             f"ceiling of {FO_NODE_CEILING}")
-    return drive(_fo(phi, x, y, itertools.count()))
+    names = (z for z in map("z{}".format, itertools.count()) if z not in (x, y))
+    return drive(_fo(phi, x, y, names))
 
 
-def _fo(f: Formula, a: str, b: str, counter):
-    """The walk of `fo_translate` with free variables a and b."""
+def _fo(f: Formula, a: str, b: str, names):
+    """The walk of `fo_translate` with free variables a and b; bound
+    variables are taken from the iterator `names`."""
     if isinstance(f, Atom):
         return FOPred(f.prop, a if f.prop.side is Side.LEFT else b)
     if isinstance(f, EqConst):
@@ -237,22 +239,22 @@ def _fo(f: Formula, a: str, b: str, counter):
     if isinstance(f, Bot):
         return FONot(FOEq(a, a))
     if isinstance(f, Not):
-        return FONot((yield _fo(f.child, a, b, counter)))
+        return FONot((yield _fo(f.child, a, b, names)))
     if isinstance(f, (And, Or, Implies)):
         node = {And: FOAnd, Or: FOOr, Implies: FOImplies}[type(f)]
-        left = yield _fo(f.left, a, b, counter)
-        return node(left, (yield _fo(f.right, a, b, counter)))
+        left = yield _fo(f.left, a, b, names)
+        return node(left, (yield _fo(f.right, a, b, names)))
     if isinstance(f, Iff):
         # No biconditional in the FO fragment; expand into two implications.
-        left = yield _fo(f.left, a, b, counter)
-        right = yield _fo(f.right, a, b, counter)
-        left2 = yield _fo(f.left, a, b, counter)
-        right2 = yield _fo(f.right, a, b, counter)
+        left = yield _fo(f.left, a, b, names)
+        right = yield _fo(f.right, a, b, names)
+        left2 = yield _fo(f.left, a, b, names)
+        right2 = yield _fo(f.right, a, b, names)
         return FOAnd(FOImplies(left, right), FOImplies(right2, left2))
     if isinstance(f, MODAL_NODES):
-        z = f"z{next(counter)}"
+        z = next(names)
         white = isinstance(f, WHITE_MODAL)
-        child = yield (_fo(f.child, z, b, counter) if white else _fo(f.child, a, z, counter))
+        child = yield (_fo(f.child, z, b, names) if white else _fo(f.child, a, z, names))
         edge = FORel(a if white else b, z)
         if isinstance(f, (WBox, BBox)):
             return FOForall(z, FOImplies(edge, child))

@@ -8,12 +8,11 @@ finite torus-shaped models on which the construction is machine-checkable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidTiling, ModelFormatError
-from .model import Model
+from .model import Model, read_json
 from .syntax import (
     And,
     BBox,
@@ -243,10 +242,7 @@ def torus_model(ts: TileSet, pt: PeriodicTiling) -> tuple[Model, str]:
 
 
 def load_tileset(text: str) -> TileSet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    doc = read_json(text)
     if not isinstance(doc, dict) or set(doc) != {"tiles"}:
         raise ModelFormatError("tile file must be an object with a single 'tiles' key")
     if not isinstance(doc["tiles"], list):
@@ -261,10 +257,7 @@ def load_tileset(text: str) -> TileSet:
 
 
 def load_tiling(text: str) -> PeriodicTiling:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    doc = read_json(text)
     if not isinstance(doc, dict) or set(doc) != {"period", "assign"}:
         raise ModelFormatError("tiling file must have exactly 'period' and 'assign'")
     period = doc["period"]

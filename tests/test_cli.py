@@ -717,6 +717,23 @@ class TestOtherCommands:
         assert code == 65
         assert err.startswith("lhs: input error: ")
 
+    @pytest.mark.parametrize("verb", ["check", "bisim", "proof", "tiling gen", "tiling model"])
+    def test_deeply_nested_file_is_input_error(self, capsys, tmp_path, verb):
+        # Nesting past the decoder's recursion limit is malformed input (65),
+        # not a RecursionError traceback with exit 1 ("no").
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5 + "]" * 10**5)
+        argv = {
+            "check": ["check", "-m", str(deep), "--at", "w,w", "-f", "l:p"],
+            "bisim": ["bisim", "-m", str(deep), "-n", str(deep)],
+            "proof": ["proof", "-p", str(deep)],
+            "tiling gen": ["tiling", "gen", "-t", str(deep)],
+            "tiling model": ["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a", str(deep)],
+        }[verb]
+        code, _, err = run(capsys, *argv)
+        assert code == 65
+        assert err.startswith("lhs: input error: ")
+
     @pytest.mark.parametrize("period", [[10**5, 10**5], [10**5, 1]])
     def test_huge_period_refused_without_listing_cells(self, capsys, tmp_path, period):
         # A few bytes that name 10^10 cells: the check must not list them.

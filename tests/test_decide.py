@@ -332,6 +332,32 @@ class TestLhsMinusSat:
                 assert oracle.status == "NO-MODEL-UP-TO-BOUND"
 
 
+class TestWitnessValuation:
+    # A `_fresh` name that the input itself uses is an ordinary variable
+    # there, and the companion pads with other names: the witness keeps its
+    # valuation.
+    def test_countermodel_of_reserved_name_falsifies(self):
+        phi = parse("~l:_fresh0", allow_reserved=True)
+        v = lhs_minus_valid(phi)
+        assert v.status == "INVALID"
+        assert not check(v.model, *v.pair, phi)
+
+    def test_witness_of_reserved_name_satisfies(self):
+        phi = parse("l:_fresh0 & r:q", allow_reserved=True)
+        v = lhs_minus_sat(phi)
+        assert v.status == "SAT"
+        assert check(v.model, *v.pair, phi)
+
+    def test_witnesses_name_only_atoms_of_the_input(self, rng):
+        # The companion's pads are contradictions, which no witness makes
+        # true, so the returned models hold no padding name.
+        for _ in range(300):
+            phi = random_i_free(rng, depth=rng.randint(1, 4))
+            for v in (lhs_minus_sat(phi), lhs_minus_valid(phi)):
+                if v.model is not None:
+                    assert set(v.model.valuation) <= prop_names(phi)
+
+
 class TestBoundedSat:
     def test_equality_constant_needs_one_state(self):
         v = lhs_bounded_sat(parse("I"), 1)

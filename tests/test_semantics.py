@@ -203,6 +203,9 @@ class TestTranslation:
         out = fo_render(fo_translate(parse("[W] l:p")))
         assert out.startswith("forall z0.")
         assert "R(x,z0)" in out.replace(" ", "")
+        # Bound names skip the free ones.
+        out = fo_render(fo_translate(parse("[W] l:p"), x="z0"))
+        assert out == "forall z1. ((R(z0,z1) -> Pl_p(z1)))"
 
     def test_equality_reflexive(self):
         m = make_model(["a"], [])
@@ -225,7 +228,8 @@ class TestTranslation:
             phi = random_formula(rng, depth=3)
             s, t = rng.choice(all_pairs(m))
             assert (check(m, s, t, phi)
-                    == fo_eval(m, fo_translate(phi), {"x": s, "y": t}))
+                    == fo_eval(m, fo_translate(phi), {"x": s, "y": t})
+                    == fo_eval(m, fo_translate(phi, x="z0", y="z1"), {"z0": s, "z1": t}))
 
     def test_deep_translation_nodes(self):
         # Hashing, comparing and printing a 3000-deep translation must not
