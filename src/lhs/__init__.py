@@ -8,9 +8,8 @@ from .bisim import (
     largest_bisimulation,
 )
 from .decide import (
-    BoundedVerdict,
     KVerdict,
-    LHSVerdict,
+    Verdict,
     brute_force_sat_oracle,
     k_sat,
     k_valid,

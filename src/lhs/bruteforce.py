@@ -51,6 +51,10 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # The truth-definition kernel
 
+# Past 2^24 rows a table no longer fits: the pairs of a single model, or at
+# level n of the search all 2^(n*k) valuations (k props) and the frame codes
+# it lists.
+_MAX_TABLE_BITS = 24
 
 # The connectives that act on truth values elementwise, in either representation.
 _BOOLEAN = {Not: np.invert, And: np.bitwise_and, Or: np.bitwise_or,
@@ -140,6 +144,10 @@ def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
     """All pairs (s, t) of `model` where `phi` holds, from one boolean
     `truth_table` pass; `semantics.check_all` is the public name."""
     states = model.states
+    n = len(states)
+    if n * n > 1 << _MAX_TABLE_BITS:
+        raise ResourceGuard(f"checking every pair of a {n}-state model needs a table of "
+                            f"{n * n} pairs, past the limit of 2^{_MAX_TABLE_BITS}")
     index = {w: i for i, w in enumerate(states)}
     adj = np.zeros((1, len(states), len(states)), dtype=bool)
     edges = np.array([(index[a], index[b]) for a, b in model.edges], dtype=np.intp).reshape(-1, 2)
@@ -154,10 +162,6 @@ def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
 
 # ---------------------------------------------------------------------------
 # The bounded search
-
-# Level n of the search builds a table of all 2^(n*k) valuations (k props)
-# and one of the frame codes it lists; past 2^24 rows they no longer fit.
-_MAX_TABLE_BITS = 24
 
 # Binary relations on n points up to isomorphism (OEIS A000595). Level n
 # builds _CLASSES[n-1] * 2^(2n-1) codes, so level 6 (6*10^8) is never built.

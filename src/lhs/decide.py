@@ -3,13 +3,12 @@ and bounded search for the full language."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 from .errors import LhsError, MixedFormula, ResourceGuard
 from .model import Model, disjoint_union
-from .normal import CleanCNF, companion
+from .normal import companion
 from .semantics import check
 from .syntax import (
     MODAL_NODES,
@@ -37,19 +36,11 @@ class KVerdict:
 
 
 @dataclass(frozen=True)
-class LHSVerdict:
-    status: str  # "VALID" | "INVALID" | "SAT" | "UNSAT"
-    model: Model | None = None
-    pair: tuple[str, str] | None = None
-    # For VALID: one record per companion conjunct, ("white"|"black", formula).
-    certificate: tuple[tuple[str, Formula], ...] | None = None
-    companion: CleanCNF | None = None
+class Verdict:
+    """The answer of `lhs_minus_valid`, `lhs_minus_sat` and `lhs_bounded_sat`:
+    a witness model and its pair for "SAT" and "INVALID", none otherwise."""
 
-
-@dataclass(frozen=True)
-class BoundedVerdict:
-    status: str  # "SAT" | "NO-MODEL-UP-TO-BOUND"
-    bound: int
+    status: str  # "VALID" | "INVALID" | "SAT" | "UNSAT" | "NO-MODEL-UP-TO-BOUND"
     model: Model | None = None
     pair: tuple[str, str] | None = None
 
@@ -60,12 +51,6 @@ class BoundedVerdict:
 DEFAULT_STEP_CEILING = 1_000_000
 
 
-@dataclass
-class _TreeNode:
-    atoms: frozenset
-    children: list = field(default_factory=list)
-
-
 def _goal(f: Formula, positive: bool) -> tuple[Formula, bool]:
     """The goal (f, positive), which stands for `f` or `~f`, with its `~`s read
     off: a goal is never a negation."""
@@ -74,14 +59,14 @@ def _goal(f: Formula, positive: bool) -> tuple[Formula, bool]:
     return f, positive
 
 
-def _queue(goals: dict, todo: deque, keys, deps: int) -> None:
+def _queue(goals: dict, todo: list, keys, deps: int) -> None:
     for key in keys:
         if key not in goals:
             goals[key] = deps
             todo.append(key)
 
 
-def _tableau(goals: dict, todo: deque, depth: int, steps):
+def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
     """Satisfiability of a set of goals in basic modal logic K.
 
     A goal is a (subformula, polarity) pair, read the way the companion reads
@@ -92,14 +77,20 @@ def _tableau(goals: dict, todo: deque, depth: int, steps):
     `goals` maps each goal of this state on this branch to the set of branch
     points it depends on: an int whose bit d stands for the branch point at
     depth d of the search path, `depth` being the number of branch points
-    above this walk. `todo` holds the goals not yet expanded, in order: a
+    above this walk. `todo` lists the goals in the order they were queued: a
     conjunction queues its operands and a branch point the goals of its
     branch, so the order, and with it the witness, does not depend on string
-    hashing. The walk consumes both. Every goal taken from `todo` counts
-    against `DEFAULT_STEP_CEILING`; `steps` numbers them.
+    hashing. The walk expands `todo` from index `head` on, and only ever
+    appends to `goals` and `todo`. An expanded goal stays in `goals`, so a
+    goal queued again is not expanded again: its operands are already
+    queued. A branch point notes the lengths of both before its first
+    branch; if that branch fails, the entries past those lengths are
+    dropped (dicts keep insertion order) before the second branch is tried.
+    Every goal expanded counts against `DEFAULT_STEP_CEILING`; `steps`
+    numbers them.
 
-    Returns a tree witness (nodes carry their positive atoms) or, on a clash,
-    the set of branch points the clash depends on. Two complementary literals
+    Returns a tree witness, (positive atoms, children), or, on a clash, the
+    set of branch points the clash depends on. Two complementary literals
     (or `false`) depend on their sets; a diamond whose successor clashes adds
     its own set to the successor's, which holds only sets of the boxes that
     took part. A branch point whose first branch fails without it in the
@@ -107,8 +98,9 @@ def _tableau(goals: dict, todo: deque, depth: int, steps):
     Horrocks & Patel-Schneider 1999). Depth is bounded by modal depth, so no
     loop check is needed.
     """
-    while todo:
-        key = todo.popleft()
+    while head < len(todo):
+        key = todo[head]
+        head += 1
         expanded = next(steps)
         if expanded > DEFAULT_STEP_CEILING:
             raise ResourceGuard(f"K tableau expanded {expanded} goals, over the ceiling "
@@ -130,22 +122,23 @@ def _tableau(goals: dict, todo: deque, depth: int, steps):
             operands = (_goal(f.left, positive != isinstance(f, Implies)),
                         _goal(f.right, positive))
             if isinstance(f, And) == positive:  # a conjunction
-                del goals[key]
                 _queue(goals, todo, operands, deps)
                 continue
             branches = operands[:1], operands[1:]
         else:
             continue  # a box or a diamond, read once every goal is expanded
-        del goals[key]
         bit = 1 << depth
-        first_goals, first_todo = dict(goals), deque(todo)
-        _queue(first_goals, first_todo, branches[0], deps | bit)
-        first = yield _tableau(first_goals, first_todo, depth + 1, steps)
-        if isinstance(first, _TreeNode) or not first & bit:
+        goal_mark, todo_mark = len(goals), len(todo)
+        _queue(goals, todo, branches[0], deps | bit)
+        first = yield _tableau(goals, todo, head, depth + 1, steps)
+        if isinstance(first, tuple) or not first & bit:
             return first
+        while len(goals) > goal_mark:
+            goals.popitem()
+        del todo[todo_mark:]
         _queue(goals, todo, branches[1], deps | bit)
-        second = yield _tableau(goals, todo, depth + 1, steps)
-        if isinstance(second, _TreeNode) or not second & bit:
+        second = yield _tableau(goals, todo, head, depth + 1, steps)
+        if isinstance(second, tuple) or not second & bit:
             return second
         return (first | second) & ~bit
     atoms, boxes, diamonds = set(), {}, {}
@@ -157,36 +150,34 @@ def _tableau(goals: dict, todo: deque, depth: int, steps):
             content = _goal(f.child, positive)
             is_box = isinstance(f, (WBox, BBox)) == positive
             (boxes if is_box else diamonds).setdefault(content, deps)
-    node = _TreeNode(frozenset(atoms))
+    children = []
     for content, deps in diamonds.items():
         successor = {**boxes, content: deps}
-        child = yield _tableau(successor, deque(successor), depth, steps)
-        if not isinstance(child, _TreeNode):
+        child = yield _tableau(successor, list(successor), 0, depth, steps)
+        if not isinstance(child, tuple):
             return child | deps
-        node.children.append(child)
-    return node
+        children.append(child)
+    return frozenset(atoms), children
 
 
-def _emit(node: _TreeNode, states: list, edges: set, valuation: dict):
-    """The walk of `_tree_to_model`: names states n0, n1, ... in pre-order."""
-    name = f"n{len(states)}"
-    states.append(name)
-    for prop in node.atoms:
-        valuation.setdefault(prop, set()).add(name)
-    for child in node.children:
-        edges.add((name, (yield _emit(child, states, edges, valuation))))
-    return name
-
-
-def _tree_to_model(root: _TreeNode) -> tuple[Model, str]:
+def _tree_to_model(tree: tuple) -> Model:
+    """The model of a tableau witness: states n0, n1, ... in pre-order, the
+    root being n0."""
     states: list[str] = []
     edges = set()
     valuation: dict = {}
-    root_name = drive(_emit(root, states, edges, valuation))
-    return (
-        Model(tuple(states), frozenset(edges), {p: frozenset(ws) for p, ws in valuation.items()}),
-        root_name,
-    )
+    stack = [(tree, None)]
+    while stack:
+        (atoms, children), parent = stack.pop()
+        name = f"n{len(states)}"
+        states.append(name)
+        for prop in atoms:
+            valuation.setdefault(prop, set()).add(name)
+        if parent is not None:
+            edges.add((parent, name))
+        stack.extend((child, name) for child in reversed(children))
+    return Model(tuple(states), frozenset(edges),
+                 {p: frozenset(ws) for p, ws in valuation.items()})
 
 
 def k_sat(phi: Formula) -> KVerdict:
@@ -199,11 +190,10 @@ def k_sat(phi: Formula) -> KVerdict:
     if not phi.facts & ONE_SIDED:
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
     root = _goal(phi, True)
-    tree = drive(_tableau({root: 0}, deque([root]), 0, count(1)))
-    if not isinstance(tree, _TreeNode):
+    tree = drive(_tableau({root: 0}, [root], 0, 0, count(1)))
+    if not isinstance(tree, tuple):
         return KVerdict("UNSAT")
-    model, root = _tree_to_model(tree)
-    return KVerdict("SAT", model, root)
+    return KVerdict("SAT", _tree_to_model(tree), "n0")
 
 
 def k_valid(phi: Formula) -> tuple[bool, KVerdict | None]:
@@ -218,7 +208,7 @@ def k_valid(phi: Formula) -> tuple[bool, KVerdict | None]:
 # Decision procedure for the I-free fragment
 
 
-def lhs_minus_valid(phi: Formula) -> LHSVerdict:
+def lhs_minus_valid(phi: Formula) -> Verdict:
     """Validity of an I-free formula.
 
     The companion splits phi into conjuncts psi_i | gamma_i; the formula is
@@ -229,16 +219,12 @@ def lhs_minus_valid(phi: Formula) -> LHSVerdict:
     contradiction, and the tableau tries a negated atom false first. The
     companion raises `ContainsI` when phi is not I-free.
     """
-    comp = companion(phi)
-    certificate = []
-    for psi, gamma in comp.conjuncts:
+    for psi, gamma in companion(phi).conjuncts:
         counter_white = k_sat(Not(psi))
         if counter_white.status == "UNSAT":
-            certificate.append(("white", psi))
             continue
         counter_black = k_sat(Not(gamma))
         if counter_black.status == "UNSAT":
-            certificate.append(("black", gamma))
             continue
         union, rename_m, rename_n = disjoint_union(counter_white.model, counter_black.model)
         s = rename_m[counter_white.state]
@@ -247,11 +233,11 @@ def lhs_minus_valid(phi: Formula) -> LHSVerdict:
             raise LhsError(
                 "internal error: countermodel failed to falsify the input"
             )
-        return LHSVerdict("INVALID", union, (s, t), companion=comp)
-    return LHSVerdict("VALID", certificate=tuple(certificate), companion=comp)
+        return Verdict("INVALID", union, (s, t))
+    return Verdict("VALID")
 
 
-def lhs_minus_sat(phi: Formula) -> LHSVerdict:
+def lhs_minus_sat(phi: Formula) -> Verdict:
     """Satisfiability of an I-free formula, with a finite witness on SAT.
 
     The witness is the countermodel of ~phi from `lhs_minus_valid`: `check`
@@ -259,15 +245,15 @@ def lhs_minus_sat(phi: Formula) -> LHSVerdict:
     """
     verdict = lhs_minus_valid(Not(phi))
     if verdict.status == "INVALID":
-        return LHSVerdict("SAT", verdict.model, verdict.pair)
-    return LHSVerdict("UNSAT")
+        return Verdict("SAT", verdict.model, verdict.pair)
+    return Verdict("UNSAT")
 
 
 # ---------------------------------------------------------------------------
 # Bounded search for the full language
 
 
-def lhs_bounded_sat(phi: Formula, max_states: int) -> BoundedVerdict:
+def lhs_bounded_sat(phi: Formula, max_states: int) -> Verdict:
     """Search every model with at most `max_states` states for a pair satisfying `phi`.
 
     Exhaustion means "no model up to the bound", never "unsatisfiable":
@@ -282,11 +268,11 @@ def lhs_bounded_sat(phi: Formula, max_states: int) -> BoundedVerdict:
 
     found = bruteforce.find_model(phi, max_states)
     if found is None:
-        return BoundedVerdict("NO-MODEL-UP-TO-BOUND", max_states)
+        return Verdict("NO-MODEL-UP-TO-BOUND")
     model, s, t = found
     if not check(model, s, t, phi):
         raise LhsError("internal error: bounded-search witness failed re-verification")
-    return BoundedVerdict("SAT", max_states, model, (s, t))
+    return Verdict("SAT", model, (s, t))
 
 
 brute_force_sat_oracle = lhs_bounded_sat

@@ -8,20 +8,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ModelFormatError, ResourceGuard, UnknownState
-from .syntax import PropName, Side
+from .syntax import ATOM_RE, PropName, Side
 
 State = str
 
 
 def _parse_prop_key(key: str) -> PropName:
-    if len(key) < 3 or key[0] not in "lr" or key[1] != ":":
+    if not ATOM_RE.fullmatch(key):
         raise ModelFormatError(f"malformed variable name {key!r} (expected 'l:name' or 'r:name')")
-    name = key[2:]
-    if not name or not (name[0].isalpha() or name[0] == "_"):
-        raise ModelFormatError(f"malformed variable name {key!r}")
-    if not all(c.isalnum() or c == "_" for c in name):
-        raise ModelFormatError(f"malformed variable name {key!r}")
-    return PropName(Side.LEFT if key[0] == "l" else Side.RIGHT, name)
+    return PropName(Side.LEFT if key[0] == "l" else Side.RIGHT, key[2:])
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,8 @@ def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
 
 def check_all(model: Model, phi: Formula) -> set[tuple[State, State]]:
     """All pairs (s, t) where `phi` holds, from one pass of the vectorised
-    kernel `bruteforce.truth_table`. The first call loads numpy."""
+    kernel `bruteforce.truth_table`. A model past 4,096 states raises
+    `ResourceGuard`. The first call loads numpy."""
     from .bruteforce import holding_pairs
 
     return holding_pairs(model, phi)

@@ -409,10 +409,12 @@ def _prec(phi: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Concrete syntax: parser
 
+# A variable: its side, a colon and its name. Model files use the same grammar.
+ATOM_RE = re.compile(r"[lr]:[A-Za-z_][A-Za-z0-9_]*")
 # Whitespace starts no token, so `finditer` skips it.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<atom>[lr]:[A-Za-z_][A-Za-z0-9_]*)
+    rf"""
+      (?P<atom>{ATOM_RE.pattern})
     | (?P<op><->|->|[~&|()]|\[W\]|\[B\]|<W>|<B>)
     | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<bad>\S)

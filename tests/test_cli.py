@@ -159,6 +159,14 @@ class TestExitCodes:
             s, t = payload["witness"]["pair"]
             assert check(model, s, t, parse(FOUR_STATE_FORMULA))
 
+    def test_model_variable_outside_the_formula_grammar(self, capsys, tmp_path):
+        # `l:p²` is no variable of the formula language, so no model may name it.
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["w"], "valuation": {"l:p\u00b2": ["w"]}}')
+        code, _, err = run(capsys, "check", "-m", str(model), "--at", "w,w", "-f", "l:p")
+        assert code == 65
+        assert err.startswith("lhs: input error: malformed variable name")
+
 
 class TestDeepInput:
     DEEP = "~" * 3000 + "l:p"
@@ -667,6 +675,18 @@ class TestOtherCommands:
         assert code == 0
         model = load_model(out_file.read_text())
         assert len(model.states) == 4
+
+    def test_tiling_model_check_refuses_a_torus_past_the_table_limit(self, capsys, tmp_path):
+        # A 38x36 stripe tiling gives a torus of 4,105 states, whose pairs
+        # no longer fit one table: refused (70), not a traceback with exit 1.
+        path = tmp_path / "tiling.json"
+        path.write_text(json.dumps({"period": [38, 36], "assign": {
+            f"{a},{b}": "AB"[b % 2] for a in range(38) for b in range(36)}}))
+        code, out, err = run(capsys, "tiling", "model", "-t", str(DATA / "stripe_tiles.json"),
+                             "-a", str(path), "-o", str(tmp_path / "torus.json"), "--check")
+        assert code == 70
+        assert err.startswith("lhs: refused: checking every pair of a 4105-state model")
+        assert "Traceback" not in out + err
 
     def test_tiling_model_invalid_assignment(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

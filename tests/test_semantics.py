@@ -130,6 +130,13 @@ class TestCheckAll:
             phi = And(phi, right_atom("q") if i % 2 == 0 else left_atom("p"))
         assert check_all(m, phi) == {(s, t) for s in "ab" for t in "bc"}
 
+    def test_model_past_the_table_limit_refused(self):
+        # 4,097^2 pairs is past the 2^24 rows of one table: refused before
+        # anything is allocated.
+        m = make_model([f"w{i}" for i in range(4097)], [("w0", "w1")], {"l:p": ["w0"]})
+        with pytest.raises(ResourceGuard, match="4097-state model needs a table of 16785409 pairs"):
+            check_all(m, parse("[W]l:p"))
+
 
 class TestTruthTable:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
