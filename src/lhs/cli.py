@@ -9,9 +9,11 @@ guard refuses the job.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
+import re
 import sys
 import time
 
@@ -54,24 +56,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _variable(text: str) -> str:
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+        raise argparse.ArgumentTypeError(
+            f"expected a variable name (a letter or _, then letters, digits or _), got {text!r}")
+    return text
+
+
 def _add_formula_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("-f", "--formula", help="formula given inline")
     group.add_argument("-F", "--formula-file", help="file containing the formula")
 
 
+def _read(path, load):
+    """`load` applied to the text of the file at `path`."""
+    with open(path) as fh:
+        return load(fh.read())
+
+
 def _read_formula(args):
     if args.formula is not None:
-        text = args.formula
-    else:
-        with open(args.formula_file) as fh:
-            text = fh.read()
-    return parse(text)
-
-
-def _read_model(path) -> Model:
-    with open(path) as fh:
-        return load_model(fh.read())
+        return parse(args.formula)
+    return _read(args.formula_file, parse)
 
 
 def _emit(args, payload: dict, human: str):
@@ -92,22 +99,29 @@ def _write_witness(args, model: Model, pair) -> dict:
     return info
 
 
+def _verb(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """The subparser of the verb `name`, which `main` answers with `handler`."""
+    p = subs.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="lhs", description="toolkit for the hide-and-seek modal logic")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("parse", help="parse a formula and reprint it")
+    p = _verb(subs, "parse", _cmd_parse, "parse a formula and reprint it")
     _add_formula_args(p)
     p.add_argument("--full", action="store_true", help="fully parenthesized output")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("check", help="evaluate a formula at a pair of states")
+    p = _verb(subs, "check", _cmd_check, "evaluate a formula at a pair of states")
     _add_formula_args(p)
     p.add_argument("-m", "--model", required=True, help="model JSON file")
     p.add_argument("--at", required=True, metavar="S,T", help="evaluation pair")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("sat", help="satisfiability (decision procedure, I-free)")
+    p = _verb(subs, "sat", _cmd_sat, "satisfiability (decision procedure, I-free)")
     _add_formula_args(p)
     p.add_argument("--full", action="store_true",
                    help="bounded search over full-language models (allows I)")
@@ -116,40 +130,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="write the witness model to this file")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("valid", help="validity for I-free formulas")
+    p = _verb(subs, "valid", _cmd_valid, "validity for I-free formulas")
     _add_formula_args(p)
     p.add_argument("--witness", help="write the countermodel to this file")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("cnf", help="clean CNF companion of an I-free formula")
+    p = _verb(subs, "cnf", _cmd_cnf, "clean CNF companion of an I-free formula")
     _add_formula_args(p)
     p.add_argument("--clean-only", action="store_true",
                    help="require the input to be clean already (no companion step)")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("translate", help="first-order standard translation")
+    p = _verb(subs, "translate", _cmd_translate, "first-order standard translation")
     _add_formula_args(p)
-    p.add_argument("-x", default="x", help="first free variable name")
-    p.add_argument("-y", default="y", help="second free variable name")
+    p.add_argument("-x", type=_variable, default="x", help="first free variable name")
+    p.add_argument("-y", type=_variable, default="y", help="second free variable name")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("bisim", help="largest bisimulation between two models")
+    p = _verb(subs, "bisim", _cmd_bisim, "largest bisimulation between two models")
     p.add_argument("-m", "--model", required=True, help="first model JSON file")
     p.add_argument("-n", "--other", required=True, help="second model JSON file")
     p.add_argument("--pairs", metavar="S,T=S2,T2",
                    help="exit 0 iff this pair of pairs is related")
     p.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("proof", help="check a Hilbert-style derivation")
+    p = _verb(subs, "proof", _cmd_proof, "check a Hilbert-style derivation")
     p.add_argument("-p", "--proof", required=True, help="proof JSON file")
     p.add_argument("--json", action="store_true")
 
     p = subs.add_parser("tiling", help="tiling reduction utilities")
     tsubs = p.add_subparsers(dest="tiling_command", required=True)
-    g = tsubs.add_parser("gen", help="print the formula for a tile set")
+    g = _verb(tsubs, "gen", _cmd_tiling_gen, "print the formula for a tile set")
     g.add_argument("-t", "--tiles", required=True, help="tile set JSON file")
     g.add_argument("--json", action="store_true")
-    m = tsubs.add_parser("model", help="build the torus model of a periodic tiling")
+    m = _verb(tsubs, "model", _cmd_tiling_model, "build the torus model of a periodic tiling")
     m.add_argument("-t", "--tiles", required=True, help="tile set JSON file")
     m.add_argument("-a", "--assignment", required=True, help="tiling JSON file")
     m.add_argument("-o", "--output", help="write the model to this file")
@@ -157,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model-check the generated formula at (s,s)")
     m.add_argument("--json", action="store_true")
 
-    p = subs.add_parser("selftest", help="quick randomized self-checks")
+    p = _verb(subs, "selftest", _cmd_selftest, "quick randomized self-checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=25)
     p.add_argument("--json", action="store_true")
@@ -173,23 +187,37 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse_pair(text: str, model: Model):
-    """The pair S,T that `text` names. A state id may hold commas (a torus
-    names its states "a,b"), so the one split at a comma whose halves are
-    both states is taken."""
-    parts = text.split(",")
-    splits = [(",".join(parts[:i]).strip(), ",".join(parts[i:]).strip())
-              for i in range(1, len(parts))]
-    states = model.successor_map  # keyed by the states; `check` reads it anyway
-    pairs = [(s, t) for s, t in splits if s in states and t in states]
-    if len(pairs) > 1:
-        raise ModelFormatError(f"{text!r} names more than one pair of states: "
-                               + " or ".join(map(repr, pairs)))
-    if pairs:
-        return pairs[0]
+def _split_once(text: str, sep: str, readers, what: str, expected: str):
+    """The halves of `text` at the one split at `sep` that the two `readers`
+    accept, as they read them: a state id may hold `,` or `=`. A text with
+    one `sep` gets the error of the half that fails; otherwise no split, or
+    more than one, is an error."""
+    parts = text.split(sep)
+    splits = [(sep.join(parts[:i]), sep.join(parts[i:])) for i in range(1, len(parts))]
     if len(splits) == 1:
-        model.require_state(*splits[0])  # names the state that is not declared
-    raise ModelFormatError(f"expected S,T, two states split at a comma, but got {text!r}")
+        return tuple(read(half) for read, half in zip(readers, splits[0]))
+    found = []
+    for halves in splits:
+        with contextlib.suppress(LhsError):
+            found.append(tuple(read(half) for read, half in zip(readers, halves)))
+    if len(found) > 1:
+        raise ModelFormatError(f"{text!r} names more than one {what}: "
+                               + " or ".join(map(repr, found)))
+    if found:
+        return found[0]
+    raise ModelFormatError(f"expected {expected} but got {text!r}")
+
+
+def _parse_pair(text: str, model: Model):
+    """The pair S,T that `text` names, split at the one comma whose halves
+    are both states (a torus names its states "a,b")."""
+    def state(half):
+        half = half.strip()
+        model.require_state(half)
+        return half
+
+    return _split_once(text, ",", (state, state), "pair of states",
+                       "S,T, two states split at a comma,")
 
 
 def _cmd_parse(args):
@@ -208,7 +236,7 @@ def _cmd_parse(args):
 
 def _cmd_check(args):
     phi = _read_formula(args)
-    model = _read_model(args.model)
+    model = _read(args.model, load_model)
     s, t = _parse_pair(args.at, model)
     verdict = semantics.check(model, s, t, phi)
     _emit(args, {"verdict": verdict, "pair": [s, t]}, "true" if verdict else "false")
@@ -264,14 +292,12 @@ def _cmd_translate(args):
 
 
 def _cmd_bisim(args):
-    m = _read_model(args.model)
-    n = _read_model(args.other)
+    m = _read(args.model, load_model)
+    n = _read(args.other, load_model)
     if args.pairs:
-        halves = args.pairs.split("=")
-        if len(halves) != 2:
-            raise ModelFormatError(f"expected S,T=S2,T2 but got {args.pairs!r}")
-        left = _parse_pair(halves[0], m)
-        right = _parse_pair(halves[1], n)
+        left, right = _split_once(args.pairs, "=", (functools.partial(_parse_pair, model=m),
+                                                    functools.partial(_parse_pair, model=n)),
+                                  "pair of pairs", "S,T=S2,T2")
         related = bisim_mod.are_bisimilar(m, *left, n, *right)
         _emit(args, {"related": related, "pair": [list(left), list(right)]},
               "related" if related else "not related")
@@ -285,8 +311,7 @@ def _cmd_bisim(args):
 
 
 def _cmd_proof(args):
-    with open(args.proof) as fh:
-        lines = proof_mod.load_proof(fh.read())
+    lines = _read(args.proof, proof_mod.load_proof)
     report = proof_mod.check_proof(lines)
     if report.ok:
         conclusion = render(lines[-1].formula) if lines else "true"
@@ -299,17 +324,16 @@ def _cmd_proof(args):
     return 1
 
 
-def _cmd_tiling(args):
-    with open(args.tiles) as fh:
-        ts = tiling_mod.load_tileset(fh.read())
-    if args.tiling_command == "gen":
-        phi = tiling_mod.generate_phi(ts)
-        text = render(phi)
-        _emit(args, {"formula": text, "labels": ts.labels()}, text)
-        return 0
-    with open(args.assignment) as fh:
-        pt = tiling_mod.load_tiling(fh.read())
-    model, spy = tiling_mod.torus_model(ts, pt)
+def _cmd_tiling_gen(args):
+    ts = _read(args.tiles, tiling_mod.load_tileset)
+    text = render(tiling_mod.generate_phi(ts))
+    _emit(args, {"formula": text, "labels": ts.labels()}, text)
+    return 0
+
+
+def _cmd_tiling_model(args):
+    ts = _read(args.tiles, tiling_mod.load_tileset)
+    model, spy = tiling_mod.torus_model(ts, _read(args.assignment, tiling_mod.load_tiling))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(save_model(model))
@@ -370,20 +394,8 @@ def _cmd_selftest(args):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {
-        "parse": _cmd_parse,
-        "check": _cmd_check,
-        "sat": _cmd_sat,
-        "valid": _cmd_valid,
-        "cnf": _cmd_cnf,
-        "translate": _cmd_translate,
-        "bisim": _cmd_bisim,
-        "proof": _cmd_proof,
-        "tiling": _cmd_tiling,
-        "selftest": _cmd_selftest,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (FormulaSyntaxError, ReservedNameError, ModelFormatError, UnknownState,
             ContainsI, MixedFormula, ModalInput, NotClean,
             OSError, UnicodeDecodeError) as exc:  # unreadable file, or not UTF-8

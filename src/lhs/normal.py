@@ -110,9 +110,10 @@ def _atom_block(f: Formula) -> int:
 def clean_decompose(phi: Formula):
     """Abstract maximal one-sided subformulas into placeholder atoms.
 
-    Returns (skeleton, blocks) where the skeleton is propositional over
-    placeholder atoms (left placeholders for white blocks, right for black)
-    and substituting `blocks` back reproduces `phi` syntactically. Identical
+    Returns (skeleton, blocks, block_to_prop) where the skeleton is
+    propositional over placeholder atoms (left placeholders for white blocks,
+    right for black), `block_to_prop` maps each block to its placeholder, and
+    substituting the blocks back reproduces `phi` syntactically. Identical
     blocks share one placeholder.
     """
     if not phi.facts & CLEAN:

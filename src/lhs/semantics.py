@@ -9,6 +9,7 @@ from .model import Model, State
 from .syntax import (
     Atom,
     BBox,
+    BINARY_NODES,
     Bot,
     EqConst,
     Formula,
@@ -19,7 +20,6 @@ from .syntax import (
     Node,
     Not,
     Or,
-    PropName,
     Side,
     Top,
     WBox,
@@ -138,70 +138,27 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
 # First-order translation
 
 
+@_node
 class FOFormula(Node):
-    """Base class of first-order formulas; `repr` is `fo_render`."""
+    """A first-order formula over R, Pl_*/Pr_* and equality; `repr` is `fo_render`.
 
-    __slots__ = ()
+    `op` is the connective as printed: `P` (`left` a proposition, `right` a
+    variable), `R` and `=` (two variables), `~` (`left` the operand), `&`,
+    `|`, `->`, `<->` (two operands), `forall` and `exists` (`left` the bound
+    variable, `right` the body).
+    """
+
+    op: str
+    left: object
+    right: object = None
 
     def __repr__(self):
         return fo_render(self)
 
 
-@_node
-class FOPred(FOFormula):
-    prop: PropName
-    var: str
-
-
-@_node
-class FORel(FOFormula):
-    left: str
-    right: str
-
-
-@_node
-class FOEq(FOFormula):
-    left: str
-    right: str
-
-
-@_node
-class FONot(FOFormula):
-    child: FOFormula
-
-
-@_node
-class FOAnd(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@_node
-class FOOr(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@_node
-class FOImplies(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@_node
-class FOForall(FOFormula):
-    var: str
-    child: FOFormula
-
-
-@_node
-class FOExists(FOFormula):
-    var: str
-    child: FOFormula
-
-
-# Each `<->` is translated twice, so nested ones grow exponentially.
+# A formula built in code can share subformulas; the translation follows its tree.
 FO_NODE_CEILING = 1_000_000
+_FO_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 
 
 def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
@@ -215,12 +172,7 @@ def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
     size: dict[Formula, int] = {}
     for f in subformulas(phi):
         inner = sum(size[c] for c in children(f))
-        if isinstance(f, Iff):
-            size[f] = 3 + 2 * inner
-        elif isinstance(f, MODAL_NODES):
-            size[f] = 3 + inner
-        else:
-            size[f] = 1 + inner + isinstance(f, Bot)
+        size[f] = 1 + inner + (2 if isinstance(f, MODAL_NODES) else isinstance(f, Bot))
     if size[phi] > FO_NODE_CEILING:
         raise ResourceGuard(f"FO translation would build {size[phi]} nodes, over the "
                             f"ceiling of {FO_NODE_CEILING}")
@@ -232,34 +184,26 @@ def _fo(f: Formula, a: str, b: str, names):
     """The walk of `fo_translate` with free variables a and b; bound
     variables are taken from the iterator `names`."""
     if isinstance(f, Atom):
-        return FOPred(f.prop, a if f.prop.side is Side.LEFT else b)
+        return FOFormula("P", f.prop, a if f.prop.side is Side.LEFT else b)
     if isinstance(f, EqConst):
-        return FOEq(a, b)
+        return FOFormula("=", a, b)
     if isinstance(f, Top):
-        return FOEq(a, a)
+        return FOFormula("=", a, a)
     if isinstance(f, Bot):
-        return FONot(FOEq(a, a))
+        return FOFormula("~", FOFormula("=", a, a))
     if isinstance(f, Not):
-        return FONot((yield _fo(f.child, a, b, names)))
-    if isinstance(f, (And, Or, Implies)):
-        node = {And: FOAnd, Or: FOOr, Implies: FOImplies}[type(f)]
+        return FOFormula("~", (yield _fo(f.child, a, b, names)))
+    if isinstance(f, BINARY_NODES):
         left = yield _fo(f.left, a, b, names)
-        return node(left, (yield _fo(f.right, a, b, names)))
-    if isinstance(f, Iff):
-        # No biconditional in the FO fragment; expand into two implications.
-        left = yield _fo(f.left, a, b, names)
-        right = yield _fo(f.right, a, b, names)
-        left2 = yield _fo(f.left, a, b, names)
-        right2 = yield _fo(f.right, a, b, names)
-        return FOAnd(FOImplies(left, right), FOImplies(right2, left2))
+        return FOFormula(_FO_OPS[type(f)], left, (yield _fo(f.right, a, b, names)))
     if isinstance(f, MODAL_NODES):
         z = next(names)
         white = isinstance(f, WHITE_MODAL)
         child = yield (_fo(f.child, z, b, names) if white else _fo(f.child, a, z, names))
-        edge = FORel(a if white else b, z)
+        edge = FOFormula("R", a if white else b, z)
         if isinstance(f, (WBox, BBox)):
-            return FOForall(z, FOImplies(edge, child))
-        return FOExists(z, FOAnd(edge, child))
+            return FOFormula("forall", z, FOFormula("->", edge, child))
+        return FOFormula("exists", z, FOFormula("&", edge, child))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -273,33 +217,36 @@ def fo_eval(model: Model, alpha: FOFormula, env: dict[str, State]) -> bool:
 
 def _fo_sat(f: FOFormula, model: Model, env: dict[str, State]):
     """The walk of `fo_eval` under the assignment `env`, which it updates in place."""
-    if isinstance(f, FOPred):
-        return env[f.var] in model.truth_set(f.prop)
-    if isinstance(f, FORel):
+    op = getattr(f, "op", None)
+    if op == "P":
+        return env[f.right] in model.truth_set(f.left)
+    if op == "R":
         return (env[f.left], env[f.right]) in model.edges
-    if isinstance(f, FOEq):
+    if op == "=":
         return env[f.left] == env[f.right]
-    if isinstance(f, FONot):
-        return not (yield _fo_sat(f.child, model, env))
-    if isinstance(f, FOAnd):
+    if op == "~":
+        return not (yield _fo_sat(f.left, model, env))
+    if op == "&":
         return (yield _fo_sat(f.left, model, env)) and (yield _fo_sat(f.right, model, env))
-    if isinstance(f, FOOr):
+    if op == "|":
         return (yield _fo_sat(f.left, model, env)) or (yield _fo_sat(f.right, model, env))
-    if isinstance(f, FOImplies):
+    if op == "->":
         return (not (yield _fo_sat(f.left, model, env))) or (yield _fo_sat(f.right, model, env))
-    if isinstance(f, (FOForall, FOExists)):
-        outer = env.get(f.var)
-        had = f.var in env
+    if op == "<->":
+        return (yield _fo_sat(f.left, model, env)) == (yield _fo_sat(f.right, model, env))
+    if op in ("forall", "exists"):
+        outer = env.get(f.left)
+        had = f.left in env
         results = []
         for w in model.states:
-            env[f.var] = w
-            results.append((yield _fo_sat(f.child, model, env)))
+            env[f.left] = w
+            results.append((yield _fo_sat(f.right, model, env)))
         if had:
-            env[f.var] = outer
+            env[f.left] = outer
         else:
-            del env[f.var]
-        return all(results) if isinstance(f, FOForall) else any(results)
-    raise TypeError(f"not an FO formula: {f!r}")
+            del env[f.left]
+        return all(results) if op == "forall" else any(results)
+    raise TypeError(f"not an FO formula: {type(f).__name__} with op {op!r}")
 
 
 def fo_render(alpha: FOFormula) -> str:
@@ -308,25 +255,24 @@ def fo_render(alpha: FOFormula) -> str:
 
 
 def _fo_render(alpha: FOFormula):
-    if isinstance(alpha, FOPred):
-        prefix = "Pl_" if alpha.prop.side is Side.LEFT else "Pr_"
-        return f"{prefix}{alpha.prop.name}({alpha.var})"
-    if isinstance(alpha, FORel):
+    op = getattr(alpha, "op", None)
+    if op == "P":
+        prefix = "Pl_" if alpha.left.side is Side.LEFT else "Pr_"
+        return f"{prefix}{alpha.left.name}({alpha.right})"
+    if op == "R":
         return f"R({alpha.left},{alpha.right})"
-    if isinstance(alpha, FOEq):
+    if op == "=":
         return f"{alpha.left} = {alpha.right}"
-    if isinstance(alpha, FONot):
-        text = yield _fo_render(alpha.child)
-        if isinstance(alpha.child, (FOPred, FORel)) or text.startswith("("):
+    if op == "~":
+        text = yield _fo_render(alpha.left)
+        if alpha.left.op in ("P", "R") or text.startswith("("):
             return f"~{text}"
         return f"~({text})"
-    if isinstance(alpha, (FOAnd, FOOr, FOImplies)):
-        op = {FOAnd: "&", FOOr: "|", FOImplies: "->"}[type(alpha)]
+    if op in ("&", "|", "->", "<->"):
         left = yield _fo_render(alpha.left)
         right = yield _fo_render(alpha.right)
         return f"({left} {op} {right})"
-    if isinstance(alpha, (FOForall, FOExists)):
-        quantifier = "forall" if isinstance(alpha, FOForall) else "exists"
-        child = yield _fo_render(alpha.child)
-        return f"{quantifier} {alpha.var}. ({child})"
-    raise TypeError(f"not an FO formula: {alpha!r}")
+    if op in ("forall", "exists"):
+        child = yield _fo_render(alpha.right)
+        return f"{op} {alpha.left}. ({child})"
+    raise TypeError(f"not an FO formula: {type(alpha).__name__} with op {op!r}")

@@ -312,6 +312,16 @@ class TestStackSafety:
         assert (code, out.startswith("ok: 2 lines")) == ((0, True) if white_only else (1, False))
 
 
+def test_deep_iff_chain_translated():
+    # Each <-> is translated once, so a chain 10^4 long is translated, not
+    # refused, with Python's recursion limit at 200.
+    text = " <-> ".join(f"l:p{i}" if i % 2 else f"[B]r:q{i}" for i in range(_N))
+    proc = run_python(["-c", _STACK_SCRIPT], input=json.dumps([["translate", "-f", text]]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    [[code, out]] = json.loads(proc.stdout)
+    assert code == 0 and out.count("<->") == _N - 1
+
+
 _DETERMINISM_SCRIPT = """
 import contextlib, io, json, sys
 from lhs.cli import main
@@ -384,6 +394,26 @@ class TestReadme:
         verbs = next(a.choices for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction))
         assert {line.split()[1] for line in self.synopsis()} == set(verbs)
+
+    @staticmethod
+    def leaves(parser, path=()):
+        """(verb words, subparser) of every verb that has no verbs below it."""
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, sub in action.choices.items():
+                yield from TestReadme.leaves(sub, path + (name,))
+
+    def test_synopsis_names_every_option(self):
+        lines = self.synopsis()
+        for path, parser in self.leaves(build_parser()):
+            [line] = [line for line in lines if tuple(line.split()[1:1 + len(path)]) == path]
+            shown = {token.strip("[]{}") for token in line.split()}
+            for action in parser._actions:
+                names = set(action.option_strings)
+                assert not names or "-h" in names or names & shown, \
+                    f"README synopsis of {' '.join(path)} lacks {action.option_strings}"
 
 
 def _without_time(out):
@@ -613,6 +643,14 @@ class TestOtherCommands:
     def test_translate(self, capsys):
         code, out, _ = run(capsys, "translate", "-f", "I")
         assert code == 0 and "x = y" in out
+        # Equal names translate on the diagonal.
+        assert run(capsys, "translate", "-x", "v", "-y", "v", "-f", "I") == (0, "v = v\n", "")
+
+    @pytest.mark.parametrize("flag, name", [("-x", ""), ("-y", "R(x"), ("-x", "2x"), ("-y", "x y")])
+    def test_translate_variable_outside_the_grammar(self, capsys, flag, name):
+        code, out, err = run(capsys, "translate", flag, name, "-f", "[W]l:p & r:p")
+        assert (code, out) == (64, "")
+        assert f"lhs translate: error: argument {flag}: expected a variable name" in err
 
     def test_proof(self, capsys):
         code, out, _ = run(capsys, "proof", "-p",
@@ -633,6 +671,24 @@ class TestOtherCommands:
         code, out, _ = run(capsys, *argv, "s,0,1=0,0,0,1")
         assert code == 1 and json.loads(out)["pair"] == [["s", "0,1"], ["0,0", "0,1"]]
         assert run(capsys, *argv, "s,0=0,0,s")[0] == 65
+
+    def test_bisim_pairs_with_equals_signs(self, capsys, tmp_path):
+        # A state id may hold `=` as well: the one split at a `=` whose
+        # halves both name pairs is taken.
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"states": ["a=1", "b", "x", "x=x"], "edges": [["a=1", "b"]]}))
+        argv = ["bisim", "--json", "-m", str(m), "-n", str(m), "--pairs"]
+        code, out, _ = run(capsys, *argv, "a=1,b=a=1,b")
+        assert code == 0 and json.loads(out)["pair"] == [["a=1", "b"], ["a=1", "b"]]
+        code, out, _ = run(capsys, *argv, "a=1,b=b,a=1")
+        assert code == 1 and json.loads(out)["pair"] == [["a=1", "b"], ["b", "a=1"]]
+        # (x, x) = (x=x, x) or (x, x=x) = (x, x)
+        code, _, err = run(capsys, *argv, "x,x=x=x,x")
+        assert code == 65 and "names more than one pair of pairs" in err
+        code, _, err = run(capsys, *argv, "a=1,b=a=2,b")
+        assert code == 65 and "expected S,T=S2,T2 but got 'a=1,b=a=2,b'" in err
+        code, _, err = run(capsys, *argv, "a=1,b")
+        assert code == 65 and "expected S,T, two states split at a comma, but got 'a'" in err
 
     def test_bisim_listing_guard_and_pair_query(self, capsys, tmp_path):
         # Two blocks of 40 and 1560 pairs: the listing would build

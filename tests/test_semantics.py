@@ -33,6 +33,7 @@ from lhs import (
     substitute,
 )
 from lhs.cli import main
+from lhs.semantics import FOFormula
 from lhs.syntax import Side
 
 from conftest import (
@@ -238,6 +239,15 @@ class TestTranslation:
                     == fo_eval(m, fo_translate(phi), {"x": s, "y": t})
                     == fo_eval(m, fo_translate(phi, x="z0", y="z1"), {"z0": s, "z1": t}))
 
+    def test_unknown_connective(self):
+        m = make_model(["a"], [])
+        alpha = FOFormula("xor", FOFormula("=", "x", "x"), FOFormula("=", "x", "y"))
+        for walk in (fo_render, lambda f: fo_eval(m, f, {"x": "a", "y": "a"})):
+            with pytest.raises(TypeError, match="not an FO formula"):
+                walk(alpha)
+            with pytest.raises(TypeError, match="not an FO formula"):
+                walk(EqConst())
+
     def test_deep_translation_nodes(self):
         # Hashing, comparing and printing a 3000-deep translation must not
         # recurse.
@@ -246,16 +256,42 @@ class TestTranslation:
         assert a != fo_translate(parse("~" * 2998 + "l:p"))
         assert repr(a) == fo_render(a) == "~(" * 2999 + "~Pl_p(x)" + ")" * 2999
 
-    def test_nested_iff_refused(self):
-        # Each <-> translates both operands twice: 30 nested ones would build
-        # about 1.6e10 nodes.
+    def test_nested_iff_answered(self, capsys):
+        # Each <-> is one first-order <->, which reads its operands once, so
+        # the chain translates to a formula of linear size.
         text = "[W]l:p0"
         for i in range(1, 31):
             text = f"({text} <-> [W]l:p{i})"
         with time_budget(1):
+            assert fo_render(fo_translate(parse(text))).count("<->") == 30
+            assert main(["translate", "-f", text]) == 0
+        assert capsys.readouterr().out.count("<->") == 30
+
+    def test_shared_subformulas_refused(self):
+        # 31 objects, but a tree of 2^31 - 1 nodes, which the translation
+        # follows.
+        phi = left_atom("p")
+        for _ in range(30):
+            phi = And(phi, phi)
+        with time_budget(1):
             with pytest.raises(ResourceGuard, match="over the ceiling of 1000000"):
-                fo_translate(parse(text))
-            assert main(["translate", "-f", text]) == 70
+                fo_translate(phi)
+
+    def test_ceiling_counts_the_translation(self, rng, monkeypatch):
+        # The count made before the walk is the size of the tree it builds.
+        for _ in range(50):
+            phi = random_formula(rng, depth=4)
+            size, stack = 0, [fo_translate(phi)]
+            while stack:
+                alpha = stack.pop()
+                size += 1
+                stack += [c for c in (alpha.left, alpha.right) if isinstance(c, FOFormula)]
+            with monkeypatch.context() as patch:
+                patch.setattr("lhs.semantics.FO_NODE_CEILING", size)
+                fo_translate(phi)
+                patch.setattr("lhs.semantics.FO_NODE_CEILING", size - 1)
+                with pytest.raises(ResourceGuard, match=f"would build {size} nodes"):
+                    fo_translate(phi)
 
 
 _MODEL = make_model(["a", "b"], [("a", "b"), ("b", "b")], {"l:p": ["b"], "r:q": ["a"]})

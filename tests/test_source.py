@@ -1,0 +1,33 @@
+"""The package source itself: every module reads each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "lhs"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that `source` imports and never reads. `from __future__`
+    imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+# `__init__.py` imports names to re-export them.
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_import(module):
+    assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_unused_import_found():
+    source = "import os.path\nfrom .syntax import Atom, Side as S\nos.sep\nS.LEFT\n"
+    assert unused_imports(source) == ["Atom"]
