@@ -9,19 +9,16 @@ coordinates, with edges (s, t) -> (v, t) (white) and (s, t) -> (s, v)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResourceGuard
 from .model import Model, State
-from .syntax import Side
+from .syntax import Record, Side
 
 Quad = tuple[tuple[State, State], tuple[State, State]]
 
 DEFAULT_CEILING = 2_000_000
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(Record):
     left: Model
     right: Model
     pairs: frozenset[Quad]
@@ -32,8 +29,7 @@ class PairRelation:
             self.right.require_state(s2, t2)
 
 
-@dataclass(frozen=True)
-class ClauseViolation:
+class ClauseViolation(Record):
     clause: str
     quad: Quad
 

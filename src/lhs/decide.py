@@ -3,7 +3,6 @@ and bounded search for the full language."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from .errors import LhsError, MixedFormula, ResourceGuard
@@ -22,21 +21,20 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Record,
     Top,
     WBox,
     drive,
 )
 
 
-@dataclass(frozen=True)
-class KVerdict:
+class KVerdict(Record):
     status: str  # "SAT" | "UNSAT"
     model: Model | None = None
     state: str | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """The answer of `lhs_minus_valid`, `lhs_minus_sat` and `lhs_bounded_sat`:
     a witness model and its pair for "SAT" and "INVALID", none otherwise."""
 

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ModelFormatError, ResourceGuard, UnknownState
-from .syntax import ATOM_RE, PropName, Side
+from .syntax import ATOM_RE, PropName, Record, Side
 
 State = str
 
@@ -19,8 +18,7 @@ def _parse_prop_key(key: str) -> PropName:
     return PropName(Side.LEFT if key[0] == "l" else Side.RIGHT, key[2:])
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A frame (states, edges) with a two-sided valuation.
 
     `states` keeps declaration order; `edges` is a set of (source, target)
@@ -30,9 +28,11 @@ class Model:
 
     states: tuple[State, ...]
     edges: frozenset[tuple[State, State]]
-    valuation: dict[PropName, frozenset[State]] = field(default_factory=dict)
+    valuation: dict[PropName, frozenset[State]] = None  # a fresh {} when not given
 
     def __post_init__(self):
+        if self.valuation is None:
+            self.__dict__["valuation"] = {}
         if not self.states:
             raise ModelFormatError("a model needs at least one state")
         declared = set(self.states)

@@ -27,7 +27,6 @@ each formula carries from construction, so no side check walks the formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ContainsI, ModalInput, NotClean, ResourceGuard
@@ -50,6 +49,7 @@ from .syntax import (
     Not,
     Or,
     PropName,
+    Record,
     Side,
     Top,
     WBox,
@@ -141,8 +141,7 @@ def clean_decompose(phi: Formula):
 # Clean CNF
 
 
-@dataclass(frozen=True)
-class CleanCNF:
+class CleanCNF(Record):
     """Conjunction of pairs (psi_i, gamma_i), psi_i white-only, gamma_i black-only."""
 
     conjuncts: tuple[tuple[Formula, Formula], ...]

@@ -8,8 +8,6 @@ keeps the one-sided axioms sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ModelFormatError, SideViolation
 from .model import read_json
 from .syntax import (
@@ -18,6 +16,7 @@ from .syntax import (
     Formula,
     Implies,
     PropName,
+    Record,
     Side,
     WBox,
     children,
@@ -28,8 +27,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(Record):
     formula: Formula
     rule: str
     premises: tuple[int, ...] = ()  # 1-based indices of earlier lines
@@ -37,14 +35,12 @@ class ProofLine:
     right_map: dict[PropName, Formula] | None = None
 
 
-@dataclass(frozen=True)
-class LineError:
+class LineError(Record):
     line: int
     reason: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     ok: bool
     first_error: LineError | None = None
 

@@ -24,7 +24,6 @@ from .syntax import (
     Top,
     WBox,
     WHITE_MODAL,
-    _node,
     children,
     classify,
     drive,
@@ -138,7 +137,6 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
 # First-order translation
 
 
-@_node
 class FOFormula(Node):
     """A first-order formula over R, Pl_*/Pr_* and equality; `repr` is `fo_render`.
 
@@ -235,17 +233,17 @@ def _fo_sat(f: FOFormula, model: Model, env: dict[str, State]):
     if op == "<->":
         return (yield _fo_sat(f.left, model, env)) == (yield _fo_sat(f.right, model, env))
     if op in ("forall", "exists"):
-        outer = env.get(f.left)
-        had = f.left in env
-        results = []
+        outer, had, value = env.get(f.left), f.left in env, op == "forall"
         for w in model.states:
             env[f.left] = w
-            results.append((yield _fo_sat(f.right, model, env)))
+            if (yield _fo_sat(f.right, model, env)) != value:
+                value = not value
+                break
         if had:
             env[f.left] = outer
         else:
             del env[f.left]
-        return all(results) if op == "forall" else any(results)
+        return value
     raise TypeError(f"not an FO formula: {type(f).__name__} with op {op!r}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -28,28 +27,90 @@ class Side(Enum):
     RIGHT = "r"
 
 
-@dataclass(frozen=True)
-class PropName:
+class Record:
+    """Base class of immutable records, built without generated code.
+
+    The fields are the names a class annotates, after its bases' fields; the
+    values that the class body gives the last fields are their defaults (`_tail`).
+    Equality, hash and `repr` read the field values; setting one raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        names = cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        kept = itertools.takewhile(lambda f: hasattr(cls, f), reversed(names))
+        cls._tail = tuple(reversed([getattr(cls, f) for f in kept]))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        fields = self.__dict__
+        for i, name in enumerate(names):  # faster than a zip
+            fields[name] = args[i]
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:  # the field values of any other call
+        names, tail = cls._fields, cls._tail
+        if not kwargs and 0 < len(names) - len(args) <= len(tail):
+            return args + tail[len(args) - len(names):]
+        given = dict(zip(names, args), **kwargs)
+        values = dict(zip(names[len(names) - len(tail):], tail)) | given
+        if len(given) < len(args) + len(kwargs) or values.keys() != {*names}:
+            raise TypeError(f"{cls.__name__}({', '.join(names)}) got {args} and {kwargs}")
+        return tuple(values[f] for f in names)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PropName(Record):
     side: Side
     name: str
 
-    def __post_init__(self):
-        # Leaf sets of the tableau hash props by the hundred thousand.
-        object.__setattr__(self, "_hash", hash((self.side, self.name)))
+    def __init__(self, side: Side, name: str):
+        # Not via `__dict__`, so reads stay fast; the tableau's leaf sets hash props by the 100,000.
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((side, name)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not PropName:
+            return NotImplemented
+        return self.name == other.name and self.side is other.side
 
     def __str__(self):
         return f"{self.side.value}:{self.name}"
 
 
-class Node:
+class Node(Record):
     """Base class of immutable, hashable syntax trees (formulas, FO formulas).
 
-    A node stores its hash, the one a frozen dataclass computes, when it is
-    built: no hash or equality test recurses into a deep tree. Subclasses are
-    dataclasses declared with `eq=False, repr=False`.
+    A node stores its hash, the hash of its tuple of field values, when it is
+    built: no hash or equality test recurses into a deep tree.
     """
 
     __slots__ = ()
@@ -89,86 +150,73 @@ class Formula(Node):
 
     __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        # `Record.__init__`, with `Node`'s hash and the facts computed from `args` in one pass.
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
         fields = self.__dict__
-        values = tuple(fields.values())
-        fields["_hash"] = hash(values)
-        fields["facts"] = _FACTS[type(self)](*values)
+        for i, name in enumerate(names):
+            fields[name] = args[i]
+        fields["_hash"] = hash(args)
+        fields["facts"] = _FACTS[type(self)](*args)
 
     def __repr__(self):
         return render(self)
 
 
-# Equality and hashing come from `Node`, repr from the base class, not from
-# the dataclass.
-_node = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_node
 class Atom(Formula):
     prop: PropName
 
 
-@_node
 class EqConst(Formula):
     pass
 
 
-@_node
 class Top(Formula):
     pass
 
 
-@_node
 class Bot(Formula):
     pass
 
 
-@_node
 class Not(Formula):
     child: Formula
 
 
-@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class WBox(Formula):
     child: Formula
 
 
-@_node
 class WDia(Formula):
     child: Formula
 
 
-@_node
 class BBox(Formula):
     child: Formula
 
 
-@_node
 class BDia(Formula):
     child: Formula
 
@@ -305,8 +353,7 @@ def modal_depth(phi: Formula) -> int:
 # Classification
 
 
-@dataclass(frozen=True)
-class SyntaxClass:
+class SyntaxClass(Record):
     i_free: bool
     white_only: bool
     black_only: bool

@@ -8,7 +8,6 @@ finite torus-shaped models on which the construction is machine-checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidTiling, ModelFormatError
@@ -24,6 +23,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Record,
     WBox,
     WDia,
     fold_balanced,
@@ -36,8 +36,7 @@ LABEL_UP = "u"
 LABEL_RIGHT = "r_"
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(Record):
     name: str
     up: str
     down: str
@@ -45,8 +44,7 @@ class Tile:
     right: str
 
 
-@dataclass(frozen=True)
-class TileSet:
+class TileSet(Record):
     tiles: tuple[Tile, ...]
 
     def __post_init__(self):
@@ -66,8 +64,7 @@ class TileSet:
         raise ModelFormatError(f"unknown tile {name!r}")
 
 
-@dataclass(frozen=True)
-class PeriodicTiling:
+class PeriodicTiling(Record):
     period: tuple[int, int]
     assign: dict[tuple[int, int], str]
 
@@ -84,8 +81,7 @@ class PeriodicTiling:
             raise ModelFormatError("assignment must cover exactly the period cells")
 
 
-@dataclass(frozen=True)
-class TilingViolation:
+class TilingViolation(Record):
     cell: tuple[int, int]
     direction: str  # "horizontal" | "vertical"
 

@@ -522,6 +522,20 @@ class TestLazyNumpy:
         proc = run_python(["-c", "import sys, lhs.cli; assert 'numpy' not in sys.modules"])
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_lhs_cli_leaves_dataclasses_out(self):
+        # The records are built without `dataclasses` (and the `inspect` it
+        # imports); the CLI still loads every module of the package but the
+        # numpy one.
+        script = ("import json, sys; before = set(sys.modules); import lhs.cli; "
+                  "print(json.dumps(sorted(set(sys.modules) - before)))")
+        proc = run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert not loaded & {"dataclasses", "inspect"}
+        package = {f"lhs.{path.stem}" for path in (ROOT / "src" / "lhs").glob("*.py")}
+        expected = package - {"lhs.__init__", "lhs.bruteforce"} | {"lhs"}
+        assert {name for name in loaded if name.split(".")[0] == "lhs"} == expected
+
     def test_numpy_imported_in_one_module(self):
         importers = {path.name for path in (ROOT / "src" / "lhs").glob("*.py")
                      if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)}

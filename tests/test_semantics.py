@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from lhs import (
     BBox,
     BDia,
     EqConst,
+    LhsError,
     MixedFormula,
     Not,
     Or,
@@ -238,6 +240,31 @@ class TestTranslation:
             assert (check(m, s, t, phi)
                     == fo_eval(m, fo_translate(phi), {"x": s, "y": t})
                     == fo_eval(m, fo_translate(phi, x="z0", y="z1"), {"z0": s, "z1": t}))
+
+    def test_quantifier_stops_at_deciding_state(self):
+        # On a complete frame where l:p fails at one state, [W]^d l:p is
+        # refuted along the first path that reaches it: the evaluation takes
+        # linear time, not |S|^d.
+        states = ["a", "b", "c"]
+        m = make_model(states, [(s, t) for s in states for t in states], {"l:p": ["a", "b"]})
+        alpha = fo_translate(parse("[W]" * 12 + "l:p"))
+        start = time.process_time()
+        assert fo_eval(m, alpha, {"x": "a", "y": "a"}) is False
+        assert time.process_time() - start < 0.5
+
+    def test_quantifier_restores_its_variable(self):
+        # `exists x. x = x` and `forall x. x = y` (y is "b") are decided at the
+        # first state, "a"; after them `x` is again "c", where l:p holds, and
+        # an unbound `z` is unbound again.
+        m = make_model(["a", "b", "c"], [], {"l:p": ["c"]})
+        p = FOFormula("P", PropName(Side.LEFT, "p"), "x")
+        for op, other in (("exists", "x"), ("forall", "y")):
+            decided = FOFormula(op, "x", FOFormula("=", "x", other))
+            assert fo_eval(m, FOFormula("|", FOFormula("&", decided, p), p), {"x": "c", "y": "b"})
+        unbound = FOFormula("&", FOFormula("exists", "z", FOFormula("=", "z", "z")),
+                            FOFormula("=", "z", "z"))
+        with pytest.raises(LhsError, match="unbound variable 'z'"):
+            fo_eval(m, unbound, {"x": "a", "y": "a"})
 
     def test_unknown_connective(self):
         m = make_model(["a"], [])

@@ -31,3 +31,17 @@ def test_no_unused_import(module):
 def test_unused_import_found():
     source = "import os.path\nfrom .syntax import Atom, Side as S\nos.sep\nS.LEFT\n"
     assert unused_imports(source) == ["Atom"]
+
+
+def test_no_generated_code():
+    # Records are built by `syntax.Record`: no module imports `dataclasses`
+    # or calls `exec` or `eval`.
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval"), path.name
