@@ -213,9 +213,10 @@ def lhs_minus_valid(phi: Formula) -> Verdict:
     valid iff every conjunct has a K-valid side. An invalid conjunct yields
     two K countermodels; their disjoint union falsifies phi at the paired
     roots, and that union, once `check` has confirmed it, is the countermodel
-    returned. The companion's padding names never hold in it: a pad is a
-    contradiction, and the tableau tries a negated atom false first. The
-    companion raises `ContainsI` when phi is not I-free.
+    returned. The pads' reserved name `_fresh0` can hold in it only when phi
+    itself uses `_fresh0`: a pad is a contradiction, and the tableau tries a
+    negated atom false first. The companion raises `ContainsI` when phi is
+    not I-free.
     """
     for psi, gamma in companion(phi).conjuncts:
         counter_white = k_sat(Not(psi))

@@ -82,11 +82,12 @@ def successors(model: Model, w: State) -> frozenset[State]:
 
 
 def read_json(text: str):
-    """The JSON document in `text`, for every file loader: malformed text, or
-    nesting too deep for the decoder, raises `ModelFormatError`."""
+    """The JSON document in `text`, for every file loader: malformed text, an
+    integer too long to convert, or nesting too deep for the decoder, raises
+    `ModelFormatError`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # `JSONDecodeError` is one
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise ModelFormatError("JSON nested too deeply to read") from None

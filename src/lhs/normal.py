@@ -49,6 +49,7 @@ from .syntax import (
     Not,
     Or,
     PropName,
+    RESERVED_PREFIX,
     Record,
     Side,
     Top,
@@ -58,17 +59,17 @@ from .syntax import (
     children,
     conjoin,
     disjoin,
-    fresh_var,
     fresh_vars,
-    prop_names,
     subformulas,
 )
 
 DEFAULT_CLAUSE_CEILING = 50_000
 
-
-def _contradiction(prop: PropName) -> Formula:
-    return And(Atom(prop), Not(Atom(prop)))
+# One contradiction per side, over the reserved `_fresh0`, stands for an
+# empty side. A pad is a contradiction whatever its atom, so a formula built
+# in code that names `_fresh0` keeps its meaning too.
+_PADS = tuple(And(Atom(prop), Not(Atom(prop)))
+              for prop in (PropName(side, RESERVED_PREFIX + "0") for side in Side))
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +84,18 @@ def prop_cnf(alpha: Formula) -> Formula:
     over &. Each clause lists its left literals before its right ones. Constants,
     repeated literals, repeated clauses and clauses with a complementary pair
     are dropped; a constant result is written `p | ~p` or `p & ~p` over the
-    first variable of `alpha` (a reserved one when it has none). The pass's
-    budget of `DEFAULT_CLAUSE_CEILING` conjuncts raises `ResourceGuard`.
+    first variable of `alpha` (the left pad's `l:_fresh0` when it has none).
+    The pass's budget of `DEFAULT_CLAUSE_CEILING` conjuncts raises
+    `ResourceGuard`.
     """
     subs = subformulas(alpha)
     if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subs):
         raise ModalInput("CNF conversion expects a purely propositional formula")
-    # With no modality in `alpha`, no box ever reads the pads.
-    clauses = _conjuncts(alpha, _atom_block, None)
+    clauses = _conjuncts(alpha, _atom_block)
     if not clauses or clauses == [((), ())]:
-        names = sorted((f.prop for f in subs if isinstance(f, Atom)), key=str)
-        prop = names[0] if names else fresh_var(Side.LEFT, set())
-        return (And if clauses else Or)(Atom(prop), Not(Atom(prop)))
+        atom = min((f for f in subs if isinstance(f, Atom)),
+                   key=lambda f: str(f.prop), default=_PADS[0].left)
+        return (And if clauses else Or)(atom, Not(atom))
     return conjoin(disjoin(white + black) for white, black in clauses)
 
 
@@ -166,15 +167,15 @@ def clean_to_cnf(phi: Formula) -> CleanCNF:
     a maximal one-sided block, so the pass only pushes negations down to the
     blocks and distributes | over &. Both sides of every conjunct carry a
     contradictory pad first (`l:_fresh0 & ~l:_fresh0` and its right mirror,
-    over names `phi` does not use), so the output shape is uniform; when the
-    pass folds `phi` to true, the one conjunct is (pad | true, pad). The same
-    budget of `DEFAULT_CLAUSE_CEILING` conjuncts for the whole pass applies.
+    over the reserved name `_fresh0`), so the output shape is uniform; when
+    the pass folds `phi` to true, the one conjunct is (pad | true, pad). The
+    same budget of `DEFAULT_CLAUSE_CEILING` conjuncts for the whole pass
+    applies.
     """
     if not phi.facts & CLEAN:
         raise NotClean(f"not a clean formula: {phi!r}")
-    pads = _pads(prop_names(phi))
-    conjuncts = _conjuncts(phi, _one_sided, pads) or [((Top(),), ())]
-    return CleanCNF(tuple((disjoin([pads[0], *w]), disjoin([pads[1], *b]))
+    conjuncts = _conjuncts(phi, _one_sided) or [((Top(),), ())]
+    return CleanCNF(tuple((disjoin([_PADS[0], *w]), disjoin([_PADS[1], *b]))
                           for w, b in conjuncts))
 
 
@@ -256,10 +257,10 @@ def _or(lists: list, spent: list) -> list:
     return out
 
 
-def _box(conjuncts: list, white: bool, pads: tuple[Formula, Formula]) -> list:
+def _box(conjuncts: list, white: bool) -> list:
     if white:
-        return _prune(((WBox(disjoin(w, pads[0])),), b) for w, b in conjuncts)
-    return _prune((w, (BBox(disjoin(b, pads[1])),)) for w, b in conjuncts)
+        return _prune(((WBox(disjoin(w, _PADS[0])),), b) for w, b in conjuncts)
+    return _prune((w, (BBox(disjoin(b, _PADS[1])),)) for w, b in conjuncts)
 
 
 def _diamond(conjuncts: list, white: bool, spent: list) -> list:
@@ -346,8 +347,7 @@ def _polar_children(f: Formula, positive: bool, block, expanded: set) -> tuple:
     return tuple(operands)
 
 
-def _step(f: Formula, positive: bool, lists: list, block,
-          pads: tuple[Formula, Formula], spent: list) -> list:
+def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
     """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
     `_polar_children(f, positive)`.
 
@@ -368,7 +368,7 @@ def _step(f: Formula, positive: bool, lists: list, block,
     if isinstance(f, MODAL_NODES):
         white = isinstance(f, WHITE_MODAL)
         if isinstance(f, (WBox, BBox)) == positive:
-            return _box(lists[0], white, pads)
+            return _box(lists[0], white)
         return _diamond(lists[0], white, spent)
     if isinstance(f, Iff):
         left, right, not_left, not_right = lists
@@ -378,14 +378,13 @@ def _step(f: Formula, positive: bool, lists: list, block,
     return (_and if _junction(f, positive, block) else _or)(lists, spent)
 
 
-def _conjuncts(phi: Formula, block, pads) -> list:
+def _conjuncts(phi: Formula, block) -> list:
     """Conjunct list of `phi`, built bottom-up over its negation normal form.
 
     The NNF is never written out: an explicit stack visits each (subformula,
     polarity) pair once, children first. A subformula whose `block` bits are
     `WHITE_ONLY` or `BLACK_ONLY` is a block that stays whole on that side (on
-    the white one when it is both, as a constant is). `pads` are the
-    contradictions that stand for an empty side under a box.
+    the white one when it is both, as a constant is).
     """
     parts: dict[tuple[Formula, bool], list] = {}
     kids: dict[tuple[Formula, bool], tuple] = {}  # read once, until `parts` has the key
@@ -404,14 +403,8 @@ def _conjuncts(phi: Formula, block, pads) -> list:
             stack.extend(todo)
         else:
             stack.pop()
-            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], block, pads, spent)
+            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], block, spent)
     return parts[phi, True]
-
-
-def _pads(names: set[PropName]) -> tuple[Formula, Formula]:
-    """One contradiction per side over a name not in `names`."""
-    return (_contradiction(fresh_var(Side.LEFT, names)),
-            _contradiction(fresh_var(Side.RIGHT, names)))
 
 
 def companion(phi: Formula) -> CleanCNF:
@@ -429,15 +422,15 @@ def companion(phi: Formula) -> CleanCNF:
     (<W>(&_S psi_i), |_S gamma_i) for every set S of conjuncts, because each
     gamma_i is constant along white moves; `<B>` is the mirror case, and sets
     implied by a larger set are skipped (see `_diamond`). Conjuncts with a
-    valid side are dropped and repeats removed. An empty side prints as one
-    fresh contradiction per side (`l:_fresh0 & ~l:_fresh0`,
-    `r:_fresh0 & ~r:_fresh0`). The output is equivalent to the input on every
+    valid side are dropped and repeats removed. An empty side prints as the
+    contradiction over the reserved name `_fresh0`, one per side
+    (`l:_fresh0 & ~l:_fresh0`, `r:_fresh0 & ~r:_fresh0`), which the parser
+    refuses in input. The output is equivalent to the input on every
     model; a step that would take the conjuncts the pass has built past
     `DEFAULT_CLAUSE_CEILING` raises `ResourceGuard` before it runs.
     """
     if not phi.facts & I_FREE:
         raise ContainsI("the companion is defined on the I-free fragment only")
-    pads = _pads(prop_names(phi))
-    conjuncts = _conjuncts(phi, _one_sided, pads) or [((Top(),), ())]
-    return CleanCNF(tuple((disjoin(w, pads[0]), disjoin(b, pads[1]))
+    conjuncts = _conjuncts(phi, _one_sided) or [((Top(),), ())]
+    return CleanCNF(tuple((disjoin(w, _PADS[0]), disjoin(b, _PADS[1]))
                           for w, b in conjuncts))

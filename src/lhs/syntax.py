@@ -416,11 +416,6 @@ def fresh_vars(side: Side, avoid: set[PropName]):
             yield prop
 
 
-def fresh_var(side: Side, avoid: set[PropName]) -> PropName:
-    """Smallest `_fresh<k>` name of the given side not in `avoid`."""
-    return next(fresh_vars(side, avoid))
-
-
 # ---------------------------------------------------------------------------
 # Concrete syntax: one precedence table for the parser and the printer
 

@@ -262,7 +262,7 @@ def load_tiling(text: str) -> PeriodicTiling:
         raise ModelFormatError("'period' must be a pair of integers")
     if not isinstance(doc["assign"], dict):
         raise ModelFormatError("'assign' must be an object from 'x,y' cells to tile names")
-    assign = {}
+    assign, keys = {}, {}
     for key, value in doc["assign"].items():
         parts = key.split(",")
         if len(parts) != 2:
@@ -271,6 +271,9 @@ def load_tiling(text: str) -> PeriodicTiling:
             cell = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise ModelFormatError(f"bad cell key {key!r}") from None
+        if cell in keys:
+            raise ModelFormatError(f"cell keys {keys[cell]!r} and {key!r} name the same cell")
+        keys[cell] = key
         if not isinstance(value, str):
             raise ModelFormatError(f"tile of cell {key!r} must be a tile name")
         assign[cell] = value

@@ -792,6 +792,8 @@ class TestOtherCommands:
                      id="assign-value"),
         pytest.param("tiling model", {"period": [1, 1], "assign": {"0,0": "T2"}},
                      id="unknown-tile"),
+        pytest.param("tiling model", {"period": [1, 1], "assign": {"0,0": "T1", " 0,0": "T1"}},
+                     id="cell-named-twice"),
     ])
     def test_malformed_file_is_input_error(self, capsys, tmp_path, verb, doc):
         # A file of the wrong shape is malformed input (65), not a traceback
@@ -809,20 +811,23 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("verb", ["check", "bisim", "proof", "tiling gen", "tiling model"])
     def test_deeply_nested_file_is_input_error(self, capsys, tmp_path, verb):
-        # Nesting past the decoder's recursion limit is malformed input (65),
-        # not a RecursionError traceback with exit 1 ("no").
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 10**5 + "]" * 10**5)
+        # Nesting past the decoder's recursion limit, or an integer longer
+        # than the interpreter converts, is malformed input (65), not a
+        # traceback with exit 1 ("no"). No loader takes a list of numbers, so
+        # the long integer is refused also where no digit limit applies.
+        path = tmp_path / "doc.json"
         argv = {
-            "check": ["check", "-m", str(deep), "--at", "w,w", "-f", "l:p"],
-            "bisim": ["bisim", "-m", str(deep), "-n", str(deep)],
-            "proof": ["proof", "-p", str(deep)],
-            "tiling gen": ["tiling", "gen", "-t", str(deep)],
-            "tiling model": ["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a", str(deep)],
+            "check": ["check", "-m", str(path), "--at", "w,w", "-f", "l:p"],
+            "bisim": ["bisim", "-m", str(path), "-n", str(path)],
+            "proof": ["proof", "-p", str(path)],
+            "tiling gen": ["tiling", "gen", "-t", str(path)],
+            "tiling model": ["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a", str(path)],
         }[verb]
-        code, _, err = run(capsys, *argv)
-        assert code == 65
-        assert err.startswith("lhs: input error: ")
+        for text in ("[" * 10**5 + "]" * 10**5, "[1" + "0" * 5000 + "]"):
+            path.write_text(text)
+            code, _, err = run(capsys, *argv)
+            assert code == 65
+            assert err.startswith("lhs: input error: ")
 
     @pytest.mark.parametrize("period", [[10**5, 10**5], [10**5, 1]])
     def test_huge_period_refused_without_listing_cells(self, capsys, tmp_path, period):

@@ -410,8 +410,8 @@ class TestLhsMinusSat:
 
 class TestWitnessValuation:
     # A `_fresh` name that the input itself uses is an ordinary variable
-    # there, and the companion pads with other names: the witness keeps its
-    # valuation.
+    # there. The companion pads with `_fresh0` all the same, and a pad is a
+    # contradiction whatever its atom, so every witness still passes `check`.
     def test_countermodel_of_reserved_name_falsifies(self):
         phi = parse("~l:_fresh0", allow_reserved=True)
         v = lhs_minus_valid(phi)
@@ -432,6 +432,21 @@ class TestWitnessValuation:
             for v in (lhs_minus_sat(phi), lhs_minus_valid(phi)):
                 if v.model is not None:
                     assert set(v.model.valuation) <= prop_names(phi)
+
+    def test_inputs_that_name_the_pad_atom(self, rng):
+        # Formulas built in code may name `_fresh0`, the pads' own atom.
+        names = ("p", "_fresh0")
+        for _ in range(1000):
+            phi = random_i_free(rng, depth=rng.randint(1, 4), left_vars=names, right_vars=names)
+            sat, valid = lhs_minus_sat(phi), lhs_minus_valid(phi)
+            if sat.status == "SAT":
+                assert check(sat.model, *sat.pair, phi)
+            if valid.status == "INVALID":
+                assert not check(valid.model, *valid.pair, phi)
+            # Every satisfiable formula of this seeded sample has a model of
+            # at most 2 states, so the bounded search agrees both ways.
+            assert (sat.status == "SAT") == (find_model(phi, 2) is not None)
+            assert (valid.status == "INVALID") == (find_model(Not(phi), 2) is not None)
 
 
 class TestBoundedSat:

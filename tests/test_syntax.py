@@ -34,7 +34,7 @@ from lhs import (
     substitute,
 )
 from lhs.errors import FormulaSyntaxError
-from lhs.syntax import PropName, Side, conjoin, disjoin, fresh_var
+from lhs.syntax import PropName, Side, conjoin, disjoin, fresh_vars
 
 from conftest import (
     random_formula,
@@ -332,18 +332,20 @@ class TestSubstitute:
 
 class TestFreshVar:
     def test_first(self):
-        assert fresh_var(Side.LEFT, set()) == PropName(Side.LEFT, "_fresh0")
+        assert next(fresh_vars(Side.LEFT, set())) == PropName(Side.LEFT, "_fresh0")
 
     def test_skips_taken(self):
-        taken = {PropName(Side.LEFT, "_fresh0")}
-        assert fresh_var(Side.LEFT, taken) == PropName(Side.LEFT, "_fresh1")
+        taken = {PropName(Side.LEFT, "_fresh0"), PropName(Side.LEFT, "_fresh2")}
+        names = fresh_vars(Side.LEFT, taken)
+        assert [next(names), next(names)] == [PropName(Side.LEFT, "_fresh1"),
+                                              PropName(Side.LEFT, "_fresh3")]
 
     def test_never_collides(self):
-        avoid = set()
-        for _ in range(30):
-            v = fresh_var(Side.RIGHT, avoid)
-            assert v not in avoid
-            avoid.add(v)
+        avoid = {PropName(Side.RIGHT, f"_fresh{k}") for k in range(0, 60, 3)}
+        names = fresh_vars(Side.RIGHT, avoid)
+        drawn = [next(names) for _ in range(30)]
+        assert len(set(drawn)) == 30
+        assert avoid.isdisjoint(drawn)
 
 
 class TestFolds:
