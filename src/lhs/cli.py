@@ -83,7 +83,7 @@ def _read_formula(args):
 
 def _emit(args, payload: dict, human: str):
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(human)
 
@@ -175,12 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=25)
     p.add_argument("--json", action="store_true")
+    ap.verbs = subs.choices  # name -> subparser: `main` reads a verb's argv with its own
     return ap
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The one parser `main` reads every argv with, built on its first call.
+    """The one parser `main` reads every argv with, built on its first call
+    (a verb's argv through the verb's own subparser, in `ap.verbs`).
 
     A parse keeps nothing on the parser: each call fills a fresh namespace.
     """
@@ -284,6 +286,8 @@ def _cmd_cnf(args):
 
 
 def _cmd_translate(args):
+    if args.x == args.y:
+        _parser().verbs["translate"].error(f"arguments -x and -y both name {args.x!r}")
     phi = _read_formula(args)
     alpha = semantics.fo_translate(phi, x=args.x, y=args.y)
     text = semantics.fo_render(alpha)
@@ -393,7 +397,12 @@ def _cmd_selftest(args):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ap = _parser()
+    verb = ap.verbs.get(argv[0]) if argv else None
+    args, extras = verb.parse_known_args(argv[1:]) if verb else (None, None)
+    if verb is None or extras:  # the whole parser reads it, or says what is wrong
+        args = ap.parse_args(argv)
     try:
         return args.handler(args)
     except (FormulaSyntaxError, ReservedNameError, ModelFormatError, UnknownState,

@@ -166,7 +166,11 @@ def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
     to right, so the output is rectified: no variable is bound twice along
     any path, and none captures a free one. A translation of more than
     `FO_NODE_CEILING` nodes raises `ResourceGuard` before any of it is built.
+    Equal `x` and `y` raise `ValueError`: the translation of I would hold
+    on every pair.
     """
+    if x == y:
+        raise ValueError(f"x and y must differ, both are {x!r}")
     size: dict[Formula, int] = {}
     for f in subformulas(phi):
         inner = sum(size[c] for c in children(f))

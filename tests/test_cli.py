@@ -26,7 +26,7 @@ A1 = "l:p -> (l:q -> l:p)"
 FOUR_STATE_FORMULA = "l:p & l:q & <W>(l:p & ~l:q) & <W>(~l:p & l:q) & <W>(~l:p & ~l:q)"
 
 
-def run(capsys, *argv):
+def run(capsys, *argv, main=main):
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse usage errors exit directly
@@ -451,6 +451,31 @@ class TestParserReuse:
         last = json.loads(reused[4][1])["witness"]
         assert "path" not in last and len(last["model"]["states"]) >= 3
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["sat", "-f", "l:p", "--bogus"], ["sat", "-f", "l:p", "extra"],
+        ["tiling"], ["tiling", "bogus"], ["sat", "--js", "-f", "l:p"], ["--json", "sat", "-f", "l:p"],
+        ["sat", "-h"], ["tiling", "gen"], ["translate", "-f", "I", "-x", "y", "--bogus"],
+    ])
+    def test_verb_parser_answers_as_the_whole_parser(self, capsys, argv):
+        # `main` reads a verb's argv with the verb's own subparser; what that
+        # leaves over, and any argv that does not start with a verb, gets
+        # the whole parser's answer, byte for byte.
+        def whole(argv):
+            args = build_parser().parse_args(argv)
+            return args.handler(args)
+
+        def answer(main):
+            code, out, err = run(capsys, *argv, main=main)
+            return code, _without_time(out), err
+
+        assert answer(cli.main) == answer(whole)
+
+    def test_verb_argv_skips_the_whole_parser(self, capsys, monkeypatch):
+        # A well-formed verb argv is read by the verb's subparser alone.
+        monkeypatch.setattr(cli._parser(), "parse_args", None)
+        assert run(capsys, "tiling", "gen", "-t", str(DATA / "one_tile.json"))[0] == 0
+        assert run(capsys, "valid", "-f", A1) == (0, "VALID\n", "")
+
     def test_main_builds_one_parser(self, capsys, monkeypatch):
         built = []
 
@@ -645,6 +670,49 @@ class TestWitnessRoundTrip:
         assert not check(load_model(witness.read_text()), s, t, parse(formula))
 
 
+class TestJsonOutput:
+    """`--json` prints one compact line; model files stay indented."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["a", "b"], "edges": [["a", "b"]], "valuation": {"l:p": ["a"]}}')
+        return {"m": str(model), "tiles": str(DATA / "one_tile.json"),
+                "tiling": str(DATA / "unit_tiling.json"),
+                "proof": str(DATA / "proof_r_box_sub.json"), "w": str(tmp_path / "w.json")}
+
+    @pytest.mark.parametrize("argv, keys", [
+        ("parse -f l:p", "formula i_free white_only black_only clean"),
+        ("check -m {m} --at a,b -f l:p", "verdict pair"),
+        ("sat -f <W>l:p", "verdict time_s witness"),
+        ("sat --full -f I", "verdict time_s witness"),
+        ("valid -f l:p|~l:p", "verdict time_s"),
+        ("valid -f l:p --witness {w}", "verdict time_s witness"),
+        ("cnf -f [B]l:p", "formula conjuncts"),
+        ("translate -f [W]l:p", "translation free_vars"),
+        ("bisim -m {m} -n {m}", "size pairs"),
+        ("bisim -m {m} -n {m} --pairs a,b=a,b", "related pair"),
+        ("proof -p {proof}", "ok lines conclusion"),
+        ("tiling gen -t {tiles}", "formula labels"),
+        ("tiling model -t {tiles} -a {tiling} --check", "states spy phi_T model"),
+        ("selftest --count 2", "cases failures time_s"),
+    ])
+    def test_one_line(self, capsys, files, argv, keys):
+        code, out, err = run(capsys, *argv.format(**files).split(), "--json")
+        assert code in (0, 1) and err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert sorted(json.loads(out)) == sorted(keys.split())
+
+    def test_model_files_stay_indented(self, capsys, files, tmp_path):
+        torus = tmp_path / "torus.json"
+        run(capsys, "sat", "--json", "--witness", files["w"], "-f", "<W>l:p")
+        run(capsys, "tiling", "model", "--json", "-t", files["tiles"], "-a", files["tiling"],
+            "-o", str(torus))
+        for path in (Path(files["w"]), torus):
+            text = path.read_text()
+            assert text.startswith('{\n  "states": [') and load_model(text)
+
+
 class TestOtherCommands:
     def test_cnf(self, capsys):
         code, out, _ = run(capsys, "cnf", "-f", "[B]l:p")
@@ -657,8 +725,14 @@ class TestOtherCommands:
     def test_translate(self, capsys):
         code, out, _ = run(capsys, "translate", "-f", "I")
         assert code == 0 and "x = y" in out
-        # Equal names translate on the diagonal.
-        assert run(capsys, "translate", "-x", "v", "-y", "v", "-f", "I") == (0, "v = v\n", "")
+
+    @pytest.mark.parametrize("names", [["-x", "v", "-y", "v"], ["-x", "y"], ["-y", "x"]])
+    def test_translate_refuses_one_name_for_both_variables(self, capsys, names):
+        # One name would make the translation of I, `v = v`, valid, though
+        # I holds only on the diagonal.
+        code, out, err = run(capsys, "translate", *names, "-f", "I -> [W]r:q")
+        assert (code, out) == (64, "")
+        assert "lhs translate: error: arguments -x and -y both name" in err
 
     @pytest.mark.parametrize("flag, name", [("-x", ""), ("-y", "R(x"), ("-x", "2x"), ("-y", "x y")])
     def test_translate_variable_outside_the_grammar(self, capsys, flag, name):

@@ -217,6 +217,11 @@ class TestTranslation:
         out = fo_render(fo_translate(parse("[W] l:p"), x="z0"))
         assert out == "forall z1. ((R(z0,z1) -> Pl_p(z1)))"
 
+    def test_one_name_for_both_free_variables(self):
+        # `x = x` would make I valid, though it holds only on the diagonal.
+        with pytest.raises(ValueError, match="x and y must differ"):
+            fo_translate(EqConst(), x="v", y="v")
+
     def test_equality_reflexive(self):
         m = make_model(["a"], [])
         alpha = fo_translate(EqConst())
