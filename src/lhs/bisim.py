@@ -48,14 +48,17 @@ def _labels(model: Model, props) -> tuple[dict[State, int], dict[State, int]]:
     return left, right
 
 
-def _blocks(m: Model, n: Model) -> dict[tuple[int, State, State], int]:
+def _blocks(m: Model, n: Model, stop=lambda block, at: False) -> dict[tuple[int, State, State], int]:
     """The block of each pair node (0, s, t) of `m` and (1, s, t) of `n`.
 
     Signature refinement: a node's next block is its block with the sets of
     blocks of its white and of its black successors, until the number of
-    blocks stops changing or every node has a block of its own. A round reads
-    every pair node and edge; a round that would take the total over
-    `DEFAULT_CEILING` is refused before it starts.
+    blocks stops changing or every node has a block of its own. `stop(block,
+    at)`, a test on the numbering (`block[at[i, s, t]]` is a node's block), is
+    checked after the labelling and each round, and ends refinement early: the
+    numbering is then not the settled partition. A round reads every pair node
+    and edge; a round that would take the total over `DEFAULT_CEILING` is
+    refused before it starts, and one that does not run is not charged.
     """
     models = (m, n)
     work = sum(len(x.states) * (len(x.states) + 2 * sum(map(len, x.successor_map.values())))
@@ -68,13 +71,15 @@ def _blocks(m: Model, n: Model) -> dict[tuple[int, State, State], int]:
         black = [[at[i, s, v] for v in models[i].successor_map[t]] for i, s, t in keys]
         bits = [_labels(x, props) for x in models]
         block = _number((s == t, bits[i][0][s], bits[i][1][t]) for i, s, t in keys)
+        if stop(block, at):
+            return dict(zip(keys, block))
         for _ in range(rounds):
             refined = _number((b, frozenset(map(block.__getitem__, ws)),
                                frozenset(map(block.__getitem__, bs)))
                               for b, ws, bs in zip(block, white, black))
             # Numbered in order of first use: an unchanged count is an unchanged
             # partition, and a discrete one cannot split further.
-            if max(refined) in (max(block), len(keys) - 1):
+            if stop(refined, at) or max(refined) in (max(block), len(keys) - 1):
                 return dict(zip(keys, refined))
             block = refined
     raise ResourceGuard(f"refinement reads {work} pair-graph nodes and edges a round, so round "
@@ -91,8 +96,9 @@ def largest_bisimulation(m: Model, n: Model) -> PairRelation:
     pairs share a block. `DEFAULT_CEILING` bounds the refinement's work
     (`_blocks`) and the quadruples listed, each checked before the work is done.
     """
+    k = len(m.states) ** 2  # refinement stops once no block holds pair nodes of both models
     members: dict[int, tuple[list, list]] = {}
-    for (side, s, t), block in _blocks(m, n).items():
+    for (side, s, t), block in _blocks(m, n, lambda b, at: set(b[:k]).isdisjoint(b[k:])).items():
         members.setdefault(block, ([], []))[side].append((s, t))
     if (size := sum(len(a) * len(b) for a, b in members.values())) > DEFAULT_CEILING:
         raise ResourceGuard(f"{size} related quadruples exceed the ceiling of {DEFAULT_CEILING}")
@@ -121,7 +127,7 @@ def are_bisimilar(m: Model, s: State, t: State, n: Model, s2: State, t2: State) 
     """Whether (s, t) in `m` and (s2, t2) in `n` share a block; builds no quadruple."""
     m.require_state(s, t)
     n.require_state(s2, t2)
-    blocks = _blocks(m, n)
+    blocks = _blocks(m, n, lambda block, at: block[at[0, s, t]] != block[at[1, s2, t2]])
     return blocks[0, s, t] == blocks[1, s2, t2]
 
 

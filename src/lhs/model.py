@@ -83,14 +83,26 @@ def successors(model: Model, w: State) -> frozenset[State]:
 
 def read_json(text: str):
     """The JSON document in `text`, for every file loader: malformed text, an
-    integer too long to convert, or nesting too deep for the decoder, raises
-    `ModelFormatError`."""
+    integer too long to convert, nesting too deep for the decoder, or a key
+    repeated in one object raises `ModelFormatError`."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except ValueError as exc:  # `JSONDecodeError` is one
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise ModelFormatError("JSON nested too deeply to read") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ModelFormatError(f"key {key!r} appears more than once in one JSON object")
+        doc[key] = value
+    return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_model(text: str) -> Model:

@@ -36,9 +36,10 @@ def check(model: Model, s: State, t: State, phi: Formula) -> bool:
 
     Left atoms and white modalities read/move the first coordinate, right
     atoms and black modalities the second; `I` holds exactly on the diagonal.
-    Memoized per call on (subformula, s, t). This is the readable reference;
-    `bruteforce.truth_table` evaluates the same definition at every pair at
-    once.
+    A chain of one connective (`~`, `&` or `|`) is one step, memoized per call
+    on (subformula, s, t) for its root and operands only, as is every other
+    node read. This is the readable reference; `bruteforce.truth_table`
+    evaluates the same definition at every pair at once.
     """
     model.require_state(s, t)
     return drive(_sat(phi, s, t, model, {}))
@@ -59,11 +60,22 @@ def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
     elif isinstance(f, Bot):
         value = False
     elif isinstance(f, Not):
-        value = not (yield _sat(f.child, a, b, model, memo))
-    elif isinstance(f, And):
-        value = (yield _sat(f.left, a, b, model, memo)) and (yield _sat(f.right, a, b, model, memo))
-    elif isinstance(f, Or):
-        value = (yield _sat(f.left, a, b, model, memo)) or (yield _sat(f.right, a, b, model, memo))
+        g, value = f.child, True
+        while isinstance(g, Not):
+            g, value = g.child, not value
+        value = value != (yield _sat(g, a, b, model, memo))
+    elif isinstance(f, (And, Or)):
+        junction, value, stack, seen = type(f), isinstance(f, And), [f.right, f.left], set()
+        while stack:  # operands left to right until one decides; a memoized one is not walked
+            g = stack.pop()
+            if type(g) is junction:
+                if id(g) not in seen:  # a shared inner node is read once
+                    seen.add(id(g))
+                    stack += g.right, g.left
+            elif (held if (held := memo.get((g, a, b))) is not None
+                  else (yield _sat(g, a, b, model, memo))) != value:
+                value = not value
+                break
     elif isinstance(f, Implies):
         value = (not (yield _sat(f.left, a, b, model, memo))) or (yield _sat(f.right, a, b, model, memo))
     elif isinstance(f, Iff):

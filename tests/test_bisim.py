@@ -148,12 +148,38 @@ class TestLargestBisimulation:
         m = make_model(states, list(zip(states, states[1:])))
         n = make_model(["y"], [("y", "y")])
         monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5 * 99)
-        assert largest_bisimulation(m, n).pairs == frozenset()
         blocks = bisim._blocks(m, n)
         assert len(set(blocks.values())) == len(blocks) == 37
         monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5 * 99 - 1)
         with pytest.raises(ResourceGuard, match="reads 99 .* so round 5 would pass"):
+            bisim._blocks(m, n)
+        # But after round 1 the loop's one pair node shares no block with a
+        # pair node of the path, so the relation is empty and its listing
+        # stops there.
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 99)
+        assert largest_bisimulation(m, n).pairs == frozenset()
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 98)
+        with pytest.raises(ResourceGuard, match="reads 99 .* so round 1 would pass"):
             largest_bisimulation(m, n)
+
+    def test_stop_test_ends_refinement_early(self, monkeypatch):
+        # A 30-state path settles only after about 30 rounds. With two rounds
+        # affordable, the full refinement is refused, and a stop test that
+        # holds after round 2 is answered with that round's numbering.
+        states = [f"w{i}" for i in range(30)]
+        m = make_model(states, list(zip(states, states[1:])))
+        seen = []
+
+        def stop(block, at):
+            seen.append(list(block))
+            return len(seen) == 3
+
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 5280)
+        with pytest.raises(ResourceGuard, match="so round 3 would pass"):
+            bisim._blocks(m, m)
+        blocks = bisim._blocks(m, m, stop)
+        assert len(seen) == 3 and list(blocks.values()) == seen[-1]
+        assert len(set(seen[0])) < len(set(seen[1])) < len(set(seen[2]))
 
     def test_equals_quadruple_fixpoint(self):
         rng = random.Random(7001)
@@ -203,6 +229,18 @@ class TestAreBisimilar:
         m = edgeless(40)
         assert are_bisimilar(m, "w0", "w1", m, "w2", "w3")
         assert not are_bisimilar(m, "w0", "w0", m, "w2", "w3")
+
+    def test_agrees_with_the_settled_partition(self):
+        # The stop test ends refinement once the two pair nodes part; the
+        # answer is still block equality in the full refinement.
+        rng = random.Random(7003)
+        for i in range(120):
+            m, n = corpus_pair(rng, i)
+            blocks = bisim._blocks(m, n)
+            for s, t in all_pairs(m):
+                for s2, t2 in rng.sample(all_pairs(n), min(6, len(all_pairs(n)))):
+                    want = blocks[0, s, t] == blocks[1, s2, t2]
+                    assert are_bisimilar(m, s, t, n, s2, t2) == want, (i, s, t, s2, t2)
 
     def test_truth_invariance(self, rng):
         for _ in range(10):

@@ -903,6 +903,36 @@ class TestOtherCommands:
             assert code == 65
             assert err.startswith("lhs: input error: ")
 
+    @pytest.mark.parametrize("verb", ["check", "bisim", "proof", "tiling gen", "tiling model"])
+    def test_repeated_key_is_input_error(self, capsys, tmp_path, verb):
+        # The decoder alone keeps a repeated key's last value, so the model
+        # below would be read with l:p at b only. Without the repeat, each
+        # file is read and answered.
+        path = tmp_path / "doc.json"
+        argv, text, repeat, key = {
+            "check": (["check", "-m", str(path), "--at", "a,a", "-f", "l:p"],
+                      '{"states": ["a", "b"], "edges": [], "valuation": {"l:p": ["a"], '
+                      '"l:p": ["b"]}}', ', "l:p": ["b"]', "l:p"),
+            "bisim": (["bisim", "-m", str(path), "-n", str(path)],
+                      '{"states": ["a"], "edges": [], "states": ["a"]}', ', "states": ["a"]',
+                      "states"),
+            "proof": (["proof", "-p", str(path)],
+                      '[{"formula": "l:p -> (l:q -> l:p)", "rule": "A1", "rule": "A2"}]',
+                      ', "rule": "A2"', "rule"),
+            "tiling gen": (["tiling", "gen", "-t", str(path)],
+                           '{"tiles": [{"name": "T1", "up": "c", "down": "c", "left": "c", '
+                           '"right": "c", "up": "d"}]}', ', "up": "d"', "up"),
+            "tiling model": (["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a", str(path)],
+                             '{"period": [1, 1], "assign": {"0,0": "T1", "0,0": "T2"}}',
+                             ', "0,0": "T2"', "0,0"),
+        }[verb]
+        path.write_text(text)
+        code, _, err = run(capsys, *argv)
+        assert code == 65
+        assert err == f"lhs: input error: key '{key}' appears more than once in one JSON object\n"
+        path.write_text(text.replace(repeat, ""))
+        assert run(capsys, *argv)[0] == 0
+
     @pytest.mark.parametrize("period", [[10**5, 10**5], [10**5, 1]])
     def test_huge_period_refused_without_listing_cells(self, capsys, tmp_path, period):
         # A few bytes that name 10^10 cells: the check must not list them.

@@ -59,6 +59,16 @@ class TestLoadSave:
         with pytest.raises(ModelFormatError):
             load_model('{"states": ["a"], "edges": [], "valuation": {}, "x": 1}')
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"states": ["a", "b"], "edges": [], "valuation": {"l:p": ["a"], "l:p": ["b"]}}', "l:p"),
+        ('{"states": ["a"], "states": ["b"], "edges": []}', "states"),
+        ('{"states": ["a"], "edges": [{"x": 1, "x": 1}]}', "x"),
+    ])
+    def test_repeated_key_rejected(self, text, key):
+        # The decoder alone keeps the last value of a repeated key.
+        with pytest.raises(ModelFormatError, match=f"key '{key}' appears more than once"):
+            load_model(text)
+
     @pytest.mark.parametrize("entry, shown", [
         ('"ab"', "'ab'"), ('["a"]', "['a']"), ('["a", "a", "a"]', "['a', 'a', 'a']"),
         ('["a", 1]', "['a', 1]"), ('[null, "a"]', "[None, 'a']"), ('{"a": "a"}', "{'a': 'a'}"),

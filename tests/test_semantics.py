@@ -1,6 +1,8 @@
 """Truth definition, one-sided evaluation, and the first-order translation."""
 
 import gc
+import json
+import random
 import sys
 import time
 
@@ -11,6 +13,8 @@ from lhs import (
     BBox,
     BDia,
     EqConst,
+    Iff,
+    Implies,
     LhsError,
     MixedFormula,
     Not,
@@ -35,8 +39,9 @@ from lhs import (
     substitute,
 )
 from lhs.cli import main
+from lhs import semantics
 from lhs.semantics import FOFormula
-from lhs.syntax import Side
+from lhs.syntax import Side, conjoin, disjoin, render
 
 from conftest import (
     all_pairs,
@@ -91,6 +96,138 @@ class TestCheck:
             s, t = rng.choice(all_pairs(m))
             assert check(m, s, t, WDia(phi)) == (not check(m, s, t, WBox(Not(phi))))
             assert check(m, s, t, BDia(phi)) == (not check(m, s, t, BBox(Not(phi))))
+
+
+def chain_formula(rng, depth):
+    """A random formula whose `&` and `|` nodes come as chains of 2 to 7
+    operands in one of three shapes: left-deep as `parse` reads them, balanced
+    as `conjoin`/`disjoin` build them, or right-nested. `~` comes in chains of
+    odd and even length, and some chains hold a subchain shared as a DAG."""
+    if depth == 0 or rng.random() < 0.15:
+        return random_formula(rng, depth=0)
+    kind = rng.choice(["&", "|", "&", "|", "~", "modal", "binary"])
+    if kind == "~":
+        phi = chain_formula(rng, depth - 1)
+        for _ in range(rng.randint(1, 6)):
+            phi = Not(phi)
+        return phi
+    if kind == "modal":
+        return rng.choice([WBox, WDia, BBox, BDia])(chain_formula(rng, depth - 1))
+    if kind == "binary":
+        return rng.choice([And, Or, Implies, Iff])(chain_formula(rng, depth - 1),
+                                                   chain_formula(rng, depth - 1))
+    node = And if kind == "&" else Or
+    parts = [chain_formula(rng, depth - 1) for _ in range(rng.randint(2, 7))]
+    shape = rng.choice(["parse", "balanced", "right", "shared"])
+    if shape == "parse":
+        return parse(f" {kind} ".join(f"({render(part)})" for part in parts))
+    if shape == "balanced":
+        return (conjoin if node is And else disjoin)(parts)
+    phi = parts[-1]
+    for part in reversed(parts[:-1]):
+        phi = node(part, phi)
+    if shape == "shared":
+        # the same subchain object on both sides, and as a left operand
+        return node(node(phi, parts[0]), node(phi, phi))
+    return phi
+
+
+class TestCheckChains:
+    """`check` reads a chain of one connective in one step."""
+
+    def test_agrees_with_check_all_and_the_translation(self):
+        rng = random.Random(8101)
+        kinds = set()
+        for i in range(150):
+            m = random_model(rng)
+            phi = chain_formula(rng, rng.randint(2, 4))
+            kinds.update(type(f) for f in subformulas(phi))
+            holds = {(s, t) for s, t in all_pairs(m) if check(m, s, t, phi)}
+            assert holds == check_all(m, phi), (i, render(phi))
+            alpha = fo_translate(phi)
+            for s, t in all_pairs(m):
+                assert fo_eval(m, alpha, {"x": s, "y": t}) == ((s, t) in holds), (i, s, t)
+        assert {And, Or, Not, Implies, Iff, WBox, BDia} <= kinds
+
+    def test_shapes_and_parities(self):
+        # l:p holds at a and r:q at b. Every operand but one is p (in an &
+        # chain) or ~p (in an | chain); the one is r:q, at each position.
+        m = make_model(["a", "b"], [("a", "b")], {"l:p": ["a"], "r:q": ["b"]})
+        p, q = left_atom("p"), right_atom("q")
+        for width in (1, 2, 3, 8, 33):
+            for where in range(width):
+                for node, other in ((And, p), (Or, Not(p))):
+                    parts = [other] * where + [q] + [other] * (width - where - 1)
+                    right = parts[-1]
+                    for part in reversed(parts[:-1]):
+                        right = node(part, right)
+                    joined = (conjoin if node is And else disjoin)(parts)
+                    read = parse(f" {'&' if node is And else '|'} ".join(map(render, parts)))
+                    for s, t in all_pairs(m):
+                        rest = [check(m, s, t, other)] * (width - 1)
+                        want = all(rest) and t == "b" if node is And else any(rest) or t == "b"
+                        for phi in (right, joined, read):
+                            assert check(m, s, t, phi) == want, (render(phi), s, t)
+        for length in range(1, 8):
+            phi = parse("~" * length + "l:p")
+            assert check(m, "a", "a", phi) == (length % 2 == 0)
+            assert check(m, "b", "a", phi) == (length % 2 == 1)
+
+    def test_one_walk_for_a_chain_and_one_for_each_operand(self, monkeypatch):
+        # Inner nodes get no walk, and an operand already memoized gets none.
+        walked = []
+        original = semantics._sat
+
+        def counted(f, *rest):
+            walked.append(f)
+            return original(f, *rest)
+
+        monkeypatch.setattr(semantics, "_sat", counted)
+        m = make_model(["a"], [], {"l:p": ["a"]})
+        qs = [f"l:q{i}" for i in range(999)]
+        for phi, walks in ((parse("~" * 1000 + "l:p"), 2),
+                           (parse(" & ".join(["l:p"] * 1000)), 2),
+                           (parse(" | ".join(qs + ["l:p"])), 1001),
+                           (parse(" & ".join(["l:p"] + qs)), 3),
+                           (disjoin([parse(q) for q in qs]), 1000)):
+            walked.clear()
+            check(m, "a", "a", phi)
+            assert len(walked) == walks
+
+    def test_shared_chain_is_not_unfolded(self):
+        # 10^4 levels of phi & phi over one shared node: 2^10000 operands as
+        # a tree, read once each as a DAG.
+        m = make_model(["a", "b"], [], {"l:p": ["a"]})
+        for node, leaf, want in ((And, left_atom("p"), True), (Or, Not(left_atom("p")), False)):
+            phi = leaf
+            for _ in range(10_000):
+                phi = node(phi, phi)
+            with time_budget(5):
+                assert check(m, "a", "b", phi) is want
+                assert check(m, "b", "a", phi) is not want
+
+    def test_wide_and_deep_chains_at_a_low_recursion_limit(self):
+        # l:p and r:q hold at w only; the last operand of each chain decides
+        # it at (w, v).
+        proc = run_python(["-c", _CHAIN_SCRIPT])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [[True, False, False], [True, True, False],
+                                           [True, True, False], [False, False, True]]
+
+
+_CHAIN_SCRIPT = """
+import json, sys
+from lhs import make_model, parse, check
+n = 200_000
+model = make_model(["w", "v"], [], {"l:p": ["w"], "r:q": ["w"]})
+texts = [" & ".join(["l:p"] * (n - 1) + ["r:q"]), " | ".join(["r:q"] * (n - 1) + ["l:p"]),
+         "~" * n + "l:p", "~" * (n - 1) + "l:p"]
+formulas = [parse(text) for text in texts]
+# Far below the nesting of every formula: a recursive walk would raise RecursionError.
+sys.setrecursionlimit(200)
+json.dump([[check(model, s, t, phi) for s, t in (("w", "w"), ("w", "v"), ("v", "v"))]
+           for phi in formulas], sys.stdout)
+"""
 
 
 class TestCheckAll:

@@ -1,11 +1,14 @@
-"""The package source itself: every module reads each name it imports."""
+"""The package source itself: every module reads each name it imports; and
+the committed benchmark records."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "lhs"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "lhs"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,20 @@ def test_no_generated_code():
                 assert node.module != "dataclasses", path.name
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in ("exec", "eval"), path.name
+
+
+def test_benchmark_records():
+    # Each `BENCH_*.json` is the result line of `perfbench/run.py --workload
+    # all`: one line, every answer right, and one value per workload and
+    # end-to-end metric that BENCHMARK.json declares.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    keys = {f"{w['name']}.{e['name']}" for w in spec["workloads"] for e in spec["end_to_end"]}
+    assert len(keys) == 18
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        text = path.read_text()
+        assert len(text.splitlines()) == 1, path.name
+        record = json.loads(text)
+        assert record["correct"] is True and record["failed"] == 0, path.name
+        assert record["metrics"].keys() == keys, path.name
