@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(subs, "cnf", _cmd_cnf, "clean CNF companion of an I-free formula")
     _add_formula_args(p)
     p.add_argument("--clean-only", action="store_true",
-                   help="require the input to be clean already (no companion step)")
+                   help="the same companion, for a clean input only (exit 65 otherwise)")
     p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "translate", _cmd_translate, "first-order standard translation")

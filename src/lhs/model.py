@@ -115,6 +115,9 @@ def load_model(text: str) -> Model:
     states = doc.get("states")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ModelFormatError("'states' must be a list of strings")
+    for s in states:  # `--at` and `--pairs` strip what they read
+        if s != s.strip():
+            raise ModelFormatError(f"state id {s!r} has leading or trailing whitespace")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ModelFormatError("'edges' must be a list of [source, target] pairs")

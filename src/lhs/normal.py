@@ -18,11 +18,11 @@ larger set implies are built. A chain of one junction (`a & b & c ...`, read
 at its polarity) is one step, so each operand is read once, not once per
 level of the chain.
 
-`clean_to_cnf` and the propositional `prop_cnf` run the same pass. In a clean
-formula every modality lies inside a one-sided block, and `prop_cnf` makes
-every atom, and nothing else, a block of its own side, so for them only the
-Boolean steps apply. The blocks of the others are read off the side bits that
-each formula carries from construction, so no side check walks the formula.
+The propositional `prop_cnf` runs the same pass with every atom, and nothing
+else, a block of its own side, so only the Boolean steps apply; so do they on
+a clean formula, whose modalities all lie inside one-sided blocks. The
+companion's blocks are read off the side bits that each formula carries from
+construction, so no side check walks the formula.
 """
 
 from __future__ import annotations
@@ -161,26 +161,14 @@ class CleanCNF(Record):
 
 
 def clean_to_cnf(phi: Formula) -> CleanCNF:
-    """Equivalent clean CNF of a clean formula.
-
-    Runs the companion's pass: as `phi` is clean, every modality lies inside
-    a maximal one-sided block, so the pass only pushes negations down to the
-    blocks and distributes | over &. Both sides of every conjunct carry a
-    contradictory pad first (`l:_fresh0 & ~l:_fresh0` and its right mirror,
-    over the reserved name `_fresh0`), so the output shape is uniform; when
-    the pass folds `phi` to true, the one conjunct is (pad | true, pad). The
-    same budget of `DEFAULT_CLAUSE_CEILING` conjuncts for the whole pass
-    applies.
-    """
+    """The companion of a clean formula; any other input raises `NotClean`."""
     if not phi.facts & CLEAN:
         raise NotClean(f"not a clean formula: {phi!r}")
-    conjuncts = _conjuncts(phi, _one_sided) or [((Top(),), ())]
-    return CleanCNF(tuple((disjoin([_PADS[0], *w]), disjoin([_PADS[1], *b]))
-                          for w, b in conjuncts))
+    return companion(phi)
 
 
 # ---------------------------------------------------------------------------
-# The CNF pass, shared by the companion, `clean_to_cnf` and `prop_cnf`
+# The CNF pass, shared by the companion and `prop_cnf`
 #
 # A conjunct is a pair (white, black) of disjunct tuples; an empty tuple is
 # false. A list of conjuncts is their conjunction; the empty list is true.
@@ -410,24 +398,15 @@ def _conjuncts(phi: Formula, block) -> list:
 def companion(phi: Formula) -> CleanCNF:
     """Clean CNF companion of an I-free formula.
 
-    Built bottom-up over the negation normal form of `phi`, so negation never
-    has to be pushed through a CNF. The NNF is never written out: each
-    subformula is visited at most once per polarity, `->` and `<->` are
-    expanded from the lists of their operands, and the input stays linear.
-    A maximal white-only or black-only subformula stays whole on its side
-    (negated when it occurs negatively). Conjunction concatenates the conjunct
-    lists, disjunction takes their product, and a box of either colour
-    distributes onto its own side of every conjunct (the R axiom). A diamond
-    over conjuncts (psi_i, gamma_i) gives one conjunct
-    (<W>(&_S psi_i), |_S gamma_i) for every set S of conjuncts, because each
-    gamma_i is constant along white moves; `<B>` is the mirror case, and sets
-    implied by a larger set are skipped (see `_diamond`). Conjuncts with a
-    valid side are dropped and repeats removed. An empty side prints as the
-    contradiction over the reserved name `_fresh0`, one per side
-    (`l:_fresh0 & ~l:_fresh0`, `r:_fresh0 & ~r:_fresh0`), which the parser
-    refuses in input. The output is equivalent to the input on every
-    model; a step that would take the conjuncts the pass has built past
-    `DEFAULT_CLAUSE_CEILING` raises `ResourceGuard` before it runs.
+    Built by the one pass over the negation normal form of `phi` that the
+    module docstring describes; a maximal one-sided subformula that occurs
+    negatively stays whole, negated. Conjuncts with a valid side are dropped
+    and repeats removed. An empty side prints as the contradiction over the
+    reserved name `_fresh0`, one per side (`l:_fresh0 & ~l:_fresh0`,
+    `r:_fresh0 & ~r:_fresh0`), which the parser refuses in input. The output
+    is equivalent to the input on every model; a step that would take the
+    conjuncts the pass has built past `DEFAULT_CLAUSE_CEILING` raises
+    `ResourceGuard` before it runs.
     """
     if not phi.facts & I_FREE:
         raise ContainsI("the companion is defined on the I-free fragment only")

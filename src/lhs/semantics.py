@@ -38,7 +38,8 @@ def check(model: Model, s: State, t: State, phi: Formula) -> bool:
     atoms and black modalities the second; `I` holds exactly on the diagonal.
     A chain of one connective (`~`, `&` or `|`) is one step, memoized per call
     on (subformula, s, t) for its root and operands only, as is every other
-    node read. This is the readable reference; `bruteforce.truth_table`
+    node read; an inner node that an earlier chain at (s, t) expanded is read
+    as an operand. This is the readable reference; `bruteforce.truth_table`
     evaluates the same definition at every pair at once.
     """
     model.require_state(s, t)
@@ -65,13 +66,15 @@ def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
             g, value = g.child, not value
         value = value != (yield _sat(g, a, b, model, memo))
     elif isinstance(f, (And, Or)):
-        junction, value, stack, seen = type(f), isinstance(f, And), [f.right, f.left], set()
+        # The inner nodes that chains at (a, b) expanded, kept in `memo` under (a, b)
+        # for the whole call and fetched at the first inner node: met again, one
+        # is read as an operand.
+        junction, value, stack, expanded = type(f), isinstance(f, And), [f.right, f.left], None
         while stack:  # operands left to right until one decides; a memoized one is not walked
             g = stack.pop()
-            if type(g) is junction:
-                if id(g) not in seen:  # a shared inner node is read once
-                    seen.add(id(g))
-                    stack += g.right, g.left
+            if type(g) is junction and id(g) not in (expanded := expanded or memo.setdefault((a, b), set())):
+                expanded.add(id(g))
+                stack += g.right, g.left
             elif (held if (held := memo.get((g, a, b))) is not None
                   else (yield _sat(g, a, b, model, memo))) != value:
                 value = not value

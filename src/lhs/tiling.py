@@ -8,9 +8,10 @@ finite torus-shaped models on which the construction is machine-checkable.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
-from .errors import InvalidTiling, ModelFormatError
+from .errors import InvalidTiling, ModelFormatError, ResourceGuard
 from .model import Model, read_json
 from .syntax import (
     And,
@@ -34,6 +35,7 @@ from .syntax import (
 # The horizontal-step label is surfaced as `r_` because `r:` is the side prefix.
 LABEL_UP = "u"
 LABEL_RIGHT = "r_"
+PHI_OPERAND_CEILING = 250_000
 
 
 class Tile(Record):
@@ -119,8 +121,17 @@ def generate_phi(ts: TileSet) -> Formula:
     """The conjunction whose satisfiability encodes tilability by `ts`.
 
     Each distinct subformula is built once, by `mk`, so equal subformulas are
-    one object and no later dict or set lookup compares two trees.
+    one object and no later dict or set lookup compares two trees. Each of the
+    L labels is folded against the L - 1 others, and each tile against the
+    tiles that may follow it up and right; past `PHI_OPERAND_CEILING` such
+    operands, counted from the tile set, `ResourceGuard` is raised first.
     """
+    labels = ts.labels()
+    downs, lefts = Counter(t.down for t in ts.tiles), Counter(t.left for t in ts.tiles)
+    size = len(labels) * (len(labels) - 1) + sum(downs[t.up] + lefts[t.right] for t in ts.tiles)
+    if size > PHI_OPERAND_CEILING:
+        raise ResourceGuard(f"the formula of {len(ts.tiles)} tiles folds {size} operands, "
+                            f"over the ceiling of {PHI_OPERAND_CEILING}")
     built: dict = {}
 
     def mk(node, *parts):
@@ -134,7 +145,6 @@ def generate_phi(ts: TileSet) -> Formula:
     def fold(node, parts):  # `conjoin` / `disjoin` through `mk`
         return fold_balanced(parts, partial(mk, node))
 
-    labels = ts.labels()
     la = {p: left_atom(p) for p in labels}
     ra = {p: right_atom(p) for p in labels}
     tiles = labels[2:]  # t1, t2, ...

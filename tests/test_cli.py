@@ -308,6 +308,7 @@ class TestStackSafety:
         for verb in ("cnf", "cnf_clean", "translate"):
             code, out = answers[verb]
             assert code == 0 and out.strip()
+        assert answers["cnf_clean"] == answers["cnf"]
         code, out = answers["proof"]
         assert (code, out.startswith("ok: 2 lines")) == ((0, True) if white_only else (1, False))
 
@@ -612,6 +613,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", "-m", str(torus), "-f", "l:t1", "--at", at)
         assert code == 65 and message in err
 
+    def test_state_id_with_outer_whitespace(self, capsys, tmp_path):
+        # `--at ' a, a'` would read the pair (a, a), which the file does not declare.
+        model = tmp_path / "m.json"
+        model.write_text('{"states": [" a", "a "], "edges": []}')
+        for argv in (["check", "-m", str(model), "-f", "I", "--at", " a, a"],
+                     ["bisim", "-m", str(model), "-n", str(model)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (65, "")
+            assert "state id ' a' has leading or trailing whitespace" in err
+
     def test_ambiguous_pair(self, capsys, tmp_path):
         model = tmp_path / "m.json"
         model.write_text('{"states": ["a", "b", "a,b", "b,a"], "edges": []}')
@@ -722,6 +733,20 @@ class TestOtherCommands:
     def test_cnf_rejects_equality_constant(self, capsys):
         assert run(capsys, "cnf", "-f", "I")[0] == 65
 
+    @pytest.mark.parametrize("text", ["[W]l:p | [B]r:q", "l:p", "true", "false",
+                                      "~(l:p & [B]r:q) -> ([W]l:q <-> r:p)"])
+    def test_cnf_clean_only_prints_the_companion(self, capsys, text):
+        for extra in ([], ["--json"]):
+            want = run(capsys, "cnf", *extra, "-f", text)
+            assert want[0] == 0
+            assert run(capsys, "cnf", "--clean-only", *extra, "-f", text) == want
+
+    @pytest.mark.parametrize("text", ["[W](l:p | r:q)", "I", "<B>(l:p & r:q)"])
+    def test_cnf_clean_only_refuses_other_input(self, capsys, text):
+        code, out, err = run(capsys, "cnf", "--clean-only", "-f", text)
+        assert (code, out) == (65, "")
+        assert err.startswith("lhs: input error: not a clean formula: ")
+
     def test_translate(self, capsys):
         code, out, _ = run(capsys, "translate", "-f", "I")
         assert code == 0 and "x = y" in out
@@ -809,6 +834,21 @@ class TestOtherCommands:
                            str(DATA / "one_tile.json"))
         assert code == 0
         assert "l:t1" in out
+
+    def test_tiling_formula_past_its_ceiling_refused(self, capsys, tmp_path):
+        # 1,500 tiles fold millions of operands: refused (70) before the
+        # formula is built, by `gen` and by `model --check`.
+        tiles = tmp_path / "tiles.json"
+        tiles.write_text(json.dumps({"tiles": [
+            {"name": f"T{i + 1}", "up": "c", "down": "c", "left": "c", "right": "c"}
+            for i in range(1500)]}))
+        for argv in (["gen", "-t", str(tiles)],
+                     ["model", "-t", str(tiles), "-a", str(DATA / "unit_tiling.json"),
+                      "-o", str(tmp_path / "torus.json"), "--check"]):
+            with time_budget(1):
+                code, out, err = run(capsys, "tiling", *argv)
+            assert (code, out) == (70, "")
+            assert "refused: the formula of 1500 tiles folds 6754502 operands" in err
 
     def test_tiling_model_end_to_end(self, capsys, tmp_path):
         out_file = tmp_path / "torus.json"

@@ -69,6 +69,16 @@ class TestLoadSave:
         with pytest.raises(ModelFormatError, match=f"key '{key}' appears more than once"):
             load_model(text)
 
+    @pytest.mark.parametrize("state", [" a", "a ", "\ta", "a\n", " "])
+    def test_state_id_with_outer_whitespace_rejected(self, state):
+        # `--at` and `--pairs` strip each half, so they could not name it.
+        text = json.dumps({"states": ["a", state], "edges": []})
+        with pytest.raises(ModelFormatError, match=re.escape(
+                f"state id {state!r} has leading or trailing whitespace")):
+            load_model(text)
+        assert load_model(json.dumps({"states": ["a", "a b", ""], "edges": []})).states == (
+            "a", "a b", "")
+
     @pytest.mark.parametrize("entry, shown", [
         ('"ab"', "'ab'"), ('["a"]', "['a']"), ('["a", "a", "a"]', "['a', 'a', 'a']"),
         ('["a", 1]', "['a', 1]"), ('[null, "a"]', "[None, 'a']"), ('{"a": "a"}', "{'a': 'a'}"),

@@ -217,11 +217,9 @@ class TestCleanDecompose:
 
 class TestCleanToCNF:
     def test_left_atom_padding_shape(self):
+        # Only the empty side is padded, as in the companion.
         cnf = clean_to_cnf(parse("l:p"))
-        assert len(cnf.conjuncts) == 1
-        psi, gamma = cnf.conjuncts[0]
-        assert psi == parse("(l:_fresh0 & ~l:_fresh0) | l:p", allow_reserved=True)
-        assert gamma == parse("r:_fresh0 & ~r:_fresh0", allow_reserved=True)
+        assert cnf.conjuncts == ((parse("l:p"), PAD_RIGHT),)
 
     def test_conjuncts_are_one_sided(self, rng):
         for _ in range(100):
@@ -237,7 +235,7 @@ class TestCleanToCNF:
         assert equivalent_everywhere(phi, cnf.to_formula())
 
     def test_rejects_unclean(self):
-        with pytest.raises(NotClean):
+        with pytest.raises(NotClean, match=re.escape("not a clean formula: [W] (l:p | r:q)")):
             clean_to_cnf(parse("[W](l:p | r:q)"))
 
     def test_random_equivalence(self, rng):
@@ -247,12 +245,11 @@ class TestCleanToCNF:
 
     def test_deep_negation_chain(self):
         cnf = clean_to_cnf(negations(parse("[W]l:p | [B]r:q"), 3000))
-        assert cnf.conjuncts == ((Or(PAD_LEFT, parse("[W]l:p")),
-                                  Or(PAD_RIGHT, parse("[B]r:q"))),)
+        assert cnf.conjuncts == ((parse("[W]l:p"), parse("[B]r:q")),)
 
     def test_deep_negation_over_mixed_box(self):
         # The message shows the formula, whose repr recursed.
-        with pytest.raises(NotClean):
+        with pytest.raises(NotClean, match="^not a clean formula: ~~~"):
             clean_to_cnf(negations(parse("[W](l:p | r:q)"), 3000))
 
     def test_wide_mixed_chain(self):
@@ -260,8 +257,7 @@ class TestCleanToCNF:
         with time_budget(5):
             cnf = clean_to_cnf(phi)
         assert cnf.conjuncts == tuple(
-            (Or(PAD_LEFT, a), PAD_RIGHT) if a.prop.side is Side.LEFT
-            else (PAD_LEFT, Or(PAD_RIGHT, a)) for a in atoms)
+            (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)
 
     @pytest.mark.parametrize("psi, gamma, message", [
         ("l:p | [B]r:q", "r:q", "psi component is not white-only: l:p | [B] r:q"),
@@ -271,11 +267,10 @@ class TestCleanToCNF:
         with pytest.raises(ValueError, match=re.escape(message)):
             CleanCNF(((parse("l:p"), parse("r:p")), (parse(psi), parse(gamma))))
 
-    def test_same_conjunct_count_as_companion(self, rng):
-        # On clean input both run the same pass; only the pads differ.
+    def test_equals_companion(self, rng):
         for _ in range(200):
             phi = random_clean(rng)
-            assert len(clean_to_cnf(phi).conjuncts) == len(companion(phi).conjuncts)
+            assert clean_to_cnf(phi) == companion(phi)
 
 
 class TestCompanion:

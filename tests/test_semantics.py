@@ -41,7 +41,7 @@ from lhs import (
 from lhs.cli import main
 from lhs import semantics
 from lhs.semantics import FOFormula
-from lhs.syntax import Side, conjoin, disjoin, render
+from lhs.syntax import Side, conjoin, disjoin, drive, render
 
 from conftest import (
     all_pairs,
@@ -193,6 +193,12 @@ class TestCheckChains:
             walked.clear()
             check(m, "a", "a", phi)
             assert len(walked) == walks
+        # Under a box, the chain at each successor pair is expanded there: the
+        # box, then per pair the chain and its one operand.
+        m = make_model(["a", "b", "c"], [("a", "b"), ("a", "c")], {"l:p": ["b", "c"]})
+        walked.clear()
+        assert check(m, "a", "a", parse("[W](" + " & ".join(["l:p"] * 1000) + ")"))
+        assert len(walked) == 5
 
     def test_shared_chain_is_not_unfolded(self):
         # 10^4 levels of phi & phi over one shared node: 2^10000 operands as
@@ -205,6 +211,29 @@ class TestCheckChains:
             with time_budget(5):
                 assert check(m, "a", "b", phi) is want
                 assert check(m, "b", "a", phi) is not want
+
+    def test_shared_inner_chain_is_expanded_once_per_pair(self):
+        # z, a 3,000-operand & chain, under 300 & roots: z's spine is expanded
+        # under the first root only, then read as an operand. Each operand
+        # read is one memo lookup; expanding z under every root takes 900,000.
+        class Lookups(dict):
+            def get(self, key, default=None):
+                reads[0] += 1
+                return super().get(key, default)
+
+        # z holds where t is w, and the last root's l:q299 where s is v: at
+        # (v, v) a walk that skipped z under the later roots would answer true.
+        z = parse(" & ".join(["l:p"] * 2999 + ["r:s"]))
+        phi = disjoin([And(z, left_atom(f"q{i}")) for i in range(300)])
+        m = make_model(["w", "v"], [("w", "v")],
+                       {"l:p": ["w", "v"], "r:s": ["w"], "l:q299": ["v"]})
+        for s, t in all_pairs(m):
+            reads = [0]
+            want = (s, t) == ("v", "w")
+            assert drive(semantics._sat(phi, s, t, m, Lookups())) is want
+            assert reads[0] < 15_000
+            with time_budget(1):
+                assert check(m, s, t, phi) is want
 
     def test_wide_and_deep_chains_at_a_low_recursion_limit(self):
         # l:p and r:q hold at w only; the last operand of each chain decides

@@ -9,6 +9,7 @@ import pytest
 from lhs import (
     InvalidTiling,
     ModelFormatError,
+    ResourceGuard,
     check,
     generate_phi,
     load_tileset,
@@ -22,6 +23,7 @@ from lhs import (
 )
 from lhs.model import successors
 from lhs.syntax import children
+from lhs import tiling
 from lhs.tiling import PeriodicTiling, Tile, TileSet
 
 DATA = Path(__file__).parent / "data"
@@ -133,6 +135,24 @@ class TestGeneratePhi:
                 ids.add(id(f))
                 stack.extend(children(f))
         assert len(ids) == len(subformulas(phi))
+
+    def test_operand_count_guard(self, monkeypatch):
+        # Stripe tiles: 4 labels, each folded against 3; A may sit below B
+        # and B below A; each may sit left of each. 12 + 2 + 4 = 18 operands.
+        ts = load_tileset((DATA / "stripe_tiles.json").read_text())
+        monkeypatch.setattr(tiling, "PHI_OPERAND_CEILING", 18)
+        generate_phi(ts)
+        monkeypatch.setattr(tiling, "PHI_OPERAND_CEILING", 17)
+        with pytest.raises(ResourceGuard, match="the formula of 2 tiles folds 18 operands, "
+                                                "over the ceiling of 17$"):
+            generate_phi(ts)
+
+    def test_operand_ceiling(self):
+        # n tiles of one colour: (n + 2)(n + 1) + 2n^2 operands, 249,698 at
+        # n = 288 and 251,432 at n = 289. The count is read off the tile set.
+        with pytest.raises(ResourceGuard, match="289 tiles folds 251432 operands"):
+            generate_phi(tileset(289))
+        assert "l:t288" in render(generate_phi(tileset(288)))
 
     def test_subformula_count_linear(self):
         counts = [len(subformulas(generate_phi(tileset(n)))) for n in range(1, 13)]
