@@ -20,6 +20,7 @@ from .decide import (
 from .errors import (
     ContainsI,
     FormulaSyntaxError,
+    InputError,
     InvalidTiling,
     LhsError,
     MixedFormula,

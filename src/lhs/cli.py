@@ -19,18 +19,7 @@ import time
 
 from . import bisim as bisim_mod
 from . import decide, normal, proof as proof_mod, semantics, tiling as tiling_mod
-from .errors import (
-    ContainsI,
-    FormulaSyntaxError,
-    LhsError,
-    MixedFormula,
-    ModalInput,
-    ModelFormatError,
-    NotClean,
-    ReservedNameError,
-    ResourceGuard,
-    UnknownState,
-)
+from .errors import InputError, LhsError, ModelFormatError, ResourceGuard
 from .model import Model, load_model, model_doc, save_model
 from .syntax import classify, parse, render
 
@@ -125,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_args(p)
     p.add_argument("--full", action="store_true",
                    help="bounded search over full-language models (allows I)")
-    p.add_argument("--max-size", type=_positive_int, metavar="N", default=3,
+    p.add_argument("--max-size", type=_positive_int, metavar="N",
                    help="state bound for --full (default 3)")
     p.add_argument("--witness", help="write the witness model to this file")
     p.add_argument("--json", action="store_true")
@@ -260,10 +249,12 @@ def _answer(args, verdict, start: float) -> int:
 
 
 def _cmd_sat(args):
+    if args.max_size is not None and not args.full:
+        _parser().verbs["sat"].error("argument --max-size: not allowed without --full")
     phi = _read_formula(args)
     start = time.monotonic()
     if args.full:
-        return _answer(args, decide.lhs_bounded_sat(phi, args.max_size), start)
+        return _answer(args, decide.lhs_bounded_sat(phi, args.max_size or 3), start)
     return _answer(args, decide.lhs_minus_sat(phi), start)
 
 
@@ -405,9 +396,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except (FormulaSyntaxError, ReservedNameError, ModelFormatError, UnknownState,
-            ContainsI, MixedFormula, ModalInput, NotClean,
-            OSError, UnicodeDecodeError) as exc:  # unreadable file, or not UTF-8
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable file, or not UTF-8
         print(f"lhs: input error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except ResourceGuard as exc:

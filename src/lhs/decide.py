@@ -25,6 +25,7 @@ from .syntax import (
     Top,
     WBox,
     drive,
+    strip_nots,
 )
 
 
@@ -47,14 +48,6 @@ class Verdict(Record):
 # K tableau
 
 DEFAULT_STEP_CEILING = 1_000_000
-
-
-def _goal(f: Formula, positive: bool) -> tuple[Formula, bool]:
-    """The goal (f, positive), which stands for `f` or `~f`, with its `~`s read
-    off: a goal is never a negation."""
-    while isinstance(f, Not):
-        f, positive = f.child, not positive
-    return f, positive
 
 
 def _queue(goals: dict, todo: list, keys, deps: int) -> None:
@@ -114,11 +107,11 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
                 return deps
             continue
         if isinstance(f, Iff):
-            branches = ((_goal(f.left, True), _goal(f.right, positive)),
-                        (_goal(f.left, False), _goal(f.right, not positive)))
+            branches = ((strip_nots(f.left, True), strip_nots(f.right, positive)),
+                        (strip_nots(f.left, False), strip_nots(f.right, not positive)))
         elif isinstance(f, (And, Or, Implies)):
-            operands = (_goal(f.left, positive != isinstance(f, Implies)),
-                        _goal(f.right, positive))
+            operands = (strip_nots(f.left, positive != isinstance(f, Implies)),
+                        strip_nots(f.right, positive))
             if isinstance(f, And) == positive:  # a conjunction
                 _queue(goals, todo, operands, deps)
                 continue
@@ -145,7 +138,7 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
             if positive:
                 atoms.add(f.prop)
         elif isinstance(f, MODAL_NODES):
-            content = _goal(f.child, positive)
+            content = strip_nots(f.child, positive)
             is_box = isinstance(f, (WBox, BBox)) == positive
             (boxes if is_box else diamonds).setdefault(content, deps)
     children = []
@@ -187,7 +180,7 @@ def k_sat(phi: Formula) -> KVerdict:
     """
     if not phi.facts & ONE_SIDED:
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
-    root = _goal(phi, True)
+    root = strip_nots(phi)
     tree = drive(_tableau({root: 0}, [root], 0, 0, count(1)))
     if not isinstance(tree, tuple):
         return KVerdict("UNSAT")

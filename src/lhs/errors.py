@@ -5,7 +5,11 @@ class LhsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FormulaSyntaxError(LhsError):
+class InputError(LhsError):
+    """Malformed input, or input outside the fragment an operation accepts."""
+
+
+class FormulaSyntaxError(InputError):
     """Malformed concrete syntax; carries the offending position."""
 
     def __init__(self, message, position):
@@ -13,7 +17,7 @@ class FormulaSyntaxError(LhsError):
         self.position = position
 
 
-class ReservedNameError(LhsError):
+class ReservedNameError(InputError):
     """User input used a variable name reserved for the normalizer."""
 
 
@@ -21,27 +25,27 @@ class SideViolation(LhsError):
     """A substitution value breaks the side-purity requirement."""
 
 
-class MixedFormula(LhsError):
+class MixedFormula(InputError):
     """Operation requires a purely white or purely black formula."""
 
 
-class NotClean(LhsError):
+class NotClean(InputError):
     """Operation requires a clean formula."""
 
 
-class ContainsI(LhsError):
+class ContainsI(InputError):
     """Operation is restricted to the I-free fragment."""
 
 
-class ModalInput(LhsError):
+class ModalInput(InputError):
     """Operation requires a purely propositional formula."""
 
 
-class UnknownState(LhsError):
+class UnknownState(InputError):
     """A state id is not declared in the ambient model."""
 
 
-class ModelFormatError(LhsError):
+class ModelFormatError(InputError):
     """Model/tile/proof file does not conform to its schema."""
 
 
@@ -49,5 +53,5 @@ class ResourceGuard(LhsError):
     """A computation was refused because its size exceeds the ceiling."""
 
 
-class InvalidTiling(LhsError):
+class InvalidTiling(InputError):
     """A periodic tiling breaks its wrap-around color constraints."""

@@ -15,8 +15,8 @@ over conjuncts (psi_i, gamma_i) becomes the conjunction over sets S of
 conjuncts of <W>(&_S psi_i) | (|_S gamma_i), because the black parts gamma_i
 do not change along white moves (mirrored for <B>); only the sets S that no
 larger set implies are built. A chain of one junction (`a & b & c ...`, read
-at its polarity) is one step, so each operand is read once, not once per
-level of the chain.
+at its polarity) is one step, and so is a `~` chain, so each operand is read
+once, not once per level of the chain.
 
 The propositional `prop_cnf` runs the same pass with every atom, and nothing
 else, a block of its own side, so only the Boolean steps apply; so do they on
@@ -60,6 +60,7 @@ from .syntax import (
     conjoin,
     disjoin,
     fresh_vars,
+    strip_nots,
     subformulas,
 )
 
@@ -306,28 +307,26 @@ def _junction(f: Formula, positive: bool, block) -> bool | None:
 
 
 def _polar_children(f: Formula, positive: bool, block, expanded: set) -> tuple:
-    """The (subformula, polarity) pairs whose lists `_step` reads.
+    """The (subformula, polarity) pairs whose lists `_step` reads, `~`s read off.
 
     For `&`, `|` and `->` these are the operands of the maximal spine of one
     junction, left to right, so a chain of any width is one step. The spine
-    stops at a node in `expanded` (one that this or an earlier spine has
-    expanded, a shared node or an equal copy) and reads it as an operand, so
-    no node is expanded twice and a formula built as a DAG is not unfolded.
+    stops at a `~` or a node in `expanded` (one that this or an earlier spine
+    has expanded, a shared node or an equal copy) and reads it as an operand,
+    so no node is expanded twice and a formula built as a DAG is not unfolded.
     """
-    if isinstance(f, Not):
-        return ((f.child, not positive),)
     if isinstance(f, (Top, Bot)) or block(f):
         return ()
     if isinstance(f, Iff):
-        return ((f.left, True), (f.right, True), (f.left, False), (f.right, False))
+        return tuple(strip_nots(g, sign) for sign in (True, False) for g in (f.left, f.right))
     junction = _junction(f, positive, block)
     if junction is None:
-        return tuple((c, positive) for c in children(f))
+        return tuple(strip_nots(c, positive) for c in children(f))
     operands, stack = [], [(f, positive)]
     while stack:
         g, polarity = key = stack.pop()
         if g is not f and (key in expanded or _junction(g, polarity, block) is not junction):
-            operands.append(key)
+            operands.append(strip_nots(*key))
         else:
             expanded.add(key)
             stack.append((g.right, polarity))
@@ -337,18 +336,16 @@ def _polar_children(f: Formula, positive: bool, block, expanded: set) -> tuple:
 
 def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
     """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
-    `_polar_children(f, positive)`.
+    `_polar_children(f, positive)`; `f` is never a `~`.
 
     Each case is the rule of `f` read at its polarity, as the negation normal
-    form would have it: `~` flips the polarity, `->` is `|` with its left
-    operand negated, and a negated box is the diamond rule and vice versa.
+    form would have it: `->` is `|` with its left operand negated, and a
+    negated box is the diamond rule and vice versa.
     """
     if isinstance(f, Top):
         return [] if positive else [((), ())]
     if isinstance(f, Bot):
         return [((), ())] if positive else []
-    if isinstance(f, Not):
-        return lists[0]
     side = block(f)
     if side:
         leaf = (f if positive else Not(f),)
@@ -370,29 +367,28 @@ def _conjuncts(phi: Formula, block) -> list:
     """Conjunct list of `phi`, built bottom-up over its negation normal form.
 
     The NNF is never written out: an explicit stack visits each (subformula,
-    polarity) pair once, children first. A subformula whose `block` bits are
-    `WHITE_ONLY` or `BLACK_ONLY` is a block that stays whole on that side (on
-    the white one when it is both, as a constant is).
+    polarity) pair once, `~`s read off, with its children (None until read)
+    and after them. A subformula whose `block` bits are `WHITE_ONLY` or
+    `BLACK_ONLY` is a block that stays whole on that side (on the white one
+    when it is both, as a constant is).
     """
     parts: dict[tuple[Formula, bool], list] = {}
-    kids: dict[tuple[Formula, bool], tuple] = {}  # read once, until `parts` has the key
     expanded: set = set()
     spent = [0]
-    stack = [(phi, True)]
+    root = strip_nots(phi)
+    stack = [(root, None)]
     while stack:
-        key = stack[-1]
+        key, kids = stack.pop()
         if key in parts:
-            stack.pop()
             continue
-        if key not in kids:
-            kids[key] = _polar_children(*key, block, expanded)
-        todo = [k for k in kids[key] if k not in parts]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            parts[key] = _step(*key, [parts[k] for k in kids.pop(key)], block, spent)
-    return parts[phi, True]
+        if kids is None:
+            kids = _polar_children(*key, block, expanded)
+            todo = [(k, None) for k in kids if k not in parts]
+            if todo:
+                stack += [(key, kids), *todo]
+                continue
+        parts[key] = _step(*key, [parts[k] for k in kids], block, spent)
+    return parts[root]
 
 
 def companion(phi: Formula) -> CleanCNF:

@@ -27,6 +27,7 @@ from .syntax import (
     children,
     classify,
     drive,
+    strip_nots,
     subformulas,
 )
 
@@ -61,10 +62,8 @@ def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
     elif isinstance(f, Bot):
         value = False
     elif isinstance(f, Not):
-        g, value = f.child, True
-        while isinstance(g, Not):
-            g, value = g.child, not value
-        value = value != (yield _sat(g, a, b, model, memo))
+        g, positive = strip_nots(f)
+        value = positive == (yield _sat(g, a, b, model, memo))
     elif isinstance(f, (And, Or)):
         # The inner nodes that chains at (a, b) expanded, kept in `memo` under (a, b)
         # for the whole call and fetched at the first inner node: met again, one

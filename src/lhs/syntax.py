@@ -266,6 +266,14 @@ def children(phi: Formula):
     return ()
 
 
+def strip_nots(f: Formula, positive: bool = True) -> tuple[Formula, bool]:
+    """`f` read at `positive` (as `f`, or as `~f` when False) with its `~`
+    chain read off: (g, polarity), g not a `~`, standing for the same formula."""
+    while isinstance(f, Not):
+        f, positive = f.child, not positive
+    return f, positive
+
+
 def fold_balanced(parts: list, node) -> Formula:
     """A nonempty list joined by the binary constructor `node` (`And`, `Or`)."""
     # Balanced so that huge conjunctions stay log-deep; splitting with a

@@ -59,12 +59,6 @@ class TileSet(Record):
     def labels(self) -> list[str]:
         return [LABEL_UP, LABEL_RIGHT] + [f"t{i + 1}" for i in range(len(self.tiles))]
 
-    def tile_label(self, name: str) -> str:
-        for i, tile in enumerate(self.tiles):
-            if tile.name == name:
-                return f"t{i + 1}"
-        raise ModelFormatError(f"unknown tile {name!r}")
-
 
 class PeriodicTiling(Record):
     period: tuple[int, int]
@@ -226,6 +220,7 @@ def torus_model(ts: TileSet, pt: PeriodicTiling) -> tuple[Model, str]:
         if a % 2 == 0:
             edges.add((name[(a, b)], name[(a, (b + 1) % height)]))
     valuation: dict = {}
+    tile_label = dict(zip((t.name for t in ts.tiles), ts.labels()[2:]))
 
     def mark(label: str, cell):
         valuation.setdefault(left_atom(label).prop, set()).add(name[cell])
@@ -237,8 +232,7 @@ def torus_model(ts: TileSet, pt: PeriodicTiling) -> tuple[Model, str]:
         elif a % 2 == 0 and b % 2 == 1:
             mark(LABEL_UP, (a, b))
         else:
-            tile_name = pt.assign[((a // 2) % p, (b // 2) % q)]
-            mark(ts.tile_label(tile_name), (a, b))
+            mark(tile_label[pt.assign[((a // 2) % p, (b // 2) % q)]], (a, b))
     model = Model(states, frozenset(edges), {k: frozenset(v) for k, v in valuation.items()})
     return model, spy
 

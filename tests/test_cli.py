@@ -120,6 +120,13 @@ class TestExitCodes:
     def test_force_flag_is_gone(self, capsys):
         assert run(capsys, "sat", "--full", "--force", "-f", "I")[0] == 64
 
+    @pytest.mark.parametrize("argv", [["--max-size", "2"], ["--json", "--max-size", "3"]])
+    def test_bound_without_full_is_usage_error(self, capsys, argv):
+        # Only the bounded search of --full reads a bound.
+        code, out, err = run(capsys, "sat", *argv, "-f", "l:p")
+        assert (code, out) == (64, "")
+        assert "lhs sat: error: argument --max-size: not allowed without --full" in err
+
     def test_bound_five_searched_under_memory_cap(self):
         # Bound 5 lists 291,968 frame classes, about 100 MiB in all, and is
         # searched to exhaustion under a 1 GiB cap.
@@ -879,6 +886,21 @@ class TestOtherCommands:
                          "-t", str(DATA / "mismatched_tile.json"),
                          "-a", str(bad))
         assert code == 65
+
+    @pytest.mark.parametrize("tile, direction", [
+        pytest.param({"name": "X", "up": "a", "down": "b", "left": "c", "right": "d"},
+                     "horizontal", id="horizontal"),
+        pytest.param({"name": "X", "up": "a", "down": "b", "left": "c", "right": "c"},
+                     "vertical", id="vertical"),
+    ])
+    def test_tiling_model_colour_mismatch_is_input_error(self, capsys, tmp_path, tile,
+                                                         direction):
+        tiles, tiling = tmp_path / "tiles.json", tmp_path / "tiling.json"
+        tiles.write_text(json.dumps({"tiles": [tile]}))
+        tiling.write_text(json.dumps({"period": [1, 1], "assign": {"0,0": "X"}}))
+        code, out, err = run(capsys, "tiling", "model", "-t", str(tiles), "-a", str(tiling))
+        assert (code, out) == (65, "")
+        assert err == f"lhs: input error: {direction} color mismatch at cell (0, 0)\n"
 
     @pytest.mark.parametrize("verb, doc", [
         pytest.param("proof", [{"formula": A1, "rule": "A1", "subst": 5}], id="proof-subst"),

@@ -33,6 +33,7 @@ from lhs import (
     right_atom,
     substitute,
 )
+from lhs import normal
 from lhs.bruteforce import find_model
 from lhs.normal import CleanCNF
 from lhs.syntax import Formula, Side, conjoin, disjoin
@@ -333,6 +334,26 @@ class TestCompanion:
             cnf = companion(phi)
         assert cnf.conjuncts == tuple(
             (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)
+
+    def test_negation_chain_is_one_step(self, monkeypatch):
+        # The pass reads a `~` chain off in one step: no step is taken at a
+        # `~`, so 100,000 of them cost the steps that one does.
+        step, steps = normal._step, []
+        monkeypatch.setattr(normal, "_step", lambda *args: steps.append(args[0]) or step(*args))
+        counts = []
+        for n in (1, 100_000):
+            steps.clear()
+            companion(negations(parse("[W]l:p | [B]r:q"), n))
+            assert not any(isinstance(f, Not) for f in steps)
+            counts.append(len(steps))
+        assert counts == [3, 3]
+
+    def test_negation_chain_read_by_parity(self, rng):
+        for _ in range(10):
+            phi = random_i_free(rng)
+            by_parity = companion(phi), companion(Not(phi))
+            for n in (*range(8), 100_000):
+                assert companion(negations(phi, n)) == by_parity[n % 2], (n, phi)
 
     def test_shared_chain_is_not_unfolded(self):
         # 10^4 levels of phi & phi over one shared node: 2^10000 leaves as a
