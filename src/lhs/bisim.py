@@ -51,39 +51,64 @@ def _labels(model: Model, props) -> tuple[dict[State, int], dict[State, int]]:
 def _blocks(m: Model, n: Model, stop=lambda block, at: False) -> dict[tuple[int, State, State], int]:
     """The block of each pair node (0, s, t) of `m` and (1, s, t) of `n`.
 
-    Signature refinement: a node's next block is its block with the sets of
-    blocks of its white and of its black successors, until the number of
-    blocks stops changing or every node has a block of its own. `stop(block,
-    at)`, a test on the numbering (`block[at[i, s, t]]` is a node's block), is
-    checked after the labelling and each round, and ends refinement early: the
-    numbering is then not the settled partition. A round reads every pair node
-    and edge; a round that would take the total over `DEFAULT_CEILING` is
-    refused before it starts, and one that does not run is not charged.
+    A pair node starts in the block of its diagonal bit, the white class of s
+    and the black class of t: the single states of both models, with white
+    edges only, refined from their left and from their right atoms. A pair
+    bisimulation projected onto either coordinate is a bisimulation of single
+    states, so this start parts no related pairs. `stop(block, at)`
+    (`block[at[i, s, t]]` is a node's block), checked on the start and after
+    each pair round, ends refinement early, short of the settled partition.
+    Every round is charged against `DEFAULT_CEILING`; a pair graph one of
+    whose rounds alone would pass it is refused before anything is built.
     """
-    models = (m, n)
-    work = sum(len(x.states) * (len(x.states) + 2 * sum(map(len, x.successor_map.values())))
-               for x in models)
-    if rounds := DEFAULT_CEILING // work:
-        props = sorted(set(m.valuation) | set(n.valuation), key=str)
-        keys = [(i, s, t) for i, x in enumerate(models) for s in x.states for t in x.states]
-        at = {key: i for i, key in enumerate(keys)}
-        white = [[at[i, v, t] for v in models[i].successor_map[s]] for i, s, t in keys]
-        black = [[at[i, s, v] for v in models[i].successor_map[t]] for i, s, t in keys]
-        bits = [_labels(x, props) for x in models]
-        block = _number((s == t, bits[i][0][s], bits[i][1][t]) for i, s, t in keys)
-        if stop(block, at):
-            return dict(zip(keys, block))
-        for _ in range(rounds):
-            refined = _number((b, frozenset(map(block.__getitem__, ws)),
-                               frozenset(map(block.__getitem__, bs)))
-                              for b, ws, bs in zip(block, white, black))
-            # Numbered in order of first use: an unchanged count is an unchanged
-            # partition, and a discrete one cannot split further.
-            if stop(refined, at) or max(refined) in (max(block), len(keys) - 1):
-                return dict(zip(keys, refined))
-            block = refined
-    raise ResourceGuard(f"refinement reads {work} pair-graph nodes and edges a round, so round "
-                        f"{rounds + 1} would pass the ceiling of {DEFAULT_CEILING}")
+    models, props = (m, n), sorted(set(m.valuation) | set(n.valuation), key=str)
+    work = sum(len(x.states) * (len(x.states) + 2 * len(x.edges)) for x in models)
+    what = f"refinement reads {work} pair-graph nodes and edges"
+    _charge([0], work, what, 1)
+    bits = [_labels(x, props) for x in models]
+    states = [(i, s) for i, x in enumerate(models) for s in x.states]
+    pos = {node: j for j, node in enumerate(states)}
+    succ = [[pos[i, v] for v in models[i].successor_map[s]] for i, s in states]
+    cost, spent, no_edges = len(states) + sum(map(len, succ)), [0], [()] * len(states)
+    white, black = (_refine(_number(bits[i][side][s] for i, s in states), lambda: (succ, no_edges),
+                            cost, spent, f"refinement of single states by {atoms} atoms reads "
+                                         f"{cost} states and edges")
+                    for side, atoms in enumerate(("left", "right")))
+    keys = [(i, s, t) for i, x in enumerate(models) for s in x.states for t in x.states]
+    at = {key: i for i, key in enumerate(keys)}
+    block = _number((s == t, white[pos[i, s]], black[pos[i, t]]) for i, s, t in keys)
+    return dict(zip(keys, _refine(
+        block, lambda: ([[at[i, v, t] for v in models[i].successor_map[s]] for i, s, t in keys],
+                        [[at[i, s, v] for v in models[i].successor_map[t]] for i, s, t in keys]),
+        work, spent, what, lambda b: stop(b, at))))
+
+
+def _refine(block: list[int], graph, cost: int, spent: list[int], what: str,
+            stop=lambda block: False) -> list[int]:
+    """Signature refinement of `block`: a node's next block is its block with the
+    sets of blocks of its white and of its black successors, listed by `graph()`
+    when the first round runs, until `stop(block)` holds, every node has a block
+    of its own or a round splits none. A round adds `cost` to `spent[0]`."""
+    k = 1
+    # Numbered in order of first use: an unchanged count is an unchanged
+    # partition, and a discrete one cannot split further.
+    while not (stop(block) or max(block) == len(block) - 1):
+        _charge(spent, cost, what, k)
+        whites, blacks = graph() if k == 1 else (whites, blacks)
+        refined = _number((b, frozenset(map(block.__getitem__, ws)),
+                           frozenset(map(block.__getitem__, bs)))
+                          for b, ws, bs in zip(block, whites, blacks))
+        if max(refined) == max(block):
+            return refined
+        block, k = refined, k + 1
+    return block
+
+
+def _charge(spent: list[int], cost: int, what: str, k: int):
+    if spent[0] + cost > DEFAULT_CEILING:
+        raise ResourceGuard(f"{what} a round, so round {k} would pass the ceiling of "
+                            f"{DEFAULT_CEILING}")
+    spent[0] += cost
 
 
 def _number(signatures) -> list[int]:

@@ -184,7 +184,7 @@ def load_proof(text: str) -> list[ProofLine]:
     for i, entry in enumerate(doc, start=1):
         if not isinstance(entry, dict):
             raise ModelFormatError(f"line {i}: not an object")
-        unknown = set(entry) - {"formula", "rule", "premises", "subst", "vars"}
+        unknown = set(entry) - {"formula", "rule", "premises", "subst"}
         if unknown:
             raise ModelFormatError(f"line {i}: unknown keys {sorted(unknown)}")
         if "formula" not in entry:

@@ -64,6 +64,57 @@ def edgeless(size):
     return make_model([f"w{i}" for i in range(size)], [])
 
 
+def cycle(size):
+    """An atomless directed cycle: its single states form one block."""
+    states = [f"w{i}" for i in range(size)]
+    return make_model(states, list(zip(states, states[1:] + states[:1])))
+
+
+def complete(size):
+    states = [f"k{i}" for i in range(size)]
+    return make_model(states, [(a, b) for a in states for b in states])
+
+
+def path(size):
+    states = [f"p{i}" for i in range(size)]
+    return make_model(states, list(zip(states, states[1:])))
+
+
+def lasso(size):
+    """An atomless path whose last state loops: no two of its pair nodes are
+    bisimilar, yet its single states form one block."""
+    states = [f"x{i}" for i in range(size)]
+    return make_model(states, list(zip(states, states[1:])) + [(states[-1], states[-1])])
+
+
+def structured_pair(rng):
+    """Two of: an atomless cycle or complete graph of 1 to 4 states, half of
+    them in a disjoint union with a path of 1 to 3 states. Their single
+    states fall into one or few blocks, so the pair rounds do the work."""
+    def one():
+        base = rng.choice([cycle, complete])(rng.randint(1, 4))
+        return disjoint_union(base, path(rng.randint(1, 3)))[0] if rng.random() < 0.5 else base
+    return one(), one()
+
+
+def state_bisimilarity(m, n, side):
+    """The greatest Kripke bisimulation between the states of `m` and of `n`
+    over the atoms of `side`, as a fixpoint over state pairs."""
+    props = [p for p in set(m.valuation) | set(n.valuation) if p.side is side]
+    current = {(s, s2) for s in m.states for s2 in n.states
+               if all((s in m.truth_set(p)) == (s2 in n.truth_set(p)) for p in props)}
+    changed = True
+    while changed:
+        changed = False
+        for s, s2 in list(current):
+            forth = all(any((v, v2) in current for v2 in n.successor_map[s2]) for v in m.successor_map[s])
+            back = all(any((v, v2) in current for v in m.successor_map[s]) for v2 in n.successor_map[s2])
+            if not (forth and back):
+                current.discard((s, s2))
+                changed = True
+    return current
+
+
 class TestLargestBisimulation:
     def test_reflexive_singleton(self):
         m = make_model(["w"], [("w", "w")])
@@ -131,61 +182,99 @@ class TestLargestBisimulation:
         assert not are_bisimilar(m, "w0", "w0", m, "w0", "w1")
 
     def test_guard_charges_every_refinement_round(self, monkeypatch):
-        # A 30-state path settles only after about 30 rounds, each reading
-        # 2 * 30 * (30 + 2 * 29) = 5280 pair nodes and edges.
-        states = [f"w{i}" for i in range(30)]
-        m = make_model(states, list(zip(states, states[1:])))
+        # The single states of an atomless 30-cycle form one block, which one
+        # round over 30 + 30 states and 60 edges confirms for the left and
+        # one for the right atoms. Its pair nodes start in two blocks (the
+        # diagonal and the rest) and split by their offset t - s, two blocks
+        # a round, so the 15th pair round is the first to split none; each
+        # reads 2 * 30 * (30 + 2 * 30) = 5400 pair nodes and edges.
+        m = cycle(30)
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 120 + 15 * 5400)
         assert are_bisimilar(m, "w0", "w1", m, "w0", "w1")
-        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 3 * 5280)
-        with pytest.raises(ResourceGuard, match="reads 5280 .* so round 4 would pass"):
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 120 + 15 * 5400 - 1)
+        with pytest.raises(ResourceGuard, match="reads 5400 .* so round 15 would pass"):
             are_bisimilar(m, "w0", "w1", m, "w0", "w1")
 
+    def test_guard_charges_single_state_rounds(self, monkeypatch):
+        # A 30-state path beside a copy: 60 states and 58 edges, split by
+        # their distance to the end, one block a round, so each single-state
+        # refinement runs 30 rounds of 118. A ceiling of one pair round
+        # (2 * 30 * (30 + 2 * 29) = 5280) lets 44 single-state rounds run:
+        # the 30 of the left atoms and 14 of the right ones.
+        m = path(30)
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5280)
+        with pytest.raises(ResourceGuard, match="^refinement of single states by right atoms reads "
+                                                "118 states and edges a round, so round 15 would "
+                                                "pass the ceiling of 5280$"):
+            are_bisimilar(m, "p0", "p1", m, "p0", "p1")
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5279)
+        with pytest.raises(ResourceGuard, match="^refinement reads 5280 pair-graph nodes and edges "
+                                                "a round, so round 1 would pass"):
+            are_bisimilar(m, "p0", "p1", m, "p0", "p1")
+
     def test_stops_at_a_discrete_partition(self, monkeypatch):
-        # Every pair node of a 6-state path and the one of a loop is alone in
-        # its block after round 5, each round reading 6 * (6 + 2 * 5) + 3 = 99
-        # pair nodes and edges: five rounds are enough, four are not.
-        states = [f"x{i}" for i in range(6)]
-        m = make_model(states, list(zip(states, states[1:])))
-        n = make_model(["y"], [("y", "y")])
-        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5 * 99)
+        # The single states of a 6-state lasso and of a 2-state model
+        # (a <-> b, b -> b) form one block, which one round of 8 states and
+        # 9 edges confirms for each side. Their 36 + 4 pair nodes are each
+        # alone in their block after pair round 9, each pair round reading
+        # 6 * (6 + 2 * 6) + 2 * (2 + 2 * 3) = 124 pair nodes and edges:
+        # nine rounds are enough, eight are not.
+        m = lasso(6)
+        n = make_model(["a", "b"], [("a", "b"), ("b", "a"), ("b", "b")])
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 17 + 9 * 124)
         blocks = bisim._blocks(m, n)
-        assert len(set(blocks.values())) == len(blocks) == 37
-        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 5 * 99 - 1)
-        with pytest.raises(ResourceGuard, match="reads 99 .* so round 5 would pass"):
+        assert len(set(blocks.values())) == len(blocks) == 40
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 17 + 9 * 124 - 1)
+        with pytest.raises(ResourceGuard, match="reads 124 .* so round 9 would pass"):
             bisim._blocks(m, n)
-        # But after round 1 the loop's one pair node shares no block with a
-        # pair node of the path, so the relation is empty and its listing
-        # stops there.
-        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 99)
+        # But after pair round 2 no block holds pair nodes of both models, so
+        # the relation is empty and its listing stops there.
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 17 + 2 * 124)
         assert largest_bisimulation(m, n).pairs == frozenset()
-        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 98)
-        with pytest.raises(ResourceGuard, match="reads 99 .* so round 1 would pass"):
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 17 + 2 * 124 - 1)
+        with pytest.raises(ResourceGuard, match="reads 124 .* so round 2 would pass"):
             largest_bisimulation(m, n)
 
     def test_stop_test_ends_refinement_early(self, monkeypatch):
-        # A 30-state path settles only after about 30 rounds. With two rounds
-        # affordable, the full refinement is refused, and a stop test that
-        # holds after round 2 is answered with that round's numbering.
-        states = [f"w{i}" for i in range(30)]
-        m = make_model(states, list(zip(states, states[1:])))
+        # An atomless 30-cycle settles after 15 pair rounds (see above). With
+        # two affordable, the full refinement is refused, and a stop test
+        # that holds after pair round 2 is answered with that round's
+        # numbering.
+        m = cycle(30)
         seen = []
 
         def stop(block, at):
             seen.append(list(block))
             return len(seen) == 3
 
-        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 5280)
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 2 * 120 + 2 * 5400)
         with pytest.raises(ResourceGuard, match="so round 3 would pass"):
             bisim._blocks(m, m)
         blocks = bisim._blocks(m, m, stop)
         assert len(seen) == 3 and list(blocks.values()) == seen[-1]
-        assert len(set(seen[0])) < len(set(seen[1])) < len(set(seen[2]))
+        assert [len(set(block)) for block in seen] == [2, 4, 6]
 
     def test_equals_quadruple_fixpoint(self):
         rng = random.Random(7001)
         for i in range(300):
             m, n = corpus_pair(rng, i)
             assert largest_bisimulation(m, n).pairs == quad_fixpoint(m, n), i
+        rng = random.Random(7004)
+        for i in range(60):
+            m, n = structured_pair(rng)
+            assert largest_bisimulation(m, n).pairs == quad_fixpoint(m, n), ("structured", i)
+
+    def test_relates_only_bisimilar_coordinates(self):
+        # A related quadruple projects onto state pairs that are bisimilar
+        # over the left atoms (first coordinates) and over the right atoms
+        # (second coordinates): the partition refinement starts from there.
+        rng = random.Random(7005)
+        for i in range(200):
+            m, n = corpus_pair(rng, i) if i % 2 else structured_pair(rng)
+            left = state_bisimilarity(m, n, Side.LEFT)
+            right = state_bisimilarity(m, n, Side.RIGHT)
+            for (s, t), (s2, t2) in largest_bisimulation(m, n).pairs:
+                assert (s, s2) in left and (t, t2) in right, (i, s, t, s2, t2)
 
     def test_forty_states(self):
         rng = random.Random(7002)
@@ -241,6 +330,13 @@ class TestAreBisimilar:
                 for s2, t2 in rng.sample(all_pairs(n), min(6, len(all_pairs(n)))):
                     want = blocks[0, s, t] == blocks[1, s2, t2]
                     assert are_bisimilar(m, s, t, n, s2, t2) == want, (i, s, t, s2, t2)
+        for i in range(40):
+            m, n = structured_pair(rng)
+            blocks = bisim._blocks(m, n)
+            for s, t in all_pairs(m):
+                for s2, t2 in rng.sample(all_pairs(n), min(6, len(all_pairs(n)))):
+                    want = blocks[0, s, t] == blocks[1, s2, t2]
+                    assert are_bisimilar(m, s, t, n, s2, t2) == want, ("structured", i, s, t, s2, t2)
 
     def test_truth_invariance(self, rng):
         for _ in range(10):

@@ -907,6 +907,7 @@ class TestOtherCommands:
         pytest.param("proof", [{"formula": A1, "rule": "A1", "subst": {"left": 5}}],
                      id="proof-subst-map"),
         pytest.param("proof", [{"formula": 5, "rule": "A1"}], id="proof-formula"),
+        pytest.param("proof", [{"formula": A1, "rule": "A1", "vars": {}}], id="proof-vars"),
         pytest.param("proof", [{"formula": A1, "rule": "A1", "premises": 5}], id="proof-premises"),
         pytest.param("proof", [{"formula": A1, "rule": "A1"},
                                {"formula": f"[W]({A1})", "rule": "Nec_W", "premises": [True]}],

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lhs import Not, check, check_proof, load_proof, parse, render
+from lhs import ModelFormatError, Not, check, check_proof, load_proof, parse, render
 from lhs.proof import ProofLine, proof_conclusion_valid
 
 from conftest import random_model
@@ -73,27 +73,33 @@ class TestRejections:
     def test_sub_side_violation(self):
         text = json.dumps([
             {"formula": "r:p", "rule": "A1", "premises": [],
-             "subst": {"left": {}, "right": {}}, "vars": {}},
+             "subst": {"left": {}, "right": {}}},
         ])
         # an A1 line must be an implication; and a Sub sending a right
         # variable to a white formula must fail even on a correct premise
         assert not check_proof(load_proof(text)).ok
         text = json.dumps([
             {"formula": "l:p -> (r:q -> l:p)", "rule": "A1", "premises": [],
-             "subst": {"left": {}, "right": {}}, "vars": {}},
+             "subst": {"left": {}, "right": {}}},
             {"formula": "l:p -> ([W]l:a -> l:p)", "rule": "Sub", "premises": [1],
-             "subst": {"left": {}, "right": {"r:q": "[W]l:a"}}, "vars": {}},
+             "subst": {"left": {}, "right": {"r:q": "[W]l:a"}}},
         ])
         report = check_proof(load_proof(text))
         assert not report.ok and report.first_error.line == 2
         assert "side purity" in report.first_error.reason
 
+    def test_unknown_key_rejected(self):
+        # A line has four keys; any other, such as "vars", declares nothing.
+        text = json.dumps([{"formula": "l:p -> (r:q -> l:p)", "rule": "A1", "vars": {}}])
+        with pytest.raises(ModelFormatError, match=r"line 1: unknown keys \['vars'\]"):
+            load_proof(text)
+
     def test_forward_premise_rejected(self):
         text = json.dumps([
             {"formula": "[W](l:p -> (l:q -> l:p))", "rule": "Nec_W",
-             "premises": [2], "subst": {"left": {}, "right": {}}, "vars": {}},
+             "premises": [2], "subst": {"left": {}, "right": {}}},
             {"formula": "l:p -> (l:q -> l:p)", "rule": "A1", "premises": [],
-             "subst": {"left": {}, "right": {}}, "vars": {}},
+             "subst": {"left": {}, "right": {}}},
         ])
         try:
             report = check_proof(load_proof(text))
@@ -142,7 +148,7 @@ class TestAxiomInstance:
     def test_single_a1_line(self):
         text = json.dumps([
             {"formula": "l:p -> (r:q -> l:p)", "rule": "A1", "premises": [],
-             "subst": {"left": {}, "right": {}}, "vars": {}},
+             "subst": {"left": {}, "right": {}}},
         ])
         assert check_proof(load_proof(text)).ok
 
