@@ -12,7 +12,6 @@ from .decide import (
     Verdict,
     brute_force_sat_oracle,
     k_sat,
-    k_valid,
     lhs_bounded_sat,
     lhs_minus_sat,
     lhs_minus_valid,
@@ -36,17 +35,13 @@ from .model import (
     Model,
     disjoint_union,
     enumerate_models,
-    generated_submodel,
     load_model,
-    make_model,
     model_doc,
-    restrict_left,
-    restrict_right,
     save_model,
 )
-from .normal import CleanCNF, clean_decompose, clean_to_cnf, companion, prop_cnf
+from .normal import CleanCNF, clean_to_cnf, companion, prop_cnf
 from .proof import CheckReport, ProofLine, check_proof, load_proof
-from .semantics import check, check_all, fo_eval, fo_render, fo_translate, one_sided_eval
+from .semantics import check, check_all, fo_eval, fo_render, fo_translate
 from .syntax import (
     And,
     Atom,
@@ -66,7 +61,6 @@ from .syntax import (
     WDia,
     classify,
     left_atom,
-    modal_depth,
     parse,
     prop_names,
     render,

@@ -3,7 +3,7 @@
 Exit codes: 0 for positive verdicts (SAT, VALID, true, related, proof ok),
 1 for negative verdicts, 2 when a bounded search exhausts its bound, 64 for
 usage errors, 65 for malformed input files or formulas, 70 when a resource
-guard refuses the job.
+guard refuses the job, 74 when a file or stdout cannot be written.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
-import random
+import os
 import re
 import sys
 import time
@@ -26,6 +26,7 @@ from .syntax import classify, parse, render
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_RESOURCE = 70
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,18 +71,33 @@ def _read_formula(args):
     return _read(args.formula_file, parse)
 
 
+class _OutputError(Exception):
+    """An `OSError` met while writing a file or stdout."""
+
+
+def _write(text: str, path=None):
+    """Write `text` to the file at `path`, or as a line to stdout."""
+    try:
+        if path is None:
+            print(text, flush=True)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if path is None:  # so that the interpreter's flush at exit writes nowhere
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise _OutputError(exc) from exc
+
+
 def _emit(args, payload: dict, human: str):
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(human)
+    _write(json.dumps(payload) if args.json else human)
 
 
 def _write_witness(args, model: Model, pair) -> dict:
     info = {"pair": list(pair)}
     if args.witness:
-        with open(args.witness, "w") as fh:
-            fh.write(save_model(model))
+        _write(save_model(model), args.witness)
         info["path"] = args.witness
     else:
         info["model"] = model_doc(model)
@@ -102,13 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(subs, "parse", _cmd_parse, "parse a formula and reprint it")
     _add_formula_args(p)
     p.add_argument("--full", action="store_true", help="fully parenthesized output")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "check", _cmd_check, "evaluate a formula at a pair of states")
     _add_formula_args(p)
     p.add_argument("-m", "--model", required=True, help="model JSON file")
     p.add_argument("--at", required=True, metavar="S,T", help="evaluation pair")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "sat", _cmd_sat, "satisfiability (decision procedure, I-free)")
     _add_formula_args(p)
@@ -117,53 +131,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_positive_int, metavar="N",
                    help="state bound for --full (default 3)")
     p.add_argument("--witness", help="write the witness model to this file")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "valid", _cmd_valid, "validity for I-free formulas")
     _add_formula_args(p)
     p.add_argument("--witness", help="write the countermodel to this file")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "cnf", _cmd_cnf, "clean CNF companion of an I-free formula")
     _add_formula_args(p)
     p.add_argument("--clean-only", action="store_true",
                    help="the same companion, for a clean input only (exit 65 otherwise)")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "translate", _cmd_translate, "first-order standard translation")
     _add_formula_args(p)
     p.add_argument("-x", type=_variable, default="x", help="first free variable name")
     p.add_argument("-y", type=_variable, default="y", help="second free variable name")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "bisim", _cmd_bisim, "largest bisimulation between two models")
     p.add_argument("-m", "--model", required=True, help="first model JSON file")
     p.add_argument("-n", "--other", required=True, help="second model JSON file")
     p.add_argument("--pairs", metavar="S,T=S2,T2",
                    help="exit 0 iff this pair of pairs is related")
-    p.add_argument("--json", action="store_true")
 
     p = _verb(subs, "proof", _cmd_proof, "check a Hilbert-style derivation")
     p.add_argument("-p", "--proof", required=True, help="proof JSON file")
-    p.add_argument("--json", action="store_true")
 
     p = subs.add_parser("tiling", help="tiling reduction utilities")
     tsubs = p.add_subparsers(dest="tiling_command", required=True)
     g = _verb(tsubs, "gen", _cmd_tiling_gen, "print the formula for a tile set")
     g.add_argument("-t", "--tiles", required=True, help="tile set JSON file")
-    g.add_argument("--json", action="store_true")
     m = _verb(tsubs, "model", _cmd_tiling_model, "build the torus model of a periodic tiling")
     m.add_argument("-t", "--tiles", required=True, help="tile set JSON file")
     m.add_argument("-a", "--assignment", required=True, help="tiling JSON file")
     m.add_argument("-o", "--output", help="write the model to this file")
     m.add_argument("--check", action="store_true",
                    help="model-check the generated formula at (s,s)")
-    m.add_argument("--json", action="store_true")
 
-    p = _verb(subs, "selftest", _cmd_selftest, "quick randomized self-checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_positive_int, default=25)
-    p.add_argument("--json", action="store_true")
+    for verb in [*subs.choices.values(), *tsubs.choices.values()]:
+        if verb.get_default("handler"):  # every verb but `tiling`, which only groups two
+            verb.add_argument("--json", action="store_true")
     ap.verbs = subs.choices  # name -> subparser: `main` reads a verb's argv with its own
     return ap
 
@@ -330,8 +335,7 @@ def _cmd_tiling_model(args):
     ts = _read(args.tiles, tiling_mod.load_tileset)
     model, spy = tiling_mod.torus_model(ts, _read(args.assignment, tiling_mod.load_tiling))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(save_model(model))
+        _write(save_model(model), args.output)
     payload = {"states": len(model.states), "spy": spy}
     lines = [f"torus model: {len(model.states)} states, spy {spy}"]
     code = 0
@@ -346,47 +350,6 @@ def _cmd_tiling_model(args):
     return code
 
 
-def _random_i_free(rng: random.Random, depth: int):
-    from .syntax import (
-        And, BBox, BDia, Implies, Not, Or, WBox, WDia, left_atom, right_atom,
-    )
-
-    if depth == 0 or rng.random() < 0.3:
-        side = rng.choice([left_atom, right_atom])
-        return side(rng.choice(["p", "q"]))
-    op = rng.choice([Not, And, Or, Implies, WBox, WDia, BBox, BDia])
-    if op in (And, Or, Implies):
-        return op(_random_i_free(rng, depth - 1), _random_i_free(rng, depth - 1))
-    return op(_random_i_free(rng, depth - 1))
-
-
-def _cmd_selftest(args):
-    rng = random.Random(args.seed)
-    failures = []
-    start = time.monotonic()
-    for i in range(args.count):
-        phi = _random_i_free(rng, rng.randint(1, 2))
-        if parse(render(phi), allow_reserved=True) != phi:
-            failures.append(f"case {i}: render/parse mismatch for {render(phi)}")
-            continue
-        verdict = decide.lhs_minus_sat(phi)
-        bounded = decide.lhs_bounded_sat(phi, 3)
-        if verdict.status == "UNSAT" and bounded.status == "SAT":
-            failures.append(f"case {i}: UNSAT but bounded search found a model "
-                            f"for {render(phi)}")
-        if verdict.status == "SAT" and verdict.model is None:
-            failures.append(f"case {i}: SAT without witness for {render(phi)}")
-    elapsed = time.monotonic() - start
-    payload = {"cases": args.count, "failures": failures,
-               "time_s": round(elapsed, 4)}
-    human = (f"selftest: {args.count} cases, {len(failures)} failures "
-             f"in {elapsed:.2f}s")
-    if failures:
-        human += "\n" + "\n".join(failures)
-    _emit(args, payload, human)
-    return 0 if not failures else 1
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     ap = _parser()
@@ -396,6 +359,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     try:
         return args.handler(args)
+    except _OutputError as exc:
+        print(f"lhs: output error: {exc}", file=sys.stderr)
+        return EX_IOERR
     except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable file, or not UTF-8
         print(f"lhs: input error: {exc}", file=sys.stderr)
         return EX_DATAERR

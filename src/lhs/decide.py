@@ -187,14 +187,6 @@ def k_sat(phi: Formula) -> KVerdict:
     return KVerdict("SAT", _tree_to_model(tree), "n0")
 
 
-def k_valid(phi: Formula) -> tuple[bool, KVerdict | None]:
-    """Validity in K; on failure also returns the countermodel verdict."""
-    verdict = k_sat(Not(phi))
-    if verdict.status == "UNSAT":
-        return True, None
-    return False, verdict
-
-
 # ---------------------------------------------------------------------------
 # Decision procedure for the I-free fragment
 

@@ -63,20 +63,6 @@ class Model(Record):
         return {w: tuple(ws) for w, ws in succ.items()}
 
 
-def make_model(states, edges, valuation=None) -> Model:
-    """Convenience constructor; valuation keys may be 'l:name' strings."""
-    val = {
-        p if isinstance(p, PropName) else _parse_prop_key(p): frozenset(ws)
-        for p, ws in (valuation or {}).items()
-    }
-    return Model(tuple(states), frozenset(tuple(e) for e in edges), val)
-
-
-def successors(model: Model, w: State) -> frozenset[State]:
-    model.require_state(w)
-    return frozenset(model.successor_map[w])
-
-
 # ---------------------------------------------------------------------------
 # File format
 
@@ -159,26 +145,6 @@ def save_model(model: Model) -> str:
 # Constructions
 
 
-def generated_submodel(model: Model, seeds) -> Model:
-    """Restriction of the model to the reachability closure of `seeds`."""
-    seeds = set(seeds)
-    if not seeds:
-        raise ModelFormatError("generated submodel needs a nonempty seed set")
-    model.require_state(*seeds)
-    reached = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        w = frontier.pop()
-        for v in model.successor_map[w]:
-            if v not in reached:
-                reached.add(v)
-                frontier.append(v)
-    states = tuple(w for w in model.states if w in reached)
-    edges = frozenset((a, b) for a, b in model.edges if a in reached and b in reached)
-    valuation = {p: ws & reached for p, ws in model.valuation.items()}
-    return Model(states, edges, valuation)
-
-
 def disjoint_union(m: Model, n: Model):
     """Side-by-side union with `a.`/`b.` renaming; no cross edges.
 
@@ -198,16 +164,6 @@ def disjoint_union(m: Model, n: Model):
         tagged = frozenset(rename_n[w] for w in ws)
         valuation[prop] = valuation.get(prop, frozenset()) | tagged
     return Model(states, edges, valuation), rename_m, rename_n
-
-
-def restrict_left(model: Model) -> Model:
-    val = {p: ws for p, ws in model.valuation.items() if p.side is Side.LEFT}
-    return Model(model.states, model.edges, val)
-
-
-def restrict_right(model: Model) -> Model:
-    val = {p: ws for p, ws in model.valuation.items() if p.side is Side.RIGHT}
-    return Model(model.states, model.edges, val)
 
 
 # ---------------------------------------------------------------------------

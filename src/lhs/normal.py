@@ -1,4 +1,4 @@
-"""Normal forms: propositional CNF, clean decomposition, clean CNF companion.
+"""Normal forms: propositional CNF and the clean CNF companion.
 
 The clean CNF companion rewrites any I-free formula into an equivalent
 conjunction of disjunctions psi_i | gamma_i, with psi_i built from left atoms
@@ -59,7 +59,6 @@ from .syntax import (
     children,
     conjoin,
     disjoin,
-    fresh_vars,
     strip_nots,
     subformulas,
 )
@@ -103,40 +102,6 @@ def prop_cnf(alpha: Formula) -> Formula:
 def _atom_block(f: Formula) -> int:
     """`prop_cnf`'s blocks: each atom is one, of its own side."""
     return f.facts & ONE_SIDED if isinstance(f, Atom) else 0
-
-
-# ---------------------------------------------------------------------------
-# Clean decomposition
-
-
-def clean_decompose(phi: Formula):
-    """Abstract maximal one-sided subformulas into placeholder atoms.
-
-    Returns (skeleton, blocks, block_to_prop) where the skeleton is
-    propositional over placeholder atoms (left placeholders for white blocks,
-    right for black), `block_to_prop` maps each block to its placeholder, and
-    substituting the blocks back reproduces `phi` syntactically. Identical
-    blocks share one placeholder.
-    """
-    if not phi.facts & CLEAN:
-        raise NotClean(f"not a clean formula: {phi!r}")
-    subs = subformulas(phi)
-    names = {f.prop for f in subs if isinstance(f, Atom)}
-    supply = {side: fresh_vars(side, names) for side in Side}
-    block_to_prop: dict[Formula, PropName] = {}
-    blocks: list[Formula] = []
-    # The maximal blocks: phi itself or an operand of a formula that is not one.
-    tops = {c for f in subs if not f.facts & ONE_SIDED
-            for c in children(f) if c.facts & ONE_SIDED}
-    skeleton: dict[Formula, Formula] = {}
-    for f in subs:  # in post-order
-        if not f.facts & ONE_SIDED:  # in a clean formula, a Boolean connective
-            skeleton[f] = type(f)(*(skeleton[c] for c in children(f)))
-        elif f in tops or f is phi:
-            block_to_prop[f] = next(supply[Side.LEFT if f.facts & WHITE_ONLY else Side.RIGHT])
-            blocks.append(f)
-            skeleton[f] = Atom(block_to_prop[f])
-    return skeleton[phi], blocks, block_to_prop
 
 
 # ---------------------------------------------------------------------------

@@ -144,16 +144,6 @@ def _check_line(lines: list[ProofLine], number: int, line: ProofLine) -> str | N
     return f"unknown rule {rule!r}"
 
 
-def proof_conclusion_valid(lines: list[ProofLine]) -> bool:
-    """Soundness cross-check: the last line must be valid per the decision procedure."""
-    from .decide import lhs_minus_valid
-
-    report = check_proof(lines)
-    if not report.ok or not lines:
-        raise ModelFormatError("conclusion check requires a nonempty verified proof")
-    return lhs_minus_valid(lines[-1].formula).status == "VALID"
-
-
 # ---------------------------------------------------------------------------
 # File format
 

@@ -1,16 +1,17 @@
-"""Two-dimensional truth definition, one-sided evaluation, FO translation."""
+"""Two-dimensional truth definition and the first-order standard translation."""
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import LhsError, MixedFormula, ResourceGuard
+from .errors import LhsError, ResourceGuard
 from .model import Model, State
 from .syntax import (
     Atom,
     BBox,
     BINARY_NODES,
     Bot,
+    CLOSE,
     EqConst,
     Formula,
     And,
@@ -19,16 +20,18 @@ from .syntax import (
     MODAL_NODES,
     Node,
     Not,
+    OPEN,
     Or,
     Side,
+    Token,
     Top,
     WBox,
     WHITE_MODAL,
     children,
-    classify,
     drive,
     strip_nots,
     subformulas,
+    wrapped,
 )
 
 
@@ -107,46 +110,6 @@ def check_all(model: Model, phi: Formula) -> set[tuple[State, State]]:
     return holding_pairs(model, phi)
 
 
-def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
-    """Standard single-agent Kripke truth for a white-only or black-only formula.
-
-    Atoms read their valuation regardless of side; either color of modality
-    quantifies over the successors of `w`.
-    """
-    sc = classify(phi)
-    if not (sc.white_only or sc.black_only):
-        raise MixedFormula("one-sided evaluation requires a white-only or black-only formula")
-    model.require_state(w)
-    states = frozenset(model.states)
-    succ = model.successor_map
-    holds: dict[Formula, frozenset] = {}  # the states where each subformula holds
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            value = model.truth_set(f.prop)
-        elif isinstance(f, Top):
-            value = states
-        elif isinstance(f, Bot):
-            value = frozenset()
-        elif isinstance(f, Not):
-            value = states - holds[f.child]
-        elif isinstance(f, And):
-            value = holds[f.left] & holds[f.right]
-        elif isinstance(f, Or):
-            value = holds[f.left] | holds[f.right]
-        elif isinstance(f, Implies):
-            value = (states - holds[f.left]) | holds[f.right]
-        elif isinstance(f, Iff):
-            value = states - (holds[f.left] ^ holds[f.right])
-        elif isinstance(f, MODAL_NODES):
-            child = holds[f.child]
-            test = all if isinstance(f, (WBox, BBox)) else any
-            value = frozenset(a for a in states if test(v in child for v in succ[a]))
-        else:
-            raise TypeError(f"not a one-sided formula: {f!r}")
-        holds[f] = value
-    return w in holds[phi]
-
-
 # ---------------------------------------------------------------------------
 # First-order translation
 
@@ -171,6 +134,8 @@ class FOFormula(Node):
 # A formula built in code can share subformulas; the translation follows its tree.
 FO_NODE_CEILING = 1_000_000
 _FO_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_FO_BINARY = frozenset(_FO_OPS.values())
+_FO_BARE = _FO_BINARY | {"P", "R"}  # the connectives whose text needs no parentheses after `~`
 
 
 def fo_translate(phi: Formula, x: str = "x", y: str = "y") -> FOFormula:
@@ -266,29 +231,34 @@ def _fo_sat(f: FOFormula, model: Model, env: dict[str, State]):
 
 
 def fo_render(alpha: FOFormula) -> str:
-    """Plain-text form, e.g. `forall z0. (R(x,z0) -> Pl_p(z0))`."""
-    return drive(_fo_render(alpha))
-
-
-def _fo_render(alpha: FOFormula):
-    op = getattr(alpha, "op", None)
-    if op == "P":
-        prefix = "Pl_" if alpha.left.side is Side.LEFT else "Pr_"
-        return f"{prefix}{alpha.left.name}({alpha.right})"
-    if op == "R":
-        return f"R({alpha.left},{alpha.right})"
-    if op == "=":
-        return f"{alpha.left} = {alpha.right}"
-    if op == "~":
-        text = yield _fo_render(alpha.left)
-        if alpha.left.op in ("P", "R") or text.startswith("("):
-            return f"~{text}"
-        return f"~({text})"
-    if op in ("&", "|", "->", "<->"):
-        left = yield _fo_render(alpha.left)
-        right = yield _fo_render(alpha.right)
-        return f"({left} {op} {right})"
-    if op in ("forall", "exists"):
-        child = yield _fo_render(alpha.right)
-        return f"{op} {alpha.left}. ({child})"
-    raise TypeError(f"not an FO formula: {type(alpha).__name__} with op {op!r}")
+    """Plain-text form, e.g. `forall z0. (R(x,z0) -> Pl_p(z0))`, written
+    token by token from an explicit stack, as `syntax.render` writes."""
+    out: list[str] = []
+    stack: list = [alpha]
+    while stack:
+        f = stack.pop()
+        if type(f) is Token:
+            out.append(f)
+            continue
+        op = getattr(f, "op", None)
+        if op == "P":
+            out.append(f"{'Pl_' if f.left.side is Side.LEFT else 'Pr_'}{f.left.name}({f.right})")
+        elif op == "R":
+            out.append(f"R({f.left},{f.right})")
+        elif op == "=":
+            out.append(f"{f.left} = {f.right}")
+        elif op == "~":
+            # Bare when the operand's text is an atom or starts with "(".
+            child = getattr(f.left, "op", None)
+            bare = child in _FO_BARE or child == "=" and str(f.left.left).startswith("(")
+            out.append("~")
+            stack += wrapped(f.left, not bare)
+        elif op in _FO_BINARY:
+            out.append(OPEN)
+            stack += CLOSE, f.right, Token(f" {op} "), f.left
+        elif op in ("forall", "exists"):
+            out.append(f"{op} {f.left}. (")
+            stack += CLOSE, f.right
+        else:
+            raise TypeError(f"not an FO formula: {type(f).__name__} with op {op!r}")
+    return "".join(out)

@@ -246,16 +246,12 @@ _FACTS = {
 }
 
 
-def atom(side: Side, name: str) -> Atom:
-    return Atom(PropName(side, name))
-
-
 def left_atom(name: str) -> Atom:
-    return atom(Side.LEFT, name)
+    return Atom(PropName(Side.LEFT, name))
 
 
 def right_atom(name: str) -> Atom:
-    return atom(Side.RIGHT, name)
+    return Atom(PropName(Side.RIGHT, name))
 
 
 def children(phi: Formula):
@@ -349,14 +345,6 @@ def prop_names(phi: Formula) -> set[PropName]:
     return {f.prop for f in subformulas(phi) if isinstance(f, Atom)}
 
 
-def modal_depth(phi: Formula) -> int:
-    depth: dict[Formula, int] = {}
-    for f in subformulas(phi):
-        inner = max((depth[c] for c in children(f)), default=0)
-        depth[f] = inner + isinstance(f, MODAL_NODES)
-    return depth[phi]
-
-
 # ---------------------------------------------------------------------------
 # Classification
 
@@ -414,14 +402,6 @@ def substitute(
         else:
             out[f] = f
     return out[phi]
-
-
-def fresh_vars(side: Side, avoid: set[PropName]):
-    """The `_fresh<k>` names of the given side not in `avoid`, smallest first."""
-    for k in itertools.count():
-        prop = PropName(side, f"{RESERVED_PREFIX}{k}")
-        if prop not in avoid:
-            yield prop
 
 
 # ---------------------------------------------------------------------------
@@ -544,42 +524,49 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
 # ---------------------------------------------------------------------------
 # Concrete syntax: printer
 
+class Token(str):
+    """Text on a printer's stack, written out when it is popped."""
+
+
+OPEN, CLOSE = Token("("), Token(")")
+
+
+def wrapped(node, parens: bool) -> tuple:
+    """The printer's stack entries for `node`, in push order, in parentheses if `parens`."""
+    return (CLOSE, node, OPEN) if parens else (node,)
+
+
 def render(phi: Formula, full_parens: bool = False) -> str:
     """Concrete syntax; reparses to an identical AST.
 
     A parent puts parentheses around an operand whose precedence is below
     what the operand's position needs. With `full_parens`, every binary
     formula is parenthesised and so is the operand of every unary operator.
+    Each token is written once, into one list: an explicit stack holds the
+    formulas still to print and the tokens that come after them.
     """
-    order = subformulas(phi)
-    # A subformula's text is dropped once its last parent is built.
-    last_parent = {c: f for f in order for c in children(f)}
-    text: dict[Formula, str] = {}
-    for f in order:
-        if isinstance(f, Atom):
-            s = str(f.prop)
-        elif type(f) in _CONSTANT:
-            s = _CONSTANT[type(f)]
-        elif type(f) in _PREFIX:
-            child = text[f.child]
-            if full_parens or _prec(f.child) < _PREC_UNARY:
-                child = f"({child})"
-            s = _PREFIX[type(f)] + child
-        elif type(f) in _BINARY_TOKEN:
-            op, left_prec, right_prec = _BINARY_TOKEN[type(f)]
-            left, right = text[f.left], text[f.right]
+    out: list[str] = []
+    stack: list = [phi]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is Token:
+            out.append(f)
+        elif kind is Atom:
+            out.append(str(f.prop))
+        elif kind in _CONSTANT:
+            out.append(_CONSTANT[kind])
+        elif kind in _PREFIX:
+            out.append(_PREFIX[kind])
+            stack += wrapped(f.child, full_parens or _prec(f.child) < _PREC_UNARY)
+        elif kind in _BINARY_TOKEN:
+            op, left_prec, right_prec = _BINARY_TOKEN[kind]
             if full_parens:
-                s = f"({left}{op}{right})"
-            else:
-                if _prec(f.left) < left_prec:
-                    left = f"({left})"
-                if _prec(f.right) < right_prec:
-                    right = f"({right})"
-                s = left + op + right
+                out.append(OPEN)
+                stack.append(CLOSE)
+            stack += wrapped(f.right, not full_parens and _prec(f.right) < right_prec)
+            stack.append(Token(op))
+            stack += wrapped(f.left, not full_parens and _prec(f.left) < left_prec)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        text[f] = s
-        for c in children(f):
-            if last_parent[c] is f:
-                text.pop(c, None)
-    return text[phi]
+    return "".join(out)

@@ -1,4 +1,5 @@
-"""Shared random generators and helpers for the test suite.
+"""Shared random generators, model constructions and reference
+implementations for the test suite.
 
 Everything here is seeded explicitly by the caller so test runs are
 reproducible; no module-level RNG state.
@@ -31,16 +32,19 @@ from lhs import (
     Top,
     WBox,
     WDia,
-    check,
+    classify,
     left_atom,
-    make_model,
     right_atom,
 )
-from lhs.errors import FormulaSyntaxError, ReservedNameError
+from lhs.errors import FormulaSyntaxError, MixedFormula, ModelFormatError, ReservedNameError
+from lhs.model import State, _parse_prop_key
 from lhs.syntax import (
     _BINARY_TOKEN,
+    _CONSTANT,
     _PREC,
     _PREC_IFF,
+    _PREC_UNARY,
+    _PREFIX,
     _PREFIX_NODE,
     BLACK_MODAL,
     MODAL_NODES,
@@ -50,6 +54,7 @@ from lhs.syntax import (
     PropName,
     Side,
     SyntaxClass,
+    _prec,
     children,
     drive,
     subformulas,
@@ -63,12 +68,13 @@ _UNARY = (Not, WBox, WDia, BBox, BDia)
 _BINARY = (And, Or, Implies, Iff)
 
 
-def run_python(args, env=None, **kwargs):
-    """A fresh interpreter with the package from this checkout on its path."""
+def run_python(args, env=None, stdout=subprocess.PIPE, **kwargs):
+    """A fresh interpreter with the package from this checkout on its path;
+    its stderr, and its stdout unless `stdout` says where to write it, are captured."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, **(env or {})}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=300, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300, **kwargs)
 
 
 @contextmanager
@@ -167,6 +173,85 @@ def random_clean(rng, depth=2, block_depth=2):
               random_clean(rng, depth - 1, block_depth))
 
 
+def make_model(states, edges, valuation=None) -> Model:
+    """Convenience constructor; valuation keys may be 'l:name' strings."""
+    val = {
+        p if isinstance(p, PropName) else _parse_prop_key(p): frozenset(ws)
+        for p, ws in (valuation or {}).items()
+    }
+    return Model(tuple(states), frozenset(tuple(e) for e in edges), val)
+
+
+def generated_submodel(model: Model, seeds) -> Model:
+    """Restriction of the model to the reachability closure of `seeds`."""
+    seeds = set(seeds)
+    if not seeds:
+        raise ModelFormatError("generated submodel needs a nonempty seed set")
+    model.require_state(*seeds)
+    reached = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        w = frontier.pop()
+        for v in model.successor_map[w]:
+            if v not in reached:
+                reached.add(v)
+                frontier.append(v)
+    states = tuple(w for w in model.states if w in reached)
+    edges = frozenset((a, b) for a, b in model.edges if a in reached and b in reached)
+    valuation = {p: ws & reached for p, ws in model.valuation.items()}
+    return Model(states, edges, valuation)
+
+
+def restrict_left(model: Model) -> Model:
+    val = {p: ws for p, ws in model.valuation.items() if p.side is Side.LEFT}
+    return Model(model.states, model.edges, val)
+
+
+def restrict_right(model: Model) -> Model:
+    val = {p: ws for p, ws in model.valuation.items() if p.side is Side.RIGHT}
+    return Model(model.states, model.edges, val)
+
+
+def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
+    """Standard single-agent Kripke truth for a white-only or black-only formula.
+
+    Atoms read their valuation regardless of side; either color of modality
+    quantifies over the successors of `w`.
+    """
+    sc = classify(phi)
+    if not (sc.white_only or sc.black_only):
+        raise MixedFormula("one-sided evaluation requires a white-only or black-only formula")
+    model.require_state(w)
+    states = frozenset(model.states)
+    succ = model.successor_map
+    holds: dict[Formula, frozenset] = {}  # the states where each subformula holds
+    for f in subformulas(phi):
+        if isinstance(f, Atom):
+            value = model.truth_set(f.prop)
+        elif isinstance(f, Top):
+            value = states
+        elif isinstance(f, Bot):
+            value = frozenset()
+        elif isinstance(f, Not):
+            value = states - holds[f.child]
+        elif isinstance(f, And):
+            value = holds[f.left] & holds[f.right]
+        elif isinstance(f, Or):
+            value = holds[f.left] | holds[f.right]
+        elif isinstance(f, Implies):
+            value = (states - holds[f.left]) | holds[f.right]
+        elif isinstance(f, Iff):
+            value = states - (holds[f.left] ^ holds[f.right])
+        elif isinstance(f, MODAL_NODES):
+            child = holds[f.child]
+            test = all if isinstance(f, (WBox, BBox)) else any
+            value = frozenset(a for a in states if test(v in child for v in succ[a]))
+        else:
+            raise TypeError(f"not a one-sided formula: {f!r}")
+        holds[f] = value
+    return w in holds[phi]
+
+
 def random_model(rng, max_states=4, props=("l:p", "l:q", "r:p", "r:q"),
                  edge_prob=0.35, val_prob=0.4):
     """A random Kripke model with 1..max_states states."""
@@ -183,12 +268,6 @@ def random_model(rng, max_states=4, props=("l:p", "l:q", "r:p", "r:q"),
 
 def all_pairs(model):
     return [(s, t) for s in sorted(model.states) for t in sorted(model.states)]
-
-
-def equivalent_on(model, f1, f2):
-    """True when f1 and f2 have the same truth value at every pair."""
-    return all(check(model, s, t, f1) == check(model, s, t, f2)
-               for s, t in all_pairs(model))
 
 
 def rename_copy(model, prefix="c."):
@@ -344,3 +423,70 @@ def reference_classify(phi):
     # the maximal ones (those at the Boolean level) are.
     clean = i_free and all(any(sides[f]) for f in sides if isinstance(f, MODAL_NODES))
     return SyntaxClass(i_free, white_only, black_only, clean)
+
+
+def reference_render(phi, full_parens=False):
+    """`render` as it once was, one string per subformula built from its
+    children's strings: the reference for the token printer."""
+    order = subformulas(phi)
+    # A subformula's text is dropped once its last parent is built.
+    last_parent = {c: f for f in order for c in children(f)}
+    text = {}
+    for f in order:
+        if isinstance(f, Atom):
+            s = str(f.prop)
+        elif type(f) in _CONSTANT:
+            s = _CONSTANT[type(f)]
+        elif type(f) in _PREFIX:
+            child = text[f.child]
+            if full_parens or _prec(f.child) < _PREC_UNARY:
+                child = f"({child})"
+            s = _PREFIX[type(f)] + child
+        elif type(f) in _BINARY_TOKEN:
+            op, left_prec, right_prec = _BINARY_TOKEN[type(f)]
+            left, right = text[f.left], text[f.right]
+            if full_parens:
+                s = f"({left}{op}{right})"
+            else:
+                if _prec(f.left) < left_prec:
+                    left = f"({left})"
+                if _prec(f.right) < right_prec:
+                    right = f"({right})"
+                s = left + op + right
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        text[f] = s
+        for c in children(f):
+            if last_parent[c] is f:
+                text.pop(c, None)
+    return text[phi]
+
+
+def reference_fo_render(alpha):
+    """`fo_render` as it once was, one string per node built from its
+    children's strings: the reference for the token printer."""
+    return drive(_reference_fo_render(alpha))
+
+
+def _reference_fo_render(alpha):
+    op = getattr(alpha, "op", None)
+    if op == "P":
+        prefix = "Pl_" if alpha.left.side is Side.LEFT else "Pr_"
+        return f"{prefix}{alpha.left.name}({alpha.right})"
+    if op == "R":
+        return f"R({alpha.left},{alpha.right})"
+    if op == "=":
+        return f"{alpha.left} = {alpha.right}"
+    if op == "~":
+        text = yield _reference_fo_render(alpha.left)
+        if alpha.left.op in ("P", "R") or text.startswith("("):
+            return f"~{text}"
+        return f"~({text})"
+    if op in ("&", "|", "->", "<->"):
+        left = yield _reference_fo_render(alpha.left)
+        right = yield _reference_fo_render(alpha.right)
+        return f"({left} {op} {right})"
+    if op in ("forall", "exists"):
+        child = yield _reference_fo_render(alpha.right)
+        return f"{op} {alpha.left}. ({child})"
+    raise TypeError(f"not an FO formula: {type(alpha).__name__} with op {op!r}")

@@ -9,8 +9,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from lhs import (
     BBox,
     Iff,
@@ -27,33 +25,33 @@ from lhs import (
     fo_eval,
     fo_translate,
     generate_phi,
-    generated_submodel,
     largest_bisimulation,
     lhs_minus_sat,
     lhs_minus_valid,
     load_proof,
     load_tileset,
     load_tiling,
-    make_model,
-    one_sided_eval,
     parse,
     prop_names,
     render,
-    restrict_left,
-    restrict_right,
     torus_model,
 )
 from lhs.bruteforce import find_model
-from lhs.proof import ProofLine, proof_conclusion_valid
+from lhs.proof import ProofLine
 from lhs.syntax import Side
 
 from conftest import (
     all_pairs,
+    generated_submodel,
+    make_model,
+    one_sided_eval,
     random_formula,
     random_i_free,
     random_model,
     random_one_sided,
     rename_copy,
+    restrict_left,
+    restrict_right,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -239,7 +237,7 @@ def test_criterion_7_proof_corpus(capsys):
         if not check_proof(lines).ok:
             problems.append(f"{path.stem} does not verify")
             continue
-        if not proof_conclusion_valid(lines):
+        if lhs_minus_valid(lines[-1].formula).status != "VALID":
             problems.append(f"{path.stem} conclusion not valid")
         rng = random.Random(len(path.stem))
         for _ in range(20):

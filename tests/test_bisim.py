@@ -13,13 +13,14 @@ from lhs import (
     check_bisimulation_witness,
     disjoint_union,
     largest_bisimulation,
-    make_model,
 )
 from lhs import bisim
 from lhs.bisim import PairRelation, _zigzag_violation
 from lhs.syntax import Side
 
-from conftest import all_pairs, random_formula, random_model, rename_copy, time_budget
+from conftest import (
+    all_pairs, make_model, random_formula, random_model, rename_copy, time_budget,
+)
 
 
 def quad_fixpoint(m, n):

@@ -25,7 +25,6 @@ from lhs import (
     check_all,
     generate_phi,
     load_tileset,
-    make_model,
     parse,
     render,
     torus_model,
@@ -42,7 +41,9 @@ from lhs.bruteforce import (
 from lhs.syntax import prop_names, subformulas
 from lhs.tiling import PeriodicTiling
 
-from conftest import all_pairs, random_formula, random_i_free, reference_frame_ids
+from conftest import (
+    all_pairs, make_model, random_formula, random_i_free, reference_frame_ids,
+)
 
 DATA = Path(__file__).parent / "data"
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import random
 import re
 import resource
@@ -94,7 +95,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         *(pytest.param(["sat", "--full", "-f", "I", "--max-size", bound], id=bound)
           for bound in ("0", "-2", "x")),
-        pytest.param(["selftest", "--count", "-3"], id="count-3"),
     ])
     def test_bound_below_one_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -116,6 +116,28 @@ class TestExitCodes:
         assert time.process_time() - start < 1
         assert code == 70
         assert "level 6 of the search needs a frame table of 597950464 rows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sat", "-f", "l:p", "--witness", "{missing}/w.json"],
+        ["valid", "--json", "-f", "l:p", "--witness", "{missing}/w.json"],
+        ["tiling", "model", "-t", str(DATA / "one_tile.json"), "-a",
+         str(DATA / "unit_tiling.json"), "-o", "{missing}/m.json"],
+    ], ids=["sat", "valid", "tiling-model"])
+    def test_unwritable_file_is_output_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
+        assert (code, out) == (74, "")
+        assert err == (f"lhs: output error: [Errno 2] No such file or directory: "
+                       f"'{tmp_path / 'missing' / argv[-1][-6:]}'\n")
+
+    def test_closed_stdout_is_output_error(self):
+        # A pipe whose reader has gone, as in `lhs parse -F big.txt | head -c 10`:
+        # one line on stderr, and no second error when the interpreter
+        # flushes stdout at exit.
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as sink:
+            proc = run_python(["-m", "lhs.cli", "parse", "-f", "l:p & r:q"], stdout=sink)
+        assert (proc.returncode, proc.stderr) == (74, "lhs: output error: [Errno 32] Broken pipe\n")
 
     def test_force_flag_is_gone(self, capsys):
         assert run(capsys, "sat", "--full", "--force", "-f", "I")[0] == 64
@@ -512,7 +534,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes.append(lhs.cli.main(argv))
 loaded_light = "numpy" in sys.modules
 if heavy == "check_all":
-    model = lhs.make_model(["a", "b"], [("a", "b")], {})
+    model = lhs.Model(("a", "b"), frozenset({("a", "b")}))
     codes.append(sorted(lhs.check_all(model, lhs.parse("<W>I"))))
 else:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -713,7 +735,6 @@ class TestJsonOutput:
         ("proof -p {proof}", "ok lines conclusion"),
         ("tiling gen -t {tiles}", "formula labels"),
         ("tiling model -t {tiles} -a {tiling} --check", "states spy phi_T model"),
-        ("selftest --count 2", "cases failures time_s"),
     ])
     def test_one_line(self, capsys, files, argv, keys):
         code, out, err = run(capsys, *argv.format(**files).split(), "--json")
@@ -1010,6 +1031,3 @@ class TestOtherCommands:
         assert time.process_time() - start < 1
         assert code == 65
         assert "assignment must cover exactly the period cells" in err
-
-    def test_selftest(self, capsys):
-        assert run(capsys, "selftest", "--seed", "1", "--count", "5")[0] == 0

@@ -24,7 +24,6 @@ from lhs import (
     check,
     companion,
     k_sat,
-    k_valid,
     lhs_bounded_sat,
     lhs_minus_sat,
     lhs_minus_valid,
@@ -32,7 +31,6 @@ from lhs import (
     Top,
     WBox,
     WDia,
-    one_sided_eval,
     parse,
 )
 from lhs import decide
@@ -40,8 +38,8 @@ from lhs.bruteforce import find_model
 from lhs.model import enumerate_models, model_doc
 from lhs.syntax import WHITE_MODAL, Side, drive, left_atom, prop_names, right_atom, subformulas
 
-from conftest import (k_branch_n, k_branch_p, random_i_free, random_one_sided,
-                      time_budget)
+from conftest import (k_branch_n, k_branch_p, one_sided_eval, random_i_free,
+                      random_one_sided, time_budget)
 
 
 def enumerated_sat(phi, bound):
@@ -336,13 +334,15 @@ class TestTableauState:
 
 
 class TestKValid:
+    """Validity in K is unsatisfiability of the negation."""
+
     def test_k_axiom(self):
-        ok, _ = k_valid(parse("[W](l:p -> l:q) -> ([W]l:p -> [W]l:q)"))
-        assert ok
+        counter = k_sat(Not(parse("[W](l:p -> l:q) -> ([W]l:p -> [W]l:q)")))
+        assert counter.status == "UNSAT"
 
     def test_atom_invalid_with_countermodel(self):
-        ok, counter = k_valid(parse("l:p"))
-        assert not ok
+        counter = k_sat(Not(parse("l:p")))
+        assert counter.status != "UNSAT"
         assert len(counter.model.states) == 1
         assert not one_sided_eval(counter.model, counter.state, parse("l:p"))
 
@@ -350,7 +350,8 @@ class TestKValid:
         for _ in range(150):
             side = rng.choice([Side.LEFT, Side.RIGHT])
             phi = random_one_sided(rng, side, depth=2)
-            ok, counter = k_valid(phi)
+            counter = k_sat(Not(phi))
+            ok = counter.status == "UNSAT"
             oracle = brute_force_sat_oracle(Not(phi), 3)
             if oracle.status == "SAT":
                 assert not ok

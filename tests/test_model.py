@@ -11,20 +11,24 @@ from lhs import (
     ResourceGuard,
     check,
     disjoint_union,
-    generated_submodel,
     load_model,
-    make_model,
     model_doc,
-    one_sided_eval,
-    restrict_left,
-    restrict_right,
     save_model,
 )
 from lhs import model
-from lhs.model import enumerate_models, successors
+from lhs.model import enumerate_models
 from lhs.syntax import Side
 
-from conftest import all_pairs, random_formula, random_model, random_one_sided
+from conftest import (
+    generated_submodel,
+    make_model,
+    one_sided_eval,
+    random_formula,
+    random_model,
+    random_one_sided,
+    restrict_left,
+    restrict_right,
+)
 
 
 class TestLoadSave:
@@ -92,16 +96,16 @@ class TestLoadSave:
 class TestSuccessors:
     def test_isolated(self):
         m = make_model(["a"], [])
-        assert successors(m, "a") == frozenset()
+        assert m.successor_map["a"] == ()
 
     def test_reflexive(self):
         m = make_model(["a"], [("a", "a")])
-        assert "a" in successors(m, "a")
+        assert "a" in m.successor_map["a"]
 
     def test_unknown_state(self):
         m = make_model(["a"], [])
         with pytest.raises(Exception):
-            successors(m, "zz")
+            m.require_state("zz")
 
 
 class TestGeneratedSubmodel:

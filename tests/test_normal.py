@@ -1,4 +1,4 @@
-"""Propositional CNF, clean decomposition, clean CNF, and the companion."""
+"""Propositional CNF, clean CNF, and the companion."""
 
 import itertools
 import re
@@ -19,30 +19,24 @@ from lhs import (
     ResourceGuard,
     Top,
     WBox,
-    check,
     classify,
-    clean_decompose,
     clean_to_cnf,
     companion,
     left_atom,
-    make_model,
     parse,
     prop_cnf,
     prop_names,
     render,
     right_atom,
-    substitute,
 )
 from lhs import normal
 from lhs.bruteforce import find_model
 from lhs.normal import CleanCNF
-from lhs.syntax import Formula, Side, conjoin, disjoin
+from lhs.syntax import Side, conjoin, disjoin
 
 from conftest import (
-    equivalent_on,
     random_clean,
     random_i_free,
-    random_model,
     time_budget,
 )
 
@@ -99,7 +93,6 @@ def is_cnf(phi):
 
 def random_prop_formula(rng, depth=3):
     """Random modality-free formula over both sides' atoms."""
-    import random as _r
     from lhs import Implies
     leaves = [left_atom("p"), left_atom("q"), right_atom("p"), right_atom("q"),
               Top(), Bot()]
@@ -183,37 +176,6 @@ class TestPropCNF:
         with pytest.raises(ResourceGuard, match="built 32781 conjuncts and its next "
                                                 "step would build 32768 more"):
             prop_cnf(disjoin(pairs))
-
-
-class TestCleanDecompose:
-    def test_one_sided_is_single_placeholder(self):
-        phi = parse("[W](l:p & l:q)")
-        skeleton, blocks, mapping = clean_decompose(phi)
-        assert blocks == [phi]
-        assert isinstance(skeleton, Atom)
-
-    def test_two_blocks(self):
-        phi = parse("[W]l:p | [B]r:q")
-        skeleton, blocks, _ = clean_decompose(phi)
-        assert isinstance(skeleton, Or)
-        assert blocks == [parse("[W]l:p"), parse("[B]r:q")]
-
-    def test_shared_blocks_share_placeholders(self):
-        phi = parse("[W]l:p & [W]l:p")
-        _, blocks, mapping = clean_decompose(phi)
-        assert len(blocks) == 1 and len(mapping) == 1
-
-    def test_rejects_unclean(self):
-        with pytest.raises(NotClean):
-            clean_decompose(parse("[W](l:p | r:q)"))
-
-    def test_back_substitution_identity(self, rng):
-        for _ in range(500):
-            phi = random_clean(rng, depth=3)
-            skeleton, blocks, mapping = clean_decompose(phi)
-            left_map = {pn: b for b, pn in mapping.items() if pn.side is Side.LEFT}
-            right_map = {pn: b for b, pn in mapping.items() if pn.side is Side.RIGHT}
-            assert substitute(skeleton, left_map, right_map) == phi
 
 
 class TestCleanToCNF:

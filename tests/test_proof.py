@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from lhs import ModelFormatError, Not, check, check_proof, load_proof, parse, render
-from lhs.proof import ProofLine, proof_conclusion_valid
+from lhs import ModelFormatError, Not, check, check_proof, lhs_minus_valid, load_proof, parse
+from lhs.proof import ProofLine
 
 from conftest import random_model
 
@@ -30,7 +30,9 @@ class TestCorpus:
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
     def test_conclusion_valid(self, path):
-        assert proof_conclusion_valid(load(path))
+        lines = load(path)
+        assert check_proof(lines).ok
+        assert lhs_minus_valid(lines[-1].formula).status == "VALID"
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
     def test_conclusion_true_on_random_models(self, path, rng):
@@ -108,9 +110,10 @@ class TestRejections:
             pass  # raising on malformed indices is also acceptable
 
     def test_empty_proof_has_no_conclusion(self):
-        assert check_proof([]).ok  # vacuously fine
-        with pytest.raises(Exception):
-            proof_conclusion_valid([])
+        lines = []
+        assert check_proof(lines).ok  # vacuously fine
+        with pytest.raises(IndexError):  # no last line to decide
+            lhs_minus_valid(lines[-1].formula)
 
 
 class TestAxiomInstance:

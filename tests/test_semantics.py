@@ -31,8 +31,6 @@ from lhs import (
     k_sat,
     left_atom,
     lhs_minus_sat,
-    make_model,
-    one_sided_eval,
     parse,
     right_atom,
     subformulas,
@@ -45,9 +43,12 @@ from lhs.syntax import Side, conjoin, disjoin, drive, render
 
 from conftest import (
     all_pairs,
+    make_model,
+    one_sided_eval,
     random_formula,
     random_model,
     random_one_sided,
+    reference_fo_render,
     run_python,
     time_budget,
 )
@@ -246,9 +247,9 @@ class TestCheckChains:
 
 _CHAIN_SCRIPT = """
 import json, sys
-from lhs import make_model, parse, check
+from lhs import check, load_model, parse
 n = 200_000
-model = make_model(["w", "v"], [], {"l:p": ["w"], "r:q": ["w"]})
+model = load_model('{"states": ["w", "v"], "valuation": {"l:p": ["w"], "r:q": ["w"]}}')
 texts = [" & ".join(["l:p"] * (n - 1) + ["r:q"]), " | ".join(["r:q"] * (n - 1) + ["l:p"]),
          "~" * n + "l:p", "~" * (n - 1) + "l:p"]
 formulas = [parse(text) for text in texts]
@@ -453,6 +454,16 @@ class TestTranslation:
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != fo_translate(parse("~" * 2998 + "l:p"))
         assert repr(a) == fo_render(a) == "~(" * 2999 + "~Pl_p(x)" + ")" * 2999
+
+    def test_same_text_as_reference(self, rng):
+        # Byte for byte the text of `reference_fo_render`, which built each
+        # node's string from its children's; a free variable that starts
+        # with "(" decides whether a `~` parenthesises an equality.
+        for _ in range(1000):
+            phi = random_formula(rng, depth=rng.choice([2, 4, 6]))
+            for x, y in (("x", "y"), ("(v", "w")):
+                alpha = fo_translate(phi, x=x, y=y)
+                assert fo_render(alpha) == reference_fo_render(alpha), phi
 
     def test_nested_iff_answered(self, capsys):
         # Each <-> is one first-order <->, which reads its operands once, so

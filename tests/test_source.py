@@ -1,8 +1,10 @@
-"""The package source itself: every module reads each name it imports; and
-the committed benchmark records."""
+"""The package source itself: every module reads each name it imports, and
+something outside each top-level definition uses it; and the committed
+benchmark records."""
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,42 @@ def test_no_unused_import(module):
 def test_unused_import_found():
     source = "import os.path\nfrom .syntax import Atom, Side as S\nos.sep\nS.LEFT\n"
     assert unused_imports(source) == ["Atom"]
+
+
+def names_used(node) -> set[str]:
+    """The names that the code of `node` imports or reads, attributes included."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.asname or n.name.split(".")[-1]
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def unused_definitions(planted: str = "") -> list[str]:
+    """`module.name` of each top-level function and class of `src/lhs`, with
+    `planted` appended to `syntax.py`, that no other top-level statement there
+    (`__init__.py` only re-exports), no code of `perfbench/*.py` and no word
+    of `README.md` uses. A name inside a string is no use."""
+    trees = {p.stem: ast.parse(p.read_text() + planted * (p.stem == "syntax"))
+             for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text())).union(
+        *(names_used(ast.parse(p.read_text())) for p in (ROOT / "perfbench").glob("*.py")))
+    statements = [(node, names_used(node)) for tree in trees.values() for node in tree.body]
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+                  and not any(node.name in names for other, names in statements if other is not node))
+
+
+# The benchmark's tracer hooks it by name, in a string; ROADMAP direction 5
+# moves it into the tests.
+KEPT_FOR_THE_BENCHMARK = ["model.enumerate_models"]
+
+
+def test_every_definition_used():
+    assert unused_definitions() == KEPT_FOR_THE_BENCHMARK
+
+
+def test_unused_definition_found():
+    planted = "\n\ndef planted_unused(n):\n    return planted_unused(n - 1)\n"
+    assert unused_definitions(planted) == sorted(KEPT_FOR_THE_BENCHMARK + ["syntax.planted_unused"])
 
 
 def test_no_generated_code():

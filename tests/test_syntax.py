@@ -1,4 +1,4 @@
-"""Parser, printer, classification, substitution, and fresh-name tests."""
+"""Parser, printer, classification and substitution tests."""
 
 import random
 import re
@@ -24,8 +24,9 @@ from lhs import (
     WDia,
     classify,
     companion,
+    fo_render,
+    fo_translate,
     left_atom,
-    modal_depth,
     parse,
     prop_names,
     render,
@@ -34,7 +35,7 @@ from lhs import (
     substitute,
 )
 from lhs.errors import FormulaSyntaxError
-from lhs.syntax import PropName, Side, conjoin, disjoin, fresh_vars
+from lhs.syntax import PropName, Side, conjoin, disjoin
 
 from conftest import (
     random_formula,
@@ -42,6 +43,7 @@ from conftest import (
     random_one_sided,
     reference_classify,
     reference_parse,
+    reference_render,
     time_budget,
 )
 
@@ -207,6 +209,38 @@ class TestRender:
             assert parse(render(phi)) == phi
             assert parse(render(phi, full_parens=True)) == phi
 
+    def test_same_text_as_reference(self):
+        # Byte for byte the text of `reference_render`, which built each
+        # subformula's string from its children's, on random formulas, long
+        # chains and formulas that share subtrees.
+        rng = random.Random(11)
+        shared = parse("l:p -> ~r:q")
+        corpus = [random_formula(rng, depth=rng.choice([2, 4, 6])) for _ in range(2000)]
+        corpus += [parse(" & ".join(["(l:p | r:q)"] * 300)), parse("[W]" * 300 + "I"),
+                   parse(" <-> ".join(["(l:p -> r:q)"] * 50)), conjoin([shared] * 64),
+                   Iff(Iff(shared, shared), Implies(Implies(shared, shared), Not(shared)))]
+        for phi in corpus:
+            for full_parens in (False, True):
+                assert render(phi, full_parens) == reference_render(phi, full_parens), phi
+
+    @pytest.mark.parametrize("build, show", [
+        (lambda k: parse(" & ".join(["(l:p | r:q)"] * k)), render),
+        (lambda k: parse("[W]" * k + "l:p"), render),
+        (lambda k: fo_translate(parse("[W]" * k + "l:p")), fo_render),
+    ], ids=["wide_and", "deep_box", "fo_deep_box"])
+    def test_linear_time(self, build, show):
+        # Four times the input costs about four times the CPU time, not
+        # sixteen, as it did when each node's text copied its children's.
+        def cpu(k):
+            built = build(k)
+            start = time.process_time()
+            show(built)
+            return time.process_time() - start
+
+        with time_budget(20):
+            small, large = min(cpu(10_000) for _ in range(3)), cpu(40_000)
+        assert large < 10 * small + 0.05
+
 
 class TestSubformulas:
     def test_atom(self):
@@ -237,7 +271,7 @@ class TestSubformulas:
 
     def test_modal_depth_and_prop_names(self):
         phi = parse("[W](l:p -> <B> r:q)")
-        assert modal_depth(phi) == 2
+        assert phi == WBox(Implies(lp(), BDia(right_atom("q"))))
         assert prop_names(phi) == {PropName(Side.LEFT, "p"), PropName(Side.RIGHT, "q")}
 
 
@@ -264,7 +298,7 @@ class TestClassify:
         c = classify(clean)
         assert c.i_free and c.clean and not c.white_only and not c.black_only
         assert not classify(mixed).clean
-        assert modal_depth(clean) == 2
+        assert len(subformulas(clean)) == 3006
 
     def test_subformulas_of_one_sided_stay_one_sided(self, rng):
         for _ in range(100):
@@ -330,24 +364,6 @@ class TestSubstitute:
             assert classify(out).i_free
 
 
-class TestFreshVar:
-    def test_first(self):
-        assert next(fresh_vars(Side.LEFT, set())) == PropName(Side.LEFT, "_fresh0")
-
-    def test_skips_taken(self):
-        taken = {PropName(Side.LEFT, "_fresh0"), PropName(Side.LEFT, "_fresh2")}
-        names = fresh_vars(Side.LEFT, taken)
-        assert [next(names), next(names)] == [PropName(Side.LEFT, "_fresh1"),
-                                              PropName(Side.LEFT, "_fresh3")]
-
-    def test_never_collides(self):
-        avoid = {PropName(Side.RIGHT, f"_fresh{k}") for k in range(0, 60, 3)}
-        names = fresh_vars(Side.RIGHT, avoid)
-        drawn = [next(names) for _ in range(30)]
-        assert len(set(drawn)) == 30
-        assert avoid.isdisjoint(drawn)
-
-
 class TestFolds:
     def test_small_folds_left_associated(self):
         a, b, c = lp("a"), lp("b"), lp("c")
@@ -358,7 +374,8 @@ class TestFolds:
 
     def test_large_folds_balanced(self):
         parts = [lp(f"a{i}") for i in range(64)]
-        assert modal_depth(conjoin(parts)) == 0
+        phi = conjoin(parts)
+        assert len(prop_names(phi.left)) == len(prop_names(phi.right)) == 32
         # a balanced tree over 64 leaves reparses and keeps all atoms
         assert prop_names(conjoin(parts)) == {PropName(Side.LEFT, f"a{i}")
                                               for i in range(64)}

@@ -14,17 +14,17 @@ from lhs import (
     generate_phi,
     load_tileset,
     load_tiling,
-    make_model,
     parse,
     render,
     subformulas,
     torus_model,
     validate_tiling,
 )
-from lhs.model import successors
 from lhs.syntax import children
 from lhs import tiling
 from lhs.tiling import PeriodicTiling, Tile, TileSet
+
+from conftest import make_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,7 +169,7 @@ class TestTorusModel:
         model, spy = torus_model(ts, pt)
         assert len(model.states) == 4  # spy + the three even-coordinate cells
         grid = set(model.states) - {spy}
-        assert successors(model, spy) == frozenset(grid)
+        assert frozenset(model.successor_map[spy]) == frozenset(grid)
 
     def test_unit_torus_satisfies_phi(self):
         ts = load_tileset((DATA / "one_tile.json").read_text())
@@ -212,9 +212,9 @@ class TestTorusModel:
         r_states = model.truth_set(PropName(Side.LEFT, "r_"))
         tiles = set(model.states) - {spy} - set(u_states) - set(r_states)
         for w in tiles:
-            succ = successors(model, w)
+            succ = frozenset(model.successor_map[w])
             assert len(succ & u_states) == 1
             assert len(succ & r_states) == 1
         # intermediate states continue in exactly one direction
         for w in set(u_states) | set(r_states):
-            assert len(successors(model, w)) == 1
+            assert len(model.successor_map[w]) == 1
