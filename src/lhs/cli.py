@@ -3,7 +3,8 @@
 Exit codes: 0 for positive verdicts (SAT, VALID, true, related, proof ok),
 1 for negative verdicts, 2 when a bounded search exhausts its bound, 64 for
 usage errors, 65 for malformed input files or formulas, 70 when a resource
-guard refuses the job, 74 when a file or stdout cannot be written.
+guard refuses the job or memory runs out, 74 when a file or stdout cannot be
+written.
 """
 
 from __future__ import annotations
@@ -367,6 +368,9 @@ def main(argv=None) -> int:
         return EX_DATAERR
     except ResourceGuard as exc:
         print(f"lhs: refused: {exc}", file=sys.stderr)
+        return EX_RESOURCE
+    except MemoryError:  # not 1, which would read as "no"
+        print("lhs: refused: out of memory", file=sys.stderr)
         return EX_RESOURCE
     except LhsError as exc:
         print(f"lhs: error: {exc}", file=sys.stderr)

@@ -12,19 +12,18 @@ from .semantics import check
 from .syntax import (
     MODAL_NODES,
     ONE_SIDED,
-    And,
     Atom,
     BBox,
     Bot,
     Formula,
     Iff,
-    Implies,
     Not,
-    Or,
     Record,
     Top,
     WBox,
     drive,
+    junction,
+    spine,
     strip_nots,
 )
 
@@ -61,9 +60,11 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
     """Satisfiability of a set of goals in basic modal logic K.
 
     A goal is a (subformula, polarity) pair, read the way the companion reads
-    them, so no negation normal form is written out: `->` is `|` with its left
-    operand negated, and `<->` is one branch point whose two branches each add
-    both operands, at equal polarities or, negated, at opposite ones.
+    them, so no negation normal form is written out. Of a chain of one
+    junction, read through `syntax.spine`, a conjunction queues every operand
+    and a disjunction is one branch point, a branch per distinct operand.
+    `<->` is one branch point whose two branches each add both operands, at
+    equal polarities or, negated, at opposite ones.
 
     `goals` maps each goal of this state on this branch to the set of branch
     points it depends on: an int whose bit d stands for the branch point at
@@ -75,8 +76,8 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
     appends to `goals` and `todo`. An expanded goal stays in `goals`, so a
     goal queued again is not expanded again: its operands are already
     queued. A branch point notes the lengths of both before its first
-    branch; if that branch fails, the entries past those lengths are
-    dropped (dicts keep insertion order) before the second branch is tried.
+    branch, and each branch starts by dropping the entries past those
+    lengths (dicts keep insertion order) that a failed branch left.
     Every goal expanded counts against `DEFAULT_STEP_CEILING`; `steps`
     numbers them.
 
@@ -84,10 +85,10 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
     set of branch points the clash depends on. Two complementary literals
     (or `false`) depend on their sets; a diamond whose successor clashes adds
     its own set to the successor's, which holds only sets of the boxes that
-    took part. A branch point whose first branch fails without it in the
-    clash returns that clash and skips the second branch (backjumping,
-    Horrocks & Patel-Schneider 1999). Depth is bounded by modal depth, so no
-    loop check is needed.
+    took part. A branch point whose branch fails without it in the clash
+    returns that clash and skips the branches left (backjumping, Horrocks &
+    Patel-Schneider 1999), else the union of its branches' clashes without
+    it. Depth is bounded by modal depth, so no loop check is needed.
     """
     while head < len(todo):
         key = todo[head]
@@ -109,29 +110,26 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
         if isinstance(f, Iff):
             branches = ((strip_nots(f.left, True), strip_nots(f.right, positive)),
                         (strip_nots(f.left, False), strip_nots(f.right, not positive)))
-        elif isinstance(f, (And, Or, Implies)):
-            operands = (strip_nots(f.left, positive != isinstance(f, Implies)),
-                        strip_nots(f.right, positive))
-            if isinstance(f, And) == positive:  # a conjunction
-                _queue(goals, todo, operands, deps)
-                continue
-            branches = operands[:1], operands[1:]
-        else:
+        elif isinstance(f, MODAL_NODES):
             continue  # a box or a diamond, read once every goal is expanded
+        elif junction(f, positive):
+            _queue(goals, todo, spine(f, positive, set()), deps)
+            continue
+        else:
+            branches = [(operand,) for operand in dict.fromkeys(spine(f, positive, set()))]
         bit = 1 << depth
         goal_mark, todo_mark = len(goals), len(todo)
-        _queue(goals, todo, branches[0], deps | bit)
-        first = yield _tableau(goals, todo, head, depth + 1, steps)
-        if isinstance(first, tuple) or not first & bit:
-            return first
-        while len(goals) > goal_mark:
-            goals.popitem()
-        del todo[todo_mark:]
-        _queue(goals, todo, branches[1], deps | bit)
-        second = yield _tableau(goals, todo, head, depth + 1, steps)
-        if isinstance(second, tuple) or not second & bit:
-            return second
-        return (first | second) & ~bit
+        clash = 0
+        for branch in branches:
+            while len(goals) > goal_mark:
+                goals.popitem()
+            del todo[todo_mark:]
+            _queue(goals, todo, branch, deps | bit)
+            result = yield _tableau(goals, todo, head, depth + 1, steps)
+            if isinstance(result, tuple) or not result & bit:
+                return result
+            clash |= result
+        return clash & ~bit
     atoms, boxes, diamonds = set(), {}, {}
     for (f, positive), deps in goals.items():
         if isinstance(f, Atom):

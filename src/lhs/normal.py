@@ -16,7 +16,8 @@ conjuncts of <W>(&_S psi_i) | (|_S gamma_i), because the black parts gamma_i
 do not change along white moves (mirrored for <B>); only the sets S that no
 larger set implies are built. A chain of one junction (`a & b & c ...`, read
 at its polarity) is one step, and so is a `~` chain, so each operand is read
-once, not once per level of the chain.
+once, not once per level of the chain: `syntax.spine` lists the operands, as
+it does for `check` and the K tableau.
 
 The propositional `prop_cnf` runs the same pass with every atom, and nothing
 else, a block of its own side, so only the Boolean steps apply; so do they on
@@ -44,7 +45,6 @@ from .syntax import (
     EqConst,
     Formula,
     Iff,
-    Implies,
     MODAL_NODES,
     Not,
     Or,
@@ -59,6 +59,8 @@ from .syntax import (
     children,
     conjoin,
     disjoin,
+    junction,
+    spine,
     strip_nots,
     subformulas,
 )
@@ -262,41 +264,17 @@ def _one_sided(f: Formula) -> int:
     return f.facts & ONE_SIDED
 
 
-def _junction(f: Formula, positive: bool, block) -> bool | None:
-    """True when `f` read at polarity `positive` is a conjunction (`a & b`,
-    `~(a | b)`, `~(a -> b)`), False when it is a disjunction, None when it is
-    neither or `f` is a block."""
-    if not isinstance(f, (And, Or, Implies)) or block(f):
-        return None
-    return positive if isinstance(f, And) else not positive
-
-
-def _polar_children(f: Formula, positive: bool, block, expanded: set) -> tuple:
-    """The (subformula, polarity) pairs whose lists `_step` reads, `~`s read off.
-
-    For `&`, `|` and `->` these are the operands of the maximal spine of one
-    junction, left to right, so a chain of any width is one step. The spine
-    stops at a `~` or a node in `expanded` (one that this or an earlier spine
-    has expanded, a shared node or an equal copy) and reads it as an operand,
-    so no node is expanded twice and a formula built as a DAG is not unfolded.
-    """
+def _polar_children(f: Formula, positive: bool, block, expanded: set):
+    """The (subformula, polarity) pairs whose lists `_step` reads, `~`s read
+    off: for `&`, `|` and `->` the operands of one `spine`, which stops at
+    `block`s and shares `expanded` with every other spine of the pass."""
     if isinstance(f, (Top, Bot)) or block(f):
         return ()
     if isinstance(f, Iff):
         return tuple(strip_nots(g, sign) for sign in (True, False) for g in (f.left, f.right))
-    junction = _junction(f, positive, block)
-    if junction is None:
+    if junction(f, positive) is None:
         return tuple(strip_nots(c, positive) for c in children(f))
-    operands, stack = [], [(f, positive)]
-    while stack:
-        g, polarity = key = stack.pop()
-        if g is not f and (key in expanded or _junction(g, polarity, block) is not junction):
-            operands.append(strip_nots(*key))
-        else:
-            expanded.add(key)
-            stack.append((g.right, polarity))
-            stack.append((g.left, polarity != isinstance(g, Implies)))
-    return tuple(operands)
+    return spine(f, positive, expanded, block)
 
 
 def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
@@ -325,7 +303,7 @@ def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
         if not positive:  # ~(a <-> b) is a <-> ~b
             right, not_right = not_right, right
         return _and([_or([not_left, right], spent), _or([not_right, left], spent)], spent)
-    return (_and if _junction(f, positive, block) else _or)(lists, spent)
+    return (_and if junction(f, positive) else _or)(lists, spent)
 
 
 def _conjuncts(phi: Formula, block) -> list:

@@ -29,6 +29,8 @@ from .syntax import (
     WHITE_MODAL,
     children,
     drive,
+    junction,
+    spine,
     strip_nots,
     subformulas,
     wrapped,
@@ -40,10 +42,11 @@ def check(model: Model, s: State, t: State, phi: Formula) -> bool:
 
     Left atoms and white modalities read/move the first coordinate, right
     atoms and black modalities the second; `I` holds exactly on the diagonal.
-    A chain of one connective (`~`, `&` or `|`) is one step, memoized per call
-    on (subformula, s, t) for its root and operands only, as is every other
-    node read; an inner node that an earlier chain at (s, t) expanded is read
-    as an operand. This is the readable reference; `bruteforce.truth_table`
+    A `~` chain is one step, and so is a chain of one junction (`&`, `|`,
+    `->`), read through `syntax.spine` up to the first operand that decides.
+    Chain roots and operands, like every other node read, are memoized per
+    call on (subformula, s, t); an inner node that an earlier chain at (s, t)
+    expanded is an operand. The readable reference: `bruteforce.truth_table`
     evaluates the same definition at every pair at once.
     """
     model.require_state(s, t)
@@ -67,22 +70,6 @@ def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
     elif isinstance(f, Not):
         g, positive = strip_nots(f)
         value = positive == (yield _sat(g, a, b, model, memo))
-    elif isinstance(f, (And, Or)):
-        # The inner nodes that chains at (a, b) expanded, kept in `memo` under (a, b)
-        # for the whole call and fetched at the first inner node: met again, one
-        # is read as an operand.
-        junction, value, stack, expanded = type(f), isinstance(f, And), [f.right, f.left], None
-        while stack:  # operands left to right until one decides; a memoized one is not walked
-            g = stack.pop()
-            if type(g) is junction and id(g) not in (expanded := expanded or memo.setdefault((a, b), set())):
-                expanded.add(id(g))
-                stack += g.right, g.left
-            elif (held if (held := memo.get((g, a, b))) is not None
-                  else (yield _sat(g, a, b, model, memo))) != value:
-                value = not value
-                break
-    elif isinstance(f, Implies):
-        value = (not (yield _sat(f.left, a, b, model, memo))) or (yield _sat(f.right, a, b, model, memo))
     elif isinstance(f, Iff):
         value = (yield _sat(f.left, a, b, model, memo)) == (yield _sat(f.right, a, b, model, memo))
     elif isinstance(f, MODAL_NODES):
@@ -93,6 +80,16 @@ def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
         for w in model.successor_map[a if white else b]:
             pair = (w, b) if white else (a, w)
             if (yield _sat(f.child, *pair, model, memo)) != value:
+                value = not value
+                break
+    elif (value := junction(f, True)) is not None:  # true for a conjunction
+        # The pairs that chains at (a, b) expanded, kept in `memo` under (a, b)
+        # for the whole call: met again, one is read as an operand.
+        for g, polarity in spine(f, True, memo.setdefault((a, b), set())):
+            held = memo.get((g, a, b))  # operands left to right until one decides
+            if held is None:
+                held = yield _sat(g, a, b, model, memo)
+            if (held == polarity) != value:
                 value = not value
                 break
     else:

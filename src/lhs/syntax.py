@@ -270,6 +270,39 @@ def strip_nots(f: Formula, positive: bool = True) -> tuple[Formula, bool]:
     return f, positive
 
 
+# node type: whether it is a conjunction when read positively
+_JUNCTIONS = {And: True, Or: False, Implies: False}
+
+
+def junction(f: Formula, positive: bool) -> bool | None:
+    """True when `f` read at `positive` is a conjunction (`a & b`, `~(a | b)`,
+    `~(a -> b)`), False when it is a disjunction, None when it is neither."""
+    kind = _JUNCTIONS.get(type(f))
+    return None if kind is None else kind == positive
+
+
+def spine(f: Formula, positive: bool, expanded: set, block=None) -> list:
+    """The (operand, polarity) pairs, left to right with `~`s read off, of the
+    maximal spine of the junction that `f` is at `positive` (`->` is `|` with
+    its left operand negated): a chain of any shape is one list. A node of
+    another junction or none, one that `block` holds of and one in `expanded`
+    are operands. Each node expanded goes into `expanded` as (id, polarity),
+    cheap to hash, so none is expanded twice and no DAG is unfolded."""
+    want = _JUNCTIONS[type(f)] == positive
+    expanded.add((id(f), positive))
+    operands, stack = [], [(f.right, positive), (f.left, positive != (type(f) is Implies))]
+    while stack:
+        g, polarity = key = stack.pop()
+        kind = _JUNCTIONS.get(type(g))
+        if (kind is None or (kind == polarity) != want or block and block(g)
+                or (node := (id(g), polarity)) in expanded):
+            operands.append(strip_nots(g, polarity) if type(g) is Not else key)
+        else:
+            expanded.add(node)
+            stack += (g.right, polarity), (g.left, polarity != (type(g) is Implies))
+    return operands
+
+
 def fold_balanced(parts: list, node) -> Formula:
     """A nonempty list joined by the binary constructor `node` (`And`, `Or`)."""
     # Balanced so that huge conjunctions stay log-deep; splitting with a

@@ -36,8 +36,8 @@ def run(capsys, *argv, main=main):
     return code, out.out, out.err
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _cap_address_space(limit=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestExitCodes:
@@ -139,6 +139,15 @@ class TestExitCodes:
             proc = run_python(["-m", "lhs.cli", "parse", "-f", "l:p & r:q"], stdout=sink)
         assert (proc.returncode, proc.stderr) == (74, "lhs: output error: [Errno 32] Broken pipe\n")
 
+    def test_out_of_memory_is_refused(self, capsys, monkeypatch):
+        # Exit 1 means "no" (and INVALID), so running out of memory must not
+        # exit 1 with a traceback.
+        def exhausted(phi):
+            raise MemoryError
+
+        monkeypatch.setattr(decide, "lhs_minus_sat", exhausted)
+        assert run(capsys, "sat", "-f", "l:p") == (70, "", "lhs: refused: out of memory\n")
+
     def test_force_flag_is_gone(self, capsys):
         assert run(capsys, "sat", "--full", "--force", "-f", "I")[0] == 64
 
@@ -225,6 +234,19 @@ class TestDeepInput:
         with time_budget(30):
             assert run(capsys, verb, "-f", text)[0] == code
         assert time.process_time() - start < 2
+
+    @pytest.mark.parametrize("verb, junction, answer, code",
+                             [("valid", "&", "INVALID", 1), ("sat", "|", "SAT", 0)])
+    def test_wide_one_sided_chain_under_memory_cap(self, tmp_path, verb, junction, answer, code):
+        # The K tableau reads the chain as one step: its negation (valid) or
+        # itself (sat) is one branch point over the one distinct operand.
+        # Read as 200,000 nested branch points, each with an int of one bit
+        # per branch point above it, the chain took 5 GiB.
+        path = tmp_path / "chain.txt"
+        path.write_text(f" {junction} ".join(["l:p"] * 200_000))
+        proc = run_python(["-m", "lhs.cli", verb, "-F", str(path)],
+                          preexec_fn=lambda: _cap_address_space(512 << 20))
+        assert (proc.returncode, proc.stdout) == (code, answer + "\n"), proc.stderr[-2000:]
 
     def test_wide_mixed_sat_walks_the_formula_few_times(self, capsys, monkeypatch):
         # Only the companion's read of the variable names for its pads: every

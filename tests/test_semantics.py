@@ -100,13 +100,16 @@ class TestCheck:
 
 
 def chain_formula(rng, depth):
-    """A random formula whose `&` and `|` nodes come as chains of 2 to 7
-    operands in one of three shapes: left-deep as `parse` reads them, balanced
-    as `conjoin`/`disjoin` build them, or right-nested. `~` comes in chains of
-    odd and even length, and some chains hold a subchain shared as a DAG."""
+    """A random formula whose `&`, `|` and `->` nodes come as chains of 2 to 7
+    operands. `&` and `|` chains take one of three shapes: left-deep as
+    `parse` reads them, balanced as `conjoin`/`disjoin` build them, or
+    right-nested; some hold a subchain shared as a DAG, some a negated
+    operand, and some are negated as a whole. `->` chains are right-nested as
+    `parse` reads them, left-nested, or a conjunction implying a disjunction,
+    which is one disjunction. `~` comes in chains of odd and even length."""
     if depth == 0 or rng.random() < 0.15:
         return random_formula(rng, depth=0)
-    kind = rng.choice(["&", "|", "&", "|", "~", "modal", "binary"])
+    kind = rng.choice(["&", "|", "&", "|", "->", "~", "modal", "binary"])
     if kind == "~":
         phi = chain_formula(rng, depth - 1)
         for _ in range(rng.randint(1, 6)):
@@ -117,38 +120,56 @@ def chain_formula(rng, depth):
     if kind == "binary":
         return rng.choice([And, Or, Implies, Iff])(chain_formula(rng, depth - 1),
                                                    chain_formula(rng, depth - 1))
-    node = And if kind == "&" else Or
     parts = [chain_formula(rng, depth - 1) for _ in range(rng.randint(2, 7))]
+    if kind == "->":
+        shape = rng.choice(["parse", "left", "and-or"])
+        if shape == "parse":
+            return parse(" -> ".join(f"({render(part)})" for part in parts))
+        if shape == "and-or":
+            mid = len(parts) // 2
+            return Implies(conjoin(parts[:mid]), disjoin(parts[mid:]))
+        phi = parts[0]
+        for part in parts[1:]:
+            phi = Implies(phi, part)
+        return phi
+    node = And if kind == "&" else Or
+    parts = [Not(part) if rng.random() < 0.2 else part for part in parts]
     shape = rng.choice(["parse", "balanced", "right", "shared"])
     if shape == "parse":
-        return parse(f" {kind} ".join(f"({render(part)})" for part in parts))
-    if shape == "balanced":
-        return (conjoin if node is And else disjoin)(parts)
-    phi = parts[-1]
-    for part in reversed(parts[:-1]):
-        phi = node(part, phi)
-    if shape == "shared":
-        # the same subchain object on both sides, and as a left operand
-        return node(node(phi, parts[0]), node(phi, phi))
-    return phi
+        phi = parse(f" {kind} ".join(f"({render(part)})" for part in parts))
+    elif shape == "balanced":
+        phi = (conjoin if node is And else disjoin)(parts)
+    else:
+        phi = parts[-1]
+        for part in reversed(parts[:-1]):
+            phi = node(part, phi)
+        if shape == "shared":
+            # the same subchain object on both sides, and as a left operand
+            phi = node(node(phi, parts[0]), node(phi, phi))
+    return Not(phi) if rng.random() < 0.25 else phi
 
 
 class TestCheckChains:
-    """`check` reads a chain of one connective in one step."""
+    """`check` reads a `~` chain, and a chain of one junction (`&`, `|` and
+    `->`, read at their polarity), in one step."""
 
     def test_agrees_with_check_all_and_the_translation(self):
         rng = random.Random(8101)
-        kinds = set()
+        kinds, shapes = set(), set()
         for i in range(150):
             m = random_model(rng)
             phi = chain_formula(rng, rng.randint(2, 4))
             kinds.update(type(f) for f in subformulas(phi))
+            shapes.update((type(f), type(f.child if isinstance(f, Not) else f.right))
+                          for f in subformulas(phi) if isinstance(f, (Not, Implies)))
             holds = {(s, t) for s, t in all_pairs(m) if check(m, s, t, phi)}
             assert holds == check_all(m, phi), (i, render(phi))
             alpha = fo_translate(phi)
             for s, t in all_pairs(m):
                 assert fo_eval(m, alpha, {"x": s, "y": t}) == ((s, t) in holds), (i, s, t)
         assert {And, Or, Not, Implies, Iff, WBox, BDia} <= kinds
+        # negated junctions, `->` chains, and `->` over a disjunction
+        assert {(Not, And), (Not, Or), (Implies, Implies), (Implies, Or)} <= shapes
 
     def test_shapes_and_parities(self):
         # l:p holds at a and r:q at b. Every operand but one is p (in an &
@@ -190,6 +211,7 @@ class TestCheckChains:
                            (parse(" & ".join(["l:p"] * 1000)), 2),
                            (parse(" | ".join(qs + ["l:p"])), 1001),
                            (parse(" & ".join(["l:p"] + qs)), 3),
+                           (parse(" -> ".join(["l:p"] * 999 + ["l:q0"])), 3),
                            (disjoin([parse(q) for q in qs]), 1000)):
             walked.clear()
             check(m, "a", "a", phi)

@@ -35,7 +35,7 @@ from lhs import (
     substitute,
 )
 from lhs.errors import FormulaSyntaxError
-from lhs.syntax import PropName, Side, conjoin, disjoin
+from lhs.syntax import ONE_SIDED, PropName, Side, conjoin, disjoin, junction, spine
 
 from conftest import (
     random_formula,
@@ -379,3 +379,73 @@ class TestFolds:
         # a balanced tree over 64 leaves reparses and keeps all atoms
         assert prop_names(conjoin(parts)) == {PropName(Side.LEFT, f"a{i}")
                                               for i in range(64)}
+
+
+class TestSpine:
+    """`spine` lists the operands of a chain of one junction in one step."""
+
+    a, b, c, d = (lp(x) for x in "abcd")
+
+    def test_junction(self):
+        a, b = self.a, self.b
+        for node, positive, want in ((And, True, True), (And, False, False),
+                                     (Or, True, False), (Or, False, True),
+                                     (Implies, True, False), (Implies, False, True)):
+            assert junction(node(a, b), positive) is want
+        for f in (a, Not(And(a, b)), Iff(a, b), WBox(a), Top()):
+            assert junction(f, True) is None
+
+    def test_shapes(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        want = [(a, True), (b, True), (c, True), (d, True)]
+        for phi in (parse("l:a & l:b & l:c & l:d"),           # left-deep, as parsed
+                    conjoin([a, b, c, d]),                    # balanced
+                    And(a, And(b, And(c, d)))):               # right-nested
+            assert spine(phi, True, set()) == want
+            # read negatively, the same chain is a disjunction of negations
+            assert spine(phi, False, set()) == [(f, False) for f, _ in want]
+
+    def test_implication_is_a_disjunction(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        assert spine(parse("l:a -> l:b -> l:c"), True, set()) == [(a, False), (b, False), (c, True)]
+        # the antecedent, read negatively, is a disjunction too: one spine
+        assert spine(parse("l:a & l:b -> l:c | l:d"), True, set()) == [
+            (a, False), (b, False), (c, True), (d, True)]
+        # ~(a -> b) is a & ~b; (a -> b) -> c has a conjunction as its left operand
+        assert spine(parse("l:a -> l:b"), False, set()) == [(a, True), (b, False)]
+        assert spine(parse("(l:a -> l:b) -> l:c"), True, set()) == [
+            (parse("l:a -> l:b"), False), (c, True)]
+
+    def test_negations(self):
+        a, b, c = self.a, self.b, self.c
+        # ~(a | b) is a conjunction
+        assert spine(Or(a, b), False, set()) == [(a, False), (b, False)]
+        # a `~` ends the spine; its operand is read off at its parity
+        assert spine(parse("l:c & ~(l:a | l:b)"), True, set()) == [(c, True), (Or(a, b), False)]
+        assert spine(parse("l:c & ~~(l:a & l:b)"), True, set()) == [(c, True), (And(a, b), True)]
+        assert spine(parse("l:a & ~~~l:b & l:c"), True, set()) == [(a, True), (b, False), (c, True)]
+
+    def test_block_is_an_operand(self):
+        # The companion's blocks: a one-sided node stays whole.
+        phi = parse("(l:a & l:b) & r:s & (l:c | r:d) & (r:e & l:f)")
+        assert spine(phi, True, set(), lambda g: g.facts & ONE_SIDED) == [
+            (parse("l:a & l:b"), True), (rp("s"), True), (parse("l:c | r:d"), True),
+            (rp("e"), True), (lp("f"), True)]
+
+    def test_shared_node_expanded_once(self):
+        # 30 levels of x = x & x: 2^30 operands as a tree; each level is
+        # expanded once, then read as an operand where it is met again.
+        x = self.a
+        levels = [x]
+        for _ in range(30):
+            x = And(x, x)
+            levels.append(x)
+        expanded = set()
+        with time_budget(5):
+            operands = spine(x, True, expanded)
+        assert operands == [(self.a, True)] * 2 + [(level, True) for level in levels[1:-1]]
+        assert len(expanded) == 30
+        # a later spine reads each node that one expanded as an operand
+        assert spine(And(levels[5], self.b), True, expanded) == [(levels[5], True), (self.b, True)]
+        # one expansion per polarity: read negatively, x is expanded again
+        assert len(spine(x, False, expanded)) == 31
