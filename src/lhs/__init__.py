@@ -26,7 +26,6 @@ from .errors import (
     ModalInput,
     ModelFormatError,
     NotClean,
-    ReservedNameError,
     ResourceGuard,
     SideViolation,
     UnknownState,

@@ -49,14 +49,14 @@ class Verdict(Record):
 DEFAULT_STEP_CEILING = 1_000_000
 
 
-def _queue(goals: dict, todo: list, keys, deps: int) -> None:
+def _queue(goals: dict, todo: list, keys, deps: frozenset) -> None:
     for key in keys:
         if key not in goals:
             goals[key] = deps
             todo.append(key)
 
 
-def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
+def _tableau(goals: dict, todo: list, head: int, steps):
     """Satisfiability of a set of goals in basic modal logic K.
 
     A goal is a (subformula, polarity) pair, read the way the companion reads
@@ -67,9 +67,10 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
     equal polarities or, negated, at opposite ones.
 
     `goals` maps each goal of this state on this branch to the set of branch
-    points it depends on: an int whose bit d stands for the branch point at
-    depth d of the search path, `depth` being the number of branch points
-    above this walk. `todo` lists the goals in the order they were queued: a
+    points it depends on, a frozenset of their step numbers, which `steps`
+    hands out once per `k_sat` call. A set holds only the branch points a
+    goal depends on, so its size does not grow with the depth of the search
+    path. `todo` lists the goals in the order they were queued: a
     conjunction queues its operands and a branch point the goals of its
     branch, so the order, and with it the witness, does not depend on string
     hashing. The walk expands `todo` from index `head` on, and only ever
@@ -117,19 +118,19 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
             continue
         else:
             branches = [(operand,) for operand in dict.fromkeys(spine(f, positive, set()))]
-        bit = 1 << depth
+        point = frozenset((expanded,))
         goal_mark, todo_mark = len(goals), len(todo)
-        clash = 0
+        clash = frozenset()
         for branch in branches:
             while len(goals) > goal_mark:
                 goals.popitem()
             del todo[todo_mark:]
-            _queue(goals, todo, branch, deps | bit)
-            result = yield _tableau(goals, todo, head, depth + 1, steps)
-            if isinstance(result, tuple) or not result & bit:
+            _queue(goals, todo, branch, deps | point)
+            result = yield _tableau(goals, todo, head, steps)
+            if isinstance(result, tuple) or expanded not in result:
                 return result
             clash |= result
-        return clash & ~bit
+        return clash - point
     atoms, boxes, diamonds = set(), {}, {}
     for (f, positive), deps in goals.items():
         if isinstance(f, Atom):
@@ -142,7 +143,7 @@ def _tableau(goals: dict, todo: list, head: int, depth: int, steps):
     children = []
     for content, deps in diamonds.items():
         successor = {**boxes, content: deps}
-        child = yield _tableau(successor, list(successor), 0, depth, steps)
+        child = yield _tableau(successor, list(successor), 0, steps)
         if not isinstance(child, tuple):
             return child | deps
         children.append(child)
@@ -179,7 +180,7 @@ def k_sat(phi: Formula) -> KVerdict:
     if not phi.facts & ONE_SIDED:
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
     root = strip_nots(phi)
-    tree = drive(_tableau({root: 0}, [root], 0, 0, count(1)))
+    tree = drive(_tableau({root: frozenset()}, [root], 0, count(1)))
     if not isinstance(tree, tuple):
         return KVerdict("UNSAT")
     return KVerdict("SAT", _tree_to_model(tree), "n0")
@@ -196,10 +197,8 @@ def lhs_minus_valid(phi: Formula) -> Verdict:
     valid iff every conjunct has a K-valid side. An invalid conjunct yields
     two K countermodels; their disjoint union falsifies phi at the paired
     roots, and that union, once `check` has confirmed it, is the countermodel
-    returned. The pads' reserved name `_fresh0` can hold in it only when phi
-    itself uses `_fresh0`: a pad is a contradiction, and the tableau tries a
-    negated atom false first. The companion raises `ContainsI` when phi is
-    not I-free.
+    returned. An empty side is `false`, which the tableau reads as a
+    constant. The companion raises `ContainsI` when phi is not I-free.
     """
     for psi, gamma in companion(phi).conjuncts:
         counter_white = k_sat(Not(psi))

@@ -17,10 +17,6 @@ class FormulaSyntaxError(InputError):
         self.position = position
 
 
-class ReservedNameError(InputError):
-    """User input used a variable name reserved for the normalizer."""
-
-
 class SideViolation(LhsError):
     """A substitution value breaks the side-purity requirement."""
 

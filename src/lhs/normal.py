@@ -4,7 +4,8 @@ The clean CNF companion rewrites any I-free formula into an equivalent
 conjunction of disjunctions psi_i | gamma_i, with psi_i built from left atoms
 and white modalities only and gamma_i from right atoms and black modalities
 only. This splitting is what reduces validity in the I-free logic to plain
-K validity of the one-sided parts.
+K validity of the one-sided parts. An empty side is `false`, so the printed
+companion is a formula of the input language.
 
 The companion is built in one bottom-up pass over the negation normal form,
 read off each (subformula, polarity) pair of the input rather than written
@@ -37,7 +38,6 @@ from .syntax import (
     I_FREE,
     ONE_SIDED,
     WHITE_ONLY,
-    And,
     Atom,
     BBox,
     BDia,
@@ -48,10 +48,7 @@ from .syntax import (
     MODAL_NODES,
     Not,
     Or,
-    PropName,
-    RESERVED_PREFIX,
     Record,
-    Side,
     Top,
     WBox,
     WDia,
@@ -67,12 +64,6 @@ from .syntax import (
 
 DEFAULT_CLAUSE_CEILING = 50_000
 
-# One contradiction per side, over the reserved `_fresh0`, stands for an
-# empty side. A pad is a contradiction whatever its atom, so a formula built
-# in code that names `_fresh0` keeps its meaning too.
-_PADS = tuple(And(Atom(prop), Not(Atom(prop)))
-              for prop in (PropName(side, RESERVED_PREFIX + "0") for side in Side))
-
 
 # ---------------------------------------------------------------------------
 # Propositional CNF
@@ -85,19 +76,14 @@ def prop_cnf(alpha: Formula) -> Formula:
     `->` and `<->` are expanded, negations pushed to literals and | distributed
     over &. Each clause lists its left literals before its right ones. Constants,
     repeated literals, repeated clauses and clauses with a complementary pair
-    are dropped; a constant result is written `p | ~p` or `p & ~p` over the
-    first variable of `alpha` (the left pad's `l:_fresh0` when it has none).
-    The pass's budget of `DEFAULT_CLAUSE_CEILING` conjuncts raises
-    `ResourceGuard`.
+    are dropped; a constant result is `true` or `false`. The pass's budget of
+    `DEFAULT_CLAUSE_CEILING` conjuncts raises `ResourceGuard`.
     """
-    subs = subformulas(alpha)
-    if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subs):
+    if any(isinstance(sub, (*MODAL_NODES, EqConst)) for sub in subformulas(alpha)):
         raise ModalInput("CNF conversion expects a purely propositional formula")
     clauses = _conjuncts(alpha, _atom_block)
-    if not clauses or clauses == [((), ())]:
-        atom = min((f for f in subs if isinstance(f, Atom)),
-                   key=lambda f: str(f.prop), default=_PADS[0].left)
-        return (And if clauses else Or)(atom, Not(atom))
+    if not clauses:
+        return Top()
     return conjoin(disjoin(white + black) for white, black in clauses)
 
 
@@ -215,8 +201,8 @@ def _or(lists: list, spent: list) -> list:
 
 def _box(conjuncts: list, white: bool) -> list:
     if white:
-        return _prune(((WBox(disjoin(w, _PADS[0])),), b) for w, b in conjuncts)
-    return _prune((w, (BBox(disjoin(b, _PADS[1])),)) for w, b in conjuncts)
+        return _prune(((WBox(disjoin(w)),), b) for w, b in conjuncts)
+    return _prune((w, (BBox(disjoin(b)),)) for w, b in conjuncts)
 
 
 def _diamond(conjuncts: list, white: bool, spent: list) -> list:
@@ -340,15 +326,12 @@ def companion(phi: Formula) -> CleanCNF:
     Built by the one pass over the negation normal form of `phi` that the
     module docstring describes; a maximal one-sided subformula that occurs
     negatively stays whole, negated. Conjuncts with a valid side are dropped
-    and repeats removed. An empty side prints as the contradiction over the
-    reserved name `_fresh0`, one per side (`l:_fresh0 & ~l:_fresh0`,
-    `r:_fresh0 & ~r:_fresh0`), which the parser refuses in input. The output
-    is equivalent to the input on every model; a step that would take the
-    conjuncts the pass has built past `DEFAULT_CLAUSE_CEILING` raises
-    `ResourceGuard` before it runs.
+    and repeats removed. An empty side is `false`, so the printed companion
+    parses back. The output is equivalent to the input on every model; a
+    step that would take the conjuncts the pass has built past
+    `DEFAULT_CLAUSE_CEILING` raises `ResourceGuard` before it runs.
     """
     if not phi.facts & I_FREE:
         raise ContainsI("the companion is defined on the I-free fragment only")
     conjuncts = _conjuncts(phi, _one_sided) or [((Top(),), ())]
-    return CleanCNF(tuple((disjoin(w, _PADS[0]), disjoin(b, _PADS[1]))
-                          for w, b in conjuncts))
+    return CleanCNF(tuple((disjoin(w), disjoin(b)) for w, b in conjuncts))

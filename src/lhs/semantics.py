@@ -228,7 +228,7 @@ def _fo_sat(f: FOFormula, model: Model, env: dict[str, State]):
 
 
 def fo_render(alpha: FOFormula) -> str:
-    """Plain-text form, e.g. `forall z0. (R(x,z0) -> Pl_p(z0))`, written
+    """Plain-text form, e.g. `forall z0. ((R(x,z0) -> Pl_p(z0)))`, written
     token by token from an explicit stack, as `syntax.render` writes."""
     out: list[str] = []
     stack: list = [alpha]

@@ -12,14 +12,7 @@ import itertools
 import re
 from enum import Enum
 
-from .errors import (
-    ContainsI,
-    FormulaSyntaxError,
-    ReservedNameError,
-    SideViolation,
-)
-
-RESERVED_PREFIX = "_fresh"
+from .errors import ContainsI, FormulaSyntaxError, SideViolation
 
 
 class Side(Enum):
@@ -321,14 +314,10 @@ def conjoin(parts) -> Formula:
     return fold_balanced(parts, And)
 
 
-def disjoin(parts, empty: Formula | None = None) -> Formula:
-    """Disjunction of a list (balanced tree); `empty` is returned for []."""
+def disjoin(parts) -> Formula:
+    """Disjunction of a list (balanced tree); `false` for the empty list."""
     parts = list(parts)
-    if not parts:
-        if empty is None:
-            raise ValueError("disjoin of empty list")
-        return empty
-    return fold_balanced(parts, Or)
+    return fold_balanced(parts, Or) if parts else Bot()
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +478,9 @@ _INFIX = {op.strip(): (node, _PREC[node], right) for node, (op, _, right) in _BI
 _NOT_INFIX = (None, 0, None)  # ends every pending operand down to the innermost `(`
 
 
-def _leaf(kind: str, text: str, pos: int, allow_reserved: bool) -> Formula:
+def _leaf(kind: str, text: str, pos: int) -> Formula:
     if kind == "atom":
-        name = text[2:]
-        if name.startswith(RESERVED_PREFIX) and not allow_reserved:
-            raise ReservedNameError(
-                f"variable name {name!r} uses the reserved {RESERVED_PREFIX!r} prefix"
-            )
-        return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, name))
+        return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, text[2:]))
     if kind == "word":
         if text in _CONSTANT_NODE:
             return _CONSTANT_NODE[text]()
@@ -504,11 +488,9 @@ def _leaf(kind: str, text: str, pos: int, allow_reserved: bool) -> Formula:
     raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
 
-def parse(text: str, allow_reserved: bool = False) -> Formula:
-    """Parse concrete syntax into an AST.
-
-    `allow_reserved` admits the normalizer's `_fresh*` variables and is meant
-    for re-reading output this package produced itself.
+def parse(text: str) -> Formula:
+    """Parse concrete syntax into an AST. Every name is an ordinary variable,
+    so the printed output of `render` (a CNF included) parses back.
 
     Operator precedence (Floyd 1963): one pass over the tokens keeps the
     operators still waiting for their right operand on a stack, so nesting
@@ -535,7 +517,7 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
             continue
         phi = leaves.get(tok)
         if phi is None:
-            phi = leaves[tok] = _leaf(kind, tok, pos, allow_reserved)
+            phi = leaves[tok] = _leaf(kind, tok, pos)
         for kind, tok, pos in stream:  # after the operand `phi`
             node, prec, least = _INFIX.get(tok, _NOT_INFIX)
             while pending and pending[-1] is not None and prec < pending[-1][2]:

@@ -36,7 +36,7 @@ from lhs import (
     left_atom,
     right_atom,
 )
-from lhs.errors import FormulaSyntaxError, MixedFormula, ModelFormatError, ReservedNameError
+from lhs.errors import FormulaSyntaxError, MixedFormula, ModelFormatError
 from lhs.model import State, _parse_prop_key
 from lhs.syntax import (
     _BINARY_TOKEN,
@@ -48,7 +48,6 @@ from lhs.syntax import (
     _PREFIX_NODE,
     BLACK_MODAL,
     MODAL_NODES,
-    RESERVED_PREFIX,
     WHITE_MODAL,
     Formula,
     PropName,
@@ -298,7 +297,7 @@ class _ReferenceParser:
     """Precedence climbing (Pratt 1973), one generator walk per grammar rule,
     run on an explicit stack by `drive`: the parser `lhs.syntax.parse` once was."""
 
-    def __init__(self, text, allow_reserved):
+    def __init__(self, text):
         pos, self.tokens = 0, []
         while pos < len(text):
             m = _REFERENCE_TOKEN.match(text, pos)
@@ -309,7 +308,6 @@ class _ReferenceParser:
             pos = m.end()
         self.tokens.append(("eof", "", len(text)))
         self.i = 0
-        self.allow_reserved = allow_reserved
 
     def peek(self):
         return self.tokens[self.i]
@@ -345,12 +343,7 @@ class _ReferenceParser:
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "atom":
-            name = text[2:]
-            if name.startswith(RESERVED_PREFIX) and not self.allow_reserved:
-                raise ReservedNameError(
-                    f"variable name {name!r} uses the reserved {RESERVED_PREFIX!r} prefix"
-                )
-            return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, name))
+            return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, text[2:]))
         if kind == "word":
             if text == "I":
                 return EqConst()
@@ -362,10 +355,10 @@ class _ReferenceParser:
         raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
 
-def reference_parse(text, allow_reserved=False):
+def reference_parse(text):
     """`parse` as a walk per grammar rule: the reference for the
     operator-precedence loop, which must give the same trees and errors."""
-    parser = _ReferenceParser(text, allow_reserved)
+    parser = _ReferenceParser(text)
     phi = drive(parser.formula())
     kind, found, pos = parser.peek()
     if kind != "eof":

@@ -101,7 +101,7 @@ def test_criterion_2_companion_equivalence(capsys):
 def test_criterion_3_pinned_identities_and_axioms(capsys):
     problems = []
     # the companion of a black box over a left atom: left side is the atom,
-    # right side is the boxed fresh contradiction
+    # right side is the boxed empty side, `[B]false`
     cnf = companion(parse("[B]l:p"))
     if len(cnf.conjuncts) != 1:
         problems.append("boxed-atom companion is not a single conjunct")
@@ -109,7 +109,7 @@ def test_criterion_3_pinned_identities_and_axioms(capsys):
         psi, gamma = cnf.conjuncts[0]
         if psi != parse("l:p"):
             problems.append(f"boxed-atom companion left side: {render(psi)}")
-        if gamma != parse("[B](r:_fresh0 & ~r:_fresh0)", allow_reserved=True):
+        if gamma != parse("[B]false"):
             problems.append(f"boxed-atom companion right side: {render(gamma)}")
     axioms = [
         "[W](l:p | r:p) <-> ([W]l:p | r:p)",

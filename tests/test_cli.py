@@ -50,7 +50,8 @@ class TestExitCodes:
         assert run(capsys, "parse", "-f", "l:p &")[0] == 65
 
     def test_parse_reserved_name(self, capsys):
-        assert run(capsys, "parse", "-f", "l:_fresh0")[0] == 65
+        # No name is reserved: `_fresh0` is an ordinary atom.
+        assert run(capsys, "parse", "-f", "l:_fresh0")[:2] == (0, "l:_fresh0\n")
 
     def test_usage_error(self, capsys):
         assert run(capsys, "parse")[0] == 64
@@ -248,10 +249,19 @@ class TestDeepInput:
                           preexec_fn=lambda: _cap_address_space(512 << 20))
         assert (proc.returncode, proc.stdout) == (code, answer + "\n"), proc.stderr[-2000:]
 
+    def test_many_branch_points_under_memory_cap(self, tmp_path):
+        # 80,000 disjunctions, each its own branch point, under a 512 MiB
+        # cap: a goal's dependency set holds the branch points it depends
+        # on, not an entry per branch point above it.
+        path = tmp_path / "branches.txt"
+        path.write_text(" & ".join(f"(l:a{i} | l:b{i})" for i in range(80_000)))
+        proc = run_python(["-m", "lhs.cli", "sat", "-F", str(path)],
+                          preexec_fn=lambda: _cap_address_space(512 << 20))
+        assert (proc.returncode, proc.stdout) == (0, "SAT\n"), proc.stderr[-2000:]
+
     def test_wide_mixed_sat_walks_the_formula_few_times(self, capsys, monkeypatch):
-        # Only the companion's read of the variable names for its pads: every
-        # formula carries its syntax class from construction, so the I check,
-        # `CleanCNF`'s check of each side and `k_sat` walk nothing.
+        # Every formula carries its syntax class from construction, so the I
+        # check, `CleanCNF`'s check of each side and `k_sat` walk nothing.
         calls = 0
         original = syntax.subformulas
 

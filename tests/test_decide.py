@@ -419,24 +419,23 @@ class TestLhsMinusSat:
 
 
 class TestWitnessValuation:
-    # A `_fresh` name that the input itself uses is an ordinary variable
-    # there. The companion pads with `_fresh0` all the same, and a pad is a
-    # contradiction whatever its atom, so every witness still passes `check`.
+    # A `_fresh` name is an ordinary variable: the companion writes an empty
+    # side as `false`, so no name of its own meets a name of the input.
     def test_countermodel_of_reserved_name_falsifies(self):
-        phi = parse("~l:_fresh0", allow_reserved=True)
+        phi = parse("~l:_fresh0")
         v = lhs_minus_valid(phi)
         assert v.status == "INVALID"
         assert not check(v.model, *v.pair, phi)
 
     def test_witness_of_reserved_name_satisfies(self):
-        phi = parse("l:_fresh0 & r:q", allow_reserved=True)
+        phi = parse("l:_fresh0 & r:q")
         v = lhs_minus_sat(phi)
         assert v.status == "SAT"
         assert check(v.model, *v.pair, phi)
 
     def test_witnesses_name_only_atoms_of_the_input(self, rng):
-        # The companion's pads are contradictions, which no witness makes
-        # true, so the returned models hold no padding name.
+        # The companion adds no atom (an empty side is `false`), so the
+        # returned models hold only names of the input.
         for _ in range(300):
             phi = random_i_free(rng, depth=rng.randint(1, 4))
             for v in (lhs_minus_sat(phi), lhs_minus_valid(phi)):
@@ -444,7 +443,7 @@ class TestWitnessValuation:
                     assert set(v.model.valuation) <= prop_names(phi)
 
     def test_inputs_that_name_the_pad_atom(self, rng):
-        # Formulas built in code may name `_fresh0`, the pads' own atom.
+        # Inputs may name `_fresh0` on either side like any other variable.
         names = ("p", "_fresh0")
         for _ in range(1000):
             phi = random_i_free(rng, depth=rng.randint(1, 4), left_vars=names, right_vars=names)

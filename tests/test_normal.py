@@ -1,6 +1,7 @@
 """Propositional CNF, clean CNF, and the companion."""
 
 import itertools
+import random
 import re
 import time
 
@@ -24,6 +25,7 @@ from lhs import (
     clean_to_cnf,
     companion,
     left_atom,
+    lhs_minus_valid,
     parse,
     prop_cnf,
     prop_names,
@@ -40,9 +42,6 @@ from conftest import (
     random_i_free,
     time_budget,
 )
-
-PAD_LEFT = parse("l:_fresh0 & ~l:_fresh0", allow_reserved=True)
-PAD_RIGHT = parse("r:_fresh0 & ~r:_fresh0", allow_reserved=True)
 
 
 def truth_table_equal(f1, f2):
@@ -170,6 +169,13 @@ class TestPropCNF:
             out = prop_cnf(phi)
         assert out == conjoin(atoms)
 
+    @pytest.mark.parametrize("text, constant", [
+        ("true & ~false", Top()), ("l:p | ~l:p", Top()), ("false & l:p", Bot())])
+    def test_constant_result(self, text, constant):
+        out = prop_cnf(parse(text))
+        assert out == constant
+        assert is_cnf(out)
+
     def test_resource_guard(self):
         # 2^17 clauses of one literal per pair, refused before the product
         # that doubles 2^15 clauses is built.
@@ -181,9 +187,9 @@ class TestPropCNF:
 
 class TestCleanToCNF:
     def test_left_atom_padding_shape(self):
-        # Only the empty side is padded, as in the companion.
+        # The empty side is `false`, as in the companion.
         cnf = clean_to_cnf(parse("l:p"))
-        assert cnf.conjuncts == ((parse("l:p"), PAD_RIGHT),)
+        assert cnf.conjuncts == ((parse("l:p"), Bot()),)
 
     def test_conjuncts_are_one_sided(self, rng):
         for _ in range(100):
@@ -221,7 +227,7 @@ class TestCleanToCNF:
         with time_budget(5):
             cnf = clean_to_cnf(phi)
         assert cnf.conjuncts == tuple(
-            (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)
+            (a, Bot()) if a.prop.side is Side.LEFT else (Bot(), a) for a in atoms)
 
     @pytest.mark.parametrize("psi, gamma, message", [
         ("l:p | [B]r:q", "r:q", "psi component is not white-only: l:p | [B] r:q"),
@@ -243,11 +249,27 @@ class TestCompanion:
         assert len(cnf.conjuncts) == 1
         psi, gamma = cnf.conjuncts[0]
         assert psi == parse("l:p")
-        assert gamma == parse("[B](r:_fresh0 & ~r:_fresh0)", allow_reserved=True)
+        assert gamma == parse("[B]false")
 
     def test_left_atom_identity(self):
         cnf = companion(parse("l:p"))
-        assert render(cnf.to_formula()) == "l:p | r:_fresh0 & ~r:_fresh0"
+        assert render(cnf.to_formula()) == "l:p | false"
+
+    def test_printed_companion_parses_back(self):
+        # The printed companion is a formula of the input language,
+        # equivalent to the input: every biconditional is VALID, or refused
+        # by a budget.
+        rng = random.Random(29)
+        answered = 0
+        for _ in range(300):
+            phi = random_i_free(rng, depth=rng.randint(1, 4))
+            back = parse(render(companion(phi).to_formula()))
+            try:
+                assert lhs_minus_valid(Iff(phi, back)).status == "VALID", render(phi)
+            except ResourceGuard:
+                continue
+            answered += 1
+        assert answered >= 290
 
     def test_conjunction_concatenates(self):
         a = companion(parse("l:p"))
@@ -296,7 +318,7 @@ class TestCompanion:
         with time_budget(5):
             cnf = companion(phi)
         assert cnf.conjuncts == tuple(
-            (a, PAD_RIGHT) if a.prop.side is Side.LEFT else (PAD_LEFT, a) for a in atoms)
+            (a, Bot()) if a.prop.side is Side.LEFT else (Bot(), a) for a in atoms)
 
     def test_negation_chain_is_one_step(self, monkeypatch):
         # The pass reads a `~` chain off in one step: no step is taken at a

@@ -17,7 +17,6 @@ from lhs import (
     Implies,
     Not,
     Or,
-    ReservedNameError,
     SideViolation,
     Top,
     WBox,
@@ -114,12 +113,10 @@ class TestParse:
             parse("l:p &")
         assert "5" in str(exc.value) or "position" in str(exc.value).lower()
 
-    def test_reserved_prefix_rejected(self):
-        with pytest.raises(ReservedNameError):
-            parse("l:_fresh0")
-
-    def test_reserved_prefix_opt_in(self):
-        assert parse("l:_fresh0", allow_reserved=True) == lp("_fresh0")
+    def test_fresh_name_is_an_ordinary_atom(self):
+        # No name is reserved: `_fresh0` reads and prints like any other.
+        assert parse("l:_fresh0") == lp("_fresh0")
+        assert render(parse("l:_fresh0 & ~r:_fresh12")) == "l:_fresh0 & ~r:_fresh12"
 
 
 _VOCAB = ("l:p", "r:q", "l:_fresh0", "r:_fresh12", "I", "true", "false", "foo", "W", "~",
@@ -129,10 +126,10 @@ _STRAY = ("$", "l:", "r:1", "<", "-", "[", ":", "\u00e9")
 _TOKEN = re.compile(r"[lr]:\w+|<->|->|\[[WB]\]|<[WB]>|\w+|\S")
 
 
-def _outcome(parser, text, allow_reserved):
+def _outcome(parser, text):
     try:
-        return parser(text, allow_reserved)
-    except (FormulaSyntaxError, ReservedNameError) as exc:
+        return parser(text)
+    except FormulaSyntaxError as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
@@ -141,8 +138,8 @@ def _token(rng):
 
 
 def _texts(rng, count):
-    """Random token strings, rendered random formulas (some with reserved
-    names) and rendered ones with a token inserted or deleted, in turn."""
+    """Random token strings, rendered random formulas (some naming
+    `_fresh0`) and rendered ones with a token inserted or deleted, in turn."""
     for i in range(count):
         sep = rng.choice(("", " ", "  "))
         if i % 3 == 0:
@@ -166,11 +163,9 @@ class TestAgainstReference:
     def test_same_trees_and_errors(self):
         # The generator-per-rule parser that preceded the operator-precedence
         # loop is the reference: equal trees, or equal error type, message
-        # and position, under both `allow_reserved` values: 80,000 checks.
+        # and position: 40,000 checks.
         for text in _texts(random.Random(15), 40_000):
-            for allow_reserved in (False, True):
-                got = _outcome(parse, text, allow_reserved)
-                assert got == _outcome(reference_parse, text, allow_reserved), text
+            assert _outcome(parse, text) == _outcome(reference_parse, text), text
 
     @pytest.mark.parametrize("make", [lambda k: " & ".join(["l:p"] * k),
                                       lambda k: "~" * k + "l:p"], ids=["wide_and", "deep_not"])
@@ -371,6 +366,9 @@ class TestFolds:
         assert conjoin([a, b]) == And(a, b)
         assert conjoin([a, b, c]) == And(And(a, b), c)
         assert disjoin([a, b, c]) == Or(Or(a, b), c)
+
+    def test_empty_disjunction_is_false(self):
+        assert disjoin([]) == Bot()
 
     def test_large_folds_balanced(self):
         parts = [lp(f"a{i}") for i in range(64)]
