@@ -8,7 +8,6 @@ from .bisim import (
     largest_bisimulation,
 )
 from .decide import (
-    KVerdict,
     Verdict,
     brute_force_sat_oracle,
     k_sat,
@@ -39,7 +38,7 @@ from .model import (
     save_model,
 )
 from .normal import CleanCNF, clean_to_cnf, companion, prop_cnf
-from .proof import CheckReport, ProofLine, check_proof, load_proof
+from .proof import ProofLine, check_proof, load_proof
 from .semantics import check, check_all, fo_eval, fo_render, fo_translate
 from .syntax import (
     And,
@@ -58,7 +57,6 @@ from .syntax import (
     Top,
     WBox,
     WDia,
-    classify,
     left_atom,
     parse,
     prop_names,

@@ -264,15 +264,15 @@ def search_work(max_states: int, k: int, size: int, mod_iso: bool = True) -> int
     return work
 
 
-def find_model(phi: Formula, max_states: int, props=None, mod_iso: bool = True):
-    """First (Model, s, t) within the bound satisfying `phi`, or None: None
-    means the bound is exhausted, not that `phi` is unsatisfiable.
-    `search_work` refuses a search too large to run before it starts."""
+def find_model(phi: Formula, max_states: int, *, mod_iso: bool = True):
+    """First (Model, s, t) within the bound satisfying `phi`, over valuations
+    of the atoms of `phi`, or None: None means the bound is exhausted, not
+    that `phi` is unsatisfiable. `search_work` refuses a search too large to
+    run before it starts."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     order = subformulas(phi)
-    props = sorted({f.prop for f in order if isinstance(f, Atom)} if props is None else set(props),
-                   key=str)
+    props = sorted({f.prop for f in order if isinstance(f, Atom)}, key=str)
     search_work(max_states, len(props), len(order), mod_iso)
     for n in range(1, max_states + 1):
         nbits = 1 << (n * len(props))

@@ -22,7 +22,7 @@ from . import bisim as bisim_mod
 from . import decide, normal, proof as proof_mod, semantics, tiling as tiling_mod
 from .errors import InputError, LhsError, ModelFormatError, ResourceGuard
 from .model import Model, load_model, model_doc, save_model
-from .syntax import classify, parse, render
+from .syntax import BLACK_ONLY, CLEAN, I_FREE, WHITE_ONLY, parse, render
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -220,13 +220,12 @@ def _parse_pair(text: str, model: Model):
 def _cmd_parse(args):
     phi = _read_formula(args)
     text = render(phi, full_parens=args.full)
-    info = classify(phi)
     _emit(args, {
         "formula": text,
-        "i_free": info.i_free,
-        "white_only": info.white_only,
-        "black_only": info.black_only,
-        "clean": info.clean,
+        "i_free": bool(phi.facts & I_FREE),
+        "white_only": bool(phi.facts & WHITE_ONLY),
+        "black_only": bool(phi.facts & BLACK_ONLY),
+        "clean": bool(phi.facts & CLEAN),
     }, text)
     return 0
 
@@ -313,13 +312,12 @@ def _cmd_bisim(args):
 
 def _cmd_proof(args):
     lines = _read(args.proof, proof_mod.load_proof)
-    report = proof_mod.check_proof(lines)
-    if report.ok:
+    err = proof_mod.check_proof(lines)
+    if err is None:
         conclusion = render(lines[-1].formula) if lines else "true"
         _emit(args, {"ok": True, "lines": len(lines), "conclusion": conclusion},
               f"ok: {len(lines)} lines, conclusion {conclusion}")
         return 0
-    err = report.first_error
     _emit(args, {"ok": False, "line": err.line, "reason": err.reason},
           f"rejected at line {err.line}: {err.reason}")
     return 1

@@ -28,15 +28,10 @@ from .syntax import (
 )
 
 
-class KVerdict(Record):
-    status: str  # "SAT" | "UNSAT"
-    model: Model | None = None
-    state: str | None = None
-
-
 class Verdict(Record):
-    """The answer of `lhs_minus_valid`, `lhs_minus_sat` and `lhs_bounded_sat`:
-    a witness model and its pair for "SAT" and "INVALID", none otherwise."""
+    """The answer of `k_sat`, `lhs_minus_valid`, `lhs_minus_sat` and
+    `lhs_bounded_sat`: a witness model and its pair for "SAT" and "INVALID",
+    none otherwise."""
 
     status: str  # "VALID" | "INVALID" | "SAT" | "UNSAT" | "NO-MODEL-UP-TO-BOUND"
     model: Model | None = None
@@ -170,20 +165,21 @@ def _tree_to_model(tree: tuple) -> Model:
                  {p: frozenset(ws) for p, ws in valuation.items()})
 
 
-def k_sat(phi: Formula) -> KVerdict:
+def k_sat(phi: Formula) -> Verdict:
     """Sound and complete satisfiability for a one-sided formula in K.
 
     On SAT the witness is the extracted tableau tree (acyclic, in-degree one
-    except at the root). More than `DEFAULT_STEP_CEILING` goal expansions
-    raise `ResourceGuard`.
+    except at the root) at the pair (n0, n0) of its root, where a one-sided
+    formula holds iff it holds at n0 in K. More than `DEFAULT_STEP_CEILING`
+    goal expansions raise `ResourceGuard`.
     """
     if not phi.facts & ONE_SIDED:
         raise MixedFormula("K satisfiability requires a white-only or black-only formula")
     root = strip_nots(phi)
     tree = drive(_tableau({root: frozenset()}, [root], 0, count(1)))
     if not isinstance(tree, tuple):
-        return KVerdict("UNSAT")
-    return KVerdict("SAT", _tree_to_model(tree), "n0")
+        return Verdict("UNSAT")
+    return Verdict("SAT", _tree_to_model(tree), ("n0", "n0"))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +204,8 @@ def lhs_minus_valid(phi: Formula) -> Verdict:
         if counter_black.status == "UNSAT":
             continue
         union, rename_m, rename_n = disjoint_union(counter_white.model, counter_black.model)
-        s = rename_m[counter_white.state]
-        t = rename_n[counter_black.state]
+        s = rename_m[counter_white.pair[0]]
+        t = rename_n[counter_black.pair[1]]
         if check(union, s, t, phi):
             raise LhsError(
                 "internal error: countermodel failed to falsify the input"

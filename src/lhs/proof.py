@@ -11,6 +11,7 @@ from __future__ import annotations
 from .errors import ModelFormatError, SideViolation
 from .model import read_json
 from .syntax import (
+    I_FREE,
     Atom,
     BBox,
     Formula,
@@ -20,7 +21,6 @@ from .syntax import (
     Side,
     WBox,
     children,
-    classify,
     parse,
     render,
     substitute,
@@ -38,11 +38,6 @@ class ProofLine(Record):
 class LineError(Record):
     line: int
     reason: str
-
-
-class CheckReport(Record):
-    ok: bool
-    first_error: LineError | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +86,24 @@ def _is_instance(f: Formula, name: str) -> bool:
 # Proof checking
 
 
-def check_proof(lines: list[ProofLine]) -> CheckReport:
+def check_proof(lines: list[ProofLine]) -> LineError | None:
+    """The first line that is not derived, or None when every line is."""
     for number, line in enumerate(lines, start=1):
         reason = _check_line(lines, number, line)
         if reason is not None:
-            return CheckReport(False, LineError(number, reason))
-    return CheckReport(True)
+            return LineError(number, reason)
+    return None
 
 
 def _check_line(lines: list[ProofLine], number: int, line: ProofLine) -> str | None:
-    if not classify(line.formula).i_free:
+    if not line.formula.facts & I_FREE:
         return "proof lines must be I-free"
     for idx in line.premises:
         if not (1 <= idx < number):
             return f"premise {idx} does not precede line {number}"
     rule = line.rule
+    if rule != "Sub" and (line.left_map or line.right_map):
+        return f"{rule} takes no substitution"
     if rule in _SCHEMATA:
         if line.premises:
             return f"axiom {rule} takes no premises"

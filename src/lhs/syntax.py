@@ -368,23 +368,6 @@ def prop_names(phi: Formula) -> set[PropName]:
 
 
 # ---------------------------------------------------------------------------
-# Classification
-
-
-class SyntaxClass(Record):
-    i_free: bool
-    white_only: bool
-    black_only: bool
-    clean: bool
-
-
-def classify(phi: Formula) -> SyntaxClass:
-    facts = phi.facts
-    return SyntaxClass(bool(facts & I_FREE), bool(facts & WHITE_ONLY),
-                       bool(facts & BLACK_ONLY), bool(facts & CLEAN))
-
-
-# ---------------------------------------------------------------------------
 # Substitution
 
 
@@ -402,17 +385,17 @@ def substitute(
     """
     left_map = left_map or {}
     right_map = right_map or {}
-    if not classify(phi).i_free:
+    if not phi.facts & I_FREE:
         raise ContainsI("substitution target must be I-free")
     for key, value in left_map.items():
         if key.side is not Side.LEFT:
             raise SideViolation(f"left map key {key} is not a left variable")
-        if not classify(value).white_only:
+        if not value.facts & WHITE_ONLY:
             raise SideViolation(f"left map value for {key} is not white-only")
     for key, value in right_map.items():
         if key.side is not Side.RIGHT:
             raise SideViolation(f"right map key {key} is not a right variable")
-        if not classify(value).black_only:
+        if not value.facts & BLACK_ONLY:
             raise SideViolation(f"right map value for {key} is not black-only")
     mapping = {**left_map, **right_map}
     out: dict[Formula, Formula] = {}

@@ -32,7 +32,6 @@ from lhs import (
     Top,
     WBox,
     WDia,
-    classify,
     left_atom,
     right_atom,
 )
@@ -48,11 +47,11 @@ from lhs.syntax import (
     _PREFIX_NODE,
     BLACK_MODAL,
     MODAL_NODES,
+    ONE_SIDED,
     WHITE_MODAL,
     Formula,
     PropName,
     Side,
-    SyntaxClass,
     _prec,
     children,
     drive,
@@ -217,8 +216,7 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
     Atoms read their valuation regardless of side; either color of modality
     quantifies over the successors of `w`.
     """
-    sc = classify(phi)
-    if not (sc.white_only or sc.black_only):
+    if not phi.facts & ONE_SIDED:
         raise MixedFormula("one-sided evaluation requires a white-only or black-only formula")
     model.require_state(w)
     states = frozenset(model.states)
@@ -390,8 +388,9 @@ def reference_frame_ids(n, mod_iso):
 
 
 def reference_classify(phi):
-    """`classify` as one bottom-up walk over the formula, as it once was: the
-    reference for the syntax class each formula computes when it is built.
+    """The syntax class as one bottom-up walk over the formula: the reference
+    for the `facts` bits each formula computes when it is built, returned as
+    (i_free, white_only, black_only, clean).
 
     A formula is white-only when it is I-free and has left atoms and white
     modalities only; black-only is the mirror. Constants are both.
@@ -415,7 +414,7 @@ def reference_classify(phi):
     # Clean: every modal subformula is one-sided, which holds exactly when
     # the maximal ones (those at the Boolean level) are.
     clean = i_free and all(any(sides[f]) for f in sides if isinstance(f, MODAL_NODES))
-    return SyntaxClass(i_free, white_only, black_only, clean)
+    return i_free, white_only, black_only, clean
 
 
 def reference_render(phi, full_parens=False):

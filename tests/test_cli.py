@@ -15,6 +15,7 @@ import pytest
 from lhs import BDia, Iff, Implies, Not, WDia, check, decide, load_model, parse, render, syntax
 from lhs import cli
 from lhs.cli import build_parser, main
+from lhs.proof import RULE_NAMES
 from lhs.syntax import conjoin
 
 from conftest import k_branch_n, k_branch_p, random_i_free, run_python, time_budget
@@ -276,7 +277,7 @@ class TestDeepInput:
                 monkeypatch.setattr(module, "subformulas", counted)
         text = " & ".join(f"{'lr'[i % 2]}:p{i}" for i in range(10_000))
         assert run(capsys, "sat", "-f", text)[0] == 0
-        assert calls <= 1
+        assert calls == 0
 
 
 _STACK_SCRIPT = """
@@ -829,6 +830,24 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "proof", "-p",
                            str(DATA / "proof_r_box_sub.json"))
         assert code == 0
+
+    @pytest.mark.parametrize("subst", [{"left": {"l:p": "l:zzz"}},
+                                       {"right": {"r:p": "<B>r:b"}}], ids=["left", "right"])
+    @pytest.mark.parametrize("rule", [rule for rule in RULE_NAMES if rule != "Sub"])
+    def test_proof_substitution_outside_sub_rejected(self, capsys, tmp_path, rule, subst):
+        # The first corpus line of `rule`, after the lines before it, with a
+        # substitution that no rule but Sub reads.
+        for path in sorted(DATA.glob("proof_*.json")):
+            entries = json.loads(path.read_text())
+            at = next((i for i, e in enumerate(entries) if e["rule"] == rule), None)
+            if at is not None:
+                break
+        entries = entries[:at + 1]
+        entries[at]["subst"] = subst
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps(entries))
+        code, out, _ = run(capsys, "proof", "-p", str(proof))
+        assert (code, out) == (1, f"rejected at line {at + 1}: {rule} takes no substitution\n")
 
     def test_bisim(self, capsys, tmp_path):
         m = tmp_path / "m.json"

@@ -61,13 +61,13 @@ class TestKSat:
         v = k_sat(parse("<W> true"))
         assert v.status == "SAT"
         assert len(v.model.states) == 2
-        assert one_sided_eval(v.model, v.state, parse("<W> true"))
+        assert one_sided_eval(v.model, v.pair[0], parse("<W> true"))
 
     def test_k_non_theorem_needs_two_successors(self):
         phi = parse("[W](l:p | l:q) & ~([W]l:p | [W]l:q)")
         v = k_sat(phi)
         assert v.status == "SAT"
-        assert one_sided_eval(v.model, v.state, phi)
+        assert one_sided_eval(v.model, v.pair[0], phi)
         assert brute_force_sat_oracle(phi, 3).status == "SAT"
 
     def test_rejects_mixed(self):
@@ -80,7 +80,7 @@ class TestKSat:
             v = k_sat(phi)
             if v.status != "SAT":
                 continue
-            assert one_sided_eval(v.model, v.state, phi)
+            assert one_sided_eval(v.model, v.pair[0], phi)
             indeg = {w: 0 for w in v.model.states}
             for a, b in v.model.edges:
                 assert a != b
@@ -163,7 +163,7 @@ def test_k_sat_agrees_with_reference(rng):
             v = k_sat(phi)
         assert (v.status == "SAT") == reference_k_sat(phi), phi
         if v.status == "SAT":
-            assert one_sided_eval(v.model, v.state, phi), phi
+            assert one_sided_eval(v.model, v.pair[0], phi), phi
 
 
 def random_cnf_k(rng, depth, clauses=10):
@@ -212,7 +212,7 @@ def test_backjumping_keeps_the_choices_a_clash_depends_on(text, verdict):
     assert v.status == verdict
     assert reference_k_sat(phi) == (verdict == "SAT")
     if verdict == "SAT":
-        assert one_sided_eval(v.model, v.state, phi)
+        assert one_sided_eval(v.model, v.pair[0], phi)
 
 
 def test_k_sat_agrees_with_reference_on_cnf_k(rng):
@@ -223,7 +223,7 @@ def test_k_sat_agrees_with_reference_on_cnf_k(rng):
             v = k_sat(phi)
             assert (v.status == "SAT") == reference_k_sat(phi), phi
         if v.status == "SAT":
-            assert one_sided_eval(v.model, v.state, phi), phi
+            assert one_sided_eval(v.model, v.pair[0], phi), phi
         verdicts.append(v.status)
     assert verdicts.count("UNSAT") >= 50
 
@@ -301,7 +301,7 @@ def witness_digest(seed):
             phi = random_one_sided(rng, side, depth=rng.randint(2, 6), names=("p", "q", "r"))
         v = k_sat(phi)
         doc = model_doc(v.model) if v.model else None
-        h.update(json.dumps([v.status, doc, v.state]).encode())
+        h.update(json.dumps([v.status, doc, v.pair and v.pair[0]]).encode())
     for _ in range(300):
         v = lhs_minus_sat(random_i_free(rng, depth=rng.randint(2, 3)))
         doc = model_doc(v.model) if v.model else None
@@ -326,7 +326,7 @@ class TestTableauState:
         # reach the witness of the second.
         phi = parse("((l:a & <W>l:b & ~l:c) | <W>l:d) & l:c & [W]~l:b")
         v = k_sat(phi)
-        assert v.status == "SAT" and v.state == "n0"
+        assert v.status == "SAT" and v.pair == ("n0", "n0")
         assert model_doc(v.model) == {"states": ["n0", "n1"], "edges": [["n0", "n1"]],
                                       "valuation": {"l:c": ["n0"], "l:d": ["n1"]}}
 
@@ -339,7 +339,26 @@ class TestTableauState:
             v = k_sat(phi)
         assert time.process_time() - start < 1
         assert v.status == "SAT"
-        assert one_sided_eval(v.model, v.state, phi)
+        assert one_sided_eval(v.model, v.pair[0], phi)
+
+
+def test_k_sat_pair_is_a_witness_that_check_confirms(rng):
+    # A one-sided formula holds at a pair exactly when it holds in K at the
+    # pair's coordinate of its side, so the root pair (n0, n0) of the
+    # tableau's tree is an LHS witness.
+    sat = dict.fromkeys(Side, 0)
+    for i in range(300):
+        side = rng.choice(list(Side))
+        if i % 2:
+            phi = shared_one_sided(rng, side, rng.randint(5, 30))
+        else:
+            phi = random_one_sided(rng, side, depth=rng.randint(2, 4))
+        v = k_sat(phi)
+        if v.status == "SAT":
+            assert v.pair == ("n0", "n0")
+            assert check(v.model, *v.pair, phi) and one_sided_eval(v.model, "n0", phi), phi
+            sat[side] += 1
+    assert min(sat.values()) >= 50, sat
 
 
 class TestKValid:
@@ -353,7 +372,7 @@ class TestKValid:
         counter = k_sat(Not(parse("l:p")))
         assert counter.status != "UNSAT"
         assert len(counter.model.states) == 1
-        assert not one_sided_eval(counter.model, counter.state, parse("l:p"))
+        assert not one_sided_eval(counter.model, counter.pair[0], parse("l:p"))
 
     def test_oracle_agreement(self, rng):
         for _ in range(150):
@@ -367,7 +386,7 @@ class TestKValid:
             if ok:
                 assert oracle.status == "NO-MODEL-UP-TO-BOUND"
             else:
-                assert not one_sided_eval(counter.model, counter.state, phi)
+                assert not one_sided_eval(counter.model, counter.pair[0], phi)
 
 
 class TestLhsMinusValid:

@@ -21,7 +21,6 @@ from lhs import (
     ResourceGuard,
     Top,
     WBox,
-    classify,
     clean_to_cnf,
     companion,
     left_atom,
@@ -35,7 +34,7 @@ from lhs import (
 from lhs import normal
 from lhs.bruteforce import find_model
 from lhs.normal import CleanCNF
-from lhs.syntax import Side, conjoin, disjoin
+from lhs.syntax import BLACK_ONLY, WHITE_ONLY, Side, conjoin, disjoin
 
 from conftest import (
     random_clean,
@@ -124,9 +123,8 @@ def companion_formula(phi):
 
 
 def equivalent_everywhere(f1, f2, max_states=3):
-    """No model up to `max_states` states over f1's variables splits f1/f2."""
-    props = sorted(prop_names(f1), key=str)
-    return find_model(Not(Iff(f1, f2)), max_states, props=props) is None
+    """No model up to `max_states` states splits f1/f2."""
+    return find_model(Not(Iff(f1, f2)), max_states) is None
 
 
 class TestPropCNF:
@@ -195,8 +193,8 @@ class TestCleanToCNF:
         for _ in range(100):
             phi = random_clean(rng)
             for psi, gamma in clean_to_cnf(phi).conjuncts:
-                assert classify(psi).white_only
-                assert classify(gamma).black_only
+                assert psi.facts & WHITE_ONLY
+                assert gamma.facts & BLACK_ONLY
 
     def test_mixed_disjunction_equivalent(self):
         phi = parse("[W]l:p | [B]r:q")
@@ -290,8 +288,8 @@ class TestCompanion:
         for _ in range(100):
             phi = random_i_free(rng)
             for psi, gamma in companion(phi).conjuncts:
-                assert classify(psi).white_only
-                assert classify(gamma).black_only
+                assert psi.facts & WHITE_ONLY
+                assert gamma.facts & BLACK_ONLY
 
     def test_modal_commutation_companions_equivalent(self, rng):
         # the companions of [W][B]~phi and [B][W]~phi describe the same class
@@ -299,8 +297,7 @@ class TestCompanion:
             phi = random_i_free(rng, depth=1)
             a = companion_formula(WBox(BBox(Not(phi))))
             b = companion_formula(BBox(WBox(Not(phi))))
-            props = sorted(prop_names(phi), key=str)
-            assert find_model(Not(Iff(a, b)), 3, props=props) is None
+            assert find_model(Not(Iff(a, b)), 3) is None
 
     def test_random_equivalence(self, rng):
         for _ in range(100):

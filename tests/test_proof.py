@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from lhs import ModelFormatError, Not, check, check_proof, lhs_minus_valid, load_proof, parse
-from lhs.proof import ProofLine
+from lhs.proof import RULE_NAMES, LineError, ProofLine
+from lhs.syntax import PropName, Side
 
 from conftest import random_model
 
@@ -25,13 +26,13 @@ class TestCorpus:
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
     def test_verifies(self, path):
-        report = check_proof(load(path))
-        assert report.ok, report.first_error
+        error = check_proof(load(path))
+        assert error is None, error
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
     def test_conclusion_valid(self, path):
         lines = load(path)
-        assert check_proof(lines).ok
+        assert check_proof(lines) is None
         assert lhs_minus_valid(lines[-1].formula).status == "VALID"
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -55,8 +56,8 @@ class TestRejections:
         bad = list(lines)
         bad[0] = ProofLine(Not(bad[0].formula), bad[0].rule, bad[0].premises,
                            bad[0].left_map, bad[0].right_map)
-        report = check_proof(bad)
-        assert not report.ok and report.first_error.line == 1
+        error = check_proof(bad)
+        assert error is not None and error.line == 1
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
     def test_single_mutations_rejected_at_right_line(self, path):
@@ -68,9 +69,9 @@ class TestRejections:
             old = bad[i]
             bad[i] = ProofLine(Not(old.formula), old.rule, old.premises,
                                old.left_map, old.right_map)
-            report = check_proof(bad)
-            assert not report.ok
-            assert report.first_error.line == i + 1  # reports are 1-based
+            error = check_proof(bad)
+            assert error is not None
+            assert error.line == i + 1  # reports are 1-based
 
     def test_sub_side_violation(self):
         text = json.dumps([
@@ -79,16 +80,37 @@ class TestRejections:
         ])
         # an A1 line must be an implication; and a Sub sending a right
         # variable to a white formula must fail even on a correct premise
-        assert not check_proof(load_proof(text)).ok
+        assert check_proof(load_proof(text)) is not None
         text = json.dumps([
             {"formula": "l:p -> (r:q -> l:p)", "rule": "A1", "premises": [],
              "subst": {"left": {}, "right": {}}},
             {"formula": "l:p -> ([W]l:a -> l:p)", "rule": "Sub", "premises": [1],
              "subst": {"left": {}, "right": {"r:q": "[W]l:a"}}},
         ])
-        report = check_proof(load_proof(text))
-        assert not report.ok and report.first_error.line == 2
-        assert "side purity" in report.first_error.reason
+        error = check_proof(load_proof(text))
+        assert error is not None and error.line == 2
+        assert "side purity" in error.reason
+
+    def test_substitution_outside_sub_rejected(self):
+        # Every line but a Sub line reads no substitution: a non-empty map is
+        # rejected there, and empty maps are accepted.
+        maps = (({PropName(Side.LEFT, "p"): parse("l:zzz")}, None),
+                (None, {PropName(Side.RIGHT, "p"): parse("<B>r:b")}))
+        rules = set()
+        for path in CORPUS:
+            lines = load(path)
+            for i, line in enumerate(lines):
+                if line.rule == "Sub":
+                    continue
+                rules.add(line.rule)
+                prefix = lines[:i]
+                for left, right in maps:
+                    bad = ProofLine(line.formula, line.rule, line.premises, left, right)
+                    assert check_proof(prefix + [bad]) == LineError(
+                        i + 1, f"{line.rule} takes no substitution")
+                empty = ProofLine(line.formula, line.rule, line.premises, {}, {})
+                assert check_proof(prefix + [empty]) is None
+        assert rules == set(RULE_NAMES) - {"Sub"}
 
     def test_unknown_key_rejected(self):
         # A line has four keys; any other, such as "vars", declares nothing.
@@ -104,14 +126,14 @@ class TestRejections:
              "subst": {"left": {}, "right": {}}},
         ])
         try:
-            report = check_proof(load_proof(text))
-            assert not report.ok and report.first_error.line == 1
+            error = check_proof(load_proof(text))
+            assert error is not None and error.line == 1
         except Exception:
             pass  # raising on malformed indices is also acceptable
 
     def test_empty_proof_has_no_conclusion(self):
         lines = []
-        assert check_proof(lines).ok  # vacuously fine
+        assert check_proof(lines) is None  # vacuously fine
         with pytest.raises(IndexError):  # no last line to decide
             lhs_minus_valid(lines[-1].formula)
 
@@ -146,17 +168,17 @@ class TestAxiomInstance:
         ("A1", "[W]l:p -> (l:q -> [W]l:p)", False),
     ])
     def test_schema_side_constraints(self, rule, text, ok):
-        assert check_proof([ProofLine(parse(text), rule)]).ok is ok
+        assert (check_proof([ProofLine(parse(text), rule)]) is None) is ok
 
     def test_single_a1_line(self):
         text = json.dumps([
             {"formula": "l:p -> (r:q -> l:p)", "rule": "A1", "premises": [],
              "subst": {"left": {}, "right": {}}},
         ])
-        assert check_proof(load_proof(text)).ok
+        assert check_proof(load_proof(text)) is None
 
     def test_two_line_distribution_instance(self):
         proof = load(DATA / "proof_r_box_sub.json")
-        assert check_proof(proof).ok
+        assert check_proof(proof) is None
         assert proof[-1].formula == parse(
             "[W]([W]l:a | <B>r:b) <-> ([W][W]l:a | <B>r:b)")

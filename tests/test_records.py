@@ -39,8 +39,6 @@ TILE = tiling.Tile("A", "0", "0", "1", "1")
 # class: (its fields in order, values for each field, the defaults of the last fields)
 RECORDS = {
     PropName: (("side", "name"), (Side.LEFT, "p"), ()),
-    syntax.SyntaxClass: (("i_free", "white_only", "black_only", "clean"),
-                         (True, False, True, False), ()),
     Atom: (("prop",), (PropName(Side.RIGHT, "q"),), ()),
     EqConst: ((), (), ()),
     Top: ((), (), ()),
@@ -57,12 +55,10 @@ RECORDS = {
     semantics.FOFormula: (("op", "left", "right"), ("=", "x", "y"), (None,)),
     Model: (("states", "edges", "valuation"), (MODEL.states, MODEL.edges, MODEL.valuation), ({},)),
     normal.CleanCNF: (("conjuncts",), (((P, Q),),), ()),
-    decide.KVerdict: (("status", "model", "state"), ("SAT", MODEL, "a"), (None, None)),
     decide.Verdict: (("status", "model", "pair"), ("SAT", MODEL, ("a", "b")), (None, None)),
     proof.ProofLine: (("formula", "rule", "premises", "left_map", "right_map"),
                       (P, "A1", (1,), {PropName(Side.LEFT, "p"): P}, None), ((), None, None)),
     proof.LineError: (("line", "reason"), (3, "bad"), ()),
-    proof.CheckReport: (("ok", "first_error"), (False, proof.LineError(3, "bad")), (None,)),
     tiling.Tile: (("name", "up", "down", "left", "right"), ("A", "0", "0", "1", "1"), ()),
     tiling.TileSet: (("tiles",), ((TILE,),), ()),
     tiling.PeriodicTiling: (("period", "assign"), ((1, 1), {(0, 0): "A"}), ()),
@@ -91,7 +87,7 @@ def _hashable(values) -> bool:
 def test_every_record_is_listed():
     bases = {syntax.Node, syntax.Formula}
     assert set(_record_classes()) - bases == set(RECORDS)
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 26
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -160,12 +156,8 @@ class TestRecord:
 
 def test_repr():
     assert repr(decide.Verdict("SAT")) == "Verdict(status='SAT', model=None, pair=None)"
-    assert repr(decide.KVerdict("UNSAT")) == "KVerdict(status='UNSAT', model=None, state=None)"
     assert repr(PropName(Side.LEFT, "p")) == "PropName(side=<Side.LEFT: 'l'>, name='p')"
-    assert repr(syntax.SyntaxClass(True, False, False, True)) == (
-        "SyntaxClass(i_free=True, white_only=False, black_only=False, clean=True)")
-    assert repr(proof.CheckReport(False, proof.LineError(2, "no"))) == (
-        "CheckReport(ok=False, first_error=LineError(line=2, reason='no'))")
+    assert repr(proof.LineError(2, "no")) == "LineError(line=2, reason='no')"
     assert repr(TILE) == "Tile(name='A', up='0', down='0', left='1', right='1')"
     assert repr(tiling.TilingViolation((0, 1), "vertical")) == (
         "TilingViolation(cell=(0, 1), direction='vertical')")

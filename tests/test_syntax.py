@@ -21,7 +21,6 @@ from lhs import (
     Top,
     WBox,
     WDia,
-    classify,
     companion,
     fo_render,
     fo_translate,
@@ -34,7 +33,8 @@ from lhs import (
     substitute,
 )
 from lhs.errors import FormulaSyntaxError
-from lhs.syntax import ONE_SIDED, PropName, Side, conjoin, disjoin, junction, spine
+from lhs.syntax import (BLACK_ONLY, CLEAN, I_FREE, ONE_SIDED, WHITE_ONLY, PropName, Side,
+                        conjoin, disjoin, junction, spine)
 
 from conftest import (
     random_formula,
@@ -272,43 +272,40 @@ class TestSubformulas:
 
 class TestClassify:
     def test_white_only_clean(self):
-        c = classify(parse("[W]l:p & [W][W]l:q"))
-        assert c.white_only and c.clean and c.i_free and not c.black_only
+        assert parse("[W]l:p & [W][W]l:q").facts == WHITE_ONLY | I_FREE | CLEAN
 
     def test_mixed_atoms_under_modality_not_clean(self):
-        c = classify(parse("[W](l:p | r:q)"))
-        assert c.i_free and not c.clean and not c.white_only and not c.black_only
+        assert parse("[W](l:p | r:q)").facts == I_FREE
 
     def test_equality_constant_not_clean(self):
-        c = classify(EqConst())
-        assert not c.i_free and not c.clean
+        assert not EqConst().facts & (I_FREE | CLEAN)
 
     def test_clean_boolean_combination(self):
-        assert classify(parse("[W]l:p | [B]r:q")).clean
+        assert parse("[W]l:p | [B]r:q").facts & CLEAN
 
     def test_deep_negation_chain(self):
         clean, mixed = parse("[W]l:p | [B][B]r:q"), parse("[W](l:p | r:q)")
         for _ in range(3000):
             clean, mixed = Not(clean), Not(mixed)
-        c = classify(clean)
-        assert c.i_free and c.clean and not c.white_only and not c.black_only
-        assert not classify(mixed).clean
+        assert clean.facts == I_FREE | CLEAN
+        assert not mixed.facts & CLEAN
         assert len(subformulas(clean)) == 3006
 
     def test_subformulas_of_one_sided_stay_one_sided(self, rng):
         for _ in range(100):
             phi = random_one_sided(rng, Side.LEFT, depth=3)
-            assert all(classify(sub).white_only for sub in subformulas(phi))
+            assert all(sub.facts & WHITE_ONLY for sub in subformulas(phi))
 
 
 class TestClassifyAgainstReference:
-    """The syntax class each node computes when it is built, against the walk
+    """The `facts` bits each node computes when it is built, against the walk
     `reference_classify`, on every subformula."""
 
     @staticmethod
     def assert_agrees(phi):
         for sub in subformulas(phi):
-            assert classify(sub) == reference_classify(sub), sub
+            bits = tuple(bool(sub.facts & bit) for bit in (I_FREE, WHITE_ONLY, BLACK_ONLY, CLEAN))
+            assert bits == reference_classify(sub), sub
 
     def test_random_formulas(self, rng):
         seen = set()
@@ -356,7 +353,7 @@ class TestSubstitute:
             phi = random_i_free(rng, depth=2)
             out = substitute(phi, {PropName(Side.LEFT, "p"): parse("[W]l:q")}, {})
             assert parse(render(out)) == out
-            assert classify(out).i_free
+            assert out.facts & I_FREE
 
 
 class TestFolds:
