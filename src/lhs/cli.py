@@ -18,8 +18,9 @@ import re
 import sys
 import time
 
-from . import bisim as bisim_mod
-from . import decide, normal, proof as proof_mod, semantics, tiling as tiling_mod
+# `sat` and `valid` run every module imported here; bisim, proof and tiling,
+# which one verb each runs, load in that verb.
+from . import decide, normal, semantics
 from .errors import InputError, LhsError, ModelFormatError, ResourceGuard
 from .model import Model, load_model, model_doc, save_model
 from .syntax import BLACK_ONLY, CLEAN, I_FREE, WHITE_ONLY, parse, render
@@ -292,17 +293,19 @@ def _cmd_translate(args):
 
 
 def _cmd_bisim(args):
+    from . import bisim
+
     m = _read(args.model, load_model)
     n = _read(args.other, load_model)
     if args.pairs:
         left, right = _split_once(args.pairs, "=", (functools.partial(_parse_pair, model=m),
                                                     functools.partial(_parse_pair, model=n)),
                                   "pair of pairs", "S,T=S2,T2")
-        related = bisim_mod.are_bisimilar(m, *left, n, *right)
+        related = bisim.are_bisimilar(m, *left, n, *right)
         _emit(args, {"related": related, "pair": [list(left), list(right)]},
               "related" if related else "not related")
         return 0 if related else 1
-    quads = sorted(bisim_mod.largest_bisimulation(m, n).pairs)
+    quads = sorted(bisim.largest_bisimulation(m, n).pairs)
     human = "\n".join(f"({s},{t}) ~ ({s2},{t2})" for (s, t), (s2, t2) in quads)
     _emit(args, {"size": len(quads),
                  "pairs": [[list(a), list(b)] for a, b in quads]},
@@ -311,8 +314,10 @@ def _cmd_bisim(args):
 
 
 def _cmd_proof(args):
-    lines = _read(args.proof, proof_mod.load_proof)
-    err = proof_mod.check_proof(lines)
+    from . import proof
+
+    lines = _read(args.proof, proof.load_proof)
+    err = proof.check_proof(lines)
     if err is None:
         conclusion = render(lines[-1].formula) if lines else "true"
         _emit(args, {"ok": True, "lines": len(lines), "conclusion": conclusion},
@@ -324,22 +329,26 @@ def _cmd_proof(args):
 
 
 def _cmd_tiling_gen(args):
-    ts = _read(args.tiles, tiling_mod.load_tileset)
-    text = render(tiling_mod.generate_phi(ts))
+    from . import tiling
+
+    ts = _read(args.tiles, tiling.load_tileset)
+    text = render(tiling.generate_phi(ts))
     _emit(args, {"formula": text, "labels": ts.labels()}, text)
     return 0
 
 
 def _cmd_tiling_model(args):
-    ts = _read(args.tiles, tiling_mod.load_tileset)
-    model, spy = tiling_mod.torus_model(ts, _read(args.assignment, tiling_mod.load_tiling))
+    from . import tiling
+
+    ts = _read(args.tiles, tiling.load_tileset)
+    model, spy = tiling.torus_model(ts, _read(args.assignment, tiling.load_tiling))
     if args.output:
         _write(save_model(model), args.output)
     payload = {"states": len(model.states), "spy": spy}
     lines = [f"torus model: {len(model.states)} states, spy {spy}"]
     code = 0
     if args.check:
-        holds = (spy, spy) in semantics.check_all(model, tiling_mod.generate_phi(ts))
+        holds = (spy, spy) in semantics.check_all(model, tiling.generate_phi(ts))
         payload["phi_T"] = holds
         lines.append(f"phi_T {'holds' if holds else 'fails'} at ({spy},{spy})")
         code = 0 if holds else 1

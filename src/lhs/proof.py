@@ -1,4 +1,5 @@
-"""Checker for Hilbert-style derivations in the I-free calculus.
+"""Checker for Hilbert-style derivations in the I-free calculus, and the
+uniform substitution that its `Sub` lines apply.
 
 Axiom lines must be literal schema instances over propositional variables
 (with the side constraints of each schema); general instances are reached via
@@ -8,10 +9,12 @@ keeps the one-sided axioms sound.
 
 from __future__ import annotations
 
-from .errors import ModelFormatError, SideViolation
+from .errors import ContainsI, ModelFormatError, SideViolation
 from .model import read_json
 from .syntax import (
+    BLACK_ONLY,
     I_FREE,
+    WHITE_ONLY,
     Atom,
     BBox,
     Formula,
@@ -23,7 +26,7 @@ from .syntax import (
     children,
     parse,
     render,
-    substitute,
+    subformulas,
 )
 
 
@@ -80,6 +83,48 @@ def _is_instance(f: Formula, name: str) -> bool:
         else:
             stack.extend(zip(children(s), children(g)))
     return True
+
+
+# ---------------------------------------------------------------------------
+# Substitution
+
+
+def substitute(
+    phi: Formula,
+    left_map: dict[PropName, Formula] | None = None,
+    right_map: dict[PropName, Formula] | None = None,
+) -> Formula:
+    """Simultaneous uniform substitution with side-purity enforcement.
+
+    Values of `left_map` must be white-only and keyed by left-side names;
+    values of `right_map` must be black-only and keyed by right-side names.
+    This restriction is what keeps substitution sound for the one-sided
+    axioms of the calculus.
+    """
+    left_map = left_map or {}
+    right_map = right_map or {}
+    if not phi.facts & I_FREE:
+        raise ContainsI("substitution target must be I-free")
+    for key, value in left_map.items():
+        if key.side is not Side.LEFT:
+            raise SideViolation(f"left map key {key} is not a left variable")
+        if not value.facts & WHITE_ONLY:
+            raise SideViolation(f"left map value for {key} is not white-only")
+    for key, value in right_map.items():
+        if key.side is not Side.RIGHT:
+            raise SideViolation(f"right map key {key} is not a right variable")
+        if not value.facts & BLACK_ONLY:
+            raise SideViolation(f"right map value for {key} is not black-only")
+    mapping = {**left_map, **right_map}
+    out: dict[Formula, Formula] = {}
+    for f in subformulas(phi):
+        if isinstance(f, Atom):
+            out[f] = mapping.get(f.prop, f)
+        elif children(f):
+            out[f] = type(f)(*(out[c] for c in children(f)))
+        else:
+            out[f] = f
+    return out[phi]
 
 
 # ---------------------------------------------------------------------------

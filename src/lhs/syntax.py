@@ -1,4 +1,4 @@
-"""Formula AST, concrete syntax, sublanguage classification, substitution.
+"""Formula AST, concrete syntax and sublanguage classification.
 
 The language has two-sided atoms (``l:p`` / ``r:q``), the equality constant
 ``I``, the usual Boolean connectives and two pairs of modalities: the white
@@ -12,7 +12,7 @@ import itertools
 import re
 from enum import Enum
 
-from .errors import ContainsI, FormulaSyntaxError, SideViolation
+from .errors import FormulaSyntaxError
 
 
 class Side(Enum):
@@ -365,48 +365,6 @@ def drive(walk):
 
 def prop_names(phi: Formula) -> set[PropName]:
     return {f.prop for f in subformulas(phi) if isinstance(f, Atom)}
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def substitute(
-    phi: Formula,
-    left_map: dict[PropName, Formula] | None = None,
-    right_map: dict[PropName, Formula] | None = None,
-) -> Formula:
-    """Simultaneous uniform substitution with side-purity enforcement.
-
-    Values of `left_map` must be white-only and keyed by left-side names;
-    values of `right_map` must be black-only and keyed by right-side names.
-    This restriction is what keeps substitution sound for the one-sided
-    axioms of the calculus.
-    """
-    left_map = left_map or {}
-    right_map = right_map or {}
-    if not phi.facts & I_FREE:
-        raise ContainsI("substitution target must be I-free")
-    for key, value in left_map.items():
-        if key.side is not Side.LEFT:
-            raise SideViolation(f"left map key {key} is not a left variable")
-        if not value.facts & WHITE_ONLY:
-            raise SideViolation(f"left map value for {key} is not white-only")
-    for key, value in right_map.items():
-        if key.side is not Side.RIGHT:
-            raise SideViolation(f"right map key {key} is not a right variable")
-        if not value.facts & BLACK_ONLY:
-            raise SideViolation(f"right map value for {key} is not black-only")
-    mapping = {**left_map, **right_map}
-    out: dict[Formula, Formula] = {}
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            out[f] = mapping.get(f.prop, f)
-        elif children(f):
-            out[f] = type(f)(*(out[c] for c in children(f)))
-        else:
-            out[f] = f
-    return out[phi]
 
 
 # ---------------------------------------------------------------------------

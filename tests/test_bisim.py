@@ -182,6 +182,21 @@ class TestLargestBisimulation:
         monkeypatch.setattr(bisim, "DEFAULT_CEILING", 3200)
         assert not are_bisimilar(m, "w0", "w0", m, "w0", "w1")
 
+    def test_quadruple_ceiling_is_inclusive(self, monkeypatch):
+        # Three isolated states: each single-state refinement reads 6 states
+        # and each pair round 18 pair nodes, 30 in all, while the diagonal
+        # and off-diagonal blocks relate 3^2 + 6^2 = 45 quadruples. So the
+        # listing, not the refinement, meets a ceiling between the two.
+        m = edgeless(3)
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 30)
+        assert len(set(bisim._blocks(m, m).values())) == 2
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 45)
+        assert len(largest_bisimulation(m, m).pairs) == 45
+        monkeypatch.setattr(bisim, "DEFAULT_CEILING", 44)
+        with pytest.raises(ResourceGuard,
+                           match="^45 related quadruples exceed the ceiling of 44$"):
+            largest_bisimulation(m, m)
+
     def test_guard_charges_every_refinement_round(self, monkeypatch):
         # The single states of an atomless 30-cycle form one block, which one
         # round over 30 + 30 states and 60 edges confirms for the left and

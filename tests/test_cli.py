@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, witness round-trips."""
 
 import argparse
+import importlib
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from lhs import BDia, Iff, Implies, Not, WDia, check, decide, load_model, parse, render, syntax
+import lhs
 from lhs import cli
 from lhs.cli import build_parser, main
 from lhs.proof import RULE_NAMES
@@ -612,22 +614,118 @@ class TestLazyNumpy:
 
     def test_import_lhs_cli_leaves_dataclasses_out(self):
         # The records are built without `dataclasses` (and the `inspect` it
-        # imports); the CLI still loads every module of the package but the
-        # numpy one.
+        # imports); the CLI loads the modules that `sat` and `valid` run.
         script = ("import json, sys; before = set(sys.modules); import lhs.cli; "
                   "print(json.dumps(sorted(set(sys.modules) - before)))")
         proc = run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
         assert not loaded & {"dataclasses", "inspect"}
-        package = {f"lhs.{path.stem}" for path in (ROOT / "src" / "lhs").glob("*.py")}
-        expected = package - {"lhs.__init__", "lhs.bruteforce"} | {"lhs"}
-        assert {name for name in loaded if name.split(".")[0] == "lhs"} == expected
+        assert {name for name in loaded if name.split(".")[0] == "lhs"} == {
+            "lhs", "lhs.cli", "lhs.errors", "lhs.syntax", "lhs.model", "lhs.normal",
+            "lhs.semantics", "lhs.decide"}
 
     def test_numpy_imported_in_one_module(self):
         importers = {path.name for path in (ROOT / "src" / "lhs").glob("*.py")
                      if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)}
         assert importers == {"bruteforce.py"}
+
+
+# Runs each argv of stdin through `lhs.cli.main` in one fresh interpreter;
+# prints each exit code and stdout, and the `lhs` modules that each loaded.
+_LOADS_SCRIPT = """
+import contextlib, io, json, sys
+import lhs.cli
+
+out = []
+for argv in json.load(sys.stdin):
+    before, buf = set(sys.modules), io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = lhs.cli.main(argv)
+    out.append([code, buf.getvalue(), sorted(n for n in set(sys.modules) - before
+                                             if n.startswith("lhs."))])
+print(json.dumps(out))
+"""
+
+# The names `lhs` exported when its `__init__` imported every module.
+EXPORTS = """
+    ClauseViolation PairRelation are_bisimilar check_bisimulation_witness largest_bisimulation
+    Verdict brute_force_sat_oracle k_sat lhs_bounded_sat lhs_minus_sat lhs_minus_valid
+    ContainsI FormulaSyntaxError InputError InvalidTiling LhsError MixedFormula ModalInput
+    ModelFormatError NotClean ResourceGuard SideViolation UnknownState
+    Model disjoint_union enumerate_models load_model model_doc save_model
+    CleanCNF clean_to_cnf companion prop_cnf ProofLine check_proof load_proof
+    check check_all fo_eval fo_render fo_translate
+    And Atom BBox BDia Bot EqConst Formula Iff Implies Not Or PropName Side Top WBox WDia
+    left_atom parse prop_names render right_atom subformulas substitute
+    PeriodicTiling Tile TileSet generate_phi load_tileset load_tiling torus_model validate_tiling
+""".split()
+
+
+class TestLazyModules:
+    """A module that only one verb runs loads in that verb, and the package
+    loads a module when one of its names is first read."""
+
+    def loads(self, argvs):
+        proc = run_python(["-c", _LOADS_SCRIPT], input=json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv, code, modules", [
+        pytest.param(["proof", "-p", str(DATA / "proof_r_box_sub.json")], 0, ["lhs.proof"],
+                     id="proof"),
+        pytest.param(["tiling", "gen", "-t", str(DATA / "stripe_tiles.json")], 0,
+                     ["lhs.tiling"], id="tiling-gen"),
+        pytest.param(["tiling", "model", "-t", str(DATA / "one_tile.json"),
+                      "-a", str(DATA / "unit_tiling.json"), "--check"], 0,
+                     ["lhs.bruteforce", "lhs.tiling"], id="tiling-model-check"),
+    ])
+    def test_single_verb_loads_its_module(self, capsys, argv, code, modules):
+        [[got, out, loaded]] = self.loads([argv])
+        assert (got, loaded) == (code, modules)
+        assert (got, out) == run(capsys, *argv)[:2]
+
+    def test_bisim_loads_its_module(self, capsys, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["a", "b"], "edges": [["a", "b"]], '
+                         '"valuation": {"l:p": ["a"]}}')
+        argvs = [["bisim", "-m", str(model), "-n", str(model)],
+                 ["bisim", "-m", str(model), "-n", str(model), "--pairs", "a,b=a,b"]]
+        first, second = self.loads(argvs)
+        assert (first[0], first[2], second[0], second[2]) == (0, ["lhs.bisim"], 0, [])
+        assert [first[:2], second[:2]] == [list(run(capsys, *argv)[:2]) for argv in argvs]
+
+    def test_other_verbs_load_no_single_verb_module(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"states": ["w"], "edges": [["w", "w"]], "valuation": {}}')
+        formula = ["-f", "[W](l:p | r:q) <-> ([W]l:p | r:q)"]
+        argvs = [["parse", *formula], ["check", "-m", str(model), "--at", "w,w", *formula],
+                 ["sat", *formula], ["valid", *formula], ["cnf", *formula],
+                 ["translate", *formula]]
+        answers = self.loads(argvs)
+        assert [code for code, _, _ in answers] == [0] * len(argvs)
+        assert [loaded for _, _, loaded in answers] == [[]] * len(argvs)
+
+    def test_a_name_loads_its_module(self):
+        script = ("import json, sys; from lhs import parse; "
+                  "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] == 'lhs')))")
+        proc = run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["lhs", "lhs.errors", "lhs.syntax"]
+
+    def test_package_exports(self):
+        assert len(EXPORTS) == len(set(EXPORTS)) == 72
+        assert sorted(lhs.__all__) == sorted(EXPORTS)
+        assert set(EXPORTS) <= set(dir(lhs))
+        for name in EXPORTS:
+            value = getattr(lhs, name)
+            assert value.__module__.startswith("lhs."), name
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert lhs.substitute.__module__ == "lhs.proof"
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            lhs.nope
+        with pytest.raises(ImportError):
+            from lhs import nope  # noqa: F401
 
 
 @pytest.fixture

@@ -125,11 +125,8 @@ class TestRejections:
             {"formula": "l:p -> (l:q -> l:p)", "rule": "A1", "premises": [],
              "subst": {"left": {}, "right": {}}},
         ])
-        try:
-            error = check_proof(load_proof(text))
-            assert error is not None and error.line == 1
-        except Exception:
-            pass  # raising on malformed indices is also acceptable
+        assert check_proof(load_proof(text)) == LineError(
+            line=1, reason="premise 2 does not precede line 1")
 
     def test_empty_proof_has_no_conclusion(self):
         lines = []
