@@ -62,8 +62,8 @@ def _add_formula_args(sub):
 
 
 def _read(path, load):
-    """`load` applied to the text of the file at `path`."""
-    with open(path) as fh:
+    """`load` applied to the text of the file at `path`, read as UTF-8."""
+    with open(path, encoding="utf-8") as fh:
         return load(fh.read())
 
 
@@ -78,12 +78,12 @@ class _OutputError(Exception):
 
 
 def _write(text: str, path=None):
-    """Write `text` to the file at `path`, or as a line to stdout."""
+    """Write `text` to the file at `path` as UTF-8, or as a line to stdout."""
     try:
         if path is None:
             print(text, flush=True)
         else:
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         if path is None:  # so that the interpreter's flush at exit writes nowhere

@@ -139,7 +139,7 @@ ONE_SIDED = WHITE_ONLY | BLACK_ONLY
 
 class Formula(Node):
     """Base class of formulas; `repr` is `render`. A formula stores its syntax
-    class in `facts` when it is built, from its children's (`_FACTS`)."""
+    class in `facts` when it is built, from its children's (`_FACTS`, `Unary`)."""
 
     __slots__ = ()
 
@@ -174,44 +174,70 @@ class Bot(Formula):
     pass
 
 
-class Not(Formula):
+class Unary(Formula):
+    """Base class of `~` and the modalities; like `Binary`, it stores its field,
+    hash and facts itself. It keeps the bits `_keep` of its child's facts; a
+    modality, whose colour's bit is `_side`, is also clean when it keeps that bit."""
+
     child: Formula
+    _keep, _side = ONE_SIDED | I_FREE | CLEAN, 0
+
+    def __init__(self, child: Formula):
+        fields = self.__dict__
+        fields["child"] = child
+        fields["_hash"] = hash((child,))
+        facts = child.facts & self._keep
+        fields["facts"] = facts | CLEAN if facts & self._side else facts
 
 
-class And(Formula):
+class Binary(Formula):
+    """Base class of the binary connectives; their facts are their operands' in common."""
+
     left: Formula
     right: Formula
 
-
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-class Implies(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+        fields["_hash"] = hash((left, right))
+        fields["facts"] = left.facts & right.facts
 
 
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Not(Unary):
+    pass
 
 
-class WBox(Formula):
-    child: Formula
+class And(Binary):
+    pass
 
 
-class WDia(Formula):
-    child: Formula
+class Or(Binary):
+    pass
 
 
-class BBox(Formula):
-    child: Formula
+class Implies(Binary):
+    pass
 
 
-class BDia(Formula):
-    child: Formula
+class Iff(Binary):
+    pass
+
+
+class WBox(Unary):
+    _keep, _side = WHITE_ONLY | I_FREE, WHITE_ONLY
+
+
+class WDia(Unary):
+    _keep, _side = WHITE_ONLY | I_FREE, WHITE_ONLY
+
+
+class BBox(Unary):
+    _keep, _side = BLACK_ONLY | I_FREE, BLACK_ONLY
+
+
+class BDia(Unary):
+    _keep, _side = BLACK_ONLY | I_FREE, BLACK_ONLY
 
 
 MODAL_NODES = (WBox, WDia, BBox, BDia)
@@ -220,22 +246,11 @@ BLACK_MODAL = (BBox, BDia)
 BINARY_NODES = (And, Or, Implies, Iff)
 
 
-def _modal(facts: int, side: int) -> int:
-    """A modality of colour `side` keeps its child's bits of that side and of
-    I-freeness, and is clean when it is one-sided."""
-    facts &= side | I_FREE
-    return facts | CLEAN if facts & side else facts
-
-
 # node type: its facts from its field values
 _FACTS = {
     Atom: lambda prop: (WHITE_ONLY if prop.side is Side.LEFT else BLACK_ONLY) | I_FREE | CLEAN,
     EqConst: lambda: 0,
     **dict.fromkeys((Top, Bot), lambda: ONE_SIDED | I_FREE | CLEAN),
-    Not: lambda child: child.facts,
-    **dict.fromkeys(BINARY_NODES, lambda left, right: left.facts & right.facts),
-    **dict.fromkeys(WHITE_MODAL, lambda child: _modal(child.facts, WHITE_ONLY)),
-    **dict.fromkeys(BLACK_MODAL, lambda child: _modal(child.facts, BLACK_ONLY)),
 }
 
 
@@ -248,9 +263,9 @@ def right_atom(name: str) -> Atom:
 
 
 def children(phi: Formula):
-    if isinstance(phi, Not) or isinstance(phi, MODAL_NODES):
+    if isinstance(phi, Unary):
         return (phi.child,)
-    if isinstance(phi, BINARY_NODES):
+    if isinstance(phi, Binary):
         return (phi.left, phi.right)
     return ()
 
@@ -404,77 +419,82 @@ def _prec(phi: Formula) -> int:
 
 # A variable: its side, a colon and its name. Model files use the same grammar.
 ATOM_RE = re.compile(r"[lr]:[A-Za-z_][A-Za-z0-9_]*")
-# Whitespace starts no token, so `finditer` skips it.
+# Whitespace starts no token, so `findall` skips it. A character that starts
+# no other token is a token alone (`\S`), one that the parser cannot read.
 _TOKEN_RE = re.compile(
-    rf"""
-      (?P<atom>{ATOM_RE.pattern})
-    | (?P<op><->|->|[~&|()]|\[W\]|\[B\]|<W>|<B>)
-    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<bad>\S)
-    """,
-    re.VERBOSE,
-)
+    rf"{ATOM_RE.pattern}|<->|->|[~&|()]|\[[WB]\]|<[WB]>|[A-Za-z_][A-Za-z0-9_]*|\S")
 # token: (node, its precedence, least precedence of its right operand)
 _INFIX = {op.strip(): (node, _PREC[node], right) for node, (op, _, right) in _BINARY_TOKEN.items()}
 _NOT_INFIX = (None, 0, None)  # ends every pending operand down to the innermost `(`
+_OPEN, _START = ("(", None, 0), ("", None, 0)  # pending entries that no operator ends
+# token: the pending entry it opens
+_OPENS = {"(": _OPEN, **{tok: (node, None, _PREC_UNARY) for tok, node in _PREFIX_NODE.items()}}
 
 
-def _leaf(kind: str, text: str, pos: int) -> Formula:
-    if kind == "atom":
-        return Atom(PropName(Side.LEFT if text[0] == "l" else Side.RIGHT, text[2:]))
-    if kind == "word":
-        if text in _CONSTANT_NODE:
-            return _CONSTANT_NODE[text]()
-        raise FormulaSyntaxError(f"unknown identifier {text!r}", pos)
-    raise FormulaSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
+def _error(message: str, text: str, at: int) -> FormulaSyntaxError:
+    """`message` at token `at` of `text`, or at its end past the last token;
+    but a character anywhere that starts no token is the error."""
+    matches = list(_TOKEN_RE.finditer(text))
+    for m in matches:
+        tok = m.group()
+        if len(tok) == 1 and tok not in "~&|()" and not (tok.isascii() and tok.isidentifier()):
+            return FormulaSyntaxError(f"unexpected character {tok!r}", m.start())
+    return FormulaSyntaxError(message, matches[at].start() if at < len(matches) else len(text))
+
+
+def _leaf(tok: str, error) -> Formula:
+    if tok[1:2] == ":":
+        return Atom(PropName(Side.LEFT if tok[0] == "l" else Side.RIGHT, tok[2:]))
+    if tok in _CONSTANT_NODE:
+        return _CONSTANT_NODE[tok]()
+    what = "unknown identifier" if tok[:1].isidentifier() else "unexpected"
+    raise error(f"{what} {tok or 'end of input'!r}")
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into an AST. Every name is an ordinary variable,
     so the printed output of `render` (a CNF included) parses back.
 
+    One `findall` lists the tokens; only an error message finds their positions.
     Operator precedence (Floyd 1963): one pass over the tokens keeps the
     operators still waiting for their right operand on a stack, so nesting
     costs heap, never Python stack. An operator of precedence p ends the
     right operands of the pending operators that read theirs above p.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end of the input
+    stream = iter(tokens)
+
+    def error(message: str) -> FormulaSyntaxError:  # at the token read last
+        return _error(message, text, len(tokens) - 1 - stream.__length_hint__())
+
     leaves: dict[str, Formula] = {}  # each distinct atom is built once
     # (node, left operand or None for a prefix, least precedence of the
-    # right operand) of each pending operator; None for `(`.
-    pending: list = []
-    stream = iter(tokens)
-    for kind, tok, pos in stream:  # where an operand starts
-        if tok in _PREFIX_NODE:
-            pending.append((_PREFIX_NODE[tok], None, _PREC_UNARY))
-            continue
-        if tok == "(":
-            pending.append(None)
+    # right operand) of each pending operator, above `_START`.
+    pending: list = [_START]
+    for tok in stream:  # where an operand starts
+        if tok in _OPENS:
+            pending.append(_OPENS[tok])
             continue
         phi = leaves.get(tok)
         if phi is None:
-            phi = leaves[tok] = _leaf(kind, tok, pos)
-        for kind, tok, pos in stream:  # after the operand `phi`
+            phi = leaves[tok] = _leaf(tok, error)
+        for tok in stream:  # after the operand `phi`
             node, prec, least = _INFIX.get(tok, _NOT_INFIX)
-            while pending and pending[-1] is not None and prec < pending[-1][2]:
+            while prec < pending[-1][2]:
                 op, left, _ = pending.pop()
                 phi = op(phi) if left is None else op(left, phi)
             if node is not None:
                 pending.append((node, phi, least))
                 break
-            if tok == ")" and pending:
-                pending.pop()
-            elif pending:
-                raise FormulaSyntaxError(f"expected ')', found {tok or 'end of input'!r}", pos)
-            elif kind == "eof":
-                return phi
-            else:
-                raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
+            top = pending.pop()
+            if top is _OPEN and tok == ")":
+                continue
+            if top is _OPEN:
+                raise error(f"expected ')', found {tok or 'end of input'!r}")
+            if tok:
+                raise error(f"trailing input {tok!r}")
+            return phi
 
 
 # ---------------------------------------------------------------------------

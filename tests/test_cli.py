@@ -954,6 +954,20 @@ class TestOtherCommands:
                          "--pairs", "w,w=w,w")
         assert code == 0
 
+    def test_input_files_are_utf8_under_any_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode, `open` defaults to ASCII;
+        # input files are read as UTF-8 all the same.
+        model, formula = tmp_path / "m.json", tmp_path / "f.txt"
+        model.write_text('{"states": ["é"], "edges": [["é", "é"]]}', encoding="utf-8")
+        formula.write_text("l:p\u00a0& l:q", encoding="utf-8")  # a no-break space
+        env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = run_python(["-m", "lhs.cli", "bisim", "--json", "-m", str(model), "-n", str(model)],
+                          env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["size"] == 1
+        proc = run_python(["-m", "lhs.cli", "parse", "-F", str(formula)], env=env)
+        assert (proc.returncode, proc.stdout) == (0, "l:p & l:q\n"), proc.stderr
+
     def test_bisim_pairs_with_commas(self, capsys, torus):
         argv = ["bisim", "--json", "-m", str(torus), "-n", str(torus), "--pairs"]
         code, out, _ = run(capsys, *argv, "0,0,s=0,0,s")

@@ -85,7 +85,7 @@ def _hashable(values) -> bool:
 
 
 def test_every_record_is_listed():
-    bases = {syntax.Node, syntax.Formula}
+    bases = {syntax.Node, syntax.Formula, syntax.Unary, syntax.Binary}
     assert set(_record_classes()) - bases == set(RECORDS)
     assert len(RECORDS) == 26
 

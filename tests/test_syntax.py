@@ -167,8 +167,28 @@ class TestAgainstReference:
         for text in _texts(random.Random(15), 40_000):
             assert _outcome(parse, text) == _outcome(reference_parse, text), text
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("l:p & \u00e9", "unexpected character '\u00e9'", 6),  # not an ASCII letter
+        (") $", "unexpected character '$'", 2),  # before the earlier `)`
+        ("l:1", "unexpected character ':'", 1),
+        ("l:p & <", "unexpected character '<'", 6),
+        ("   ", "unexpected 'end of input'", 3),
+        ("(l:p", "expected ')', found 'end of input'", 4),
+    ])
+    def test_token_errors(self, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    def test_unicode_whitespace_separates_tokens(self):
+        assert parse("l:p\u00a0& l:q") == And(lp(), lp("q"))
+
     @pytest.mark.parametrize("make", [lambda k: " & ".join(["l:p"] * k),
-                                      lambda k: "~" * k + "l:p"], ids=["wide_and", "deep_not"])
+                                      lambda k: "~" * k + "l:p",
+                                      lambda k: "(" * k + "l:p" + ")" * k,
+                                      lambda k: "[W]" * k + "l:p"],
+                             ids=["wide_and", "deep_not", "nested_parens", "deep_box"])
     def test_linear_time(self, make):
         # Four times the input costs about four times the CPU time, not
         # sixteen: 10^5 operators parse within a CPU-second bound.
