@@ -6,7 +6,8 @@ does not import it, so the I-free decision path never pays for numpy.
 `truth_table` evaluates the truth definition at every pair of a batch of
 frames at once. A single model (`semantics.check_all`, `tiling model
 --check`) gets a boolean table and one matrix product per modality; the
-search's packed tables keep a per-state loop.
+search's packed tables keep a per-state loop, or one step for a box whose
+operand does not read the state it moves to.
 
 `find_model` is the package's one bounded search for the full language
 (behind `lhs sat --full`) and its independent oracle: it evaluates the truth
@@ -68,51 +69,60 @@ def _box(child: np.ndarray, rel: np.ndarray) -> np.ndarray:
     does it, and float32 counts up to 2^24 exactly. A packed table holds many
     frames and valuations per byte, which a product cannot combine, so it
     ANDs over w in n whole-array steps, with `rel` 255 where there is no edge.
+    A child with no axis for w takes one step, child | (the AND over w of
+    rel_w), that AND chained on (frames, n) arrays: numpy's reduce is slower.
     """
     n = rel.shape[-1]
     if child.dtype == bool:
         bad = np.broadcast_to(~child, (1, n, n, 1))[0, :, :, 0].astype(np.float32)
         return ~(rel @ bad > 0)[None, :, :, None]
-    child = np.broadcast_to(child, (child.shape[0], n) + child.shape[2:])
+    if child.shape[1] == 1:
+        return child | reduce(np.bitwise_and, [rel[:, :, w] for w in range(n)])[:, :, None, None]
     acc = child[:, :1] | rel[:, :, :1, None]
     for w in range(1, n):
         acc &= child[:, w:w + 1] | rel[:, :, w:w + 1, None]
     return acc
 
 
-def truth_table(order: list, adj: np.ndarray, props: list, patterns: np.ndarray) -> np.ndarray:
+def plan(phi: Formula) -> list:
+    """The steps of `truth_table` for `phi`, in `subformulas` order (`phi`
+    last): each node, its children's indices and those of the children whose
+    arrays it frees, as their last parent. A search plans once."""
+    order = subformulas(phi)
+    index = {f: i for i, f in enumerate(order)}
+    kids = [[index[c] for c in children(f)] for f in order]
+    frees: list = [[] for _ in order]
+    for k, i in {k: i for i, ks in enumerate(kids) for k in ks}.items():
+        frees[i].append(k)
+    return list(zip(order, kids, frees))
+
+
+def truth_table(steps: list, adj: np.ndarray, props: list, patterns: np.ndarray) -> np.ndarray:
     """Truth of a formula at every pair of every frame.
 
-    `order` is the formula's `subformulas`, the formula last. `adj` is a
-    (frames, n, n) boolean adjacency array. `patterns[j]` is the truth of
-    `props[j]` at each state, in one of two representations, which its
-    dtype selects:
+    `steps` is the formula's `plan`. `adj` is a (frames, n, n) boolean
+    adjacency array. `patterns[j]` is the truth of `props[j]` at each state,
+    in one of two representations, which its dtype selects:
     - bool, shape (n, 1): a single model (one frame, one valuation);
     - uint8, shape (n, nbytes): bit-packed valuations, each bit position
       standing for the same valuation for every prop.
     Names missing from `props` are false everywhere. Constants take the same
     dtype: a uint8 one would upcast a boolean table, where ~1 is 254.
-    Returns a read-only (frames, s, t, width) view.
+    Returns the formula's array, which broadcasts to (frames, s, t, width):
+    an axis it does not read has length 1. It may be a view of `patterns`.
     """
     n = adj.shape[1]
     false = np.zeros((1, 1, 1, 1), dtype=patterns.dtype)
     rel = (adj[0].astype(np.float32) if patterns.dtype == bool
            else np.where(adj, np.uint8(0), np.uint8(255)))
     slot = {prop: j for j, prop in enumerate(props)}
-    index = {f: i for i, f in enumerate(order)}
-    kids = [[index[c] for c in children(f)] for f in order]
-    # A subformula's array is freed once its last parent is built.
-    last_parent = {k: i for i, ks in enumerate(kids) for k in ks}
-    arrays: list = [None] * len(order)
-    for i, f in enumerate(order):
-        args = [arrays[k] for k in kids[i]]
-        if type(f) in _BOOLEAN:
-            arr = _BOOLEAN[type(f)](*args)
-        elif isinstance(f, Bot):
-            arr = false
-        elif isinstance(f, Top):
-            arr = ~false
-        elif isinstance(f, Atom):
+    arrays: list = [None] * len(steps)
+    for i, (f, kids, frees) in enumerate(steps):
+        args = [arrays[k] for k in kids]
+        kind = type(f)
+        if kind in _BOOLEAN:
+            arr = _BOOLEAN[kind](*args)
+        elif kind is Atom:
             j = slot.get(f.prop)
             if j is None:
                 arr = false
@@ -120,24 +130,27 @@ def truth_table(order: list, adj: np.ndarray, props: list, patterns: np.ndarray)
                 arr = patterns[j][None, :, None, :]
             else:
                 arr = patterns[j][None, None, :, :]
-        elif isinstance(f, EqConst):
-            arr = np.where(np.eye(n, dtype=bool)[None, :, :, None], ~false, false)
-        elif isinstance(f, WBox):
+        elif kind is WBox:
             arr = _box(args[0], rel)
-        elif isinstance(f, WDia):
+        elif kind is WDia:
             arr = ~_box(~args[0], rel)
         # A black modality is the white one with the two coordinates swapped.
-        elif isinstance(f, BBox):
+        elif kind is BBox:
             arr = _box(args[0].swapaxes(1, 2), rel).swapaxes(1, 2)
-        elif isinstance(f, BDia):
+        elif kind is BDia:
             arr = ~_box(~args[0].swapaxes(1, 2), rel).swapaxes(1, 2)
+        elif kind is Bot:
+            arr = false
+        elif kind is Top:
+            arr = ~false
+        elif kind is EqConst:
+            arr = np.where(np.eye(n, dtype=bool)[None, :, :, None], ~false, false)
         else:
             raise TypeError(f"not a formula: {f!r}")
         arrays[i] = arr
-        for k in kids[i]:
-            if last_parent[k] == i:
-                arrays[k] = None
-    return np.broadcast_to(arrays[-1], adj.shape + patterns.shape[-1:])
+        for k in frees:
+            arrays[k] = None
+    return arrays[-1]
 
 
 def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
@@ -155,8 +168,8 @@ def holding_pairs(model: Model, phi: Formula) -> set[tuple[State, State]]:
     patterns = np.zeros((len(model.valuation), len(states), 1), dtype=bool)
     for j, members in enumerate(model.valuation.values()):
         patterns[j, [index[w] for w in members], 0] = True
-    truth = truth_table(subformulas(phi), adj, list(model.valuation), patterns)
-    s, t = np.nonzero(truth[0, :, :, 0])
+    truth = truth_table(plan(phi), adj, list(model.valuation), patterns)
+    s, t = np.nonzero(np.broadcast_to(truth, (1, n, n, 1))[0, :, :, 0])
     return {(states[a], states[b]) for a, b in zip(s.tolist(), t.tolist())}
 
 
@@ -271,9 +284,9 @@ def find_model(phi: Formula, max_states: int, *, mod_iso: bool = True):
     run before it starts."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    order = subformulas(phi)
-    props = sorted({f.prop for f in order if isinstance(f, Atom)}, key=str)
-    search_work(max_states, len(props), len(order), mod_iso)
+    steps = plan(phi)
+    props = sorted({f.prop for f, _, _ in steps if type(f) is Atom}, key=str)
+    search_work(max_states, len(props), len(steps), mod_iso)
     for n in range(1, max_states + 1):
         nbits = 1 << (n * len(props))
         patterns = _atom_patterns(n, len(props))
@@ -282,12 +295,14 @@ def find_model(phi: Formula, max_states: int, *, mod_iso: bool = True):
         chunk = max(1, _CHUNK_BYTES // (n * n * nbytes))
         for lo in range(0, len(adj_all), chunk):
             adj = adj_all[lo:lo + chunk]
-            truth = truth_table(order, adj, props, patterns)
+            truth = truth_table(steps, adj, props, patterns)
             hits = np.nonzero(truth.any(axis=(1, 2, 3)))[0]
             if hits.size == 0:
                 continue
+            # A root that reads no frame has one row, which stands for the chunk's first frame.
             f = int(hits[0])
-            bits = np.unpackbits(truth[f], axis=-1, count=nbits, bitorder="little")
+            frame = np.broadcast_to(truth[f], (n, n, nbytes))
+            bits = np.unpackbits(frame, axis=-1, count=nbits, bitorder="little")
             s, t, v = (int(x) for x in np.argwhere(bits)[0])
             return _witness_model(adj[f], props, v), f"w{s}", f"w{t}"
     return None

@@ -306,10 +306,10 @@ def _cmd_bisim(args):
               "related" if related else "not related")
         return 0 if related else 1
     quads = sorted(bisim.largest_bisimulation(m, n).pairs)
-    human = "\n".join(f"({s},{t}) ~ ({s2},{t2})" for (s, t), (s2, t2) in quads)
+    human = "" if args.json else "\n".join(
+        f"({s},{t}) ~ ({s2},{t2})" for (s, t), (s2, t2) in quads) or "(empty)"
     _emit(args, {"size": len(quads),
-                 "pairs": [[list(a), list(b)] for a, b in quads]},
-          human if human else "(empty)")
+                 "pairs": [[list(a), list(b)] for a, b in quads]}, human)
     return 0
 
 

@@ -38,13 +38,15 @@ class Model(Record):
         declared = set(self.states)
         if len(declared) != len(self.states):
             raise ModelFormatError("duplicate state ids")
+        # The least offender is named: set order follows the hash seed.
         for a, b in self.edges:
             if a not in declared or b not in declared:
-                raise ModelFormatError(f"edge ({a!r}, {b!r}) mentions an undeclared state")
+                stray = min(e for e in self.edges if not declared.issuperset(e))
+                raise ModelFormatError(f"edge {stray!r} mentions an undeclared state")
         for prop, members in self.valuation.items():
-            for w in members:
-                if w not in declared:
-                    raise ModelFormatError(f"valuation of {prop} mentions undeclared state {w!r}")
+            if not declared.issuperset(members):
+                stray = min(w for w in members if w not in declared)
+                raise ModelFormatError(f"valuation of {prop} mentions undeclared state {stray!r}")
 
     def require_state(self, *ws: State):
         for w in ws:

@@ -1,7 +1,8 @@
 """The bounded search's frame list: isomorph-free generation against the
 permutation filter it replaced, the reduced search against the full one, and
-the limits that size the search. The kernel's boolean single-model path
-against its packed path and the pointwise checker."""
+the limits that size the search, and its one plan per search. The kernel's
+boolean single-model path against its packed path and the pointwise checker,
+and its one-step box."""
 
 import random
 import re
@@ -29,12 +30,14 @@ from lhs import (
     render,
     torus_model,
 )
+from lhs import bruteforce
 from lhs.bruteforce import (
     WORK_CEILING,
     _CLASSES,
     _atom_patterns,
     _frames,
     find_model,
+    plan,
     search_work,
     truth_table,
 )
@@ -112,6 +115,37 @@ def test_reduced_search_finds_the_same_witness():
     assert set(sizes) == {None, 1, 2, 3}
 
 
+def test_search_plans_once(monkeypatch):
+    # One walk of the formula per search, and one set of steps that every
+    # level and every chunk reuses. Chunks of one frame split each level
+    # into as many chunks as it has frames, and find the same witnesses.
+    phis = [parse(text) for text in _FORCERS[1:] + ["l:p & ~r:p", "false"]]
+    expected = [find_model(phi, 3) for phi in phis]
+    walks, plans, charges = [], [], []
+    walk, kernel, charge = bruteforce.subformulas, bruteforce.truth_table, bruteforce.search_work
+    monkeypatch.setattr(bruteforce, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(bruteforce, "subformulas", lambda phi: walks.append(phi) or walk(phi))
+    monkeypatch.setattr(bruteforce, "truth_table",
+                        lambda steps, *args: plans.append(steps) or kernel(steps, *args))
+    monkeypatch.setattr(bruteforce, "search_work",
+                        lambda *args: charges.append(charge(*args)) or charges[-1])
+    for phi, found in zip(phis, expected):
+        walks.clear()
+        plans.clear()
+        assert find_model(phi, 3) == found
+        assert walks == [phi]
+        assert all(steps is plans[0] for steps in plans)
+    # `false` is planned once and evaluated on every frame of levels 1 to 3.
+    assert len(plans) == sum(len(_frames(n, True)[0]) for n in (1, 2, 3))
+    # The charges of seeded searches, pinned when the kernel replanned per call.
+    charges.clear()
+    rng = random.Random(2024)
+    for i in range(40):
+        find_model(random_formula(rng, depth=2 + i % 3), 1 + i % 3)
+    assert (len(charges), sum(charges), charges[:6]) == (
+        40, 213_083_894, [20, 7128, 2934, 8, 656, 57_661_920])
+
+
 def test_heaviest_searches_within_the_ceiling():
     # Bound 4 over four props at 24 subformulas, the most in the benchmark's
     # fullsat pool (its heaviest search, oracle.b4.4, has 13).
@@ -147,8 +181,9 @@ def _packed_pairs(model, phi):
     props = list(model.valuation)
     patterns = np.array([[[255 if w in model.valuation[p] else 0] for w in states]
                          for p in props], dtype=np.uint8).reshape(len(props), len(states), 1)
-    truth = truth_table(subformulas(phi), adj, props, patterns)
+    truth = truth_table(plan(phi), adj, props, patterns)
     assert truth.dtype == np.uint8 and set(np.unique(truth)) <= {0, 255}
+    truth = np.broadcast_to(truth, adj.shape + (1,))
     return {(states[s], states[t]) for s, t in np.argwhere(truth[0, :, :, 0]).tolist()}
 
 
@@ -190,6 +225,49 @@ def test_boolean_path_agrees_with_packed_path_and_pointwise():
             assert {pair for pair in pairs if check(m, *pair, phi)} == got & set(pairs)
         dead_ends.add(any(not m.successor_map[w] for w in m.states))
     assert {WBox, WDia, BBox, BDia, EqConst, Top, Bot} <= node_types
+    assert dead_ends == {True, False}
+
+
+# Box operands with no axis for the state the box moves to: formulas of the
+# right coordinate under a white modality, of the left under a black one,
+# and constants.
+_ONE_STEP = ["[W]r:p", "<W>r:p", "[W](r:p -> r:q)", "<W>(r:p & ~r:q)", "[W]true", "<W>true",
+             "[W]false", "<W>false", "[B]l:p", "<B>l:p", "[B](l:p | ~l:q)", "<B>(l:p <-> l:q)",
+             "[B]true", "<B>false", "<W>[B]l:q & [B]<W>r:q", "l:q -> [W][W]r:p"]
+
+
+@pytest.mark.parametrize("text", _ONE_STEP)
+def test_one_step_box_agrees_with_pointwise(text):
+    # The packed kernel on every frame class up to 3 states, against `check`
+    # on every pair, and the boolean single-model path on the same models.
+    phi = parse(text)
+    props = sorted(prop_names(phi), key=str)
+    k, rng = len(props), random.Random(text)
+    boxes = [f for f in subformulas(phi) if isinstance(f, (WBox, WDia, BBox, BDia))]
+    axis = [1 if isinstance(f, (WBox, WDia)) else 2 for f in boxes]
+    dead_ends = set()
+    for n in (1, 2, 3):
+        adj = _frames(n, True)[1]
+        patterns = _atom_patterns(n, k)
+        # Some box here takes the one step: its operand has no axis for w.
+        assert any(truth_table(plan(f.child), adj, props, patterns).shape[a] == 1
+                   for f, a in zip(boxes, axis))
+        truth = np.broadcast_to(truth_table(plan(phi), adj, props, patterns),
+                                adj.shape + patterns.shape[-1:])
+        bits = np.unpackbits(truth, axis=-1, count=1 << (n * k), bitorder="little")
+        states = [f"w{i}" for i in range(n)]
+        for frame, frame_bits in zip(adj, bits):
+            edges = [(states[a], states[b]) for a, b in np.argwhere(frame).tolist()]
+            dead_ends.add(not frame.any(axis=1).all())
+            valuations = range(1 << (n * k))
+            for v in valuations if n < 3 else rng.sample(valuations, min(6, len(valuations))):
+                model = make_model(states, edges, {
+                    str(p): [w for i, w in enumerate(states) if v >> (n * j + i) & 1]
+                    for j, p in enumerate(props)})
+                holds = {(states[s], states[t])
+                         for s, t in np.argwhere(frame_bits[:, :, v]).tolist()}
+                assert {pair for pair in all_pairs(model) if check(model, *pair, phi)} == holds
+                assert check_all(model, phi) == holds
     assert dead_ends == {True, False}
 
 

@@ -428,6 +428,24 @@ def test_witnesses_do_not_depend_on_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("doc, error", [
+    ({"states": ["a", "b"], "edges": [["a", "z"], ["a", "x"], ["q", "b"], ["a", "b"]]},
+     "edge ('a', 'x') mentions an undeclared state"),
+    ({"states": ["a", "b"], "edges": [], "valuation": {"l:p": ["a", "y", "c", "zz"]}},
+     "valuation of l:p mentions undeclared state 'c'"),
+])
+def test_model_error_does_not_depend_on_hash_seed(tmp_path, doc, error):
+    # Edges and valuation members are sets: the least offender is named,
+    # whatever order the hash seed gives them.
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    for seed in "0123":
+        proc = run_python(["-m", "lhs.cli", "check", "-m", str(model), "--at", "a,a", "-f", "l:p"],
+                          env={"PYTHONHASHSEED": seed})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            65, "", f"lhs: input error: {error}\n"), seed
+
+
 class TestReadme:
     @staticmethod
     def synopsis():
@@ -953,6 +971,20 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "bisim", "-m", str(m), "-n", str(m),
                          "--pairs", "w,w=w,w")
         assert code == 0
+
+    def test_bisim_listing(self, capsys, tmp_path):
+        # The human-readable listing, one related quadruple a line, or
+        # `(empty)`; `--json` gives the same quadruples as lists.
+        m, n = tmp_path / "m.json", tmp_path / "n.json"
+        m.write_text('{"states": ["a", "b"], "edges": [["a", "b"]], "valuation": {"l:p": ["a"]}}')
+        n.write_text('{"states": ["c"], "edges": [], "valuation": {"l:p": ["c"]}}')
+        assert run(capsys, "bisim", "-m", str(m), "-n", str(m)) == (
+            0, "(a,a) ~ (a,a)\n(a,b) ~ (a,b)\n(b,a) ~ (b,a)\n(b,b) ~ (b,b)\n", "")
+        assert run(capsys, "bisim", "-m", str(m), "-n", str(n)) == (0, "(empty)\n", "")
+        assert run(capsys, "bisim", "--json", "-m", str(m), "-n", str(n)) == (
+            0, '{"size": 0, "pairs": []}\n', "")
+        assert run(capsys, "bisim", "--json", "-m", str(n), "-n", str(n)) == (
+            0, '{"size": 1, "pairs": [[["c", "c"], ["c", "c"]]]}\n', "")
 
     def test_input_files_are_utf8_under_any_locale(self, tmp_path):
         # Under the C locale without UTF-8 mode, `open` defaults to ASCII;
