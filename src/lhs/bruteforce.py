@@ -5,9 +5,10 @@ does not import it, so the I-free decision path never pays for numpy.
 
 `truth_table` evaluates the truth definition at every pair of a batch of
 frames at once. A single model (`semantics.check_all`, `tiling model
---check`) gets a boolean table and one matrix product per modality; the
-search's packed tables keep a per-state loop, or one step for a box whose
-operand does not read the state it moves to.
+--check`) gets a boolean table and one matrix product per modality. The
+search's packed tables take one step for a modality whose operand does not
+read the state it moves to, a lookup in a table over successor sets for one
+whose operand reads no frame, and otherwise a loop over the states.
 
 `find_model` is the package's one bounded search for the full language
 (behind `lhs sat --full`) and its independent oracle: it evaluates the truth
@@ -22,7 +23,7 @@ verdicts, rather than filtered from all 2^(n*n).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -62,25 +63,72 @@ _BOOLEAN = {Not: np.invert, And: np.bitwise_and, Or: np.bitwise_or,
             Implies: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
 
 
-def _box(child: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """`[W] child`: the AND, over every state w, of child at (w, t) wherever
-    (s, w) is an edge. On a single model's boolean table that is one matrix
-    product, ~(R . ~child), with `rel` the (n, n) adjacency in float32: BLAS
-    does it, and float32 counts up to 2^24 exactly. A packed table holds many
-    frames and valuations per byte, which a product cannot combine, so it
-    ANDs over w in n whole-array steps, with `rel` 255 where there is no edge.
-    A child with no axis for w takes one step, child | (the AND over w of
-    rel_w), that AND chained on (frames, n) arrays: numpy's reduce is slower.
+class _Batch:
+    """A batch of (frames, n, n) adjacencies as the modalities read it, each
+    view built on first use. Per-state views chain n column steps: numpy's
+    `any` and `packbits` over the short last axis are several times slower."""
+
+    def __init__(self, adj: np.ndarray):
+        self.adj = adj
+
+    @cached_property
+    def matrix(self) -> np.ndarray:  # a single frame's relation, for BLAS
+        return self.adj[0].astype(np.float32)
+
+    @cached_property
+    def codes(self) -> np.ndarray:  # (frames, n), n <= 8: bit w of state s's code is edge (s, w)
+        return reduce(np.bitwise_or, [self.adj[:, :, w].view(np.uint8) << np.uint8(w)
+                                      for w in range(self.adj.shape[1])])
+
+    @cached_property
+    def live(self) -> tuple:  # 255 at the states with a successor, and at those without
+        some = reduce(np.logical_or, [self.adj[:, :, w] for w in range(self.adj.shape[1])])
+        live = some.view(np.uint8)[:, :, None, None] * np.uint8(255)
+        return live, ~live
+
+    @cached_property
+    def rel(self) -> np.ndarray:  # 255 on an edge, 0 off it
+        return self.adj.view(np.uint8) * np.uint8(255)
+
+
+def _fold_table(rows, start, op) -> np.ndarray:
+    """Row c: `op` folded from `start` over rows[w] for every bit w of c."""
+    table = np.empty((1 << len(rows),) + np.shape(rows[0]), dtype=np.result_type(rows[0]))
+    table[0] = start
+    for w, row in enumerate(rows):
+        table[1 << w:2 << w] = op(table[:1 << w], row)
+    return table
+
+
+def _modal(child: np.ndarray, batch: _Batch, box: bool) -> np.ndarray:
+    """`[W] child` (box) or `<W> child`: the AND (OR), over every state w, of
+    child at (w, t) wherever (s, w) is an edge. A diamond is computed as
+    such, never as ~box(~child).
+    - A single model's boolean table: one matrix product, ~(R . ~child > 0)
+      or R . child > 0, in float32: BLAS does it, exact up to 2^24.
+    - A packed table holds many frames and valuations per byte, which a
+      product cannot combine. A child with no axis for w is one step, child
+      ORed with the states without a successor (ANDed with those with one).
+    - A child with no frame axis is, at s, a function of the successor set of
+      s, one of 2^n: a table of the ANDs (ORs) of its rows over each set,
+      gathered by every state's code. Taken when the batch has at least 4^n
+      frames, where it pays: never for a single model of many states.
+    - Otherwise n whole-array steps, ANDing child | ~R (ORing child & R).
     """
-    n = rel.shape[-1]
+    n = batch.adj.shape[1]
     if child.dtype == bool:
-        bad = np.broadcast_to(~child, (1, n, n, 1))[0, :, :, 0].astype(np.float32)
-        return ~(rel @ bad > 0)[None, :, :, None]
+        held = np.broadcast_to(~child if box else child, (1, n, n, 1))[0, :, :, 0]
+        some = (batch.matrix @ held.astype(np.float32) > 0)[None, :, :, None]
+        return ~some if box else some
     if child.shape[1] == 1:
-        return child | reduce(np.bitwise_and, [rel[:, :, w] for w in range(n)])[:, :, None, None]
-    acc = child[:, :1] | rel[:, :, :1, None]
+        return child | batch.live[1] if box else child & batch.live[0]
+    join, step = (np.bitwise_and, np.bitwise_or) if box else (np.bitwise_or, np.bitwise_and)
+    if child.shape[0] == 1 and n <= 8 and len(batch.adj) >= 4 ** n:
+        return np.take(_fold_table(child[0], 255 if box else 0, join), batch.codes, axis=0)
+    rel = ~batch.rel if box else batch.rel
+    acc = step(child[:, :1], rel[:, :, :1, None])
     for w in range(1, n):
-        acc &= child[:, w:w + 1] | rel[:, :, w:w + 1, None]
+        join(acc, step(child[:, w:w + 1], rel[:, :, w:w + 1, None]), out=acc)
     return acc
 
 
@@ -108,13 +156,14 @@ def truth_table(steps: list, adj: np.ndarray, props: list, patterns: np.ndarray)
       standing for the same valuation for every prop.
     Names missing from `props` are false everywhere. Constants take the same
     dtype: a uint8 one would upcast a boolean table, where ~1 is 254.
-    Returns the formula's array, which broadcasts to (frames, s, t, width):
-    an axis it does not read has length 1. It may be a view of `patterns`.
+    The modalities read `adj` through one `_Batch`, which builds each of its
+    views on first use. Returns the formula's array, which broadcasts to
+    (frames, s, t, width): an axis it does not read has length 1. It may be a
+    view of `patterns`.
     """
     n = adj.shape[1]
     false = np.zeros((1, 1, 1, 1), dtype=patterns.dtype)
-    rel = (adj[0].astype(np.float32) if patterns.dtype == bool
-           else np.where(adj, np.uint8(0), np.uint8(255)))
+    batch = _Batch(adj)
     slot = {prop: j for j, prop in enumerate(props)}
     arrays: list = [None] * len(steps)
     for i, (f, kids, frees) in enumerate(steps):
@@ -130,15 +179,11 @@ def truth_table(steps: list, adj: np.ndarray, props: list, patterns: np.ndarray)
                 arr = patterns[j][None, :, None, :]
             else:
                 arr = patterns[j][None, None, :, :]
-        elif kind is WBox:
-            arr = _box(args[0], rel)
-        elif kind is WDia:
-            arr = ~_box(~args[0], rel)
+        elif kind is WBox or kind is WDia:
+            arr = _modal(args[0], batch, kind is WBox)
         # A black modality is the white one with the two coordinates swapped.
-        elif kind is BBox:
-            arr = _box(args[0].swapaxes(1, 2), rel).swapaxes(1, 2)
-        elif kind is BDia:
-            arr = ~_box(~args[0].swapaxes(1, 2), rel).swapaxes(1, 2)
+        elif kind is BBox or kind is BDia:
+            arr = _modal(args[0].swapaxes(1, 2), batch, kind is BBox).swapaxes(1, 2)
         elif kind is Bot:
             arr = false
         elif kind is Top:
@@ -191,11 +236,16 @@ _CHUNK_BYTES = 1 << 25
 
 def _relabel(codes: np.ndarray, src: list, dst: list, perm: tuple) -> np.ndarray:
     """Frames whose bit w is edge src[w], with each state a renamed to
-    perm[a] and recoded so that bit w is edge dst[w]."""
+    perm[a] and recoded so that bit w is edge dst[w]: per byte of the code,
+    one gather from a 256-entry table of the bits each value moves to."""
     weight = {e: w for w, e in enumerate(dst)}
-    out = np.zeros_like(codes)
-    for w, (a, c) in enumerate(src):
-        out |= ((codes >> np.uint64(w)) & np.uint64(1)) << np.uint64(weight[perm[a], perm[c]])
+    moved = [np.uint64(1) << np.uint64(weight[perm[a], perm[c]]) for a, c in src]
+    octets = codes.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # lowest byte first
+    parts = (np.take(_fold_table(moved[b:b + 8], 0, np.bitwise_or), octets[:, b // 8])
+             for b in range(0, len(src), 8))
+    out = next(parts)
+    for part in parts:
+        out |= part
     return out
 
 

@@ -1,9 +1,11 @@
 """The bounded search's frame list: isomorph-free generation against the
-permutation filter it replaced, the reduced search against the full one, and
-the limits that size the search, and its one plan per search. The kernel's
-boolean single-model path against its packed path and the pointwise checker,
-and its one-step box."""
+permutation filter it replaced, the reduced search against the full one, the
+level-5 masks and a corpus of witnesses pinned by digests, the limits that
+size the search, and its one plan per search. The kernel's boolean
+single-model path against its packed path and the pointwise checker, and its
+one-step and successor-set table modalities."""
 
+import hashlib
 import random
 import re
 from collections import Counter
@@ -113,6 +115,37 @@ def test_reduced_search_finds_the_same_witness():
             assert found == find_model(phi, bound, mod_iso=False), (render(phi), bound)
             sizes[found and len(found[0].states)] += 1
     assert set(sizes) == {None, 1, 2, 3}
+
+
+def test_level_five_masks_pinned():
+    # ROADMAP direction 8: the masks up to 4 states are pinned by the
+    # permutation filter above, those of 5 states by a digest taken when
+    # `_relabel` moved one bit at a time. A wrong relabelling keeps many more
+    # codes, which at 5 states take gigabytes: level 4 is checked first.
+    assert len(_frames(4, True)[0]) == _CLASSES[4]
+    masks = _frames(5, True)[0]
+    assert len(masks) == _CLASSES[5]
+    assert hashlib.sha256(masks.astype("<u8").tobytes()).hexdigest() == (
+        "a7817fb501433b1c3eb1df0373568c30c59999097bca2e5d6561f8db331a2aba")
+
+
+def test_witnesses_pinned():
+    # The witnesses of 300 seeded formulas at bounds 1 to 4, each conjoined
+    # with a forcer, digested when every modality looped over the states; the
+    # last forcer needs four states (four distinct left valuations).
+    forcers = _FORCERS + ["l:p & l:q & <W>(l:p & ~l:q) & <W>(~l:p & l:q) & <W>(~l:p & ~l:q)"]
+    rng = random.Random(3434)
+    digest, sizes = hashlib.sha256(), Counter()
+    for i in range(300):
+        phi = And(parse(forcers[i % len(forcers)]), random_formula(rng, depth=2 + i % 2))
+        for bound in (1, 2, 3, 4):
+            found = find_model(phi, bound)
+            record = found and (list(found[0].states), sorted(found[0].edges), sorted(
+                (str(p), sorted(ws)) for p, ws in found[0].valuation.items()), list(found[1:]))
+            digest.update(repr(record).encode())
+            sizes[record and len(record[0])] += 1
+    assert set(sizes) == {None, 1, 2, 3, 4}
+    assert digest.hexdigest() == "9e9b2dcd639b70a10179c6a7cce74684515cef6d7838ed9fc3770386ddf78a1c"
 
 
 def test_search_plans_once(monkeypatch):
@@ -236,39 +269,99 @@ _ONE_STEP = ["[W]r:p", "<W>r:p", "[W](r:p -> r:q)", "<W>(r:p & ~r:q)", "[W]true"
              "[B]true", "<B>false", "<W>[B]l:q & [B]<W>r:q", "l:q -> [W][W]r:p"]
 
 
+def _agrees_with_pointwise(phi, n, rng, frames=None, samples=6):
+    """The packed kernel on one batch of the frame classes of n states, those
+    at the indices `frames` (all by default), against `check` on every pair
+    and `check_all`'s boolean path: at every valuation below 3 states, at
+    `samples` seeded ones from 3. The set of whether each has a dead end."""
+    props = sorted(prop_names(phi), key=str)
+    k = len(props)
+    adj = _frames(n, True)[1] if frames is None else _frames(n, True)[1][sorted(frames)]
+    patterns = _atom_patterns(n, k)
+    truth = np.broadcast_to(truth_table(plan(phi), adj, props, patterns),
+                            adj.shape + patterns.shape[-1:])
+    states = [f"w{i}" for i in range(n)]
+    dead_ends = set()
+    for frame, frame_truth in zip(adj, truth):
+        bits = np.unpackbits(frame_truth, axis=-1, count=1 << (n * k), bitorder="little")
+        edges = [(states[a], states[b]) for a, b in np.argwhere(frame).tolist()]
+        dead_ends.add(not frame.any(axis=1).all())
+        valuations = range(1 << (n * k))
+        for v in valuations if n < 3 else rng.sample(valuations, min(samples, len(valuations))):
+            model = make_model(states, edges, {
+                str(p): [w for i, w in enumerate(states) if v >> (n * j + i) & 1]
+                for j, p in enumerate(props)})
+            holds = {(states[s], states[t]) for s, t in np.argwhere(bits[:, :, v]).tolist()}
+            assert {pair for pair in all_pairs(model) if check(model, *pair, phi)} == holds
+            assert check_all(model, phi) == holds
+    return dead_ends
+
+
 @pytest.mark.parametrize("text", _ONE_STEP)
 def test_one_step_box_agrees_with_pointwise(text):
     # The packed kernel on every frame class up to 3 states, against `check`
     # on every pair, and the boolean single-model path on the same models.
     phi = parse(text)
     props = sorted(prop_names(phi), key=str)
-    k, rng = len(props), random.Random(text)
+    rng = random.Random(text)
     boxes = [f for f in subformulas(phi) if isinstance(f, (WBox, WDia, BBox, BDia))]
     axis = [1 if isinstance(f, (WBox, WDia)) else 2 for f in boxes]
     dead_ends = set()
     for n in (1, 2, 3):
         adj = _frames(n, True)[1]
-        patterns = _atom_patterns(n, k)
+        patterns = _atom_patterns(n, len(props))
         # Some box here takes the one step: its operand has no axis for w.
         assert any(truth_table(plan(f.child), adj, props, patterns).shape[a] == 1
                    for f, a in zip(boxes, axis))
-        truth = np.broadcast_to(truth_table(plan(phi), adj, props, patterns),
-                                adj.shape + patterns.shape[-1:])
-        bits = np.unpackbits(truth, axis=-1, count=1 << (n * k), bitorder="little")
-        states = [f"w{i}" for i in range(n)]
-        for frame, frame_bits in zip(adj, bits):
-            edges = [(states[a], states[b]) for a, b in np.argwhere(frame).tolist()]
-            dead_ends.add(not frame.any(axis=1).all())
-            valuations = range(1 << (n * k))
-            for v in valuations if n < 3 else rng.sample(valuations, min(6, len(valuations))):
-                model = make_model(states, edges, {
-                    str(p): [w for i, w in enumerate(states) if v >> (n * j + i) & 1]
-                    for j, p in enumerate(props)})
-                holds = {(states[s], states[t])
-                         for s, t in np.argwhere(frame_bits[:, :, v]).tolist()}
-                assert {pair for pair in all_pairs(model) if check(model, *pair, phi)} == holds
-                assert check_all(model, phi) == holds
+        dead_ends |= _agrees_with_pointwise(phi, n, rng)
     assert dead_ends == {True, False}
+
+
+def _spy_on_paths(monkeypatch):
+    """The set of modality paths that `truth_table` takes from now on, each
+    seen through the one view of its batch that it reads."""
+    seen = set()
+    for view, path in (("codes", "table"), ("live", "one step"), ("rel", "loop")):
+        build = getattr(bruteforce._Batch, view).func
+        monkeypatch.setattr(bruteforce._Batch, view, property(
+            lambda batch, build=build, path=path: seen.add(path) or build(batch)))
+    return seen
+
+
+# Modalities over operands that read no frame but read the state they move
+# to: a batch of at least 4^n frames gathers them from a table over successor
+# sets. Over them, a modality whose operand does read the frame loops over
+# the states, and the last formula adds one-step modalities; box and diamond
+# of both colours take each path. At most three props keep a batch of 4-state
+# frames small.
+_TABLE = {"<W>l:p": {"table"}, "[W](l:p | r:q)": {"table"}, "<B>(r:p & ~r:q)": {"table"},
+          "[W]I": {"table"}, "<B>~I": {"table"}, "[B](I | r:p) & <W>(l:q <-> I)": {"table"},
+          "<W>(l:p & <B>r:q)": {"table", "loop"},
+          "[W](l:p | [B]r:q) & <B>(r:q & <W>l:p)": {"table", "loop"},
+          "[B](r:q | [W]l:p) & (<W>r:p | [W]r:q) & ([B]~l:p | <B>l:p)": {
+              "table", "loop", "one step"}}
+
+
+@pytest.mark.parametrize("text, paths", _TABLE.items())
+def test_successor_set_table_agrees_with_pointwise(monkeypatch, text, paths):
+    # Every frame class at 3 states (104 >= 4^3) and 256 seeded classes at 4,
+    # each one batch, so that the table is built at both.
+    phi = parse(text)
+    rng = random.Random(text)
+    seen = _spy_on_paths(monkeypatch)
+    assert _agrees_with_pointwise(phi, 3, rng) == {True, False}
+    assert seen == paths
+    seen.clear()
+    assert True in _agrees_with_pointwise(phi, 4, rng, rng.sample(range(_CLASSES[4]), 4 ** 4),
+                                          samples=2)
+    assert seen == paths
+    # A single frame of any size loops as before: the table would have 2^n
+    # rows for one frame.
+    seen.clear()
+    for n in (1, 3, 5, 60):
+        model = _hostile_model(rng, n, "sparse")
+        assert _packed_pairs(model, phi) == check_all(model, phi)
+    assert "table" not in seen and "loop" in seen
 
 
 @pytest.mark.parametrize("period, prune, holds", [

@@ -20,7 +20,9 @@ from lhs.cli import build_parser, main
 from lhs.proof import RULE_NAMES
 from lhs.syntax import conjoin
 
-from conftest import k_branch_n, k_branch_p, random_i_free, run_python, time_budget
+from conftest import (
+    k_branch_n, k_branch_p, random_formula, random_i_free, run_python, time_budget,
+)
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -426,6 +428,29 @@ def test_witnesses_do_not_depend_on_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+def test_full_search_does_not_depend_on_hash_seed():
+    # `sat --full` on 30 seeded formulas with I at bounds 2 to 4. The forcers
+    # push the search to the last level, where the witness has as many states
+    # as the bound or none exists.
+    forcers = ["~I", "<B>~I & l:p & ~l:q & <W>(~l:p & l:q & <W>(~l:p & ~l:q))",
+               "I & l:p & l:q & <W>(l:p & ~l:q) & <W>(~l:p & l:q) & <W>(~l:p & ~l:q)"]
+    rng = random.Random(34)
+    argvs = [["sat", "--full", "--max-size", str(2 + i % 3), "--json", "-f",
+              render(conjoin([parse(forcers[i % 3]), random_formula(
+                  rng, depth=2 + i % 2, left_vars=("p", "q"), right_vars=("p",))]))]
+             for i in range(30)]
+    outputs = []
+    for seed in ("0", "1"):
+        proc = run_python(["-c", _DETERMINISM_SCRIPT], env={"PYTHONHASHSEED": seed},
+                          input=json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    sizes = {(argv[3], len(payload["witness"]["model"]["states"]) if code == 0 else None)
+             for argv, (code, payload) in zip(argvs, outputs[0])}
+    assert sizes == {("2", 2), ("3", 3), ("4", 4), ("2", None), ("3", None), ("4", None)}
 
 
 @pytest.mark.parametrize("doc, error", [
