@@ -10,9 +10,9 @@ _EXPORTS = {
     "bisim": "ClauseViolation PairRelation are_bisimilar check_bisimulation_witness "
              "largest_bisimulation",
     "decide": "Verdict brute_force_sat_oracle k_sat lhs_bounded_sat lhs_minus_sat lhs_minus_valid",
-    "errors": "ContainsI FormulaSyntaxError InputError InvalidTiling LhsError MixedFormula "
-              "ModalInput ModelFormatError NotClean ResourceGuard SideViolation UnknownState",
-    "model": "Model disjoint_union enumerate_models load_model model_doc save_model",
+    "errors": "ContainsI FormulaSyntaxError InputError InvalidTiling LhsError ModalInput "
+              "ModelFormatError NotClean ResourceGuard SideViolation UnknownState",
+    "model": "Model enumerate_models load_model model_doc save_model",
     "normal": "CleanCNF clean_to_cnf companion prop_cnf",
     "proof": "ProofLine check_proof load_proof substitute",
     "semantics": "check check_all fo_eval fo_render fo_translate",

@@ -1,15 +1,18 @@
-"""Satisfiability and validity: K tableau, the I-free decision procedure,
-and bounded search for the full language."""
+"""Satisfiability and validity: the tableau that decides the I-free
+fragment, and bounded search for the full language."""
 
 from __future__ import annotations
 
 from itertools import count
 
-from .errors import LhsError, MixedFormula, ResourceGuard
-from .model import Model, disjoint_union
+from .errors import ContainsI, LhsError, ResourceGuard
+from .model import Model
 from .normal import companion
 from .semantics import check
 from .syntax import (
+    BLACK_MODAL,
+    CLEAN,
+    I_FREE,
     MODAL_NODES,
     ONE_SIDED,
     Atom,
@@ -39,7 +42,7 @@ class Verdict(Record):
 
 
 # ---------------------------------------------------------------------------
-# K tableau
+# The tableau
 
 DEFAULT_STEP_CEILING = 1_000_000
 
@@ -52,7 +55,13 @@ def _queue(goals: dict, todo: list, keys, deps: frozenset) -> None:
 
 
 def _tableau(goals: dict, todo: list, head: int, steps):
-    """Satisfiability of a set of goals in basic modal logic K.
+    """Satisfiability of a set of I-free goals at a pair of states.
+
+    A clean formula (all modal subformulas one-sided) holds at a pair iff its
+    white part holds in K at the first state and its black part at the
+    second, so boxes, diamonds and children are kept per colour. A modal goal
+    (M, p) that is not clean becomes (companion(~M if p else M), False): one
+    branch per conjunct psi_i | gamma_i, each adding ~psi_i and ~gamma_i.
 
     A goal is a (subformula, polarity) pair, read the way the companion reads
     them, so no negation normal form is written out. Of a chain of one
@@ -77,14 +86,15 @@ def _tableau(goals: dict, todo: list, head: int, steps):
     Every goal expanded counts against `DEFAULT_STEP_CEILING`; `steps`
     numbers them.
 
-    Returns a tree witness, (positive atoms, children), or, on a clash, the
-    set of branch points the clash depends on. Two complementary literals
-    (or `false`) depend on their sets; a diamond whose successor clashes adds
-    its own set to the successor's, which holds only sets of the boxes that
-    took part. A branch point whose branch fails without it in the clash
-    returns that clash and skips the branches left (backjumping, Horrocks &
-    Patel-Schneider 1999), else the union of its branches' clashes without
-    it. Depth is bounded by modal depth, so no loop check is needed.
+    Returns a tree witness, (positive atoms, white children, black children),
+    or, on a clash, the set of branch points the clash depends on. Two
+    complementary literals (or `false`) depend on their sets; a diamond whose
+    successor clashes adds its own set to the successor's, which holds only
+    sets of the boxes that took part. A branch point whose branch fails without
+    it in the clash returns that clash and skips the branches left
+    (backjumping, Horrocks & Patel-Schneider 1999), else the union of its
+    branches' clashes without it. Depth is bounded by modal depth, so no loop
+    check is needed.
     """
     while head < len(todo):
         key = todo[head]
@@ -107,7 +117,10 @@ def _tableau(goals: dict, todo: list, head: int, steps):
             branches = ((strip_nots(f.left, True), strip_nots(f.right, positive)),
                         (strip_nots(f.left, False), strip_nots(f.right, not positive)))
         elif isinstance(f, MODAL_NODES):
-            continue  # a box or a diamond, read once every goal is expanded
+            if not f.facts & CLEAN:
+                cnf = companion(Not(f) if positive else f).to_formula()
+                _queue(goals, todo, ((cnf, False),), deps)
+            continue  # a clean box or diamond is read once every goal is expanded
         elif junction(f, positive):
             _queue(goals, todo, spine(f, positive, set()), deps)
             continue
@@ -126,60 +139,69 @@ def _tableau(goals: dict, todo: list, head: int, steps):
                 return result
             clash |= result
         return clash - point
-    atoms, boxes, diamonds = set(), {}, {}
+    atoms, boxes, diamonds = set(), ({}, {}), ({}, {})
     for (f, positive), deps in goals.items():
         if isinstance(f, Atom):
             if positive:
                 atoms.add(f.prop)
-        elif isinstance(f, MODAL_NODES):
+        elif isinstance(f, MODAL_NODES) and f.facts & CLEAN:
             content = strip_nots(f.child, positive)
             is_box = isinstance(f, (WBox, BBox)) == positive
-            (boxes if is_box else diamonds).setdefault(content, deps)
-    children = []
-    for content, deps in diamonds.items():
-        successor = {**boxes, content: deps}
-        child = yield _tableau(successor, list(successor), 0, steps)
-        if not isinstance(child, tuple):
-            return child | deps
-        children.append(child)
-    return frozenset(atoms), children
+            (boxes if is_box else diamonds)[isinstance(f, BLACK_MODAL)].setdefault(content, deps)
+    children = [], []
+    for own_children, own_boxes, own_diamonds in zip(children, boxes, diamonds):
+        for content, deps in own_diamonds.items():
+            successor = {**own_boxes, content: deps}
+            child = yield _tableau(successor, list(successor), 0, steps)
+            if not isinstance(child, tuple):
+                return child | deps
+            own_children.append(child)
+    return frozenset(atoms), *children
 
 
-def _tree_to_model(tree: tuple) -> Model:
-    """The model of a tableau witness: states n0, n1, ... in pre-order, the
-    root being n0."""
+def _trees_to_model(trees: list) -> tuple[Model, list[str]]:
+    """The model of tableau witnesses, and the names of their roots: states
+    n0, n1, ... in pre-order, tree after tree."""
     states: list[str] = []
+    roots: list[str] = []
     edges = set()
     valuation: dict = {}
-    stack = [(tree, None)]
+    stack = [(tree, None) for tree in reversed(trees)]
     while stack:
-        (atoms, children), parent = stack.pop()
+        (atoms, white, black), parent = stack.pop()
         name = f"n{len(states)}"
         states.append(name)
         for prop in atoms:
             valuation.setdefault(prop, set()).add(name)
-        if parent is not None:
+        if parent is None:
+            roots.append(name)
+        else:
             edges.add((parent, name))
-        stack.extend((child, name) for child in reversed(children))
+        stack.extend((child, name) for child in reversed(white + black))
     return Model(tuple(states), frozenset(edges),
-                 {p: frozenset(ws) for p, ws in valuation.items()})
+                 {p: frozenset(ws) for p, ws in valuation.items()}), roots
 
 
 def k_sat(phi: Formula) -> Verdict:
-    """Sound and complete satisfiability for a one-sided formula in K.
+    """Sound and complete satisfiability of an I-free formula, by the tableau.
 
-    On SAT the witness is the extracted tableau tree (acyclic, in-degree one
-    except at the root) at the pair (n0, n0) of its root, where a one-sided
-    formula holds iff it holds at n0 in K. More than `DEFAULT_STEP_CEILING`
-    goal expansions raise `ResourceGuard`.
+    A one-sided formula holds at a pair iff it holds in K at its side's
+    coordinate, so its witness is the tableau's tree at (n0, n0). Any other
+    witness hangs the root's white and black subtrees off two copies of the
+    root, its pair. A formula with `I` raises `ContainsI`; past
+    `DEFAULT_STEP_CEILING` goal expansions, or a companion's ceiling, the
+    tableau raises `ResourceGuard`.
     """
-    if not phi.facts & ONE_SIDED:
-        raise MixedFormula("K satisfiability requires a white-only or black-only formula")
+    if not phi.facts & I_FREE:
+        raise ContainsI("the tableau decides the I-free fragment only")
     root = strip_nots(phi)
     tree = drive(_tableau({root: frozenset()}, [root], 0, count(1)))
     if not isinstance(tree, tuple):
         return Verdict("UNSAT")
-    return Verdict("SAT", _tree_to_model(tree), ("n0", "n0"))
+    atoms, white, black = tree
+    trees = [tree] if phi.facts & ONE_SIDED else [(atoms, white, []), (atoms, [], black)]
+    model, roots = _trees_to_model(trees)
+    return Verdict("SAT", model, (roots[0], roots[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +209,23 @@ def k_sat(phi: Formula) -> Verdict:
 
 
 def lhs_minus_valid(phi: Formula) -> Verdict:
-    """Validity of an I-free formula.
-
-    The companion splits phi into conjuncts psi_i | gamma_i; the formula is
-    valid iff every conjunct has a K-valid side. An invalid conjunct yields
-    two K countermodels; their disjoint union falsifies phi at the paired
-    roots, and that union, once `check` has confirmed it, is the countermodel
-    returned. An empty side is `false`, which the tableau reads as a
-    constant. The companion raises `ContainsI` when phi is not I-free.
-    """
-    for psi, gamma in companion(phi).conjuncts:
-        counter_white = k_sat(Not(psi))
-        if counter_white.status == "UNSAT":
-            continue
-        counter_black = k_sat(Not(gamma))
-        if counter_black.status == "UNSAT":
-            continue
-        union, rename_m, rename_n = disjoint_union(counter_white.model, counter_black.model)
-        s = rename_m[counter_white.pair[0]]
-        t = rename_n[counter_black.pair[1]]
-        if check(union, s, t, phi):
-            raise LhsError(
-                "internal error: countermodel failed to falsify the input"
-            )
-        return Verdict("INVALID", union, (s, t))
-    return Verdict("VALID")
+    """Validity of an I-free formula: one `k_sat` call on ~phi. Its witness,
+    once `check` has confirmed that it falsifies phi, is the countermodel."""
+    verdict = k_sat(Not(phi))
+    if verdict.status == "UNSAT":
+        return Verdict("VALID")
+    if check(verdict.model, *verdict.pair, phi):
+        raise LhsError("internal error: countermodel failed to falsify the input")
+    return Verdict("INVALID", verdict.model, verdict.pair)
 
 
 def lhs_minus_sat(phi: Formula) -> Verdict:
-    """Satisfiability of an I-free formula, with a finite witness on SAT.
-
-    The witness is the countermodel of ~phi from `lhs_minus_valid`: `check`
-    has already found ~phi false there, so phi holds at its pair.
-    """
-    verdict = lhs_minus_valid(Not(phi))
-    if verdict.status == "INVALID":
-        return Verdict("SAT", verdict.model, verdict.pair)
-    return Verdict("UNSAT")
+    """Satisfiability of an I-free formula: one `k_sat` call, whose witness
+    `check` confirms before it is returned."""
+    verdict = k_sat(phi)
+    if verdict.status == "SAT" and not check(verdict.model, *verdict.pair, phi):
+        raise LhsError("internal error: witness failed to satisfy the input")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

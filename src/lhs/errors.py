@@ -21,10 +21,6 @@ class SideViolation(LhsError):
     """A substitution value breaks the side-purity requirement."""
 
 
-class MixedFormula(InputError):
-    """Operation requires a purely white or purely black formula."""
-
-
 class NotClean(InputError):
     """Operation requires a clean formula."""
 

@@ -1,4 +1,4 @@
-"""Finite two-sided Kripke models, their JSON format, and model constructions."""
+"""Finite two-sided Kripke models, their JSON format, and bounded enumeration."""
 
 from __future__ import annotations
 
@@ -141,31 +141,6 @@ def model_doc(model: Model) -> dict:
 
 def save_model(model: Model) -> str:
     return json.dumps(model_doc(model), indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Constructions
-
-
-def disjoint_union(m: Model, n: Model):
-    """Side-by-side union with `a.`/`b.` renaming; no cross edges.
-
-    Returns the union model plus the two renaming maps.
-    """
-    rename_m = {w: f"a.{w}" for w in m.states}
-    rename_n = {w: f"b.{w}" for w in n.states}
-    states = tuple(rename_m[w] for w in m.states) + tuple(rename_n[w] for w in n.states)
-    edges = frozenset(
-        {(rename_m[a], rename_m[b]) for a, b in m.edges}
-        | {(rename_n[a], rename_n[b]) for a, b in n.edges}
-    )
-    valuation: dict[PropName, frozenset[State]] = {}
-    for prop, ws in m.valuation.items():
-        valuation[prop] = frozenset(rename_m[w] for w in ws)
-    for prop, ws in n.valuation.items():
-        tagged = frozenset(rename_n[w] for w in ws)
-        valuation[prop] = valuation.get(prop, frozenset()) | tagged
-    return Model(states, edges, valuation), rename_m, rename_n
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from lhs import (
     left_atom,
     right_atom,
 )
-from lhs.errors import FormulaSyntaxError, MixedFormula, ModelFormatError
+from lhs.errors import FormulaSyntaxError, ModelFormatError
 from lhs.model import State, _parse_prop_key
 from lhs.syntax import (
     _BINARY_TOKEN,
@@ -217,7 +217,7 @@ def one_sided_eval(model: Model, w: State, phi: Formula) -> bool:
     quantifies over the successors of `w`.
     """
     if not phi.facts & ONE_SIDED:
-        raise MixedFormula("one-sided evaluation requires a white-only or black-only formula")
+        raise ValueError("one-sided evaluation requires a white-only or black-only formula")
     model.require_state(w)
     states = frozenset(model.states)
     succ = model.successor_map
@@ -276,6 +276,27 @@ def rename_copy(model, prefix="c."):
         {f"{p.side.value}:{p.name}": [ren[w] for w in ws]
          for p, ws in model.valuation.items()},
     ), ren
+
+
+def disjoint_union(m: Model, n: Model):
+    """Side-by-side union with `a.`/`b.` renaming; no cross edges.
+
+    Returns the union model plus the two renaming maps.
+    """
+    rename_m = {w: f"a.{w}" for w in m.states}
+    rename_n = {w: f"b.{w}" for w in n.states}
+    states = tuple(rename_m[w] for w in m.states) + tuple(rename_n[w] for w in n.states)
+    edges = frozenset(
+        {(rename_m[a], rename_m[b]) for a, b in m.edges}
+        | {(rename_n[a], rename_n[b]) for a, b in n.edges}
+    )
+    valuation: dict[PropName, frozenset[State]] = {}
+    for prop, ws in m.valuation.items():
+        valuation[prop] = frozenset(rename_m[w] for w in ws)
+    for prop, ws in n.valuation.items():
+        tagged = frozenset(rename_n[w] for w in ws)
+        valuation[prop] = valuation.get(prop, frozenset()) | tagged
+    return Model(states, edges, valuation), rename_m, rename_n
 
 
 _REFERENCE_TOKEN = re.compile(

@@ -21,7 +21,6 @@ from lhs import (
     check_bisimulation_witness,
     check_proof,
     companion,
-    disjoint_union,
     fo_eval,
     fo_translate,
     generate_phi,
@@ -41,6 +40,7 @@ from lhs.syntax import Side
 
 from conftest import (
     all_pairs,
+    disjoint_union,
     generated_submodel,
     make_model,
     one_sided_eval,

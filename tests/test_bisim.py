@@ -11,7 +11,6 @@ from lhs import (
     are_bisimilar,
     check,
     check_bisimulation_witness,
-    disjoint_union,
     largest_bisimulation,
 )
 from lhs import bisim
@@ -19,7 +18,7 @@ from lhs.bisim import PairRelation, _zigzag_violation
 from lhs.syntax import Side
 
 from conftest import (
-    all_pairs, make_model, random_formula, random_model, rename_copy, time_budget,
+    all_pairs, disjoint_union, make_model, random_formula, random_model, rename_copy, time_budget,
 )
 
 

@@ -266,7 +266,7 @@ class TestDeepInput:
 
     def test_wide_mixed_sat_walks_the_formula_few_times(self, capsys, monkeypatch):
         # Every formula carries its syntax class from construction, so the I
-        # check, `CleanCNF`'s check of each side and `k_sat` walk nothing.
+        # check and the tableau's test for a clean modal goal walk nothing.
         calls = 0
         original = syntax.subformulas
 
@@ -694,9 +694,9 @@ print(json.dumps(out))
 EXPORTS = """
     ClauseViolation PairRelation are_bisimilar check_bisimulation_witness largest_bisimulation
     Verdict brute_force_sat_oracle k_sat lhs_bounded_sat lhs_minus_sat lhs_minus_valid
-    ContainsI FormulaSyntaxError InputError InvalidTiling LhsError MixedFormula ModalInput
+    ContainsI FormulaSyntaxError InputError InvalidTiling LhsError ModalInput
     ModelFormatError NotClean ResourceGuard SideViolation UnknownState
-    Model disjoint_union enumerate_models load_model model_doc save_model
+    Model enumerate_models load_model model_doc save_model
     CleanCNF clean_to_cnf companion prop_cnf ProofLine check_proof load_proof
     check check_all fo_eval fo_render fo_translate
     And Atom BBox BDia Bot EqConst Formula Iff Implies Not Or PropName Side Top WBox WDia
@@ -757,7 +757,7 @@ class TestLazyModules:
         assert json.loads(proc.stdout) == ["lhs", "lhs.errors", "lhs.syntax"]
 
     def test_package_exports(self):
-        assert len(EXPORTS) == len(set(EXPORTS)) == 72
+        assert len(EXPORTS) == len(set(EXPORTS)) == 70
         assert sorted(lhs.__all__) == sorted(EXPORTS)
         assert set(EXPORTS) <= set(dir(lhs))
         for name in EXPORTS:

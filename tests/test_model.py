@@ -10,7 +10,6 @@ from lhs import (
     ModelFormatError,
     ResourceGuard,
     check,
-    disjoint_union,
     load_model,
     model_doc,
     save_model,
@@ -20,6 +19,7 @@ from lhs.model import enumerate_models
 from lhs.syntax import Side
 
 from conftest import (
+    disjoint_union,
     generated_submodel,
     make_model,
     one_sided_eval,

@@ -16,7 +16,6 @@ from lhs import (
     Iff,
     Implies,
     LhsError,
-    MixedFormula,
     Not,
     Or,
     PropName,
@@ -347,7 +346,7 @@ class TestTruthTable:
 
 class TestOneSidedEval:
     def test_rejects_mixed(self):
-        with pytest.raises(MixedFormula):
+        with pytest.raises(ValueError, match="white-only or black-only"):
             one_sided_eval(make_model(["a"], []), "a", parse("l:p & r:q"))
 
     def test_dead_end_box(self):
