@@ -54,7 +54,7 @@ def _queue(goals: dict, todo: list, keys, deps: frozenset) -> None:
             todo.append(key)
 
 
-def _tableau(goals: dict, todo: list, head: int, steps):
+def _tableau(goals: dict, todo: list, head: int, steps, companions: dict):
     """Satisfiability of a set of I-free goals at a pair of states.
 
     A clean formula (all modal subformulas one-sided) holds at a pair iff its
@@ -62,6 +62,9 @@ def _tableau(goals: dict, todo: list, head: int, steps):
     second, so boxes, diamonds and children are kept per colour. A modal goal
     (M, p) that is not clean becomes (companion(~M if p else M), False): one
     branch per conjunct psi_i | gamma_i, each adding ~psi_i and ~gamma_i.
+    `companions` maps each formula whose companion this `k_sat` call has
+    built to that companion, so a goal re-expanded on a later branch does
+    not build it again.
 
     A goal is a (subformula, polarity) pair, read the way the companion reads
     them, so no negation normal form is written out. Of a chain of one
@@ -118,8 +121,10 @@ def _tableau(goals: dict, todo: list, head: int, steps):
                         (strip_nots(f.left, False), strip_nots(f.right, not positive)))
         elif isinstance(f, MODAL_NODES):
             if not f.facts & CLEAN:
-                cnf = companion(Not(f) if positive else f).to_formula()
-                _queue(goals, todo, ((cnf, False),), deps)
+                m = Not(f) if positive else f
+                if m not in companions:
+                    companions[m] = companion(m).to_formula()
+                _queue(goals, todo, ((companions[m], False),), deps)
             continue  # a clean box or diamond is read once every goal is expanded
         elif junction(f, positive):
             _queue(goals, todo, spine(f, positive, set()), deps)
@@ -134,7 +139,7 @@ def _tableau(goals: dict, todo: list, head: int, steps):
                 goals.popitem()
             del todo[todo_mark:]
             _queue(goals, todo, branch, deps | point)
-            result = yield _tableau(goals, todo, head, steps)
+            result = yield _tableau(goals, todo, head, steps, companions)
             if isinstance(result, tuple) or expanded not in result:
                 return result
             clash |= result
@@ -152,7 +157,7 @@ def _tableau(goals: dict, todo: list, head: int, steps):
     for own_children, own_boxes, own_diamonds in zip(children, boxes, diamonds):
         for content, deps in own_diamonds.items():
             successor = {**own_boxes, content: deps}
-            child = yield _tableau(successor, list(successor), 0, steps)
+            child = yield _tableau(successor, list(successor), 0, steps, companions)
             if not isinstance(child, tuple):
                 return child | deps
             own_children.append(child)
@@ -195,7 +200,7 @@ def k_sat(phi: Formula) -> Verdict:
     if not phi.facts & I_FREE:
         raise ContainsI("the tableau decides the I-free fragment only")
     root = strip_nots(phi)
-    tree = drive(_tableau({root: frozenset()}, [root], 0, count(1)))
+    tree = drive(_tableau({root: frozenset()}, [root], 0, count(1), {}))
     if not isinstance(tree, tuple):
         return Verdict("UNSAT")
     atoms, white, black = tree

@@ -53,9 +53,9 @@ from .syntax import (
     WBox,
     WDia,
     WHITE_MODAL,
-    children,
     conjoin,
     disjoin,
+    drive,
     junction,
     spine,
     strip_nots,
@@ -131,7 +131,7 @@ def clean_to_cnf(phi: Formula) -> CleanCNF:
 def _prune(conjuncts) -> list:
     """Drop conjuncts with a valid side and repeated conjuncts; keep order.
 
-    A side is valid when it holds a complementary pair (`_step` reads `true`
+    A side is valid when it holds a complementary pair (`_walk` reads `true`
     off first). A conjunct with two empty sides is false, and so is the list.
     """
     out = {}
@@ -200,9 +200,11 @@ def _or(lists: list, spent: list) -> list:
 
 
 def _box(conjuncts: list, white: bool) -> list:
+    # The boxed side is one literal and the other side is pruned already, so
+    # only repeats can go: `(a | b, c)` and `(a, b, c)` box to one conjunct.
     if white:
-        return _prune(((WBox(disjoin(w)),), b) for w, b in conjuncts)
-    return _prune((w, (BBox(disjoin(b)),)) for w, b in conjuncts)
+        return list(dict.fromkeys(((WBox(disjoin(w)),), b) for w, b in conjuncts))
+    return list(dict.fromkeys((w, (BBox(disjoin(b)),)) for w, b in conjuncts))
 
 
 def _diamond(conjuncts: list, white: bool, spent: list) -> list:
@@ -250,26 +252,19 @@ def _one_sided(f: Formula) -> int:
     return f.facts & ONE_SIDED
 
 
-def _polar_children(f: Formula, positive: bool, block, expanded: set):
-    """The (subformula, polarity) pairs whose lists `_step` reads, `~`s read
-    off: for `&`, `|` and `->` the operands of one `spine`, which stops at
-    `block`s and shares `expanded` with every other spine of the pass."""
-    if isinstance(f, (Top, Bot)) or block(f):
-        return ()
-    if isinstance(f, Iff):
-        return tuple(strip_nots(g, sign) for sign in (True, False) for g in (f.left, f.right))
-    if junction(f, positive) is None:
-        return tuple(strip_nots(c, positive) for c in children(f))
-    return spine(f, positive, expanded, block)
+def _walk(f: Formula, positive: bool, parts: dict, expanded: set, block, spent: list):
+    """Conjunct list of `f` (of `~f` if not `positive`; `f` is never a `~`),
+    a walk for `syntax.drive`.
 
-
-def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
-    """Conjunct list of `f` (of `~f` if not `positive`) from the lists of
-    `_polar_children(f, positive)`; `f` is never a `~`.
-
-    Each case is the rule of `f` read at its polarity, as the negation normal
-    form would have it: `->` is `|` with its left operand negated, and a
-    negated box is the diamond rule and vice versa.
+    It first walks, right to left, the (subformula, polarity) pairs it reads
+    that `parts` lacks, `~`s read off, and stores their lists there: for `&`,
+    `|` and `->` the operands of one `spine`, which stops at `block`s and
+    shares `expanded` with every other spine of the pass. A subformula whose
+    `block` bits are `WHITE_ONLY` or `BLACK_ONLY` stays whole on that side
+    (on the white one when it is both, as a constant is). Each rule is that
+    of `f` read at its polarity, as the negation normal form would have it:
+    `->` is `|` with its left operand negated, and a negated box is the
+    diamond rule and vice versa.
     """
     if isinstance(f, Top):
         return [] if positive else [((), ())]
@@ -279,6 +274,16 @@ def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
     if side:
         leaf = (f if positive else Not(f),)
         return [(leaf, ())] if side & WHITE_ONLY else [((), leaf)]
+    if isinstance(f, Iff):
+        keys = [strip_nots(g, sign) for sign in (True, False) for g in (f.left, f.right)]
+    elif isinstance(f, MODAL_NODES):
+        keys = [strip_nots(f.child, positive)]
+    else:
+        keys = spine(f, positive, expanded, block)
+    for key in reversed(keys):
+        if key not in parts:
+            parts[key] = yield _walk(*key, parts, expanded, block, spent)
+    lists = [parts[key] for key in keys]
     if isinstance(f, MODAL_NODES):
         white = isinstance(f, WHITE_MODAL)
         if isinstance(f, (WBox, BBox)) == positive:
@@ -293,31 +298,9 @@ def _step(f: Formula, positive: bool, lists: list, block, spent: list) -> list:
 
 
 def _conjuncts(phi: Formula, block) -> list:
-    """Conjunct list of `phi`, built bottom-up over its negation normal form.
-
-    The NNF is never written out: an explicit stack visits each (subformula,
-    polarity) pair once, `~`s read off, with its children (None until read)
-    and after them. A subformula whose `block` bits are `WHITE_ONLY` or
-    `BLACK_ONLY` is a block that stays whole on that side (on the white one
-    when it is both, as a constant is).
-    """
-    parts: dict[tuple[Formula, bool], list] = {}
-    expanded: set = set()
-    spent = [0]
-    root = strip_nots(phi)
-    stack = [(root, None)]
-    while stack:
-        key, kids = stack.pop()
-        if key in parts:
-            continue
-        if kids is None:
-            kids = _polar_children(*key, block, expanded)
-            todo = [(k, None) for k in kids if k not in parts]
-            if todo:
-                stack += [(key, kids), *todo]
-                continue
-        parts[key] = _step(*key, [parts[k] for k in kids], block, spent)
-    return parts[root]
+    """Conjunct list of `phi`, built bottom-up over its negation normal form,
+    which is never written out: `_walk` reads each (subformula, polarity) pair once."""
+    return drive(_walk(*strip_nots(phi), {}, set(), block, [0]))
 
 
 def companion(phi: Formula) -> CleanCNF:

@@ -102,8 +102,8 @@ class PropName(Record):
 class Node(Record):
     """Base class of immutable, hashable syntax trees (formulas, FO formulas).
 
-    A node stores its hash, the hash of its tuple of field values, when it is
-    built: no hash or equality test recurses into a deep tree.
+    A node stores its hash, read off its field values, when it is built: no
+    hash or equality test recurses into a deep tree.
     """
 
     __slots__ = ()
@@ -139,7 +139,10 @@ ONE_SIDED = WHITE_ONLY | BLACK_ONLY
 
 class Formula(Node):
     """Base class of formulas; `repr` is `render`. A formula stores its syntax
-    class in `facts` when it is built, from its children's (`_FACTS`, `Unary`)."""
+    class in `facts` when it is built, from its children's (`_FACTS`, `Unary`).
+    Its hash is that of its field values after `_tag`, a small int fixed by
+    its class, so that `~x` and `[W]x`, `a & b` and `a | b`, or `true` and
+    `false` do not share one."""
 
     __slots__ = ()
 
@@ -151,7 +154,7 @@ class Formula(Node):
         fields = self.__dict__
         for i, name in enumerate(names):
             fields[name] = args[i]
-        fields["_hash"] = hash(args)
+        fields["_hash"] = hash((self._tag, *args))
         fields["facts"] = _FACTS[type(self)](*args)
 
     def __repr__(self):
@@ -160,18 +163,19 @@ class Formula(Node):
 
 class Atom(Formula):
     prop: PropName
+    _tag = 0
 
 
 class EqConst(Formula):
-    pass
+    _tag = 1
 
 
 class Top(Formula):
-    pass
+    _tag = 2
 
 
 class Bot(Formula):
-    pass
+    _tag = 3
 
 
 class Unary(Formula):
@@ -185,7 +189,7 @@ class Unary(Formula):
     def __init__(self, child: Formula):
         fields = self.__dict__
         fields["child"] = child
-        fields["_hash"] = hash((child,))
+        fields["_hash"] = hash((self._tag, child))
         facts = child.facts & self._keep
         fields["facts"] = facts | CLEAN if facts & self._side else facts
 
@@ -200,44 +204,44 @@ class Binary(Formula):
         fields = self.__dict__
         fields["left"] = left
         fields["right"] = right
-        fields["_hash"] = hash((left, right))
+        fields["_hash"] = hash((self._tag, left, right))
         fields["facts"] = left.facts & right.facts
 
 
 class Not(Unary):
-    pass
+    _tag = 4
 
 
 class And(Binary):
-    pass
+    _tag = 5
 
 
 class Or(Binary):
-    pass
+    _tag = 6
 
 
 class Implies(Binary):
-    pass
+    _tag = 7
 
 
 class Iff(Binary):
-    pass
+    _tag = 8
 
 
 class WBox(Unary):
-    _keep, _side = WHITE_ONLY | I_FREE, WHITE_ONLY
+    _keep, _side, _tag = WHITE_ONLY | I_FREE, WHITE_ONLY, 9
 
 
 class WDia(Unary):
-    _keep, _side = WHITE_ONLY | I_FREE, WHITE_ONLY
+    _keep, _side, _tag = WHITE_ONLY | I_FREE, WHITE_ONLY, 10
 
 
 class BBox(Unary):
-    _keep, _side = BLACK_ONLY | I_FREE, BLACK_ONLY
+    _keep, _side, _tag = BLACK_ONLY | I_FREE, BLACK_ONLY, 11
 
 
 class BDia(Unary):
-    _keep, _side = BLACK_ONLY | I_FREE, BLACK_ONLY
+    _keep, _side, _tag = BLACK_ONLY | I_FREE, BLACK_ONLY, 12
 
 
 MODAL_NODES = (WBox, WDia, BBox, BDia)

@@ -33,6 +33,7 @@ from lhs import (
     WBox,
     WDia,
     left_atom,
+    parse,
     right_atom,
 )
 from lhs.errors import FormulaSyntaxError, ModelFormatError
@@ -157,6 +158,15 @@ def k_branch_p(k):
     only, so a search that does not track this tries 2^k leaves."""
     negated = " & ".join(f"~l:a{i}" for i in range(1, k + 1))
     return f"[W]({_branches(k)} & [W]false) & <W>({negated})"
+
+
+def iff_chain(length):
+    """`((l:p0 <-> [B]r:p1) <-> [W]l:p2) <-> ...` over `length` atoms: every
+    level is mixed, and the companion has 2^(length - 1) conjuncts."""
+    text = "l:p0"
+    for i in range(1, length):
+        text = f"({text} <-> {'[B]r' if i % 2 else '[W]l'}:p{i})"
+    return parse(text)
 
 
 def random_clean(rng, depth=2, block_depth=2):

@@ -1,6 +1,7 @@
 """K satisfiability, the full decision procedure, and bounded search."""
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -32,12 +33,12 @@ from lhs import (
     WDia,
     parse,
 )
-from lhs import decide
+from lhs import decide, syntax
 from lhs.bruteforce import find_model
 from lhs.model import enumerate_models, model_doc
 from lhs.syntax import WHITE_MODAL, Side, drive, left_atom, prop_names, right_atom, subformulas
 
-from conftest import (k_branch_n, k_branch_p, one_sided_eval, random_i_free,
+from conftest import (iff_chain, k_branch_n, k_branch_p, one_sided_eval, random_i_free,
                       random_one_sided, time_budget)
 
 
@@ -338,6 +339,17 @@ class TestTableauState:
         assert model_doc(v.model) == {"states": ["n0", "n1"], "edges": [["n0", "n1"]],
                                       "valuation": {"l:c": ["n0"], "l:d": ["n1"]}}
 
+    def test_one_companion_per_goal(self, monkeypatch):
+        # Each failed branch undoes the `[W]` goal, and each later branch
+        # re-expands it: 13 times here, from one companion.
+        calls = []
+        monkeypatch.setattr(decide, "companion", lambda f: calls.append(f) or companion(f))
+        branches = [f"(l:a{i} | l:b{i})" for i in range(12)]
+        negated = [f"~l:a{i}" for i in range(12)]
+        phi = parse(" & ".join([*branches, "[W](l:p | r:q)", *negated]))
+        v = lhs_minus_sat(phi)
+        assert v.status == "SAT" and len(calls) == 1
+
     def test_long_disjunction_chain_is_linear(self):
         # A branch point that copies its goals makes this chain quadratic:
         # 7 s at 8,000 disjunctions.
@@ -576,15 +588,6 @@ def mixed_iff_chain(length):
     return parse(text)
 
 
-def iff_chain(length):
-    """`((l:p0 <-> [B]r:p1) <-> [W]l:p2) <-> ...` over `length` atoms: every
-    level is mixed, and the companion has 2^(length - 1) conjuncts."""
-    text = "l:p0"
-    for i in range(1, length):
-        text = f"({text} <-> {'[B]r' if i % 2 else '[W]l'}:p{i})"
-    return parse(text)
-
-
 class TestCompanionGuard:
     # The companion reads each subformula once per polarity, and the CNF
     # pass counts the conjuncts it builds against one ceiling. A negation
@@ -662,3 +665,34 @@ def test_one_sided_iff_chain():
         v = lhs_minus_valid(phi)
     assert v.status == "INVALID"
     assert not check(v.model, *v.pair, phi)
+
+
+def prefix_family(own_atoms):
+    """The `|` of all 2,187 seven-long prefixes over `[W]`, `<W>` and `~`, each
+    applied to `l:p`, or to `l:p{i}` in operand i."""
+    prefixes = itertools.product(("[W]", "<W>", "~"), repeat=7)
+    return parse(" | ".join("".join(prefix) + (f"l:p{i}" if own_atoms else "l:p")
+                            for i, prefix in enumerate(prefixes)))
+
+
+@pytest.mark.parametrize("own_atoms", [False, True], ids=["one-atom", "own-atoms"])
+def test_formulas_of_one_shape_do_not_collide(monkeypatch, own_atoms):
+    # Hashed without its kind, every operand of the one-atom family shares
+    # its hash with all the others of its depth: the sets and dicts of the
+    # tableau and of the bounded search made 1.2 and 15.3 million equality
+    # tests. With its own atoms, each operand hashes apart.
+    phi, calls = prefix_family(own_atoms), [0]
+    equal = syntax.Node.__eq__
+
+    def counted(a, b):
+        calls[0] += 1
+        return equal(a, b)
+
+    monkeypatch.setattr(syntax.Node, "__eq__", counted)
+    assert lhs_minus_sat(phi).status == "SAT"
+    if own_atoms:  # 2,187 variables: refused before the search
+        with pytest.raises(ResourceGuard):
+            find_model(phi, 1)
+    else:
+        assert find_model(phi, 1) is not None
+    assert calls[0] <= 10_000

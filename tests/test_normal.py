@@ -1,6 +1,8 @@
 """Propositional CNF, clean CNF, and the companion."""
 
+import hashlib
 import itertools
+import json
 import random
 import re
 import time
@@ -37,6 +39,7 @@ from lhs.normal import CleanCNF
 from lhs.syntax import BLACK_ONLY, WHITE_ONLY, Side, conjoin, disjoin
 
 from conftest import (
+    iff_chain,
     random_clean,
     random_i_free,
     time_budget,
@@ -125,6 +128,29 @@ def companion_formula(phi):
 def equivalent_everywhere(f1, f2, max_states=3):
     """No model up to `max_states` states splits f1/f2."""
     return find_model(Not(Iff(f1, f2)), max_states) is None
+
+
+def companion_digest():
+    """One hash over what `companion` gives for seeded I-free formulas and the
+    mixed `<->` chain, each at both polarities: the companion formula and its
+    conjunct pairs, rendered, or the `ResourceGuard` message."""
+    rng = random.Random(36)
+    inputs = [random_i_free(rng, depth=rng.randint(2, 5)) for _ in range(300)]
+    inputs += [iff_chain(length) for length in (*range(2, 13), 15)]
+    h = hashlib.sha256()
+    for phi in inputs:
+        for f in (phi, Not(phi)):
+            try:
+                cnf = companion(f)
+                out = [render(cnf.to_formula()), [[render(psi), render(gamma)]
+                                                  for psi, gamma in cnf.conjuncts]]
+            except ResourceGuard as exc:
+                out = str(exc)
+            h.update(json.dumps(out).encode())
+    return h.hexdigest()
+
+
+COMPANION_DIGEST = "232d4ddb01182a5cd4033ed2bbd1693e22e8cfb6011db9b68831611b709b667b"
 
 
 class TestPropCNF:
@@ -317,11 +343,20 @@ class TestCompanion:
         assert cnf.conjuncts == tuple(
             (a, Bot()) if a.prop.side is Side.LEFT else (Bot(), a) for a in atoms)
 
+    def test_output_unchanged(self):
+        assert companion_digest() == COMPANION_DIGEST
+
+    def test_box_drops_repeated_conjuncts(self):
+        # `(l:a | l:b) | r:c` keeps its white block whole, `l:a | (l:b | r:c)`
+        # reads its operands; both sides box to `[W](l:a | l:b)`.
+        cnf = companion(parse("[W](((l:a | l:b) | r:c) & (l:a | (l:b | r:c)))"))
+        assert cnf.conjuncts == ((parse("[W](l:a | l:b)"), parse("r:c")),)
+
     def test_negation_chain_is_one_step(self, monkeypatch):
         # The pass reads a `~` chain off in one step: no step is taken at a
         # `~`, so 100,000 of them cost the steps that one does.
-        step, steps = normal._step, []
-        monkeypatch.setattr(normal, "_step", lambda *args: steps.append(args[0]) or step(*args))
+        walk, steps = normal._walk, []
+        monkeypatch.setattr(normal, "_walk", lambda *args: steps.append(args[0]) or walk(*args))
         counts = []
         for n in (1, 100_000):
             steps.clear()

@@ -1,7 +1,7 @@
 """The record contract: every immutable record of the package (formula nodes,
 verdicts, models, proof, tiling and bisimulation records) is built from its
 annotated fields, by position or by keyword, and compares, hashes and prints
-by its tuple of field values."""
+by its tuple of field values; a formula's hash also reads its class's tag."""
 
 import pytest
 
@@ -136,7 +136,8 @@ class TestRecord:
         assert record == twin and not record != twin
         assert record != values and values != record  # not a tuple
         if _hashable(values):
-            assert hash(record) == hash(twin) == hash(values)
+            key = (cls._tag, *values) if issubclass(cls, syntax.Formula) else values
+            assert hash(record) == hash(twin) == hash(key)
             assert {record: 1}[twin] == 1
         else:
             with pytest.raises(TypeError):
@@ -190,11 +191,22 @@ def test_model_default_valuation_is_fresh():
 
 
 def test_formula_hash_is_the_hash_of_its_fields(rng):
-    # A node stores the hash of its tuple of field values, so sets of
-    # formulas keep the order they have always had.
+    # A node stores the hash of its class's tag and its field values, so no
+    # hash depends on an address.
     seen = 0
     for _ in range(300):
         for f in subformulas(random_formula(rng, depth=4)):
-            assert hash(f) == hash(tuple(getattr(f, name) for name in f._fields))
+            assert hash(f) == hash((f._tag, *(getattr(f, name) for name in f._fields)))
             seen += 1
     assert seen > 1000
+
+
+def test_formula_kinds_do_not_share_a_hash():
+    # Nodes of one shape and different kinds hash apart, so a set of them
+    # does not compare each new one with every earlier one.
+    for family in ([cls(P) for cls in (Not, WBox, WDia, BBox, BDia)],
+                   [cls(P, Q) for cls in (And, Or, Implies, Iff)],
+                   [Top(), Bot(), EqConst()]):
+        assert len({hash(f) for f in family}) == len(family)
+    tags = [cls._tag for cls in RECORDS if issubclass(cls, syntax.Formula)]
+    assert sorted(tags) == list(range(13))
