@@ -46,7 +46,6 @@ from .syntax import (
     WBox,
     WDia,
     children,
-    subformulas,
 )
 
 
@@ -134,15 +133,24 @@ def _modal(child: np.ndarray, batch: _Batch, box: bool) -> np.ndarray:
 
 def plan(phi: Formula) -> list:
     """The steps of `truth_table` for `phi`, in `subformulas` order (`phi`
-    last): each node, its children's indices and those of the children whose
-    arrays it frees, as their last parent. A search plans once."""
-    order = subformulas(phi)
-    index = {f: i for i, f in enumerate(order)}
-    kids = [[index[c] for c in children(f)] for f in order]
-    frees: list = [[] for _ in order]
-    for k, i in {k: i for i, ks in enumerate(kids) for k in ks}.items():
-        frees[i].append(k)
-    return list(zip(order, kids, frees))
+    last), from one walk: each node, its children's indices and those of the
+    children whose arrays it frees, as their last parent. A node gets its
+    index when it is finished. A search plans once."""
+    steps, index, stack = [], {}, [(phi, None)]
+    while stack:
+        f, kids = stack.pop()
+        if f in index:
+            continue
+        if kids is None:
+            kids = children(f)
+            stack.append((f, kids))
+            stack.extend((c, None) for c in reversed(kids))
+        else:
+            index[f] = len(steps)
+            steps.append((f, [index[c] for c in kids], []))
+    for k, i in {k: i for i, (_, kids, _) in enumerate(steps) for k in kids}.items():
+        steps[i][2].append(k)
+    return steps
 
 
 def truth_table(steps: list, adj: np.ndarray, props: list, patterns: np.ndarray) -> np.ndarray:
@@ -189,7 +197,7 @@ def truth_table(steps: list, adj: np.ndarray, props: list, patterns: np.ndarray)
         elif kind is Top:
             arr = ~false
         elif kind is EqConst:
-            arr = np.where(np.eye(n, dtype=bool)[None, :, :, None], ~false, false)
+            arr = _diagonal(n, patterns.dtype)
         else:
             raise TypeError(f"not a formula: {f!r}")
         arrays[i] = arr
@@ -301,12 +309,41 @@ def _atom_patterns(n: int, k: int) -> np.ndarray:
     return patterns
 
 
+@lru_cache(maxsize=None)
+def _diagonal(n: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only truth of `I` on n states, shape (1, n, n, 1): true (255
+    in a packed table) on the diagonal."""
+    table = np.eye(n, dtype=bool)[None, :, :, None]
+    if dtype != bool:
+        table = table.astype(dtype) * dtype.type(255)
+    table.flags.writeable = False
+    return table
+
+
 def _witness_model(adj: np.ndarray, props: list, v: int) -> Model:
     states = tuple(f"w{i}" for i in range(len(adj)))
-    edges = frozenset((states[i], states[j]) for i, j in np.argwhere(adj))
+    edges = frozenset((states[i], states[j]) for i, row in enumerate(adj.tolist())
+                      for j, edge in enumerate(row) if edge)
     valuation = {prop: frozenset(w for i, w in enumerate(states) if (v >> (len(adj) * j + i)) & 1)
                  for j, prop in enumerate(props)}
     return Model(states, edges, valuation)
+
+
+def _first_hit(truth: np.ndarray, n: int, nbytes: int):
+    """The first (frame, s, t, valuation), row-major, where a packed truth
+    table of n states holds, or None; one row that reads no frame stands for
+    the first. In the first frame with a hit, the first nonzero byte holds the
+    least (s, t) and its lowest set bit the least valuation: a byte of fewer
+    than 8 valuations repeats them, so that bit is a real one."""
+    some = truth.any(axis=(1, 2, 3))
+    f = int(some.argmax())
+    if not some[f]:
+        return None
+    frame = np.broadcast_to(truth[f], (n, n, nbytes))
+    st, b = divmod(int((frame != 0).argmax()), nbytes)
+    s, t = divmod(st, n)
+    byte = int(frame[s, t, b])
+    return f, s, t, 8 * b + (byte & -byte).bit_length() - 1
 
 
 def search_work(max_states: int, k: int, size: int, mod_iso: bool = True) -> int:
@@ -330,29 +367,24 @@ def search_work(max_states: int, k: int, size: int, mod_iso: bool = True) -> int
 def find_model(phi: Formula, max_states: int, *, mod_iso: bool = True):
     """First (Model, s, t) within the bound satisfying `phi`, over valuations
     of the atoms of `phi`, or None: None means the bound is exhausted, not
-    that `phi` is unsatisfiable. `search_work` refuses a search too large to
-    run before it starts."""
+    that `phi` is unsatisfiable. First means at the least level, then the
+    least frame code, the least (s, t) and the least valuation (`_first_hit`):
+    the witness a search of every frame finds too. `search_work` refuses a
+    search too large to run before it starts."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     steps = plan(phi)
     props = sorted({f.prop for f, _, _ in steps if type(f) is Atom}, key=str)
     search_work(max_states, len(props), len(steps), mod_iso)
     for n in range(1, max_states + 1):
-        nbits = 1 << (n * len(props))
         patterns = _atom_patterns(n, len(props))
         nbytes = patterns.shape[-1]
         adj_all = _frames(n, mod_iso)[1]
         chunk = max(1, _CHUNK_BYTES // (n * n * nbytes))
         for lo in range(0, len(adj_all), chunk):
             adj = adj_all[lo:lo + chunk]
-            truth = truth_table(steps, adj, props, patterns)
-            hits = np.nonzero(truth.any(axis=(1, 2, 3)))[0]
-            if hits.size == 0:
-                continue
-            # A root that reads no frame has one row, which stands for the chunk's first frame.
-            f = int(hits[0])
-            frame = np.broadcast_to(truth[f], (n, n, nbytes))
-            bits = np.unpackbits(frame, axis=-1, count=nbits, bitorder="little")
-            s, t, v = (int(x) for x in np.argwhere(bits)[0])
-            return _witness_model(adj[f], props, v), f"w{s}", f"w{t}"
+            hit = _first_hit(truth_table(steps, adj, props, patterns), n, nbytes)
+            if hit is not None:
+                f, s, t, v = hit
+                return _witness_model(adj[f], props, v), f"w{s}", f"w{t}"
     return None

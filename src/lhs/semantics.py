@@ -44,57 +44,64 @@ def check(model: Model, s: State, t: State, phi: Formula) -> bool:
     atoms and black modalities the second; `I` holds exactly on the diagonal.
     A `~` chain is one step, and so is a chain of one junction (`&`, `|`,
     `->`), read through `syntax.spine` up to the first operand that decides.
-    Chain roots and operands, like every other node read, are memoized per
-    call on (subformula, s, t); an inner node that an earlier chain at (s, t)
-    expanded is an operand. The readable reference: `bruteforce.truth_table`
+    Chain roots and operands, like every other inner node read, are memoized
+    per call on (subformula, s, t); an inner node that an earlier chain at
+    (s, t) expanded is an operand. `_read` answers atoms, constants and
+    memoized nodes in place, so only an inner node read for the first time
+    at a pair is a walk. The readable reference: `bruteforce.truth_table`
     evaluates the same definition at every pair at once.
     """
     model.require_state(s, t)
-    return drive(_sat(phi, s, t, model, {}))
+    value = _read(phi, s, t, model, {})
+    return value if value.__class__ is bool else drive(value)
+
+
+def _read(f: Formula, a: State, b: State, model: Model, memo: dict):
+    """The truth of `f` at (a, b) if it is a leaf or memoized, else its walk."""
+    kind = type(f)
+    if kind is Atom:
+        return (a if f.prop.side is Side.LEFT else b) in model.truth_set(f.prop)
+    if kind is EqConst:
+        return a == b
+    if kind is Top or kind is Bot:
+        return kind is Top
+    value = memo.get((f, a, b))
+    return _sat(f, a, b, model, memo) if value is None else value
 
 
 def _sat(f: Formula, a: State, b: State, model: Model, memo: dict):
-    """The walk of `check` at (a, b): yields the walk of each subformula it reads."""
-    key = (f, a, b)
-    value = memo.get(key)
-    if value is not None:
-        return value
-    if isinstance(f, Atom):
-        value = (a if f.prop.side is Side.LEFT else b) in model.truth_set(f.prop)
-    elif isinstance(f, EqConst):
-        value = a == b
-    elif isinstance(f, Top):
-        value = True
-    elif isinstance(f, Bot):
-        value = False
-    elif isinstance(f, Not):
+    """The walk of `check` for the inner node `f` at (a, b), which `memo`
+    lacks: yields the walk of each subformula that `_read` does not answer."""
+    if isinstance(f, Not):
         g, positive = strip_nots(f)
-        value = positive == (yield _sat(g, a, b, model, memo))
+        value = _read(g, a, b, model, memo)
+        value = positive == (value if value.__class__ is bool else (yield value))
     elif isinstance(f, Iff):
-        value = (yield _sat(f.left, a, b, model, memo)) == (yield _sat(f.right, a, b, model, memo))
+        left = _read(f.left, a, b, model, memo)
+        left = left if left.__class__ is bool else (yield left)
+        right = _read(f.right, a, b, model, memo)
+        value = left == (right if right.__class__ is bool else (yield right))
     elif isinstance(f, MODAL_NODES):
         # A box holds unless some successor fails the child; a diamond fails
         # unless some successor satisfies it. Stop at the first that decides.
         white = isinstance(f, WHITE_MODAL)
         value = isinstance(f, (WBox, BBox))
         for w in model.successor_map[a if white else b]:
-            pair = (w, b) if white else (a, w)
-            if (yield _sat(f.child, *pair, model, memo)) != value:
+            held = _read(f.child, *((w, b) if white else (a, w)), model, memo)
+            if (held if held.__class__ is bool else (yield held)) != value:
                 value = not value
                 break
     elif (value := junction(f, True)) is not None:  # true for a conjunction
         # The pairs that chains at (a, b) expanded, kept in `memo` under (a, b)
         # for the whole call: met again, one is read as an operand.
         for g, polarity in spine(f, True, memo.setdefault((a, b), set())):
-            held = memo.get((g, a, b))  # operands left to right until one decides
-            if held is None:
-                held = yield _sat(g, a, b, model, memo)
-            if (held == polarity) != value:
+            held = _read(g, a, b, model, memo)  # operands left to right until one decides
+            if ((held if held.__class__ is bool else (yield held)) == polarity) != value:
                 value = not value
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")
-    memo[key] = value
+    memo[f, a, b] = value
     return value
 
 

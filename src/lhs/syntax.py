@@ -85,7 +85,8 @@ class PropName(Record):
         # Not via `__dict__`, so reads stay fast; the tableau's leaf sets hash props by the 100,000.
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((side, name)))
+        # The value of hash((side, name)), without a call of `Enum.__hash__`.
+        object.__setattr__(self, "_hash", hash((side._name_, name)))
 
     def __hash__(self):
         return self._hash
@@ -139,23 +140,19 @@ ONE_SIDED = WHITE_ONLY | BLACK_ONLY
 
 class Formula(Node):
     """Base class of formulas; `repr` is `render`. A formula stores its syntax
-    class in `facts` when it is built, from its children's (`_FACTS`, `Unary`).
-    Its hash is that of its field values after `_tag`, a small int fixed by
-    its class, so that `~x` and `[W]x`, `a & b` and `a | b`, or `true` and
-    `false` do not share one."""
+    class in `facts` when it is built: a constant's is `_facts`, an atom's
+    its side's, and `Unary` and `Binary` read their children's. Its hash is
+    that of its field values after `_tag`, a small int fixed by its class,
+    so that `~x` and `[W]x`, `a & b` and `a | b`, or `true` and `false` do
+    not share one."""
 
     __slots__ = ()
+    _facts = ONE_SIDED | I_FREE | CLEAN
 
-    def __init__(self, *args, **kwargs):
-        # `Record.__init__`, with `Node`'s hash and the facts computed from `args` in one pass.
-        names = self._fields
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+    def __init__(self):  # a constant's: `Atom`, `Unary` and `Binary` store their fields
         fields = self.__dict__
-        for i, name in enumerate(names):
-            fields[name] = args[i]
-        fields["_hash"] = hash((self._tag, *args))
-        fields["facts"] = _FACTS[type(self)](*args)
+        fields["_hash"] = hash((self._tag,))
+        fields["facts"] = self._facts
 
     def __repr__(self):
         return render(self)
@@ -165,9 +162,15 @@ class Atom(Formula):
     prop: PropName
     _tag = 0
 
+    def __init__(self, prop: PropName):
+        fields = self.__dict__
+        fields["prop"] = prop
+        fields["_hash"] = hash((self._tag, prop))
+        fields["facts"] = (WHITE_ONLY if prop.side is Side.LEFT else BLACK_ONLY) | I_FREE | CLEAN
+
 
 class EqConst(Formula):
-    _tag = 1
+    _tag, _facts = 1, 0
 
 
 class Top(Formula):
@@ -248,14 +251,6 @@ MODAL_NODES = (WBox, WDia, BBox, BDia)
 WHITE_MODAL = (WBox, WDia)
 BLACK_MODAL = (BBox, BDia)
 BINARY_NODES = (And, Or, Implies, Iff)
-
-
-# node type: its facts from its field values
-_FACTS = {
-    Atom: lambda prop: (WHITE_ONLY if prop.side is Side.LEFT else BLACK_ONLY) | I_FREE | CLEAN,
-    EqConst: lambda: 0,
-    **dict.fromkeys((Top, Bot), lambda: ONE_SIDED | I_FREE | CLEAN),
-}
 
 
 def left_atom(name: str) -> Atom:
@@ -446,9 +441,12 @@ def _error(message: str, text: str, at: int) -> FormulaSyntaxError:
     return FormulaSyntaxError(message, matches[at].start() if at < len(matches) else len(text))
 
 
+_SIDE = {side.value: side for side in Side}
+
+
 def _leaf(tok: str, error) -> Formula:
     if tok[1:2] == ":":
-        return Atom(PropName(Side.LEFT if tok[0] == "l" else Side.RIGHT, tok[2:]))
+        return Atom(PropName(_SIDE[tok[0]], tok[2:]))
     if tok in _CONSTANT_NODE:
         return _CONSTANT_NODE[tok]()
     what = "unknown identifier" if tok[:1].isidentifier() else "unexpected"

@@ -37,13 +37,15 @@ from lhs.bruteforce import (
     WORK_CEILING,
     _CLASSES,
     _atom_patterns,
+    _diagonal,
+    _first_hit,
     _frames,
     find_model,
     plan,
     search_work,
     truth_table,
 )
-from lhs.syntax import prop_names, subformulas
+from lhs.syntax import children, prop_names, subformulas
 from lhs.tiling import PeriodicTiling
 
 from conftest import (
@@ -94,6 +96,68 @@ def test_atom_patterns_cached_and_read_only():
     assert patterns.shape == (3, 2, 8) and not patterns.flags.writeable
     with pytest.raises(ValueError):
         patterns[0] = 0
+
+
+def test_diagonal_cached_and_read_only():
+    # `I`'s table, one read-only array per (n, dtype), in either representation.
+    for n in (1, 3):
+        for dtype, true in ((np.dtype(bool), True), (np.dtype(np.uint8), 255)):
+            table = _diagonal(n, dtype)
+            assert _diagonal(n, dtype) is table
+            assert table.dtype == dtype and table.shape == (1, n, n, 1)
+            assert (table[0, :, :, 0] == np.eye(n, dtype=bool) * true).all()
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+    assert _diagonal(2, np.dtype(bool)) is not _diagonal(2, np.dtype(np.uint8))
+
+
+def _reference_hit(truth, n, nbits):
+    """The first set bit of a packed truth table, by a scan of every bit."""
+    full = np.broadcast_to(truth, (len(truth), n, n, truth.shape[-1]))
+    hits = np.argwhere(np.unpackbits(full, axis=-1, count=nbits, bitorder="little"))
+    return tuple(int(x) for x in hits[0]) if len(hits) else None
+
+
+def test_first_hit_is_the_first_set_bit():
+    # On the tables of seeded formulas over 0, 1 and 2 variables at levels 1
+    # to 3: below 8 valuations a byte repeats them, and the readout must not
+    # report a repeat.
+    rng = random.Random(3737)
+    names = [((), ()), (("p",), ()), ((), ("q",)), (("p",), ("q",)), (("p", "q"), ())]
+    corpus = [random_formula(rng, depth=1 + i % 4, left_vars=names[i % 5][0],
+                             right_vars=names[i % 5][1]) for i in range(240)]
+    corpus += [parse(text) for text in ("I & ~I", "l:p & ~l:p", "l:p & r:q & ~(l:p & r:q)")]
+    seen = Counter()
+    for phi in corpus:
+        props = sorted(prop_names(phi), key=str)
+        for n in (1, 2, 3):
+            patterns = _atom_patterns(n, len(props))
+            adj = _frames(n, True)[1]
+            truth = truth_table(plan(phi), adj, props, patterns)
+            hit = _first_hit(truth, n, patterns.shape[-1])
+            assert hit == _reference_hit(truth, n, 1 << (n * len(props))), (render(phi), n)
+            seen[len(props), hit is None, hit is not None and hit[3] >= 8] += 1
+    # Hits and misses over 0, 1 and 2 variables, and hits past the first byte.
+    assert {(k, miss) for k, miss, _ in seen} == {(k, m) for k in (0, 1, 2) for m in (True, False)}
+    assert any(past for _, _, past in seen)
+
+
+def test_plan_is_subformulas_order():
+    # One walk lists the steps the three passes listed: `subformulas` order,
+    # kids by index, and each array freed by its last parent.
+    rng = random.Random(3738)
+    for i in range(300):
+        phi = random_formula(rng, depth=1 + i % 6)
+        order = subformulas(phi)
+        index = {f: j for j, f in enumerate(order)}
+        kids = [[index[c] for c in children(f)] for f in order]
+        frees = [[] for _ in order]
+        for k, j in {k: j for j, ks in enumerate(kids) for k in ks}.items():
+            frees[j].append(k)
+        steps = plan(phi)
+        assert [f for f, _, _ in steps] == order
+        assert steps == list(zip(order, kids, frees))
 
 
 # Conjuncts that push the smallest model past one state: two states for
@@ -149,15 +213,15 @@ def test_witnesses_pinned():
 
 
 def test_search_plans_once(monkeypatch):
-    # One walk of the formula per search, and one set of steps that every
-    # level and every chunk reuses. Chunks of one frame split each level
-    # into as many chunks as it has frames, and find the same witnesses.
+    # One plan (one walk of the formula) per search, and one set of steps
+    # that every level and every chunk reuses. Chunks of one frame split each
+    # level into as many chunks as it has frames, and find the same witnesses.
     phis = [parse(text) for text in _FORCERS[1:] + ["l:p & ~r:p", "false"]]
     expected = [find_model(phi, 3) for phi in phis]
     walks, plans, charges = [], [], []
-    walk, kernel, charge = bruteforce.subformulas, bruteforce.truth_table, bruteforce.search_work
+    walk, kernel, charge = bruteforce.plan, bruteforce.truth_table, bruteforce.search_work
     monkeypatch.setattr(bruteforce, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(bruteforce, "subformulas", lambda phi: walks.append(phi) or walk(phi))
+    monkeypatch.setattr(bruteforce, "plan", lambda phi: walks.append(phi) or walk(phi))
     monkeypatch.setattr(bruteforce, "truth_table",
                         lambda steps, *args: plans.append(steps) or kernel(steps, *args))
     monkeypatch.setattr(bruteforce, "search_work",

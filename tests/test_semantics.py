@@ -195,7 +195,10 @@ class TestCheckChains:
             assert check(m, "b", "a", phi) == (length % 2 == 1)
 
     def test_one_walk_for_a_chain_and_one_for_each_operand(self, monkeypatch):
-        # Inner nodes get no walk, and an operand already memoized gets none.
+        # Inner nodes of a chain get no walk, and neither do leaves and
+        # operands already memoized: `_read` answers them in place. A walk
+        # per leaf read gave 2, 2, 1001, 3, 3 and 1000 walks here, and 5
+        # under the box.
         walked = []
         original = semantics._sat
 
@@ -206,21 +209,26 @@ class TestCheckChains:
         monkeypatch.setattr(semantics, "_sat", counted)
         m = make_model(["a"], [], {"l:p": ["a"]})
         qs = [f"l:q{i}" for i in range(999)]
-        for phi, walks in ((parse("~" * 1000 + "l:p"), 2),
-                           (parse(" & ".join(["l:p"] * 1000)), 2),
-                           (parse(" | ".join(qs + ["l:p"])), 1001),
-                           (parse(" & ".join(["l:p"] + qs)), 3),
-                           (parse(" -> ".join(["l:p"] * 999 + ["l:q0"])), 3),
-                           (disjoin([parse(q) for q in qs]), 1000)):
+        for phi, walks in ((parse("~" * 1000 + "l:p"), 1),
+                           (parse(" & ".join(["l:p"] * 1000)), 1),
+                           (parse(" | ".join(qs + ["l:p"])), 1),
+                           (parse(" & ".join(["l:p"] + qs)), 1),
+                           (parse(" -> ".join(["l:p"] * 999 + ["l:q0"])), 1),
+                           (disjoin([parse(q) for q in qs]), 1),
+                           # The chain, and its operand `l:p | l:q0` once: met
+                           # again under the `~`, it is a memo hit.
+                           (parse("(l:p | l:q0) & ~(l:p | l:q0)"), 2),
+                           # A leaf root is read in place.
+                           (parse("l:p"), 0), (parse("I"), 0), (parse("false"), 0)):
             walked.clear()
             check(m, "a", "a", phi)
             assert len(walked) == walks
         # Under a box, the chain at each successor pair is expanded there: the
-        # box, then per pair the chain and its one operand.
+        # box, then per pair the chain, whose operand is read in place.
         m = make_model(["a", "b", "c"], [("a", "b"), ("a", "c")], {"l:p": ["b", "c"]})
         walked.clear()
         assert check(m, "a", "a", parse("[W](" + " & ".join(["l:p"] * 1000) + ")"))
-        assert len(walked) == 5
+        assert len(walked) == 3
 
     def test_shared_chain_is_not_unfolded(self):
         # 10^4 levels of phi & phi over one shared node: 2^10000 operands as
